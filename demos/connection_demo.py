@@ -11,12 +11,11 @@ from quintic_garnier.connections import (
     case1_divisors, flat_case1_connection, flat_representative, is_flat,
     map_cover_bar, map_elementary, map_involution, pullback_riccati,
     quintic2_divisors, residue, riccati_of_connection)
-from quintic_garnier.forms import form_d
 from quintic_garnier.fractions import serialize_frac
 
 print("=== the covering chain, link by link ===")
 w0, w1 = build_omega0(), build_omega1()
-print("diagonal form is closed:            ", form_d(w0).is_zero())
+print("diagonal form is closed:            ", w0.d().is_zero())
 print("elementary transform pulls w1 to w0:",
       map_elementary().pull_one_form(w1) == w0)
 r1 = build_riccati1()

@@ -30,7 +30,7 @@ print("  alpha2 matches:", rep["alpha2"]["matches"],
       "| difference:", rep["alpha2"]["delta_vs_reference"])
 
 print("\n=== movable poles in the (a, c) parameters ===")
-t1, t2, _ = pole_positions()
+t1, t2 = pole_positions()
 print("t1 =", serialize_poly(t1))
 print("t2 =", serialize_poly(t2))
 print("rational instance a=1, c=4:", pole_positions_at(1, 4)[:2])

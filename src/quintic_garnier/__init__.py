@@ -26,7 +26,7 @@ from .ring import (LaurentPoly, VarContext, lp_arith, lp_substitute,
                    parse_poly, serialize_poly)
 from .fractions import DenomBasis, FactoredFraction, frac_eq, serialize_frac
 from .forms import (MobiusAction, RationalMap, ScalarOneForm, ScalarTwoForm,
-                    divisor_pullback, form_d, form_pullback, form_wedge)
+                    divisor_pullback)
 from .sl2 import (GroupWord, Mat2, Presentation, projective_closure,
                   verify_relations, word_evaluate)
 from .reps import (RepTuple, TraceTuple, induced_representation,
@@ -37,8 +37,8 @@ from .braids import (BraidWord, OrbitResult, braid_act, center_check,
                      extended_orbit, full_twist, orbit, orbit_compare,
                      pure_generators)
 from .connections import (CONNECTION_NAMES, MatConnection, RiccatiForm,
-                          builtin_connection, curvature, flat_representative,
-                          is_flat, pullback_riccati, residue,
+                          builtin_connection, flat_representative, is_flat,
+                          mat_curvature, pullback_riccati, residue,
                           riccati_of_connection)
 from .garnier import (GarnierData, LineRestriction, garnier_parametrization,
                       h21_extract, pole_positions, restrict_to_line)
@@ -48,7 +48,7 @@ __all__ = [
     "parse_poly", "serialize_poly",
     "DenomBasis", "FactoredFraction", "frac_eq", "serialize_frac",
     "MobiusAction", "RationalMap", "ScalarOneForm", "ScalarTwoForm",
-    "divisor_pullback", "form_d", "form_pullback", "form_wedge",
+    "divisor_pullback",
     "GroupWord", "Mat2", "Presentation", "projective_closure",
     "verify_relations", "word_evaluate",
     "RepTuple", "TraceTuple", "induced_representation",
@@ -58,7 +58,7 @@ __all__ = [
     "extended_orbit", "full_twist", "orbit", "orbit_compare",
     "pure_generators",
     "CONNECTION_NAMES", "MatConnection", "RiccatiForm", "builtin_connection",
-    "curvature", "flat_representative", "is_flat", "pullback_riccati",
+    "flat_representative", "is_flat", "mat_curvature", "pullback_riccati",
     "residue", "riccati_of_connection",
     "GarnierData", "LineRestriction", "garnier_parametrization",
     "h21_extract", "pole_positions", "restrict_to_line",

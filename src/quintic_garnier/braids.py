@@ -15,11 +15,11 @@ order and scheduling, while provenance edges may differ.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .reps import RepTuple, TraceTuple, trace_coordinates, trace_of_five
-from .ring import LaurentPoly, VarContext, lp_substitute
-from .sl2 import Mat2
+from .ring import LaurentPoly, VarContext
+from .sl2 import Mat2, closure
 
 
 class BraidWord:
@@ -170,45 +170,19 @@ class OrbitResult:
             fh.write("\n")
 
 
+def _moves(words: Iterable[BraidWord]) -> list[tuple[str, Callable]]:
+    """Each word and its inverse as named closure moves."""
+    return [(w.name, lambda rho, w=w: braid_act(w, rho))
+            for g in words for w in (g, g.inverse())]
+
+
 def orbit(seed: RepTuple, generators: Sequence[BraidWord], cutoff: int = 1000,
           seed_name: str = "seed") -> OrbitResult:
     """Closure of the seed's class under the given words and their inverses."""
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    gens = []
-    for g in generators:
-        gens.append((g.name, g))
-        gens.append((g.name + "^-1", g.inverse()))
-    start = trace_coordinates(seed)
-    index = {start: 0}
-    elements = [start]
-    reps = [seed]
-    edges: list[tuple[int, str, int]] = []
-    frontier = [0]
-    status = "closed"
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for gname, g in gens:
-                image = braid_act(g, reps[i])
-                key = trace_coordinates(image)
-                j = index.get(key)
-                if j is None:
-                    if len(elements) >= cutoff:
-                        status = "cutoff"
-                        frontier = []
-                        nxt = []
-                        break
-                    j = len(elements)
-                    index[key] = j
-                    elements.append(key)
-                    reps.append(image)
-                    nxt.append(j)
-                edges.append((i, gname, j))
-            else:
-                continue
-            break
-        frontier = nxt
+    elements, _, edges, status = closure(seed, _moves(generators),
+                                         trace_coordinates, cutoff)
     return OrbitResult(seed_name, elements, edges, status,
                        [g.name for g in generators], cutoff)
 
@@ -220,44 +194,11 @@ def extended_orbit(seed: RepTuple, cutoff: int = 10000,
     Elements are keyed by the trace tuple of the first four matrices; the
     fifth matrix participates through the last move.
     """
-    gens = []
-    for i in (1, 2, 3, 4):
-        w = BraidWord([i], "spherical5")
-        gens.append((w.name, w))
-        gens.append((w.name + "^-1", w.inverse()))
-    start5 = seed.five()
-    start = trace_of_five(start5)
-    index = {start: 0}
-    elements = [start]
-    reps = [start5]
-    edges: list[tuple[int, str, int]] = []
-    frontier = [0]
-    status = "closed"
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for gname, g in gens:
-                image = braid_act(g, reps[i])
-                key = trace_of_five(image)
-                j = index.get(key)
-                if j is None:
-                    if len(elements) >= cutoff:
-                        status = "cutoff"
-                        frontier = []
-                        nxt = []
-                        break
-                    j = len(elements)
-                    index[key] = j
-                    elements.append(key)
-                    reps.append(image)
-                    nxt.append(j)
-                edges.append((i, gname, j))
-            else:
-                continue
-            break
-        frontier = nxt
+    gens = [BraidWord([i], "spherical5") for i in (1, 2, 3, 4)]
+    elements, _, edges, status = closure(seed.five(), _moves(gens),
+                                         trace_of_five, cutoff)
     return OrbitResult(seed_name, elements, edges, status,
-                       ["s1", "s2", "s3", "s4"], cutoff)
+                       [g.name for g in gens], cutoff)
 
 
 def orbit_compare(a: Union[OrbitResult, Iterable[TraceTuple]],

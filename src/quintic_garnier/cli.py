@@ -24,8 +24,8 @@ from fractions import Fraction
 from . import braids, connections, families, garnier
 from .braids import (extended_orbit, orbit, orbit_compare, parse_substitution,
                      pure_generators)
-from .fractions import frac_eq, serialize_frac
-from .reps import RepTuple, TraceTuple, trace_coordinates, verify_product_identity
+from .fractions import serialize_frac
+from .reps import RepTuple, TraceTuple, verify_product_identity
 from .ring import VarContext, parse_poly
 from .sl2 import Mat2, projective_closure, verify_relations
 
@@ -64,7 +64,7 @@ def emit(command: str, inputs: dict, results: dict, checks: list[Check],
         "checks": [c.as_dict() for c in checks],
     }
     if timing:
-        doc["timing"] = round(time.time() - started, 3)
+        doc["timing"] = round(time.perf_counter() - started, 3)
     json.dump(doc, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     if any(c.status == "fail" for c in checks):
@@ -85,6 +85,10 @@ def _parse_at(text: str) -> dict[str, Fraction]:
 
 def _specialize_rep(rep: RepTuple, values: dict[str, Fraction]) -> RepTuple:
     ctx = rep.ctx
+    for name in values:
+        if name not in ctx.index:
+            raise ValueError(f"--at names {name!r}, which is not a variable "
+                             f"of the tuple ({', '.join(ctx.names)})")
     images = {k: ctx.const(v) for k, v in values.items()}
     mats = []
     for m in rep.mats:
@@ -98,12 +102,20 @@ def _load_rep_file(path: str) -> RepTuple:
     ctx = VarContext(data["variables"])
     mats = []
     for row in data["matrices"]:
+        if len(row) != 4:
+            raise ValueError("each matrix is a row of four entries")
         mats.append(Mat2(*(parse_poly(ctx, s) for s in row)))
+    if len(mats) == 5:
+        if not verify_product_identity(mats)["sl2"]:
+            raise ValueError("the five matrices do not multiply to the identity")
+    elif len(mats) != 4:
+        raise ValueError(f"need 4 matrices, or 5 whose product is the "
+                         f"identity; got {len(mats)}")
     return RepTuple(*mats[:4])
 
 
 def cmd_orbit(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     default_cutoff = int(os.environ.get("QUINTIC_GARNIER_CUTOFF",
                                         "10000" if args.extended else "1000"))
     cutoff = args.cutoff if args.cutoff is not None else default_cutoff
@@ -159,7 +171,7 @@ def _load_orbit_file(path: str) -> tuple[VarContext, list[TraceTuple]]:
 
 
 def cmd_compare(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     try:
         ctx_a, elems_a = _load_orbit_file(args.orbit_a)
         ctx_b, elems_b = _load_orbit_file(args.orbit_b)
@@ -214,7 +226,7 @@ def suite_relations() -> list[Check]:
 def suite_flatness() -> list[Check]:
     checks = []
     checks.append(ok("closed:omega0",
-                     connections.form_d(connections.build_omega0()).is_zero()))
+                     connections.build_omega0().d().is_zero()))
     checks.append(ok("flat:cover_diagonal",
                      connections.is_flat(connections.diagonal_cover_connection())))
     rep, report = connections.flat_representative()
@@ -405,7 +417,7 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.suite == "all":
         names = list(SUITES)
     elif args.suite in SUITES:

@@ -31,12 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .forms import (MobiusAction, RationalMap, ScalarOneForm, ScalarTwoForm,
-                    divisor_pullback, form_d, form_wedge)
+from .forms import MobiusAction, RationalMap, ScalarOneForm, ScalarTwoForm
 from .fractions import BasisError, DenomBasis, FactoredFraction, frac_eq, serialize_frac
-from .ring import ContextError, LaurentPoly, UnitError, VarContext, serialize_poly
+from .ring import ContextError, LaurentPoly, UnitError, VarContext
 
 # ---------------------------------------------------------------------------
 # contexts and denominator bases
@@ -44,7 +43,6 @@ from .ring import ContextError, LaurentPoly, UnitError, VarContext, serialize_po
 CTX_UV = VarContext(["u", "v", "lam0", "lam1"])
 CTX_XY = VarContext(["x", "y", "lam0", "lam1"])
 CTX_INF = VarContext(["xt", "yt", "lam0", "lam1"])
-CTX_C1INF = VarContext(["xt", "yt", "lam0", "lam1"])
 
 _u, _v = CTX_UV.var("u"), CTX_UV.var("v")
 _x, _y = CTX_XY.var("x"), CTX_XY.var("y")
@@ -58,10 +56,8 @@ B_INF = DenomBasis(CTX_INF, [_yt - _xt, 1 - _xt * _yt],
 
 _dc = (_x ** 2 + _y ** 2 + 1 - 2 * _x * _y - 2 * _x - 2 * _y)
 B_CASE1 = DenomBasis(CTX_XY, [_dc], names=["tangent-conic"])
-_c1xt, _c1yt = CTX_C1INF.var("xt"), CTX_C1INF.var("yt")
-_dc_inf = (_c1xt ** 2 + _c1yt ** 2 + 1 - 2 * _c1xt * _c1yt
-           - 2 * _c1xt - 2 * _c1yt)
-B_C1INF = DenomBasis(CTX_C1INF, [_dc_inf], names=["tangent-conic-inf"])
+_dc_inf = (_xt ** 2 + _yt ** 2 + 1 - 2 * _xt * _yt - 2 * _xt - 2 * _yt)
+B_C1INF = DenomBasis(CTX_INF, [_dc_inf], names=["tangent-conic-inf"])
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +140,12 @@ def mat_curvature(conn: MatConnection) -> tuple[tuple[ScalarTwoForm, ...], ...]:
     for i in (0, 1):
         row = []
         for j in (0, 1):
-            val = form_d(om[i][j])
+            val = om[i][j].d()
             for k in (0, 1):
-                val = val + form_wedge(om[i][k], om[k][j])
+                val = val + om[i][k].wedge(om[k][j])
             row.append(val)
         out.append(tuple(row))
     return tuple(out)
-
-
-def curvature(conn: MatConnection):
-    return mat_curvature(conn)
 
 
 def is_flat(conn: MatConnection) -> bool:
@@ -483,15 +475,10 @@ def map_cover_bar() -> RationalMap:
 
 def map_infinity_chart(target: str = "quintic2") -> RationalMap:
     """Chart at infinity (xt, yt) -> (x, y) = (1/xt, yt/xt)."""
-    if target == "quintic2":
-        src, dst = B_INF, B_XY
-        xt, yt = _xt, _yt
-    else:
-        src, dst = B_C1INF, B_CASE1
-        xt, yt = _c1xt, _c1yt
+    src, dst = (B_INF, B_XY) if target == "quintic2" else (B_C1INF, B_CASE1)
     return RationalMap("inf-chart", src, dst, ("xt", "yt"), ("x", "y"),
-                       {"x": FactoredFraction(src, xt ** -1),
-                        "y": FactoredFraction(src, yt * xt ** -1)})
+                       {"x": FactoredFraction(src, _xt ** -1),
+                        "y": FactoredFraction(src, _yt * _xt ** -1)})
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,10 @@ chain rules symbolically, never numerics.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .fractions import BasisError, DenomBasis, FactoredFraction, frac_eq, serialize_frac
-from .ring import ContextError, LaurentPoly, Rat, VarContext
+from .ring import ContextError, LaurentPoly
 
 
 class ScalarOneForm:
@@ -126,14 +125,6 @@ class ScalarTwoForm:
         return f"<({serialize_frac(self.coeff)}) d{x}^d{y}>"
 
 
-def form_d(omega: ScalarOneForm) -> ScalarTwoForm:
-    return omega.d()
-
-
-def form_wedge(a: ScalarOneForm, b: ScalarOneForm) -> ScalarTwoForm:
-    return a.wedge(b)
-
-
 class MobiusAction:
     """Fiber substitution ``w -> (p w' + q) / (r w' + t)`` with coefficients
     that may depend on the source base variables."""
@@ -210,10 +201,6 @@ class RationalMap:
                 for v, f in self.subs.items()}
         return RationalMap(f"{self.name}*{inner.name}", inner.src, self.dst,
                            inner.src_base, self.dst_base, subs)
-
-
-def form_pullback(omega: ScalarOneForm, phi: RationalMap) -> ScalarOneForm:
-    return phi.pull_one_form(omega)
 
 
 def divisor_pullback(f: LaurentPoly, phi: RationalMap,

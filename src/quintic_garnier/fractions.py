@@ -12,10 +12,10 @@ factors out of the numerator by exact division.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from .ring import (ContextError, LaurentPoly, Rat, UnitError, VarContext,
-                   exact_divide, serialize_poly)
+from .ring import (ContextError, LaurentPoly, Rat, VarContext, exact_divide,
+                   serialize_poly)
 
 
 class BasisError(ValueError):
@@ -199,10 +199,8 @@ class FactoredFraction:
         n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.basis.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return FactoredFraction(self.basis, self.num ** n,
+                                tuple(e * n for e in self.exps))
 
     def inverse(self) -> "FactoredFraction":
         """Invert; the numerator must factor over the basis times a unit."""

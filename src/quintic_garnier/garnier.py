@@ -18,14 +18,14 @@ silently patched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .connections import MatConnection, flat_quintic2_connection
 from .forms import ScalarOneForm
 from .fractions import DenomBasis, FactoredFraction, frac_eq, serialize_frac
-from .ring import LaurentPoly, Rat, UnitError, VarContext, serialize_poly
+from .ring import LaurentPoly, Rat, VarContext, serialize_poly
 
 # line context with both parametrizations
 CTX_AB = VarContext(["y", "a", "b", "lam0", "lam1"])
@@ -69,7 +69,6 @@ class LineRestriction:
     P1: FactoredFraction
     P0: FactoredFraction
     denominator: LaurentPoly       # 2 y (y-1) Q
-    notes: list[str] = field(default_factory=list)
 
     def alphas(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
         """Numerators of (P2, P1, P0) over the common denominator."""
@@ -137,8 +136,7 @@ def restrict_to_line(conn: Optional[MatConnection] = None,
     P0 = -matrix[0][1]
     yv = basis.ctx.var("y")
     denominator = 2 * yv * (yv - 1) * q
-    notes: list[str] = []
-    return LineRestriction(mode, basis, matrix, P2, P1, P0, denominator, notes)
+    return LineRestriction(mode, basis, matrix, P2, P1, P0, denominator)
 
 
 def specialize_connection(conn: MatConnection,
@@ -155,13 +153,11 @@ def specialize_connection(conn: MatConnection,
                          conn.divisors)
 
 
-def pole_positions() -> tuple[LaurentPoly, LaurentPoly, list[str]]:
-    """The movable poles ``t1, t2`` in the (a, c) parameters, with a
-    degeneracy note when either collides with the fixed punctures."""
+def pole_positions() -> tuple[LaurentPoly, LaurentPoly]:
+    """The movable poles ``t1, t2`` in the (a, c) parameters."""
     t1 = Fraction(1, 4) * (_c - 1) ** 2 * _aa ** -2
     t2 = Fraction(1, 4) * (_c + 1) ** 2 * _aa ** -2
-    notes = []
-    return t1, t2, notes
+    return t1, t2
 
 
 def pole_positions_at(a_val: Rat, c_val: Rat) -> tuple[Fraction, Fraction, list[str]]:
@@ -178,7 +174,7 @@ def pole_positions_at(a_val: Rat, c_val: Rat) -> tuple[Fraction, Fraction, list[
 
 def poles_factor_denominator() -> bool:
     """``Q = a^2 (y - t1)(y - t2)`` exactly."""
-    t1, t2, _ = pole_positions()
+    t1, t2 = pole_positions()
     lhs = _aa ** 2 * (_yac - t1) * (_yac - t2)
     return lhs == Q_AC
 
@@ -234,7 +230,7 @@ def _verify_assembly(rest: LineRestriction, num: LaurentPoly) -> bool:
     basis = rest.basis
     ctx = basis.ctx
     yv = ctx.var("y")
-    t1, t2, _ = pole_positions()
+    t1, t2 = pole_positions()
     poles = [ctx.zero(), ctx.one(), t1, t2]
     ddenom = rest.denominator.derivative("y")
     total = basis.zero()
@@ -318,7 +314,7 @@ def garnier_parametrization() -> tuple[GarnierData, dict]:
     """
     rest = restrict_to_line(mode="ac")
     h = h21_extract(rest)
-    t1, t2, _ = pole_positions()
+    t1, t2 = pole_positions()
     refs = reference_garnier_fields()
     data = GarnierData(B_AC.of(t1), B_AC.of(t2), h.S_q, h.P_q,
                        refs["S_p"], refs["gamma"])

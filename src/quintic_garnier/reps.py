@@ -64,7 +64,11 @@ class RepTuple:
 
 
 class TraceTuple:
-    """The fifteen trace coordinates, canonically ordered and hashable."""
+    """The fifteen trace coordinates, canonically ordered and hashable.
+
+    Tuples over different variable contexts never compare equal, even when
+    their coefficients agree.
+    """
 
     __slots__ = ("values", "_key")
 
@@ -80,7 +84,9 @@ class TraceTuple:
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, TraceTuple) and self.key() == other.key()
+        return (isinstance(other, TraceTuple)
+                and self.values[0].ctx == other.values[0].ctx
+                and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())

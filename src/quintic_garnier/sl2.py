@@ -5,14 +5,16 @@ product, inverse (via the adjugate, determinant one) and trace is exact.
 Relators are checked both in SL2 (exact identity) and in PSL2 (identity up
 to a global sign), since the representation families of interest are
 sometimes only projectively faithful to their presentations.
+
+:func:`closure` is the one breadth-first closure engine of the package: it
+closes matrix sets here and braid orbits in :mod:`~quintic_garnier.braids`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .ring import ContextError, LaurentPoly, Rat, VarContext, serialize_poly
+from .ring import ContextError, LaurentPoly, VarContext, serialize_poly
 
 
 class Mat2:
@@ -253,27 +255,50 @@ class ClosureResult:
         return f"CutoffExceeded({self.explored})"
 
 
+def closure(seed, moves: Sequence[tuple[str, Callable]], key: Callable,
+            cutoff: int) -> tuple[list, list, list[tuple[int, str, int]], str]:
+    """Breadth-first closure of ``seed`` under ``moves``, deduplicated by ``key``.
+
+    ``moves`` is a list of ``(name, fn)`` pairs, applied in order to every
+    element of a level before the next level starts.  Returns ``(keys,
+    items, edges, status)``: keys and items in discovery order (the seed
+    first), one edge ``(i, name, j)`` per move applied, and a status that is
+    ``"closed"``, or ``"cutoff"`` as soon as a new element would go past
+    ``cutoff``.
+    """
+    start = key(seed)
+    index = {start: 0}
+    keys, items = [start], [seed]
+    edges: list[tuple[int, str, int]] = []
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for name, move in moves:
+                image = move(items[i])
+                k = key(image)
+                j = index.get(k)
+                if j is None:
+                    if len(keys) >= cutoff:
+                        return keys, items, edges, "cutoff"
+                    j = index[k] = len(keys)
+                    keys.append(k)
+                    items.append(image)
+                    nxt.append(j)
+                edges.append((i, name, j))
+        frontier = nxt
+    return keys, items, edges, "closed"
+
+
 def projective_closure(generators: Sequence[Mat2], cutoff: int = 1000) -> ClosureResult:
     """Close a matrix set under multiplication modulo global sign.
 
     Returns ``Finite(order)`` when the closure stabilizes below the cutoff,
     otherwise a cutoff marker (not fatal: symbolic tori never close).
     """
-    ctx = generators[0].ctx
-    seen: dict[tuple, Mat2] = {}
-    ident = Mat2.identity(ctx)
-    seen[ident.projective_key()] = ident
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in generators:
-                p = m * g
-                k = p.projective_key()
-                if k not in seen:
-                    if len(seen) >= cutoff:
-                        return ClosureResult("cutoff", None, len(seen))
-                    seen[k] = p
-                    nxt.append(p)
-        frontier = nxt
-    return ClosureResult("finite", len(seen), len(seen))
+    moves = [(str(n), lambda m, g=g: m * g) for n, g in enumerate(generators)]
+    keys, _, _, status = closure(Mat2.identity(generators[0].ctx), moves,
+                                 Mat2.projective_key, cutoff)
+    if status == "cutoff":
+        return ClosureResult("cutoff", None, len(keys))
+    return ClosureResult("finite", len(keys), len(keys))

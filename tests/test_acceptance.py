@@ -21,7 +21,7 @@ from quintic_garnier.connections import (
     pullback_riccati, quintic2_divisors, residue, riccati_of_connection)
 from quintic_garnier.families import CTX_S, CTX_UV, builtin_family
 from quintic_garnier.forms import (RationalMap, ScalarOneForm, ScalarTwoForm,
-                                   divisor_pullback, form_d, form_wedge)
+                                   divisor_pullback)
 from quintic_garnier.fractions import DenomBasis, FactoredFraction, frac_eq, serialize_frac
 from quintic_garnier.reps import trace_coordinates, verify_product_identity
 from quintic_garnier.ring import LaurentPoly, VarContext, lp_substitute
@@ -279,12 +279,12 @@ def test_criterion_10_algebra_kernel_properties():
     for _ in range(1000):
         f = rfrac()
         w = ScalarOneForm.d_of(f, ("x", "y"))
-        forms_ok &= form_d(w).is_zero()
+        forms_ok &= w.d().is_zero()
         g = rfrac()
         omega = ScalarOneForm(BXY, ("x", "y"), rfrac(), rfrac())
-        lhs = form_d(omega * g)
-        rhs = form_wedge(ScalarOneForm.d_of(g, ("x", "y")), omega) + \
-            ScalarTwoForm(BXY, ("x", "y"), g * form_d(omega).coeff)
+        lhs = (omega * g).d()
+        rhs = ScalarOneForm.d_of(g, ("x", "y")).wedge(omega) + \
+            ScalarTwoForm(BXY, ("x", "y"), g * omega.d().coeff)
         forms_ok &= lhs == rhs
 
     pull_ok = True
@@ -292,7 +292,7 @@ def test_criterion_10_algebra_kernel_properties():
         omega = ScalarOneForm(BXY, ("x", "y"), rfrac(), rfrac())
         pulled = cov.pull_one_form(omega)
         pull_ok &= elem.pull_one_form(pulled) == comp.pull_one_form(omega)
-        pull_ok &= cov.pull_two_form(form_d(omega)) == form_d(pulled)
+        pull_ok &= cov.pull_two_form(omega.d()) == pulled.d()
     record("10 algebra kernel properties", ring_ok and forms_ok and pull_ok,
            "1000 randomized cases per law, exact")
 

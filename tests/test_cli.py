@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +139,62 @@ def test_verify_garnier_emits_all_fields(capsys):
     fields = next(c for c in doc["checks"] if c["name"] == "garnier_fields")
     assert {"t1", "t2", "Sq", "Pq", "Sp", "gamma", "agreement"} <= \
         set(fields["details"])
+
+
+def test_verify_all_matches_golden_report(capsys):
+    golden = Path(__file__).parent / "golden" / "verify_all.json"
+    rc = main(["verify", "all"])
+    assert rc == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
+def test_orbit_at_unknown_variable_is_usage_error(capsys):
+    rc = main(["orbit", "rho4", "--extended", "--at", "w=3"])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert "'w'" in captured.err
+
+
+RHO1_FILE = ["1*v^1", "0", "0", "1*v^-1"], ["1*u^1", "0", "0", "1*u^-1"], \
+    ["0", "1", "-1", "0"], ["0", "1*u^2", "-1*u^-2", "0"]
+
+
+def _rep_file(tmp_path, matrices):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"variables": ["u", "v"],
+                                "matrices": list(matrices)}))
+    return str(path)
+
+
+@pytest.mark.parametrize("matrices", [
+    RHO1_FILE[:3], RHO1_FILE[:3] + (["1", "0", "0"],)])
+def test_rep_file_malformed_matrices_are_usage_errors(capsys, tmp_path, matrices):
+    path = _rep_file(tmp_path, matrices)
+    rc, doc = run_cli(capsys, "orbit", "--rep-file", path, "--pure")
+    assert rc == 3 and doc is None
+
+
+def test_rep_file_fifth_matrix_must_close_the_product(capsys, tmp_path):
+    # the four multiply to diag(-u^-1 v, -u v^-1); its inverse closes the product
+    closing = ["-1*u^1*v^-1", "0", "0", "-1*u^-1*v^1"]
+    rc, doc = run_cli(capsys, "orbit", "--rep-file",
+                      _rep_file(tmp_path, RHO1_FILE + (closing,)), "--pure")
+    assert rc == 0 and doc["results"]["size"] == 4
+    wrong = ["1", "0", "0", "1"]
+    rc, doc = run_cli(capsys, "orbit", "--rep-file",
+                      _rep_file(tmp_path, RHO1_FILE + (wrong,)), "--pure")
+    assert rc == 3 and doc is None
+
+
+def test_compare_requires_matching_variable_names(capsys, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run_cli(capsys, "orbit", "rho1", "--pure", "--out", str(a))
+    data = json.loads(a.read_text())
+    data["variables"] = ["s", "t"]
+    data["elements"] = [[e.replace("u", "s").replace("v", "t") for e in row]
+                        for row in data["elements"]]
+    b.write_text(json.dumps(data))
+    rc, doc = run_cli(capsys, "compare", str(a), str(b))
+    assert rc == 0 and doc["results"]["relation"] == "disjoint"
+    rc, doc = run_cli(capsys, "compare", str(a), str(b), "--subst", "u=s,v=t")
+    assert rc == 0 and doc["results"]["relation"] == "equal"

@@ -9,7 +9,7 @@ from quintic_garnier.connections import (
     B_CASE1, B_PQ, B_UV, B_XY, CTX_PQ, CTX_UV, CTX_XY,
     MatConnection, builtin_connection, build_case1_cover_form, build_omega0,
     build_omega1, build_riccati1, case1_connection, case1_divisors,
-    conjugate_two_forms, curvature, diagonal_cover_connection,
+    conjugate_two_forms, diagonal_cover_connection,
     flat_case1_connection, flat_quintic2_connection, flat_representative,
     gauge_transform, is_flat, map_cover, map_cover_bar,
     map_cover_homogeneous, map_elementary, map_elementary_homogeneous,
@@ -17,14 +17,14 @@ from quintic_garnier.connections import (
     pullback_riccati, quintic2_divisors, quintic2_matrix_connection,
     quintic2_scaled_connection, residue, riccati_of_connection,
     riccati_plane_catalog)
-from quintic_garnier.forms import RationalMap, ScalarOneForm, divisor_pullback, form_d
+from quintic_garnier.forms import RationalMap, ScalarOneForm, divisor_pullback
 from quintic_garnier.fractions import FactoredFraction, frac_eq, serialize_frac
 from quintic_garnier.ring import VarContext
 from quintic_garnier.sl2 import Mat2
 
 
 def test_omega0_is_closed():
-    assert form_d(build_omega0()).is_zero()
+    assert build_omega0().d().is_zero()
 
 
 def test_omega1_pulls_back_to_omega0():
@@ -236,7 +236,7 @@ def test_symmetric_cover_divisors():
 
 def test_case1_cover_form_properties():
     eta = build_case1_cover_form()
-    assert form_d(eta).is_zero()
+    assert eta.d().is_zero()
     swap = RationalMap("swap", B_PQ, B_PQ, ("p", "q"), ("p", "q"),
                        {"p": B_PQ.of(CTX_PQ.var("q")),
                         "q": B_PQ.of(CTX_PQ.var("p"))})

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quintic_garnier.forms import (MobiusAction, RationalMap, ScalarOneForm,
-                                   ScalarTwoForm, divisor_pullback, form_d,
-                                   form_pullback, form_wedge)
+                                   ScalarTwoForm, divisor_pullback)
 from quintic_garnier.fractions import BasisError, DenomBasis, FactoredFraction, frac_eq
 from quintic_garnier.ring import LaurentPoly, VarContext
 
@@ -34,34 +33,34 @@ def one_form(A, B, basis=BXY, base=("x", "y")):
 def test_d_of_logarithmic_form_is_zero():
     # d(dy/y) = 0
     w = one_form(BXY.zero(), BXY.of(y ** -1))
-    assert form_d(w).is_zero()
+    assert w.d().is_zero()
 
 
 def test_d_of_x_dy():
     w = one_form(BXY.zero(), BXY.of(x))
-    assert frac_eq(form_d(w).coeff, BXY.one())
+    assert frac_eq(w.d().coeff, BXY.one())
 
 
 def test_wedge_antisymmetry_and_dx_dy():
     w = one_form(BXY.of(x), BXY.of(y ** 2 - x))
-    assert form_wedge(w, w).is_zero()
+    assert w.wedge(w).is_zero()
     dx = one_form(BXY.one(), BXY.zero())
     dy = one_form(BXY.zero(), BXY.one())
-    assert frac_eq(form_wedge(dx, dy).coeff, BXY.one())
+    assert frac_eq(dx.wedge(dy).coeff, BXY.one())
 
 
 def test_wedge_of_simple_pole_pair():
     # du/(u-v) ^ dv/(u+v) has coefficient 1/((u-v)(u+v))
     a = ScalarOneForm(BUV, ("u", "v"), BUV.over(UV.one(), u - v), BUV.zero())
     b = ScalarOneForm(BUV, ("u", "v"), BUV.zero(), BUV.over(UV.one(), u + v))
-    got = form_wedge(a, b).coeff
+    got = a.wedge(b).coeff
     assert frac_eq(got, BUV.over(UV.one(), u - v, u + v))
 
 
 def test_pullback_log_derivative():
     # pullback of dy/y under (u, v) -> (u, v^2) is 2dv/v
     w = one_form(BXY.zero(), BXY.of(y ** -1))
-    got = form_pullback(w, PI)
+    got = PI.pull_one_form(w)
     assert frac_eq(got.A, BUV.zero())
     assert frac_eq(got.B, BUV.of(2 * v ** -1))
 
@@ -97,7 +96,7 @@ def test_d_squared_zero_randomized():
     for _ in range(1000):
         f = _random_frac(rng)
         w = ScalarOneForm.d_of(f, ("x", "y"))
-        assert form_d(w).is_zero()
+        assert w.d().is_zero()
 
 
 def test_leibniz_randomized():
@@ -105,9 +104,9 @@ def test_leibniz_randomized():
     for _ in range(1000):
         f = _random_frac(rng)
         w = one_form(_random_frac(rng), _random_frac(rng))
-        lhs = form_d(w * f)
+        lhs = (w * f).d()
         df = ScalarOneForm.d_of(f, ("x", "y"))
-        rhs = form_wedge(df, w) + ScalarTwoForm(BXY, ("x", "y"), f * form_d(w).coeff)
+        rhs = df.wedge(w) + ScalarTwoForm(BXY, ("x", "y"), f * w.d().coeff)
         assert lhs == rhs
 
 
@@ -121,8 +120,8 @@ def test_pullback_commutes_with_d():
                 # denominators from the sub-basis this map preserves
                 w = ScalarOneForm(BUV, ("u", "v"), _random_frac_uv(rng),
                                   _random_frac_uv(rng))
-            lhs = phi.pull_two_form(form_d(w))
-            rhs = form_d(phi.pull_one_form(w))
+            lhs = phi.pull_two_form(w.d())
+            rhs = phi.pull_one_form(w).d()
             assert lhs == rhs
 
 

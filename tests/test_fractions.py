@@ -96,3 +96,16 @@ def _random_frac(rng):
     num = LaurentPoly(UV, terms)
     exps = tuple(rng.randint(0, 2) for _ in range(3))
     return FactoredFraction(B, num, exps)
+
+
+def test_power_matches_repeated_multiplication():
+    f = B.of(u - 2 * v ** -1, {0: 1, 2: 2})
+    for n in range(6):
+        expected = B.one()
+        for _ in range(n):
+            expected = expected * f
+        got = f ** n
+        assert frac_eq(got, expected)
+        assert (got.num, got.exps) == (expected.num, expected.exps)
+    g = B.of(-3 * u ** 2 * (u + v), {1: 2, 2: 1})
+    assert frac_eq(g ** -2, (g * g).inverse())

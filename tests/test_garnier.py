@@ -46,7 +46,7 @@ def test_lambda_zero_restriction_is_diagonal():
 
 def test_pole_positions_and_vieta():
     assert poles_factor_denominator()
-    t1, t2, _ = pole_positions()
+    t1, t2 = pole_positions()
     assert serialize_poly(t1) == "1/4*a^-2*c^2 + -1/2*a^-2*c^1 + 1/4*a^-2"
     # rational instances, with degeneracy flagged when c = 1
     v1, v2, notes = pole_positions_at(2, 3)

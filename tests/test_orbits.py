@@ -10,7 +10,8 @@ from quintic_garnier.braids import (BraidWord, braid_act, center_check,
                                     orbit_compare, parse_substitution,
                                     pure_generators)
 from quintic_garnier.families import CTX_S, CTX_UV, builtin_family
-from quintic_garnier.reps import RepTuple, trace_coordinates
+from quintic_garnier.reps import RepTuple, TraceTuple, trace_coordinates
+from quintic_garnier.ring import LaurentPoly, VarContext
 from quintic_garnier.sl2 import Mat2
 from listings import EXTENDED_SIZES, LISTINGS, random_rep_tuple
 
@@ -183,6 +184,18 @@ def test_orbit_json_roundtrip(tmp_path):
     path2 = tmp_path / "orbit2.json"
     orbit(fam.rep, pure_generators(), cutoff=100, seed_name="rho3").write(path2)
     assert path.read_text() == path2.read_text()
+
+
+def test_trace_tuples_from_different_contexts_differ():
+    # the same coefficients over (s, t) are a different point
+    t = trace_coordinates(builtin_family("rho1").rep)
+    renamed = TraceTuple([LaurentPoly(VarContext(["s", "t"]), p.terms)
+                          for p in t.values])
+    assert renamed.key() == t.key() and renamed != t and t != renamed
+    # an equal context built anew still gives equal values with equal hashes
+    rebuilt = TraceTuple([LaurentPoly(VarContext(["u", "v"]), p.terms)
+                          for p in t.values])
+    assert rebuilt == t and hash(rebuilt) == hash(t)
 
 
 def test_parse_substitution():

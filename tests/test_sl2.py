@@ -8,7 +8,7 @@ from quintic_garnier.families import (CTX_S, CTX_T, CTX_UV, FAMILY_NAMES,
                                       PRESENTATIONS, builtin_family)
 from quintic_garnier.reps import (RepTuple, irreducibility_witness,
                                   trace_coordinates, verify_product_identity)
-from quintic_garnier.sl2 import (GroupWord, Mat2, commutator,
+from quintic_garnier.sl2 import (GroupWord, Mat2, closure, commutator,
                                  projective_closure, verify_relations,
                                  word_evaluate)
 from listings import random_monomial_matrix, random_rep_tuple
@@ -72,6 +72,18 @@ def test_relation_report_shape():
     d = verify_relations(fam.presentation, fam.assignment).as_dict()
     assert d["presentation"] == "b3"
     assert all({"relator", "sl2", "psl2"} <= set(r) for r in d["relators"])
+
+
+def test_closure_levels_edges_and_cutoff():
+    # residues mod 6 from 0 under +2 and +3: level 1 is {2, 3}, level 2 {4, 5}
+    moves = [("+2", lambda k: (k + 2) % 6), ("+3", lambda k: (k + 3) % 6)]
+    keys, items, edges, status = closure(0, moves, lambda k: k, cutoff=6)
+    assert status == "closed" and keys == items == [0, 2, 3, 4, 5, 1]
+    assert edges[:4] == [(0, "+2", 1), (0, "+3", 2), (1, "+2", 3), (1, "+3", 4)]
+    assert len(edges) == 2 * len(keys)
+    keys, _, edges, status = closure(0, moves, lambda k: k, cutoff=3)
+    assert status == "cutoff" and keys == [0, 2, 3]
+    assert edges == [(0, "+2", 1), (0, "+3", 2)]
 
 
 def test_projective_closure_quarter_turn():
