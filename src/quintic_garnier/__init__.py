@@ -22,8 +22,8 @@ The layers, bottom up:
 - :mod:`~quintic_garnier.cli`: the ``quintic-garnier`` command.
 """
 
-from .ring import (LaurentPoly, VarContext, lp_arith, lp_substitute,
-                   parse_poly, serialize_poly)
+from .ring import (LaurentPoly, VarContext, lp_substitute, parse_poly,
+                   serialize_poly)
 from .fractions import DenomBasis, FactoredFraction, frac_eq, serialize_frac
 from .forms import (MobiusAction, RationalMap, ScalarOneForm, ScalarTwoForm,
                     divisor_pullback)
@@ -44,7 +44,7 @@ from .garnier import (GarnierData, LineRestriction, garnier_parametrization,
                       h21_extract, pole_positions, restrict_to_line)
 
 __all__ = [
-    "LaurentPoly", "VarContext", "lp_arith", "lp_substitute",
+    "LaurentPoly", "VarContext", "lp_substitute",
     "parse_poly", "serialize_poly",
     "DenomBasis", "FactoredFraction", "frac_eq", "serialize_frac",
     "MobiusAction", "RationalMap", "ScalarOneForm", "ScalarTwoForm",

@@ -179,8 +179,6 @@ def _moves(words: Iterable[BraidWord]) -> list[tuple[str, Callable]]:
 def orbit(seed: RepTuple, generators: Sequence[BraidWord], cutoff: int = 1000,
           seed_name: str = "seed") -> OrbitResult:
     """Closure of the seed's class under the given words and their inverses."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
     elements, _, edges, status = closure(seed, _moves(generators),
                                          trace_coordinates, cutoff)
     return OrbitResult(seed_name, elements, edges, status,

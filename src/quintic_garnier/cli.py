@@ -8,15 +8,13 @@ Reports are JSON documents with a stable schema::
 Checks with status ``warning`` record known transcription defects of catalog
 objects together with the derived correction; they do not fail the run.
 Exit codes: 0 success, 1 check failure, 2 cutoff reached, 3 usage or parse
-error.  The environment variable ``QUINTIC_GARNIER_CUTOFF`` overrides the
-default orbit cutoff.
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -79,7 +77,10 @@ def _parse_at(text: str) -> dict[str, Fraction]:
         if not piece:
             continue
         name, _, val = piece.partition("=")
-        out[name.strip()] = Fraction(val.strip())
+        try:
+            out[name.strip()] = Fraction(val.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"--at value {piece!r} has a zero denominator") from None
     return out
 
 
@@ -116,9 +117,9 @@ def _load_rep_file(path: str) -> RepTuple:
 
 def cmd_orbit(args) -> int:
     started = time.perf_counter()
-    default_cutoff = int(os.environ.get("QUINTIC_GARNIER_CUTOFF",
-                                        "10000" if args.extended else "1000"))
-    cutoff = args.cutoff if args.cutoff is not None else default_cutoff
+    cutoff = args.cutoff
+    if cutoff is None:
+        cutoff = 10000 if args.extended else 1000
     try:
         if args.rep_file:
             rep = _load_rep_file(args.rep_file)
@@ -131,15 +132,15 @@ def cmd_orbit(args) -> int:
             name = args.family
         if args.at:
             rep = _specialize_rep(rep, _parse_at(args.at))
+        if args.extended:
+            res = extended_orbit(rep, cutoff=cutoff, seed_name=name)
+            expected = EXPECTED_EXTENDED.get(name)
+        else:
+            res = orbit(rep, pure_generators(), cutoff=cutoff, seed_name=name)
+            expected = EXPECTED_PURE.get(name)
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.extended:
-        res = extended_orbit(rep, cutoff=cutoff, seed_name=name)
-        expected = EXPECTED_EXTENDED.get(name)
-    else:
-        res = orbit(rep, pure_generators(), cutoff=cutoff, seed_name=name)
-        expected = EXPECTED_PURE.get(name)
     checks = [ok("closed", res.status == "closed",
                  f"status={res.status}, size={len(res)}")]
     if expected is not None and not args.at:

@@ -265,10 +265,6 @@ def _sqrt_fraction(f: FactoredFraction) -> Optional[FactoredFraction]:
     return FactoredFraction(r.basis, half, tuple(e // 2 for e in r.exps))
 
 
-def _restrict(fr: FactoredFraction, chart: DivisorChart) -> FactoredFraction:
-    return fr.restrict(chart.subs, chart.target)
-
-
 def _residue_side(entry: ScalarOneForm, chart: DivisorChart, side: str
                   ) -> tuple[Optional[FactoredFraction], Optional[str]]:
     """Residue via one component; returns (value, error-note)."""
@@ -293,8 +289,8 @@ def _residue_side(entry: ScalarOneForm, chart: DivisorChart, side: str
         if idx and scaled.exps[idx[0]] > 0:
             return None, f"pole of order > 1 along {chart.name}"
     try:
-        num = _restrict(scaled, chart)
-        den = _restrict(FactoredFraction(basis, df), chart)
+        num = scaled.restrict(chart.subs, chart.target)
+        den = FactoredFraction(basis, df).restrict(chart.subs, chart.target)
         return num * den.inverse(), None
     except (BasisError, ContextError, UnitError) as exc:
         return None, f"restriction failed along {chart.name}: {exc}"
@@ -330,24 +326,22 @@ def residue(conn: MatConnection, chart: DivisorChart) -> ResidueData:
                 val = chart.target.zero()
             row.append(val)
         matrix.append(row)
-    eig, charpoly = _eigenvalues(matrix, chart.target)
+    eig, charpoly = _eigenvalues(matrix)
     return ResidueData(chart.name, matrix, eig, charpoly, consistent, notes)
 
 
-def _eigenvalues(m, basis: DenomBasis):
+def _eigenvalues(m):
     a, b = m[0][0], m[0][1]
     c, d = m[1][0], m[1][1]
-    zb, zc = b.is_zero() or frac_eq(b, basis.zero()), c.is_zero() or frac_eq(c, basis.zero())
-    if zb or zc:
+    if b.is_zero() or c.is_zero():
         return (a, d), None
-    za, zd = frac_eq(a, basis.zero()), frac_eq(d, basis.zero())
-    if za and zd:
+    if a.is_zero() and d.is_zero():
         root = _sqrt_fraction(b * c)
         if root is not None:
             return (root, -root), None
     trace = a + d
     det = a * d - b * c
-    if frac_eq(trace, basis.zero()):
+    if trace.is_zero():
         root = _sqrt_fraction(-det)
         if root is not None:
             return (root, -root), None

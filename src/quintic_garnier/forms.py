@@ -104,7 +104,7 @@ class ScalarTwoForm:
         self.coeff = coeff
 
     def is_zero(self) -> bool:
-        return self.coeff.is_zero() or frac_eq(self.coeff, self.basis.zero())
+        return self.coeff.is_zero()
 
     def __add__(self, other: "ScalarTwoForm") -> "ScalarTwoForm":
         return ScalarTwoForm(self.basis, self.base_vars, self.coeff + other.coeff)

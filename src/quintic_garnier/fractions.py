@@ -2,11 +2,14 @@
 
 A :class:`FactoredFraction` is ``numerator / prod(f_i^e_i)`` where the ``f_i``
 range over a fixed, declared :class:`DenomBasis` of non-monomial polynomials
-and the exponents are arbitrary integers.  Monomial denominators never appear:
-they are units of the Laurent ring and are folded into the numerator's
-exponents.  No general gcd is computed; equality is decided by
-cross-multiplication, and :meth:`FactoredFraction.reduce` cancels declared
-factors out of the numerator by exact division.
+and the exponents are non-negative integers.  A negative exponent given to
+the constructor is folded into the numerator (``num * f_i^-e_i``), so every
+value has one representation up to cancellation, and :meth:`reduce` makes it
+unique.  Monomial denominators never appear: they are units of the Laurent
+ring and are folded into the numerator's exponents.  No general gcd is
+computed; equality is decided by cross-multiplication, and
+:meth:`FactoredFraction.reduce` cancels declared factors out of the numerator
+by exact division.
 """
 
 from __future__ import annotations
@@ -113,18 +116,21 @@ class DenomBasis:
 
 
 class FactoredFraction:
-    """``num / prod(f_i^e_i)`` over a :class:`DenomBasis`."""
+    """``num / prod(f_i^e_i)`` over a :class:`DenomBasis`, all ``e_i >= 0``."""
 
     __slots__ = ("basis", "num", "exps")
 
     def __init__(self, basis: DenomBasis, num: LaurentPoly,
                  exps: Optional[tuple[int, ...]] = None):
         self.basis = basis
+        if exps is None or num.is_zero():
+            exps = (0,) * basis.nfactors()
+        elif min(exps, default=0) < 0:
+            for f, e in zip(basis.factors, exps):
+                if e < 0:
+                    num = num * f ** -e
+            exps = tuple(max(e, 0) for e in exps)
         self.num = num
-        if exps is None:
-            exps = (0,) * basis.nfactors()
-        if num.is_zero():
-            exps = (0,) * basis.nfactors()
         self.exps = exps
 
     @property
@@ -161,10 +167,8 @@ class FactoredFraction:
             return other
         if other.is_zero():
             return self
-        m = tuple(max(a, b) for a, b in zip(self.exps, other.exps))
-        num = (self.num * self.basis_power(tuple(x - a for x, a in zip(m, self.exps)))
-               + other.num * self.basis_power(tuple(x - a for x, a in zip(m, other.exps))))
-        return FactoredFraction(self.basis, num, m)
+        a, b, m = self._common(other)
+        return FactoredFraction(self.basis, a + b, m)
 
     __radd__ = __add__
 
@@ -212,10 +216,16 @@ class FactoredFraction:
         p = self.ctx.one()
         for f, e in zip(self.basis.factors, exps):
             if e:
-                if e < 0:
-                    raise BasisError("negative basis power in numerator position")
                 p = p * f ** e
         return p
+
+    def _common(self, other: "FactoredFraction"
+                ) -> tuple[LaurentPoly, LaurentPoly, tuple[int, ...]]:
+        """Both numerators over the least common denominator ``m``."""
+        m = tuple(max(a, b) for a, b in zip(self.exps, other.exps))
+        return (self.num * self.basis_power(tuple(c - a for c, a in zip(m, self.exps))),
+                other.num * self.basis_power(tuple(c - a for c, a in zip(m, other.exps))),
+                m)
 
     def reduce(self) -> "FactoredFraction":
         """Cancel declared factors out of the numerator where possible."""
@@ -246,26 +256,18 @@ class FactoredFraction:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, name: str) -> "FactoredFraction":
-        """Quotient rule on the factored form; denominator exponents grow by one."""
+        """Quotient rule: ``d(n/prod f^e) = dn/prod f^e - sum_i e_i n df_i/(f_i prod f^e)``.
+
+        Only factors with a positive exponent contribute a term.
+        """
         if self.is_zero():
             return self
-        dnum = self.num.derivative(name)
-        # d(n/prod f^e) = [dn*prod f - n*sum_i e_i df_i prod_{j!=i} f_j] / prod f^{e+1}
-        allf = self.ctx.one()
-        for f in self.basis.factors:
-            allf = allf * f
-        total = dnum * allf
-        for i, f in enumerate(self.basis.factors):
-            e = self.exps[i]
-            if e == 0:
-                continue
-            rest = self.ctx.one()
-            for j, g in enumerate(self.basis.factors):
-                if j != i:
-                    rest = rest * g
-            total = total - self.num * self.ctx.const(e) * f.derivative(name) * rest
-        out = FactoredFraction(self.basis, total,
-                               tuple(e + 1 for e in self.exps))
+        out = FactoredFraction(self.basis, self.num.derivative(name), self.exps)
+        for i, (f, e) in enumerate(zip(self.basis.factors, self.exps)):
+            if e:
+                exps = self.exps[:i] + (e + 1,) + self.exps[i + 1:]
+                out = out - FactoredFraction(
+                    self.basis, self.num * f.derivative(name) * e, exps)
         return out.reduce()
 
     # -- substitution -------------------------------------------------------
@@ -337,23 +339,15 @@ def frac_eq(x: FactoredFraction, y: FactoredFraction) -> bool:
     """Equality by cross-multiplication to a common denominator."""
     if x.basis != y.basis:
         raise ContextError("denominator basis mismatch")
-    m = tuple(max(a, b) for a, b in zip(x.exps, y.exps))
-    lhs = x.num * x.basis_power(tuple(c - a for c, a in zip(m, x.exps)))
-    rhs = y.num * y.basis_power(tuple(c - a for c, a in zip(m, y.exps)))
+    lhs, rhs, _ = x._common(y)
     return lhs == rhs
 
 
 def serialize_frac(fr: FactoredFraction) -> str:
     """Emit ``num`` or ``(num) / (expanded denominator)``."""
     r = fr.reduce()
-    num_poly = r.num
-    denom = r.ctx.one()
-    for f, e in zip(r.basis.factors, r.exps):
-        if e > 0:
-            denom = denom * f ** e
-        elif e < 0:
-            num_poly = num_poly * f ** (-e)
-    num = serialize_poly(num_poly)
+    num = serialize_poly(r.num)
+    denom = r.basis_power(r.exps)
     if denom.is_one():
         return num
     return f"({num}) / ({serialize_poly(denom)})"

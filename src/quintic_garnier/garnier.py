@@ -72,21 +72,16 @@ class LineRestriction:
 
     def alphas(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
         """Numerators of (P2, P1, P0) over the common denominator."""
-        return tuple(_clear(p, self.denominator, self.basis)
+        return tuple(_clear(p, self.denominator)
                      for p in (self.P2, self.P1, self.P0))
 
 
-def _clear(fr: FactoredFraction, denom: LaurentPoly,
-           basis: DenomBasis) -> LaurentPoly:
+def _clear(fr: FactoredFraction, denom: LaurentPoly) -> LaurentPoly:
     cleared = (fr * denom).reduce()
-    if any(e > 0 for e in cleared.exps):
+    if any(cleared.exps):
         raise RestrictionError("restricted coefficient does not divide the "
                                "declared denominator")
-    num = cleared.num
-    for f, e in zip(basis.factors, cleared.exps):
-        if e < 0:
-            num = num * f ** (-e)
-    return num
+    return cleared.num
 
 
 def _line_images(mode: str) -> tuple[DenomBasis, dict, LaurentPoly]:
@@ -204,7 +199,7 @@ def h21_extract(rest: Optional[LineRestriction] = None) -> H21Data:
     if rest.mode != "ac":
         raise RestrictionError("extraction needs the rational-pole chart (mode='ac')")
     basis = rest.basis
-    num = _clear(rest.matrix[1][0], rest.denominator, basis)
+    num = _clear(rest.matrix[1][0], rest.denominator)
     if num.max_exponent("y") > 2:
         raise RestrictionError("lower-left numerator degree is not 2")
     res_inf_zero = num.max_exponent("y") <= 2
@@ -370,14 +365,7 @@ def parity_invariance() -> dict[str, bool]:
     out = {}
     for name, val in [("S_q", data.S_q), ("P_q", data.P_q),
                       ("S_p", data.S_p), ("gamma", data.gamma)]:
-        flipped = _substitute_c(val, flip)
-        out[name] = frac_eq(flipped, val)
-    out["t_swap"] = (frac_eq(_substitute_c(data.t1, flip), data.t2)
-                     and frac_eq(_substitute_c(data.t2, flip), data.t1))
+        out[name] = frac_eq(val.restrict(flip, B_AC), val)
+    out["t_swap"] = (frac_eq(data.t1.restrict(flip, B_AC), data.t2)
+                     and frac_eq(data.t2.restrict(flip, B_AC), data.t1))
     return out
-
-
-def _substitute_c(fr: FactoredFraction, images: Mapping[str, LaurentPoly]
-                  ) -> FactoredFraction:
-    full = {k: FactoredFraction(B_AC, v) for k, v in images.items()}
-    return fr.substitute(full, B_AC)

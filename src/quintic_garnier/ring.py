@@ -440,25 +440,7 @@ def exact_divide(p: LaurentPoly, f: LaurentPoly) -> Optional[LaurentPoly]:
                                for e, c in quot.items() if c})
 
 
-# -- named operation wrappers ---------------------------------------------
-
-def lp_arith(op: str, lhs: LaurentPoly, rhs) -> LaurentPoly:
-    """Dispatch basic arithmetic by name (used by serialization layers)."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "neg":
-        return -lhs
-    if op == "pow":
-        n = int(rhs)
-        if n < 0 and not lhs.is_monomial():
-            raise UnitError("negative power of a non-monomial")
-        return lhs ** n
-    raise ValueError(f"unknown operation {op!r}")
-
+# -- substitution by units ------------------------------------------------
 
 def lp_substitute(p: LaurentPoly, sigma: Mapping[str, LaurentPoly],
                   target: Optional[VarContext] = None) -> LaurentPoly:

@@ -264,8 +264,10 @@ def closure(seed, moves: Sequence[tuple[str, Callable]], key: Callable,
     items, edges, status)``: keys and items in discovery order (the seed
     first), one edge ``(i, name, j)`` per move applied, and a status that is
     ``"closed"``, or ``"cutoff"`` as soon as a new element would go past
-    ``cutoff``.
+    ``cutoff``, which must be at least 1.
     """
+    if cutoff < 1:
+        raise ValueError("cutoff must be at least 1")
     start = key(seed)
     index = {start: 0}
     keys, items = [start], [seed]

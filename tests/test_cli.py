@@ -127,10 +127,18 @@ def test_missing_family_is_usage_error(capsys):
     assert rc == 3
 
 
-def test_env_var_controls_default_cutoff(capsys, monkeypatch):
-    monkeypatch.setenv("QUINTIC_GARNIER_CUTOFF", "2")
-    rc, doc = run_cli(capsys, "orbit", "rho1", "--pure")
+def test_extended_orbit_cutoff_exit_code(capsys):
+    rc, doc = run_cli(capsys, "orbit", "rho1", "--extended", "--cutoff", "2")
     assert rc == 2 and doc["results"]["status"] == "cutoff"
+
+
+@pytest.mark.parametrize("mode", ["--pure", "--extended"])
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+def test_cutoff_below_one_is_usage_error(capsys, mode, cutoff):
+    rc = main(["orbit", "rho1", mode, "--cutoff", cutoff])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert "cutoff" in captured.err
 
 
 def test_verify_garnier_emits_all_fields(capsys):
@@ -153,6 +161,13 @@ def test_orbit_at_unknown_variable_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert rc == 3 and not captured.out
     assert "'w'" in captured.err
+
+
+def test_orbit_at_zero_denominator_is_usage_error(capsys):
+    rc = main(["orbit", "rho1", "--pure", "--at", "u=1/0"])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert "u=1/0" in captured.err
 
 
 RHO1_FILE = ["1*v^1", "0", "0", "1*v^-1"], ["1*u^1", "0", "0", "1*u^-1"], \

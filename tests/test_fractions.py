@@ -109,3 +109,23 @@ def test_power_matches_repeated_multiplication():
         assert (got.num, got.exps) == (expected.num, expected.exps)
     g = B.of(-3 * u ** 2 * (u + v), {1: 2, 2: 1})
     assert frac_eq(g ** -2, (g * g).inverse())
+
+
+def test_negative_exponents_fold_into_the_numerator():
+    X = VarContext(["x"])
+    x = X.var("x")
+    BX = DenomBasis(X, [x - 1])
+    a = FactoredFraction(BX, x, (-1,))
+    b = FactoredFraction(BX, x * (x - 1))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert (a.num, a.exps) == (b.num, b.exps)
+
+
+def test_every_constructor_gives_nonnegative_exponents():
+    f = B.of(u ** 2 - v ** 2, {0: -1, 1: 2, 2: -2})
+    g = B.over(u - v, v - 1)
+    built = [f, g, FactoredFraction(B, u + 1, (-2, 0, 1)), f.inverse(),
+             g.inverse(), f ** 3, f ** -2, g ** -1, f / g, g * f.inverse()]
+    for h in built:
+        assert all(e >= 0 for e in h.exps), h
+    assert frac_eq(f, B.of((u ** 2 - v ** 2) * (u - v) * (v - 1) ** 2, {1: 2}))

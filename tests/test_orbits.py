@@ -135,6 +135,14 @@ def test_orbit_cutoff_status():
     assert res.status == "cutoff"
 
 
+def test_orbits_reject_cutoff_below_one():
+    rep = builtin_family("rho1").rep
+    with pytest.raises(ValueError, match="cutoff"):
+        orbit(rep, pure_generators(), cutoff=0)
+    with pytest.raises(ValueError, match="cutoff"):
+        extended_orbit(rep, cutoff=0)
+
+
 @pytest.mark.parametrize("name", ["rho4", "rho3", "rho2", "rho1"])
 def test_extended_orbit_sizes(name):
     fam = builtin_family(name)

@@ -86,6 +86,14 @@ def test_closure_levels_edges_and_cutoff():
     assert edges == [(0, "+2", 1), (0, "+3", 2)]
 
 
+@pytest.mark.parametrize("cutoff", [0, -3])
+def test_closure_rejects_cutoff_below_one(cutoff):
+    with pytest.raises(ValueError, match="cutoff"):
+        closure(0, [("+1", lambda k: k + 1)], lambda k: k, cutoff)
+    with pytest.raises(ValueError, match="cutoff"):
+        projective_closure([J], cutoff=cutoff)
+
+
 def test_projective_closure_quarter_turn():
     res = projective_closure([J], cutoff=10)
     assert res.status == "finite" and res.order == 2
