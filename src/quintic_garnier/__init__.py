@@ -22,8 +22,7 @@ The layers, bottom up:
 - :mod:`~quintic_garnier.cli`: the ``quintic-garnier`` command.
 """
 
-from .ring import (LaurentPoly, VarContext, lp_substitute, parse_poly,
-                   serialize_poly)
+from .ring import LaurentPoly, VarContext, parse_poly, serialize_poly
 from .fractions import DenomBasis, FactoredFraction, frac_eq, serialize_frac
 from .forms import (MobiusAction, RationalMap, ScalarOneForm, ScalarTwoForm,
                     divisor_pullback)
@@ -44,8 +43,7 @@ from .garnier import (GarnierData, LineRestriction, garnier_parametrization,
                       h21_extract, pole_positions, restrict_to_line)
 
 __all__ = [
-    "LaurentPoly", "VarContext", "lp_substitute",
-    "parse_poly", "serialize_poly",
+    "LaurentPoly", "VarContext", "parse_poly", "serialize_poly",
     "DenomBasis", "FactoredFraction", "frac_eq", "serialize_frac",
     "MobiusAction", "RationalMap", "ScalarOneForm", "ScalarTwoForm",
     "divisor_pullback",

@@ -18,7 +18,7 @@ import json
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .reps import RepTuple, TraceTuple, trace_coordinates, trace_of_five
-from .ring import LaurentPoly, VarContext
+from .ring import LaurentPoly, VarContext, parse_poly
 from .sl2 import Mat2, closure
 
 
@@ -231,9 +231,8 @@ def orbit_compare(a: Union[OrbitResult, Iterable[TraceTuple]],
 
 def parse_substitution(text: str, src: VarContext,
                        target: VarContext) -> dict[str, LaurentPoly]:
-    """Parse ``u=-s,v=s`` into a signed-monomial substitution map."""
-    from .ring import parse_poly
-
+    """Parse ``u=-s,v=s`` into a signed-monomial substitution map; a source
+    variable without an image must be a target variable, which it maps to."""
     sigma: dict[str, LaurentPoly] = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -247,4 +246,8 @@ def parse_substitution(text: str, src: VarContext,
         if not image.is_monomial():
             raise ValueError(f"image of {name!r} is not a signed monomial")
         sigma[name] = image
+    for name in src.names:
+        if name not in sigma and name not in target.index:
+            raise ValueError(f"source variable {name!r} has no image and is "
+                             f"not a target variable ({', '.join(target.names)})")
     return sigma

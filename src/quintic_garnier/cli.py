@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import braids, connections, families, garnier
+from . import connections, families, garnier
 from .braids import (extended_orbit, orbit, orbit_compare, parse_substitution,
                      pure_generators)
 from .fractions import serialize_frac
@@ -90,22 +90,35 @@ def _specialize_rep(rep: RepTuple, values: dict[str, Fraction]) -> RepTuple:
         if name not in ctx.index:
             raise ValueError(f"--at names {name!r}, which is not a variable "
                              f"of the tuple ({', '.join(ctx.names)})")
-    images = {k: ctx.const(v) for k, v in values.items()}
-    mats = []
-    for m in rep.mats:
-        mats.append(Mat2(*(e.substitute(images) for e in m.entries())))
-    return RepTuple(*mats)
+    return RepTuple(*(Mat2(*(e.substitute(values) for e in m.entries()))
+                      for m in rep.mats))
+
+
+def _load_rows(path: str, key: str) -> tuple[VarContext, list[list]]:
+    """The context and the parsed polynomial rows of a JSON input file."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    names, rows = data["variables"], data[key]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ValueError(f"{path}: 'variables' must be a list of names")
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(isinstance(s, str) for s in row)
+            for row in rows)):
+        raise ValueError(f"{path}: {key!r} must be a list of rows of "
+                         "polynomial strings")
+    ctx = VarContext(names)
+    return ctx, [[parse_poly(ctx, s) for s in row] for row in rows]
 
 
 def _load_rep_file(path: str) -> RepTuple:
-    with open(path) as fh:
-        data = json.load(fh)
-    ctx = VarContext(data["variables"])
+    _, rows = _load_rows(path, "matrices")
     mats = []
-    for row in data["matrices"]:
+    for row in rows:
         if len(row) != 4:
             raise ValueError("each matrix is a row of four entries")
-        mats.append(Mat2(*(parse_poly(ctx, s) for s in row)))
+        mats.append(Mat2(*row))
     if len(mats) == 5:
         if not verify_product_identity(mats)["sl2"]:
             raise ValueError("the five matrices do not multiply to the identity")
@@ -162,13 +175,8 @@ def cmd_orbit(args) -> int:
 
 
 def _load_orbit_file(path: str) -> tuple[VarContext, list[TraceTuple]]:
-    with open(path) as fh:
-        data = json.load(fh)
-    ctx = VarContext(data["variables"])
-    elements = []
-    for row in data["elements"]:
-        elements.append(TraceTuple([parse_poly(ctx, s) for s in row]))
-    return ctx, elements
+    ctx, rows = _load_rows(path, "elements")
+    return ctx, [TraceTuple(row) for row in rows]
 
 
 def cmd_compare(args) -> int:

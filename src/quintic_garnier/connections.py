@@ -34,7 +34,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .forms import MobiusAction, RationalMap, ScalarOneForm, ScalarTwoForm
-from .fractions import BasisError, DenomBasis, FactoredFraction, frac_eq, serialize_frac
+from .fractions import (BasisError, DenomBasis, FactoredFraction, eval_poly,
+                        frac_eq, serialize_frac)
 from .ring import ContextError, LaurentPoly, UnitError, VarContext
 
 # ---------------------------------------------------------------------------
@@ -90,8 +91,7 @@ class MatConnection:
         return self.trace_form().is_zero()
 
     def pull_back(self, phi: RationalMap, name: Optional[str] = None) -> "MatConnection":
-        om = tuple(tuple(phi.pull_one_form(self.omega[i][j]) for j in (0, 1))
-                   for i in (0, 1))
+        om = tuple(tuple(phi.pull_one_form(w) for w in row) for row in self.omega)
         return MatConnection(name or f"{phi.name}*{self.name}", phi.src,
                              phi.src_base, om, self.divisors)
 
@@ -129,8 +129,11 @@ class RiccatiForm:
 # ---------------------------------------------------------------------------
 # matrix-of-forms helpers
 
-def _zero_form(basis: DenomBasis, base_vars) -> ScalarOneForm:
-    return ScalarOneForm.zero(basis, base_vars)
+def _fraction_entries(g, basis: DenomBasis) -> tuple[list, list]:
+    """The entries of ``g`` and of ``g^-1`` as fractions over ``basis``."""
+    return tuple([[FactoredFraction(basis, m.a), FactoredFraction(basis, m.b)],
+                  [FactoredFraction(basis, m.c), FactoredFraction(basis, m.d)]]
+                 for m in (g, g.inverse()))
 
 
 def mat_curvature(conn: MatConnection) -> tuple[tuple[ScalarTwoForm, ...], ...]:
@@ -155,19 +158,13 @@ def is_flat(conn: MatConnection) -> bool:
 def gauge_transform(conn: MatConnection, g) -> MatConnection:
     """``omega -> g^-1 omega g + g^-1 dg`` for a unimodular scalar matrix."""
     basis, bv = conn.basis, conn.base_vars
-    ginv = g.inverse()
-
-    def frac(p: LaurentPoly) -> FactoredFraction:
-        return FactoredFraction(basis, p)
-
-    ge = [[frac(g.a), frac(g.b)], [frac(g.c), frac(g.d)]]
-    gi = [[frac(ginv.a), frac(ginv.b)], [frac(ginv.c), frac(ginv.d)]]
+    ge, gi = _fraction_entries(g, basis)
     dg = [[ScalarOneForm.d_of(ge[i][j], bv) for j in (0, 1)] for i in (0, 1)]
     out = []
     for i in (0, 1):
         row = []
         for j in (0, 1):
-            val = _zero_form(basis, bv)
+            val = ScalarOneForm.zero(basis, bv)
             for k in (0, 1):
                 for l in (0, 1):
                     val = val + conn.omega[k][l] * (gi[i][k] * ge[l][j])
@@ -180,13 +177,7 @@ def gauge_transform(conn: MatConnection, g) -> MatConnection:
 
 def conjugate_two_forms(curv, g, basis) -> tuple:
     """``g^-1 F g`` for a curvature matrix (two-form entries)."""
-    ginv = g.inverse()
-
-    def frac(p):
-        return FactoredFraction(basis, p)
-
-    ge = [[frac(g.a), frac(g.b)], [frac(g.c), frac(g.d)]]
-    gi = [[frac(ginv.a), frac(ginv.b)], [frac(ginv.c), frac(ginv.d)]]
+    ge, gi = _fraction_entries(g, basis)
     out = []
     for i in (0, 1):
         row = []
@@ -272,10 +263,7 @@ def _residue_side(entry: ScalarOneForm, chart: DivisorChart, side: str
     x, y = entry.base_vars
     var = x if side == "dx" else y
     coeff = entry.A if side == "dx" else entry.B
-    if chart.poly is None:
-        f_poly = basis.ctx.var(chart.var)
-    else:
-        f_poly = chart.poly
+    f_poly = basis.ctx.var(chart.var) if chart.poly is None else chart.poly
     df = f_poly.derivative(var)
     if df.is_zero():
         return None, None  # side undefined
@@ -289,8 +277,8 @@ def _residue_side(entry: ScalarOneForm, chart: DivisorChart, side: str
         if idx and scaled.exps[idx[0]] > 0:
             return None, f"pole of order > 1 along {chart.name}"
     try:
-        num = scaled.restrict(chart.subs, chart.target)
-        den = FactoredFraction(basis, df).restrict(chart.subs, chart.target)
+        num = scaled.substitute(chart.subs, chart.target)
+        den = eval_poly(df, chart.subs, chart.target)
         return num * den.inverse(), None
     except (BasisError, ContextError, UnitError) as exc:
         return None, f"restriction failed along {chart.name}: {exc}"
@@ -653,9 +641,6 @@ def riccati_plane_catalog() -> RiccatiForm:
 def case1_connection() -> MatConnection:
     """The two-parameter family on the conic-with-tangents quintic."""
     x, y, l0, l1 = _xy_scalars()
-
-    def f(p: LaurentPoly) -> FactoredFraction:
-        return FactoredFraction(B_CASE1, p)
 
     def form(dx_num: LaurentPoly, dy_num: LaurentPoly) -> ScalarOneForm:
         return ScalarOneForm(B_CASE1, ("x", "y"),

@@ -13,12 +13,12 @@ never silently patched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from .reps import RepTuple
-from .ring import LaurentPoly, VarContext
+from .ring import VarContext
 from .sl2 import GroupWord, Mat2, Presentation, commutator
 
 CTX_UV = VarContext(["u", "v"])
@@ -114,46 +114,43 @@ class Family:
 
     name: str
     ctx: VarContext
-    params: tuple[str, ...]
     rep: Optional[RepTuple] = None
     assignment: Optional[dict[str, Mat2]] = None
     presentation: Optional[Presentation] = None
     five: Optional[tuple[Mat2, ...]] = None
     corrected_five: Optional[tuple[Mat2, ...]] = None
-    projective_only: bool = False
-    notes: str = ""
 
 
 def _rho1() -> Family:
     u, v = CTX_UV.var("u"), CTX_UV.var("v")
     rep = RepTuple(Mat2.diagonal(v), Mat2.diagonal(u), _J(CTX_UV),
                    Mat2.antidiagonal(u ** 2))
-    return Family("rho1", CTX_UV, ("u", "v"), rep=rep)
+    return Family("rho1", CTX_UV, rep=rep)
 
 
 def _rho2() -> Family:
     u, v = CTX_UV.var("u"), CTX_UV.var("v")
     rep = RepTuple(_J(CTX_UV), Mat2.diagonal(v), Mat2.diagonal(u),
                    Mat2.diagonal(v))
-    return Family("rho2", CTX_UV, ("u", "v"), rep=rep)
+    return Family("rho2", CTX_UV, rep=rep)
 
 
 def _rho3() -> Family:
     s = CTX_S.var("s")
     rep = RepTuple(_J(CTX_S), Mat2.antidiagonal(s ** -1), Mat2.diagonal(s),
                    Mat2.diagonal(s ** -1))
-    return Family("rho3", CTX_S, ("s",), rep=rep)
+    return Family("rho3", CTX_S, rep=rep)
 
 
 def _rho4() -> Family:
     s = CTX_S.var("s")
     rep = RepTuple(_J(CTX_S), Mat2.diagonal(s), Mat2.diagonal(s),
                    Mat2.diagonal(s ** -1))
-    return Family("rho4", CTX_S, ("s",), rep=rep)
+    return Family("rho4", CTX_S, rep=rep)
 
 
 def _identity_family() -> Family:
-    return Family("identity", CTX_UV, (), rep=RepTuple.identity(CTX_UV))
+    return Family("identity", CTX_UV, rep=RepTuple.identity(CTX_UV))
 
 
 def _line_case1() -> Family:
@@ -161,7 +158,7 @@ def _line_case1() -> Family:
     five = (Mat2.diagonal(v), Mat2.diagonal(u), _J(CTX_UV),
             Mat2.antidiagonal(u ** 2),
             Mat2(-u * v ** -1, 0, 0, -(u ** -1) * v))
-    return Family("line_case1", CTX_UV, ("u", "v"), five=five,
+    return Family("line_case1", CTX_UV, five=five,
                   rep=RepTuple(*five[:4]))
 
 
@@ -169,7 +166,7 @@ def _line_case2() -> Family:
     u, v = CTX_UV.var("u"), CTX_UV.var("v")
     five = (_J(CTX_UV), Mat2.diagonal(v), Mat2.diagonal(u), Mat2.diagonal(v),
             Mat2(CTX_UV.zero(), -((u * v ** 2) ** -1), u * v ** 2, CTX_UV.zero()))
-    return Family("line_case2", CTX_UV, ("u", "v"), five=five,
+    return Family("line_case2", CTX_UV, five=five,
                   rep=RepTuple(*five[:4]))
 
 
@@ -177,10 +174,10 @@ def _line_case3a() -> Family:
     u = CTX_U.var("u")
     five = (_J(CTX_U), Mat2.antidiagonal(u ** -1), Mat2.diagonal(u),
             Mat2.diagonal(u ** -1), Mat2(-u, 0, 0, -(u ** -1)))
+    # the catalog fifth matrix is the inverse of the required one
     corrected = five[:4] + (Mat2(-(u ** -1), 0, 0, -u),)
-    return Family("line_case3a", CTX_U, ("u",), five=five,
-                  corrected_five=corrected, rep=RepTuple(*five[:4]),
-                  notes="catalog fifth matrix is the inverse of the required one")
+    return Family("line_case3a", CTX_U, five=five,
+                  corrected_five=corrected, rep=RepTuple(*five[:4]))
 
 
 def _line_case3b() -> Family:
@@ -188,21 +185,21 @@ def _line_case3b() -> Family:
     five = (Mat2(CTX_U.zero(), -CTX_U.one(), CTX_U.one(), CTX_U.zero()),
             Mat2.diagonal(u), Mat2.diagonal(u), Mat2.diagonal(u ** -1),
             Mat2.antidiagonal(u ** -1))
-    return Family("line_case3b", CTX_U, ("u",), five=five,
+    return Family("line_case3b", CTX_U, five=five,
                   rep=RepTuple(*five[:4]))
 
 
 def _plane_case1() -> Family:
     u, v = CTX_UV.var("u"), CTX_UV.var("v")
     assignment = {"a": _J(CTX_UV), "b": Mat2.diagonal(u), "c": Mat2.diagonal(v)}
-    return Family("plane_case1", CTX_UV, ("u", "v"), assignment=assignment,
+    return Family("plane_case1", CTX_UV, assignment=assignment,
                   presentation=PRESENTATIONS["gamma2p"])
 
 
 def _plane_case2() -> Family:
     u, v = CTX_UV.var("u"), CTX_UV.var("v")
     assignment = {"a": Mat2.diagonal(u), "b": Mat2.diagonal(v), "c": _J(CTX_UV)}
-    return Family("plane_case2", CTX_UV, ("u", "v"), assignment=assignment,
+    return Family("plane_case2", CTX_UV, assignment=assignment,
                   presentation=PRESENTATIONS["gamma2"])
 
 
@@ -210,14 +207,14 @@ def _plane_case3() -> Family:
     t = CTX_T.var("t")
     assignment = {"a": Mat2.diagonal(t), "b": Mat2.diagonal(t ** -1),
                   "c": _J(CTX_T)}
-    return Family("plane_case3", CTX_T, ("t",), assignment=assignment,
-                  presentation=PRESENTATIONS["case3"], projective_only=True)
+    return Family("plane_case3", CTX_T, assignment=assignment,
+                  presentation=PRESENTATIONS["case3"])
 
 
 def _b3_nonrigid() -> Family:
     v = CTX_V.var("v")
     assignment = {"s1": Mat2(v, 1, 0, v ** -1), "s2": Mat2(v ** -1, 0, -1, v)}
-    return Family("b3_nonrigid", CTX_V, ("v",), assignment=assignment,
+    return Family("b3_nonrigid", CTX_V, assignment=assignment,
                   presentation=PRESENTATIONS["b3"])
 
 
@@ -225,7 +222,7 @@ def _b4_family() -> Family:
     w = CTX_W.var("w")
     assignment = {"s1": Mat2(w, 1, 0, w ** -1), "s2": Mat2(w ** -1, 0, -1, w),
                   "s3": Mat2(w, 1, 0, w ** -1)}
-    return Family("b4_family", CTX_W, ("w",), assignment=assignment,
+    return Family("b4_family", CTX_W, assignment=assignment,
                   presentation=PRESENTATIONS["b4"])
 
 
@@ -236,8 +233,8 @@ def _gamma3_finite() -> Family:
     A = Mat2.diagonal(r)
     B = Mat2(third * (r + 2), one, CTX_ROOT.const(Fraction(-2, 3)),
              third * (one - r))
-    return Family("gamma3_finite", CTX_ROOT, (), assignment={"a": A, "b": B},
-                  presentation=PRESENTATIONS["gamma3"], projective_only=True)
+    return Family("gamma3_finite", CTX_ROOT, assignment={"a": A, "b": B},
+                  presentation=PRESENTATIONS["gamma3"])
 
 
 def _gamma3p_fam1() -> Family:
@@ -245,8 +242,7 @@ def _gamma3p_fam1() -> Family:
     A = Mat2(u ** -1, 1, 0, u)
     B = Mat2(u ** 2, 0, -(u + u ** -1), u ** -2)
     C = Mat2(u, 0, -1, u ** -1)
-    return Family("gamma3p_fam1", CTX_U, ("u",),
-                  assignment={"a": A, "b": B, "c": C},
+    return Family("gamma3p_fam1", CTX_U, assignment={"a": A, "b": B, "c": C},
                   presentation=PRESENTATIONS["gamma3p"])
 
 
@@ -256,8 +252,7 @@ def _gamma3p_fam2() -> Family:
     A = Mat2(u, 1, 0, u ** -1)
     B = Mat2(u ** 2, 0, -((u ** 2 + 1) * q * u ** -3), u ** -2)
     C = Mat2(u, 0, -(q * u ** -2), u ** -1)
-    return Family("gamma3p_fam2", CTX_U, ("u",),
-                  assignment={"a": A, "b": B, "c": C},
+    return Family("gamma3p_fam2", CTX_U, assignment={"a": A, "b": B, "c": C},
                   presentation=PRESENTATIONS["gamma3p"])
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .fractions import BasisError, DenomBasis, FactoredFraction, frac_eq, serialize_frac
-from .ring import ContextError, LaurentPoly
+from .fractions import (BasisError, DenomBasis, FactoredFraction, eval_poly,
+                        frac_eq, serialize_frac)
+from .ring import ContextError, LaurentPoly, exact_divide
 
 
 class ScalarOneForm:
@@ -167,18 +168,11 @@ class RationalMap:
         if fiber is not None and fiber.determinant().is_zero():
             raise ValueError("degenerate Moebius fiber action")
 
-    def pull_scalar(self, f: FactoredFraction) -> FactoredFraction:
-        return f.substitute(self.subs, self.src)
-
-    def pull_poly(self, p: LaurentPoly) -> FactoredFraction:
-        from .fractions import eval_poly
-        return eval_poly(p, self.subs, self.src)
-
     def pull_one_form(self, omega: ScalarOneForm) -> ScalarOneForm:
         """Chain rule: substitute and differentiate the substitutions."""
         X, Y = self.dst_base
-        a = self.pull_scalar(omega.A)
-        b = self.pull_scalar(omega.B)
+        a = omega.A.substitute(self.subs, self.src)
+        b = omega.B.substitute(self.subs, self.src)
         dX = ScalarOneForm.d_of(self.subs[X], self.src_base)
         dY = ScalarOneForm.d_of(self.subs[Y], self.src_base)
         return dX * a + dY * b
@@ -187,7 +181,7 @@ class RationalMap:
         """Pullback of ``c dX^dY`` is ``(c o phi) * Jacobian * dx^dy``."""
         X, Y = self.dst_base
         x, y = self.src_base
-        c = self.pull_scalar(eta.coeff)
+        c = eta.coeff.substitute(self.subs, self.src)
         fx, fy = self.subs[X], self.subs[Y]
         jac = (fx.derivative(x) * fy.derivative(y)
                - fx.derivative(y) * fy.derivative(x))
@@ -212,9 +206,7 @@ def divisor_pullback(f: LaurentPoly, phi: RationalMap,
     monomial.  Raises :class:`BasisError` with the residual when a factor
     outside the declared list remains.
     """
-    from .ring import exact_divide
-
-    pulled = phi.pull_poly(f).reduce()
+    pulled = eval_poly(f, phi.subs, phi.src)
     # clear declared-basis denominators into the answer with negative signs
     out: dict[str, int] = {}
     p = pulled.num

@@ -10,6 +10,11 @@ ring and are folded into the numerator's exponents.  No general gcd is
 computed; equality is decided by cross-multiplication, and
 :meth:`FactoredFraction.reduce` cancels declared factors out of the numerator
 by exact division.
+
+Substitution (:func:`eval_poly`) runs the loop and policy of
+:func:`ring.evaluate`: images are rationals, polynomials or fractions, an
+unmapped variable maps to the same-named target variable, and ``ContextError``
+is raised only when a variable that occurs has no image.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .ring import (ContextError, LaurentPoly, Rat, VarContext, exact_divide,
-                   serialize_poly)
+from .ring import (ContextError, LaurentPoly, Rat, VarContext, evaluate,
+                   exact_divide, serialize_poly)
 
 
 class BasisError(ValueError):
@@ -272,67 +277,43 @@ class FactoredFraction:
 
     # -- substitution -------------------------------------------------------
 
-    def substitute(self, images: Mapping[str, "FactoredFraction"],
+    def substitute(self, images: Mapping[str, Union["FactoredFraction",
+                                                    LaurentPoly, Rat]],
                    target: Optional[DenomBasis] = None) -> "FactoredFraction":
-        """Evaluate at fraction images of the variables.
+        """Evaluate at images of the variables, as :func:`eval_poly` does.
 
         Every substituted denominator factor must clear over the target
         basis (raises :class:`BasisError` otherwise, signalling the caller
         to extend the basis).
         """
         tgt = target if target is not None else self.basis
-        num = eval_poly(self.num, images, tgt)
-        out = num
+        out = eval_poly(self.num, images, tgt)
         for f, e in zip(self.basis.factors, self.exps):
             if e:
-                fsub = eval_poly(f, images, tgt)
-                out = out * fsub ** (-e)
+                out = out * eval_poly(f, images, tgt) ** (-e)
         return out.reduce()
 
-    def restrict(self, assignments: Mapping[str, Union[LaurentPoly, Rat]],
-                 target: DenomBasis) -> "FactoredFraction":
-        """Substitute polynomial values (e.g. a divisor parametrization)."""
-        images: dict[str, FactoredFraction] = {}
-        for name, val in assignments.items():
-            if isinstance(val, (int, Fraction)):
-                images[name] = target.const(val)
-            elif isinstance(val, LaurentPoly):
-                images[name] = FactoredFraction(target, val)
-            else:
-                images[name] = val
-        return self.substitute(images, target)
 
-
-def eval_poly(p: LaurentPoly, images: Mapping[str, FactoredFraction],
+def eval_poly(p: LaurentPoly,
+              images: Mapping[str, Union[FactoredFraction, LaurentPoly, Rat]],
               target: DenomBasis) -> FactoredFraction:
-    """Evaluate a Laurent polynomial at fraction images of its variables."""
-    img: list[Optional[FactoredFraction]] = []
-    for name in p.ctx.names:
-        if name in images:
-            v = images[name]
-            if isinstance(v, (int, Fraction)):
-                v = target.const(v)
-            img.append(v)
-        elif name in target.ctx.index:
-            img.append(FactoredFraction(target, target.ctx.var(name)))
-        else:
-            img.append(None)
-    out = target.zero()
-    pow_cache: dict[tuple[int, int], FactoredFraction] = {}
-    for exps, coeff in p.terms.items():
-        term = target.const(coeff)
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            if img[i] is None:
-                raise ContextError(f"variable {p.ctx.names[i]!r} has no image")
-            pc = pow_cache.get((i, e))
-            if pc is None:
-                pc = img[i] ** e
-                pow_cache[(i, e)] = pc
-            term = term * pc
-        out = out + term
-    return out.reduce()
+    """Evaluate a Laurent polynomial at images of its variables, reduced.
+
+    Follows the substitution policy of :func:`ring.evaluate`: an image is an
+    ``int``, a ``Fraction``, a polynomial of the target context or a fraction
+    over ``target``; an unmapped variable maps to the target variable of the
+    same name.
+    """
+    def lift(value) -> FactoredFraction:
+        if isinstance(value, FactoredFraction):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return target.const(value)
+        if value.ctx != target.ctx:
+            raise ContextError("image context mismatch")
+        return FactoredFraction(target, value)
+
+    return evaluate(p, images, target.ctx, lift).reduce()
 
 
 def frac_eq(x: FactoredFraction, y: FactoredFraction) -> bool:

@@ -36,9 +36,7 @@ B_AB = DenomBasis(CTX_AB, [_yab - 1, Q_AB], names=["y-1", "Q"])
 CTX_AC = VarContext(["y", "a", "c", "lam0", "lam1"])
 _yac, _aa, _c = CTX_AC.var("y"), CTX_AC.var("a"), CTX_AC.var("c")
 _b_of_c = Fraction(1, 4) * (1 - _c ** 2) * _aa ** -1
-Q_AC = (_aa ** 2 * _yac ** 2
-        + (Fraction(1, 2) * (1 - _c ** 2) - 1) * _yac
-        + Fraction(1, 16) * (1 - _c ** 2) ** 2 * _aa ** -2)
+Q_AC = Q_AB.substitute({"b": _b_of_c}, CTX_AC)
 _l0, _l1 = CTX_AC.var("lam0"), CTX_AC.var("lam1")
 B_AC = DenomBasis(CTX_AC, [
     _yac - 1, Q_AC, _l0 + _aa * _l1,
@@ -84,26 +82,6 @@ def _clear(fr: FactoredFraction, denom: LaurentPoly) -> LaurentPoly:
     return cleared.num
 
 
-def _line_images(mode: str) -> tuple[DenomBasis, dict, LaurentPoly]:
-    if mode == "ab":
-        basis, yv = B_AB, _yab
-        xsub = _a * yv + _b
-        q = Q_AB
-    elif mode == "ac":
-        basis, yv = B_AC, _yac
-        xsub = _aa * yv + _b_of_c
-        q = Q_AC
-    else:
-        raise ValueError("mode is 'ab' or 'ac'")
-    images = {
-        "x": FactoredFraction(basis, xsub),
-        "y": FactoredFraction(basis, yv),
-        "lam0": FactoredFraction(basis, basis.ctx.var("lam0")),
-        "lam1": FactoredFraction(basis, basis.ctx.var("lam1")),
-    }
-    return basis, images, q
-
-
 def restrict_to_line(conn: Optional[MatConnection] = None,
                      mode: str = "ab") -> LineRestriction:
     """Substitute ``x = a y + b`` (so ``dx = a dy``) into the connection.
@@ -113,17 +91,16 @@ def restrict_to_line(conn: Optional[MatConnection] = None,
     """
     if conn is None:
         conn = flat_quintic2_connection()
-    basis, images, q = _line_images(mode)
+    if mode == "ab":
+        basis, images, q = B_AB, {"x": _a * _yab + _b}, Q_AB
+    elif mode == "ac":
+        basis, images, q = B_AC, {"x": _aa * _yac + _b_of_c}, Q_AC
+    else:
+        raise ValueError("mode is 'ab' or 'ac'")
     avar = basis.ctx.var("a")
-    matrix: list[list[FactoredFraction]] = []
-    for i in (0, 1):
-        row = []
-        for j in (0, 1):
-            w = conn.omega[i][j]
-            val = (w.A.substitute(images, basis) * avar
-                   + w.B.substitute(images, basis)).reduce()
-            row.append(val)
-        matrix.append(row)
+    matrix = [[(w.A.substitute(images, basis) * avar
+                + w.B.substitute(images, basis)).reduce() for w in row]
+              for row in conn.omega]
     # fiber chart with denominators 2 y (y-1) Q: swap w -> -1/w of the
     # flat-section chart, i.e. (P2, P1, P0) = (m21, m11 - m22, -m12)
     P2 = matrix[1][0]
@@ -138,12 +115,10 @@ def specialize_connection(conn: MatConnection,
                           values: Mapping[str, Rat]) -> MatConnection:
     """Substitute exact rational values for parameters (context unchanged)."""
     basis = conn.basis
-    images = {k: basis.const(v) for k, v in values.items()}
     om = tuple(tuple(
-        ScalarOneForm(basis, conn.base_vars,
-                      conn.omega[i][j].A.substitute(images, basis),
-                      conn.omega[i][j].B.substitute(images, basis))
-        for j in (0, 1)) for i in (0, 1))
+        ScalarOneForm(basis, conn.base_vars, w.A.substitute(values, basis),
+                      w.B.substitute(values, basis))
+        for w in row) for row in conn.omega)
     return MatConnection(conn.name + "@", basis, conn.base_vars, om,
                          conn.divisors)
 
@@ -156,11 +131,11 @@ def pole_positions() -> tuple[LaurentPoly, LaurentPoly]:
 
 
 def pole_positions_at(a_val: Rat, c_val: Rat) -> tuple[Fraction, Fraction, list[str]]:
-    a_val, c_val = Fraction(a_val), Fraction(c_val)
-    if a_val == 0:
+    """:func:`pole_positions` at rational ``(a, c)``, with a degeneracy note."""
+    point = {"a": Fraction(a_val), "c": Fraction(c_val)}
+    if point["a"] == 0:
         raise RestrictionError("a = 0 does not define a generic line")
-    t1 = ((c_val - 1) / (2 * a_val)) ** 2
-    t2 = ((c_val + 1) / (2 * a_val)) ** 2
+    t1, t2 = (t.substitute(point).constant_value() for t in pole_positions())
     notes = []
     if len({Fraction(0), Fraction(1), t1, t2}) < 4:
         notes.append("degenerate line: movable pole meets a fixed puncture")
@@ -239,7 +214,7 @@ def _verify_assembly(rest: LineRestriction, num: LaurentPoly) -> bool:
             if j != i:
                 other = other * (yv - pj)
         total = total + res * FactoredFraction(basis, other * two_a2)
-    return frac_eq(total.reduce(), FactoredFraction(basis, num))
+    return frac_eq(total, FactoredFraction(basis, num))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +312,7 @@ def garnier_parametrization() -> tuple[GarnierData, dict]:
         "gamma": {"transcribed": serialize_frac(data.gamma)},
         "residue_at_infinity_vanishes": h.residue_at_infinity_vanishes,
         "assembly_verified": h.assembly_verified,
-        "separant_nonzero": not (h.S_q * h.S_q
-                                 - 4 * h.P_q).reduce().is_zero(),
+        "separant_nonzero": not (h.S_q * h.S_q - 4 * h.P_q).is_zero(),
     }
     return data, report
 
@@ -365,7 +339,7 @@ def parity_invariance() -> dict[str, bool]:
     out = {}
     for name, val in [("S_q", data.S_q), ("P_q", data.P_q),
                       ("S_p", data.S_p), ("gamma", data.gamma)]:
-        out[name] = frac_eq(val.restrict(flip, B_AC), val)
-    out["t_swap"] = (frac_eq(data.t1.restrict(flip, B_AC), data.t2)
-                     and frac_eq(data.t2.restrict(flip, B_AC), data.t1))
+        out[name] = frac_eq(val.substitute(flip), val)
+    out["t_swap"] = (frac_eq(data.t1.substitute(flip), data.t2)
+                     and frac_eq(data.t2.substitute(flip), data.t1))
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from .ring import LaurentPoly, VarContext, lp_substitute, serialize_poly
+from .ring import LaurentPoly, VarContext, serialize_poly
 from .sl2 import GroupWord, Mat2, word_evaluate
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -99,7 +99,7 @@ class TraceTuple:
 
     def substitute(self, sigma: Mapping[str, LaurentPoly],
                    target: Optional[VarContext] = None) -> "TraceTuple":
-        return TraceTuple([lp_substitute(v, sigma, target) for v in self.values])
+        return TraceTuple([v.substitute(sigma, target) for v in self.values])
 
     @property
     def t(self) -> tuple[LaurentPoly, ...]:

@@ -13,6 +13,12 @@ together with a monic minimal polynomial over Q.  Arithmetic then happens in
 ``Q[r]/(m(r))`` tensored with the Laurent ring on the remaining variables;
 ``r`` is a unit because ``m`` has nonzero constant term.
 
+Substitution has one loop, :func:`evaluate`, and one policy: images are
+rationals, polynomials or (for ``fractions.eval_poly``) fractions; a variable
+with no image maps to the target variable of the same name; ``ContextError``
+is raised only when a variable that occurs has no image, and ``UnitError``
+for a negative power of a polynomial image that is not a signed monomial.
+
 The text grammar used for serialization is::
 
     term := [sign] rational ('*' var '^' int)*
@@ -23,11 +29,13 @@ lexicographic exponent order and omits zero exponents.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, TypeVar, Union
 
 Rat = Union[int, Fraction]
 Exponents = tuple[int, ...]
+V = TypeVar("V")
 
 
 class ContextError(ValueError):
@@ -299,47 +307,25 @@ class LaurentPoly:
             out[tuple(ne)] = c * e[i]
         return LaurentPoly(self.ctx, out, _normalized=True)
 
-    def substitute(self, images: Mapping[str, "LaurentPoly"],
+    def substitute(self, images: Mapping[str, Union["LaurentPoly", Rat]],
                    target: Optional[VarContext] = None) -> "LaurentPoly":
-        """Ring-homomorphism image; unmapped variables must exist in the target.
+        """Ring-homomorphism image in ``target`` (default: this context).
 
-        Variables occurring with negative exponents must map to units
-        (signed monomials).  Raises :class:`UnitError` otherwise.
+        Follows the substitution policy of :func:`evaluate`; an image is an
+        ``int``, a ``Fraction`` or a polynomial of ``target``.
         """
         tgt = target if target is not None else self.ctx
         if tgt is self.ctx and not images:
             return self
-        img: list[Optional[LaurentPoly]] = []
-        for name in self.ctx.names:
-            if name in images:
-                p = images[name]
-                if isinstance(p, (int, Fraction)):
-                    p = tgt.const(p)
-                if p.ctx != tgt:
-                    raise ContextError("image context mismatch")
-                img.append(p)
-            else:
-                if name not in tgt.index:
-                    raise ContextError(f"variable {name!r} missing from target context")
-                img.append(tgt.var(name))
-        out = tgt.zero()
-        pow_cache: dict[tuple[int, int], LaurentPoly] = {}
-        for exps, coeff in self.terms.items():
-            term = tgt.const(coeff)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                pc = pow_cache.get((i, e))
-                if pc is None:
-                    base = img[i]
-                    if e < 0 and not base.is_monomial():
-                        raise UnitError(
-                            f"negative power of {self.ctx.names[i]!r} needs a unit image")
-                    pc = base ** e
-                    pow_cache[(i, e)] = pc
-                term = term * pc
-            out = out + term
-        return out
+
+        def lift(value) -> LaurentPoly:
+            if isinstance(value, (int, Fraction)):
+                return tgt.const(value)
+            if value.ctx != tgt:
+                raise ContextError("image context mismatch")
+            return value
+
+        return evaluate(self, images, tgt, lift)
 
     # -- structure helpers -------------------------------------------------
 
@@ -440,18 +426,47 @@ def exact_divide(p: LaurentPoly, f: LaurentPoly) -> Optional[LaurentPoly]:
                                for e, c in quot.items() if c})
 
 
-# -- substitution by units ------------------------------------------------
+# -- evaluation --------------------------------------------------------------
 
-def lp_substitute(p: LaurentPoly, sigma: Mapping[str, LaurentPoly],
-                  target: Optional[VarContext] = None) -> LaurentPoly:
-    """Substitution by signed Laurent monomials (a ring homomorphism).
+def evaluate(p: LaurentPoly, images: Mapping[str, object], target: VarContext,
+             lift: Callable[[object], V]) -> V:
+    """Evaluate ``p`` at images of its variables in any ring with ``+``, ``*``
+    and ``**``: the one evaluation loop behind every substitution.
 
-    Every image must be a unit so that negative exponents stay meaningful.
+    ``lift`` carries a rational, an image or a polynomial of ``target`` into
+    the value ring.  A variable with no image maps to the ``target`` variable
+    of the same name; :class:`ContextError` is raised only when a variable
+    that occurs in ``p`` has neither.  A negative power of a polynomial
+    image that is not a unit raises :class:`UnitError`.
     """
-    for name, q in sigma.items():
-        if isinstance(q, LaurentPoly) and not q.is_monomial():
-            raise UnitError(f"image of {name!r} is not a signed monomial")
-    return p.substitute(sigma, target)
+    img: list[Optional[V]] = []
+    for name in p.ctx.names:
+        if name in images:
+            img.append(lift(images[name]))
+        elif name in target.index:
+            img.append(lift(target.var(name)))
+        else:
+            img.append(None)
+    out = lift(0)
+    pow_cache: dict[tuple[int, int], V] = {}
+    for exps, coeff in p.terms.items():
+        term = lift(coeff)
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            pc = pow_cache.get((i, e))
+            if pc is None:
+                name = p.ctx.names[i]
+                if img[i] is None:
+                    raise ContextError(f"variable {name!r} has no image")
+                try:
+                    pc = pow_cache[(i, e)] = img[i] ** e
+                except UnitError:
+                    raise UnitError(f"negative power of {name!r} needs a "
+                                    "unit image") from None
+            term = term * pc
+        out = out + term
+    return out
 
 
 # -- text grammar -----------------------------------------------------------
@@ -470,6 +485,10 @@ def serialize_poly(p: LaurentPoly) -> str:
     return " + ".join(parts)
 
 
+# a numeric literal up to the exponent marker of scientific notation
+_MANTISSA = re.compile(r"(\d+\.?\d*|\.\d+)[eE]")
+
+
 def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
     """Parse the polynomial grammar; variables must be declared in ``ctx``."""
     text = text.strip()
@@ -484,7 +503,8 @@ def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
         if ch in "+-":
             if not "".join(buf).strip():
                 sign *= 1 if ch == "+" else -1
-            elif text[i - 1] in "*^+-eE":
+            elif text[i - 1] in "*^+-" or _MANTISSA.fullmatch(
+                    "".join(buf).rpartition("*")[2].strip()):
                 buf.append(ch)
             else:
                 terms.append((sign, "".join(buf).strip()))

@@ -24,7 +24,7 @@ from quintic_garnier.forms import (RationalMap, ScalarOneForm, ScalarTwoForm,
                                    divisor_pullback)
 from quintic_garnier.fractions import DenomBasis, FactoredFraction, frac_eq, serialize_frac
 from quintic_garnier.reps import trace_coordinates, verify_product_identity
-from quintic_garnier.ring import LaurentPoly, VarContext, lp_substitute
+from quintic_garnier.ring import LaurentPoly, VarContext
 from quintic_garnier.sl2 import projective_closure, verify_relations
 from listings import EXTENDED_SIZES, LISTINGS, random_rep_tuple
 
@@ -253,10 +253,10 @@ def test_criterion_10_algebra_kernel_properties():
         ring_ok &= (p * q) * r == p * (q * r)
         ring_ok &= p * (q + r) == p * q + p * r
         ring_ok &= p * q == q * p
-        ring_ok &= lp_substitute(p * q, sigma, S) == \
-            lp_substitute(p, sigma, S) * lp_substitute(q, sigma, S)
-        ring_ok &= lp_substitute(p + q, sigma, S) == \
-            lp_substitute(p, sigma, S) + lp_substitute(q, sigma, S)
+        ring_ok &= (p * q).substitute(sigma, S) == \
+            p.substitute(sigma, S) * q.substitute(sigma, S)
+        ring_ok &= (p + q).substitute(sigma, S) == \
+            p.substitute(sigma, S) + q.substitute(sigma, S)
 
     XY = VarContext(["x", "y"])
     x, y = XY.var("x"), XY.var("y")

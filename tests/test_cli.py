@@ -73,6 +73,16 @@ def test_compare_malformed_substitution(capsys, tmp_path):
     assert rc == 3
 
 
+def test_compare_substitution_must_map_every_source_variable(capsys, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run_cli(capsys, "orbit", "rho2", "--pure", "--out", str(a))
+    run_cli(capsys, "orbit", "rho3", "--pure", "--out", str(b))
+    rc = main(["compare", str(a), str(b), "--subst", "u=-s"])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err.startswith("error:") and "'v'" in captured.err
+
+
 def test_pure_orbits_disjoint_via_cli(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli(capsys, "orbit", "rho1", "--pure", "--out", str(a))
@@ -182,11 +192,46 @@ def _rep_file(tmp_path, matrices):
 
 
 @pytest.mark.parametrize("matrices", [
-    RHO1_FILE[:3], RHO1_FILE[:3] + (["1", "0", "0"],)])
+    RHO1_FILE[:3], RHO1_FILE[:3] + (["1", "0", "0"],),
+    RHO1_FILE[:2] + ([0, 1, -1, 0],) + RHO1_FILE[3:]])
 def test_rep_file_malformed_matrices_are_usage_errors(capsys, tmp_path, matrices):
     path = _rep_file(tmp_path, matrices)
-    rc, doc = run_cli(capsys, "orbit", "--rep-file", path, "--pure")
-    assert rc == 3 and doc is None
+    rc = main(["orbit", "--rep-file", path, "--pure"])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("doc", [
+    [["u", "v"], list(RHO1_FILE)],
+    {"variables": "uv", "matrices": list(RHO1_FILE)},
+])
+def test_rep_file_malformed_documents_are_usage_errors(capsys, tmp_path, doc):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["orbit", "--rep-file", str(path), "--pure"])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("defect", ["number-element", "string-variables",
+                                    "top-level-list"])
+def test_compare_malformed_orbit_files_are_usage_errors(capsys, tmp_path, defect):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run_cli(capsys, "orbit", "rho1", "--pure", "--out", str(a))
+    data = json.loads(a.read_text())
+    if defect == "number-element":
+        data["elements"][0][0] = 2
+    elif defect == "string-variables":
+        data["variables"] = "uv"
+    else:
+        data = [data]
+    b.write_text(json.dumps(data))
+    rc = main(["compare", str(a), str(b)])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err.startswith("error:")
 
 
 def test_rep_file_fifth_matrix_must_close_the_product(capsys, tmp_path):

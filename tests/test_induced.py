@@ -5,7 +5,6 @@ from quintic_garnier.families import (CTX_T, CTX_UV, RESTRICTION_WORDS,
                                       builtin_family, restriction_assignment)
 from quintic_garnier.reps import (RepTuple, induced_representation,
                                   trace_coordinates)
-from quintic_garnier.ring import lp_substitute
 from quintic_garnier.sl2 import GroupWord, Mat2
 
 

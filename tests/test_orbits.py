@@ -213,3 +213,6 @@ def test_parse_substitution():
         parse_substitution("u=s+1", CTX_UV, CTX_S)
     with pytest.raises(ValueError):
         parse_substitution("w=s", CTX_UV, CTX_S)
+    # v is neither mapped nor a variable of the target
+    with pytest.raises(ValueError, match="'v'"):
+        parse_substitution("u=-s", CTX_UV, CTX_S)

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quintic_garnier.ring import (ContextError, LaurentPoly, UnitError, VarContext,
-                                  exact_divide, lp_substitute,
-                                  parse_poly, serialize_poly)
+                                  exact_divide, parse_poly, serialize_poly)
 
 UV = VarContext(["u", "v"])
 u = UV.var("u")
@@ -44,23 +43,36 @@ def test_substitute_change_of_parameters():
     S = VarContext(["s"])
     s = S.var("s")
     p = u * v + (u * v) ** -1
-    q = lp_substitute(p, {"u": -s, "v": s}, S)
+    q = p.substitute({"u": -s, "v": s}, S)
     assert q == -(s ** 2) - s ** -2
 
 
 def test_substitute_identity_and_diagonal():
     p = u + u ** -1
-    assert lp_substitute(p, {}) == p
+    assert p.substitute({}) == p
     S = VarContext(["s"])
     s = S.var("s")
-    assert lp_substitute(p, {"u": s, "v": s}, S) == s + s ** -1
+    assert p.substitute({"u": s, "v": s}, S) == s + s ** -1
 
 
 def test_substitute_requires_unit_for_negative_exponent():
     S = VarContext(["s"])
     s = S.var("s")
     with pytest.raises(UnitError):
-        lp_substitute(u ** -1, {"u": s + 1, "v": s}, S)
+        (u ** -1).substitute({"u": s + 1, "v": s}, S)
+
+
+def test_unmapped_variable_raises_only_when_it_occurs():
+    # v has no image and the target (s) lacks it
+    S = VarContext(["s"])
+    s = S.var("s")
+    assert (u ** 2 - u ** -1).substitute({"u": -s}, S) == s ** 2 + s ** -1
+    assert UV.const(3).substitute({}, S) == S.const(3)
+    with pytest.raises(ContextError):
+        (u * v).substitute({"u": s}, S)
+    # an unmapped variable that the target has maps to it
+    SV = VarContext(["s", "v"])
+    assert (u * v).substitute({"u": SV.var("s")}, SV) == SV.var("s") * SV.var("v")
 
 
 def test_substitution_is_ring_homomorphism():
@@ -71,8 +83,8 @@ def test_substitution_is_ring_homomorphism():
     for _ in range(300):
         p = _random_poly(rng, UV)
         q = _random_poly(rng, UV)
-        assert lp_substitute(p * q, sigma, S) == lp_substitute(p, sigma, S) * lp_substitute(q, sigma, S)
-        assert lp_substitute(p + q, sigma, S) == lp_substitute(p, sigma, S) + lp_substitute(q, sigma, S)
+        assert (p * q).substitute(sigma, S) == p.substitute(sigma, S) * q.substitute(sigma, S)
+        assert (p + q).substitute(sigma, S) == p.substitute(sigma, S) + q.substitute(sigma, S)
 
 
 def test_ring_axioms_randomized():
@@ -106,6 +118,16 @@ def test_grammar_roundtrip():
     assert serialize_poly(UV.zero()) == "0"
     assert parse_poly(UV, "0").is_zero()
     assert parse_poly(UV, "3/2*u^1*v^-1 - 1") == Fraction(3, 2) * u * v ** -1 - 1
+
+
+def test_grammar_variable_names_ending_in_e():
+    # a sign after e/E is an exponent sign only inside a numeric literal
+    EU = VarContext(["e", "u"])
+    e, uu = EU.var("e"), EU.var("u")
+    assert parse_poly(EU, "e-1") == e - 1
+    assert parse_poly(EU, "2*e-u") == 2 * e - uu
+    assert parse_poly(EU, "1e-3*u") == Fraction(1, 1000) * uu
+    assert parse_poly(EU, "2.5E+1*e^-1+e") == 25 * e ** -1 + e
 
 
 def test_grammar_rejects_undeclared_variable():
