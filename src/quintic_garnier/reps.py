@@ -10,7 +10,10 @@ trace functions
     r1..r6 = traces of the pair products (12), (13), (14), (23), (24), (34),
     r7..r10 = traces of the triple products (123), (124), (134), (234),
 
-in this fixed order.
+in this fixed order.  Only the pair products (12) and (34) are built as
+matrices; every other coordinate is a trace of a product,
+:meth:`~quintic_garnier.sl2.Mat2.trace_of_product`, which needs half the ring
+products of a full matrix product.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .ring import LaurentPoly, VarContext, serialize_poly
 from .sl2 import GroupWord, Mat2, word_evaluate
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
 class RepTuple:
@@ -114,16 +116,15 @@ class TraceTuple:
 
 
 def trace_coordinates(rho: RepTuple) -> TraceTuple:
-    m = rho.mats
-    pair_prods = {p: m[p[0]] * m[p[1]] for p in PAIRS}
-    vals = [mi.trace() for mi in m]
-    t5 = (pair_prods[(0, 1)] * pair_prods[(2, 3)]).trace()
-    vals.append(t5)
-    for p in PAIRS:
-        vals.append(pair_prods[p].trace())
-    for a, b, c in TRIPLES:
-        vals.append((pair_prods[(a, b)] * m[c]).trace())
-    return TraceTuple(vals)
+    m1, m2, m3, m4 = rho.mats
+    p12, p34 = m1 * m2, m3 * m4
+    return TraceTuple([
+        m1.trace(), m2.trace(), m3.trace(), m4.trace(),
+        p12.trace_of_product(p34),
+        p12.trace(), m1.trace_of_product(m3), m1.trace_of_product(m4),
+        m2.trace_of_product(m3), m2.trace_of_product(m4), p34.trace(),
+        p12.trace_of_product(m3), p12.trace_of_product(m4),
+        m1.trace_of_product(p34), m2.trace_of_product(p34)])
 
 
 def trace_of_five(mats: Sequence[Mat2]) -> TraceTuple:

@@ -98,7 +98,7 @@ class VarContext:
     # -- element constructors ------------------------------------------
 
     def zero(self) -> "LaurentPoly":
-        return LaurentPoly(self, {})
+        return LaurentPoly(self, {}, _normalized=True)
 
     def one(self) -> "LaurentPoly":
         return self.const(1)
@@ -106,7 +106,7 @@ class VarContext:
     def const(self, c: Rat) -> "LaurentPoly":
         c = Fraction(c)
         if c == 0:
-            return LaurentPoly(self, {})
+            return self.zero()
         return LaurentPoly(self, {(0,) * self.nvars(): c})
 
     def var(self, name: str, power: int = 1) -> "LaurentPoly":
@@ -146,8 +146,10 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        n = self.ctx.nvars()
-        return self.terms == {(0,) * n: Fraction(1)}
+        if len(self.terms) != 1:
+            return False
+        (exps, coeff), = self.terms.items()
+        return coeff == 1 and not any(exps)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -236,9 +238,12 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return self.ctx.zero()
+        # values are immutable, so a zero or unit operand is returned as is
         a, b = self.terms, other.terms
+        if not a or (len(b) == 1 and other.is_one()):
+            return self
+        if not b or (len(a) == 1 and self.is_one()):
+            return other
         if len(a) > len(b):
             a, b = b, a
         out: dict[Exponents, Fraction] = {}

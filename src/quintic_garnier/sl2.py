@@ -55,6 +55,11 @@ class Mat2:
     def trace(self) -> LaurentPoly:
         return self.a + self.d
 
+    def trace_of_product(self, other: "Mat2") -> LaurentPoly:
+        """``(self * other).trace()`` from the 4 diagonal ring products."""
+        return (self.a * other.a + self.b * other.c
+                + self.c * other.b + self.d * other.d)
+
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.a * other.a + self.b * other.c,
                     self.a * other.b + self.b * other.d,

@@ -1,7 +1,10 @@
 """Braid action, pure generators, orbit enumeration and comparison."""
 
+import hashlib
 import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +219,24 @@ def test_parse_substitution():
     # v is neither mapped nor a variable of the target
     with pytest.raises(ValueError, match="'v'"):
         parse_substitution("u=-s", CTX_UV, CTX_S)
+
+
+def _orbit_digest(res) -> str:
+    text = json.dumps(res.to_json(), indent=1, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_extended_orbit_json_matches_golden_digests():
+    """The orbit JSON of rho1..rho4 and of rho1 at u=3/2, v=-7 stays
+    byte-identical: the digests were recorded before the kernels changed."""
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / "orbit_digests.json").read_text())
+    point = {"u": Fraction(3, 2), "v": Fraction(-7)}
+    rho1 = builtin_family("rho1").rep
+    seeds = {name: builtin_family(name).rep
+             for name in ("rho1", "rho2", "rho3", "rho4")}
+    seeds["rho1 at u=3/2,v=-7"] = RepTuple(
+        *(Mat2(*(e.substitute(point) for e in m.entries())) for m in rho1.mats))
+    got = {key: _orbit_digest(extended_orbit(rep, seed_name=key.split()[0]))
+           for key, rep in seeds.items()}
+    assert got == golden

@@ -110,6 +110,56 @@ def test_extension_arithmetic():
     assert r.inverse() == -R.one() - r
 
 
+def _expanded_product(p, q):
+    """Term-by-term product through the normalizing constructor."""
+    terms = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            e = tuple(a + b for a, b in zip(ea, eb))
+            terms[e] = terms.get(e, 0) + ca * cb
+    return LaurentPoly(p.ctx, terms)
+
+
+@pytest.mark.parametrize("trivial", [
+    lambda ctx: 0, lambda ctx: 1, lambda ctx: Fraction(0),
+    lambda ctx: Fraction(1), VarContext.zero, VarContext.one],
+    ids=["int0", "int1", "fraction0", "fraction1", "zero", "one"])
+def test_mul_by_zero_or_one_matches_general_product(trivial):
+    rng = random.Random(71)
+    for ctx in (UV, VarContext(["r"], extension=("r", [1, 1]))):
+        t = trivial(ctx)
+        lifted = t if isinstance(t, LaurentPoly) else ctx.const(t)
+        for _ in range(30):
+            p = _random_poly(rng, ctx)
+            want = _expanded_product(p, lifted)
+            for got in (p * t, t * p):
+                assert isinstance(got, LaurentPoly) and got.ctx == ctx
+                assert got == want and hash(got) == hash(want)
+                assert got.terms == want.terms
+
+
+def test_mul_by_zero_or_one_of_another_context_raises():
+    other = VarContext(["s"])
+    p = u + v ** -1
+    for t in (other.zero(), other.one()):
+        for a, b in ((p, t), (t, p), (UV.zero(), t), (t, UV.one())):
+            with pytest.raises(ContextError):
+                a * b
+
+
+def test_is_one():
+    assert UV.one().is_one() and (u * u ** -1).is_one()
+    assert not any(p.is_one() for p in (UV.zero(), UV.const(2), u, u + 1, -UV.one()))
+
+
+def test_extension_products_still_normalize():
+    R = VarContext(["r"], extension=("r", [1, 1]))
+    r = R.var("r")
+    assert (r * r ** 2).is_one() and r * r ** 2 == R.one()
+    assert r * r == -R.one() - r
+    assert (r * R.one()) * r == -R.one() - r
+
+
 def test_grammar_roundtrip():
     p = -(u ** -2) + 2 * v ** 3
     text = serialize_poly(p)

@@ -1,13 +1,16 @@
 """Matrices, words, relation checks, closures, trace coordinates."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from quintic_garnier.families import (CTX_S, CTX_T, CTX_UV, FAMILY_NAMES,
-                                      PRESENTATIONS, builtin_family)
-from quintic_garnier.reps import (RepTuple, irreducibility_witness,
+from quintic_garnier.families import (CTX_ROOT, CTX_S, CTX_T, CTX_UV,
+                                      FAMILY_NAMES, PRESENTATIONS,
+                                      builtin_family)
+from quintic_garnier.reps import (PAIRS, RepTuple, irreducibility_witness,
                                   trace_coordinates, verify_product_identity)
+from quintic_garnier.ring import LaurentPoly
 from quintic_garnier.sl2 import (GroupWord, Mat2, closure, commutator,
                                  projective_closure, verify_relations,
                                  word_evaluate)
@@ -131,6 +134,63 @@ def test_trace_coordinates_conjugation_invariant():
         rho = random_rep_tuple(rng)
         g = random_monomial_matrix(rng)
         assert trace_coordinates(rho.conjugate_by(g)) == trace_coordinates(rho)
+
+
+def _random_entry(rng, ctx):
+    """Up to three terms, exponents in -3..3; zero and one come up often."""
+    kind = rng.random()
+    if kind < 0.15:
+        return ctx.zero()
+    if kind < 0.3:
+        return ctx.one()
+    terms = {tuple(rng.randint(-3, 3) for _ in ctx.names):
+             Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             for _ in range(rng.randint(1, 3))}
+    return LaurentPoly(ctx, terms)
+
+
+@pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])
+def test_trace_of_product_matches_full_product(ctx):
+    rng = random.Random(61)
+    for _ in range(200):
+        a, b = (Mat2(*(_random_entry(rng, ctx) for _ in range(4)))
+                for _ in range(2))
+        assert a.trace_of_product(b) == (a * b).trace()
+        assert hash(a.trace_of_product(b)) == hash((a * b).trace())
+
+
+def _full_product_coordinates(rho):
+    """The fifteen coordinates from full matrix products, one per trace."""
+    m = rho.mats
+    pair = {p: m[p[0]] * m[p[1]] for p in PAIRS}
+    triples = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    return ([mi.trace() for mi in m]
+            + [(pair[(0, 1)] * pair[(2, 3)]).trace()]
+            + [pair[p].trace() for p in PAIRS]
+            + [(pair[(a, b)] * m[c]).trace() for a, b, c in triples])
+
+
+def _unipotent(rng, ctx):
+    """[[1, m], [0, 1]] or [[1, 0], [m, 1]] for a random signed unit monomial m."""
+    m = ctx.monomial(rng.choice([1, -1]),
+                     {n: rng.randint(-2, 2) for n in ctx.names})
+    one, zero = ctx.one(), ctx.zero()
+    return Mat2(one, m, zero, one) if rng.random() < 0.5 else Mat2(one, zero, m, one)
+
+
+def test_trace_coordinates_match_full_product_reference():
+    rng = random.Random(67)
+    fam = builtin_family("gamma3_finite")
+    a, b = fam.assignment["a"], fam.assignment["b"]
+    reps = [builtin_family(f"rho{i}").rep for i in (1, 2, 3, 4)]
+    reps += [rho.conjugate_by(_unipotent(rng, rho.ctx)) for rho in reps]
+    reps.append(RepTuple(a, b, a * b, b * a * b))
+    for rho in reps:
+        got = trace_coordinates(rho).values
+        want = _full_product_coordinates(rho)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, (rho, i)
+        assert len(got) == len(want) == 15
 
 
 def test_rep_tuple_product_and_determinants():
