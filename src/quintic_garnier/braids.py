@@ -10,16 +10,30 @@ letter first.  Two flavors are supported: ``b4`` (indices 1..3, acting on
 Orbits are breadth-first closures deduplicated by the exact fifteen-trace
 tuple of the underlying class; the element set is independent of generator
 order and scheduling, while provenance edges may differ.
+
+Each orbit element carries its trace tuple, and a move computes only the
+coordinates it changes.  The same move applied to the free generators
+d1..d4 (with ``d5 = (d1 d2 d3 d4)^-1`` for ``spherical5``) gives each new
+coordinate as a word in the old generators.  When that word is, up to
+rotation and inversion, one of the fifteen coordinate words, the new value
+is copied from the old tuple; σ1 swaps t1 and t2 and keeps t5, for
+example, and only three or four of the fifteen are computed.  The copy is
+exact because the trace is a class function and ``tr(W^-1) = tr(W)`` at
+determinant one, over any commutative ring.  The images still pass through
+:class:`~quintic_garnier.reps.RepTuple`, which checks their determinants.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .reps import RepTuple, TraceTuple, trace_coordinates, trace_of_five
+from .reps import (COORDINATE_WORDS, RepTuple, TraceTuple, carry_traces,
+                   trace_coordinates)
 from .ring import LaurentPoly, VarContext, parse_poly
-from .sl2 import Mat2, closure
+from .sl2 import GroupWord, Mat2, closure
 
 
 class BraidWord:
@@ -64,7 +78,8 @@ class BraidWord:
         return f"BraidWord({self.name})"
 
 
-def _apply_letter(mats: list[Mat2], x: int) -> None:
+def _apply_letter(mats: list, x: int) -> None:
+    """One letter on a list of matrices, or of group words (:func:`_copy_table`)."""
     i = abs(x) - 1
     a, b = mats[i], mats[i + 1]
     if x > 0:
@@ -170,17 +185,65 @@ class OrbitResult:
             fh.write("\n")
 
 
-def _moves(words: Iterable[BraidWord]) -> list[tuple[str, Callable]]:
-    """Each word and its inverse as named closure moves."""
-    return [(w.name, lambda rho, w=w: braid_act(w, rho))
-            for g in words for w in (g, g.inverse())]
+def _cyclic_class(w: GroupWord) -> tuple:
+    """Letters of ``w`` cyclically reduced, least over rotations and inversion."""
+    letters = w.letters
+    while len(letters) > 1 and letters[0] == (letters[-1][0], -letters[-1][1]):
+        letters = letters[1:-1]
+    forms = []
+    for word in (letters, GroupWord(letters).inverse().letters):
+        forms += [word[i:] + word[:i] for i in range(len(word))]
+    return min(forms, default=())
+
+
+_COORDINATE_CLASSES = {_cyclic_class(w): k for k, w in enumerate(COORDINATE_WORDS)}
+
+
+@functools.lru_cache(maxsize=256)
+def _copy_table(letters: tuple[int, ...], flavor: str) -> tuple[Optional[int], ...]:
+    """For each trace coordinate after the word acts, the coordinate before
+    it that has the same value, or ``None`` where it must be computed."""
+    gens = [GroupWord.gen(f"d{i}") for i in (1, 2, 3, 4)]
+    if flavor == "spherical5":
+        gens.append((gens[0] * gens[1] * gens[2] * gens[3]).inverse())
+    for x in letters:
+        _apply_letter(gens, x)
+    images = dict(zip(("d1", "d2", "d3", "d4"), gens))
+    table = []
+    for w in COORDINATE_WORDS:
+        image = GroupWord()
+        for sym, e in w.letters:
+            image = image * images[sym] ** e
+        table.append(_COORDINATE_CLASSES.get(_cyclic_class(image)))
+    return tuple(table)
+
+
+def _keyed(mats, table: Sequence[Optional[int]] = (), old: Optional[TraceTuple] = None):
+    """A closure item: the matrices and their trace tuple, copied from
+    ``old`` where ``table`` allows.  A 5-tuple's first four matrices go
+    through ``RepTuple``, which checks their determinants."""
+    rho = mats if isinstance(mats, RepTuple) else RepTuple(*mats[:4])
+    if old is None:
+        return mats, trace_coordinates(rho)
+    return mats, carry_traces(rho.mats, table, old)
+
+
+def _carried_moves(words: Iterable[BraidWord]) -> list:
+    """Each word and its inverse as named closure moves on keyed items."""
+    moves = []
+    for g in words:
+        for w in (g, g.inverse()):
+            table = _copy_table(w.letters, w.flavor)
+            moves.append((w.name, lambda item, w=w, table=table:
+                          _keyed(braid_act(w, item[0]), table, item[1])))
+    return moves
 
 
 def orbit(seed: RepTuple, generators: Sequence[BraidWord], cutoff: int = 1000,
           seed_name: str = "seed") -> OrbitResult:
     """Closure of the seed's class under the given words and their inverses."""
-    elements, _, edges, status = closure(seed, _moves(generators),
-                                         trace_coordinates, cutoff)
+    elements, _, edges, status = closure(_keyed(seed), _carried_moves(generators),
+                                         itemgetter(1), cutoff)
     return OrbitResult(seed_name, elements, edges, status,
                        [g.name for g in generators], cutoff)
 
@@ -193,8 +256,8 @@ def extended_orbit(seed: RepTuple, cutoff: int = 10000,
     fifth matrix participates through the last move.
     """
     gens = [BraidWord([i], "spherical5") for i in (1, 2, 3, 4)]
-    elements, _, edges, status = closure(seed.five(), _moves(gens),
-                                         trace_of_five, cutoff)
+    elements, _, edges, status = closure(_keyed(seed.five()), _carried_moves(gens),
+                                         itemgetter(1), cutoff)
     return OrbitResult(seed_name, elements, edges, status,
                        [g.name for g in gens], cutoff)
 

@@ -10,10 +10,17 @@ trace functions
     r1..r6 = traces of the pair products (12), (13), (14), (23), (24), (34),
     r7..r10 = traces of the triple products (123), (124), (134), (234),
 
-in this fixed order.  Only the pair products (12) and (34) are built as
-matrices; every other coordinate is a trace of a product,
+in this fixed order; :data:`COORDINATE_WORDS` lists them as words over
+d1..d4.  Only the pair products (12) and (34) are built as matrices; every
+other coordinate is a trace of a product,
 :meth:`~quintic_garnier.sl2.Mat2.trace_of_product`, which needs half the ring
 products of a full matrix product.
+
+:func:`carry_traces` computes the coordinates of new matrices when some of
+them are known to equal old ones (a braid move permutes most of them; see
+:mod:`~quintic_garnier.braids`).  A copy is exact, not an approximation: the
+trace is a class function, ``tr(W^-1) = tr(W)`` at determinant one, and both
+hold over any commutative ring, so over ``Q[r]/(m)`` too.
 """
 
 from __future__ import annotations
@@ -115,21 +122,49 @@ class TraceTuple:
         return "(" + ", ".join(self.serialize()) + ")"
 
 
+# The one formula list: each coordinate is tr(A) or tr(A B) for factors A, B
+# among M1..M4 (0..3), P12 = M1 M2 (4) and P34 = M3 M4 (5); _FACTORS holds
+# the generator indices of each factor's word.
+_RECIPES = ((0,), (1,), (2,), (3,), (4, 5),
+            (4,), (0, 2), (0, 3), (1, 2), (1, 3), (5,),
+            (4, 2), (4, 3), (0, 5), (1, 5))
+_FACTORS = ((1,), (2,), (3,), (4,), (1, 2), (3, 4))
+COORDINATE_WORDS = tuple(GroupWord((f"d{i}", 1) for f in recipe for i in _FACTORS[f])
+                         for recipe in _RECIPES)
+"""The fifteen coordinates as words over d1..d4, in :class:`TraceTuple` order."""
+_ALL_FRESH = (None,) * 15
+
+
+def carry_traces(mats: Sequence[Mat2], table: Sequence[Optional[int]],
+                 old: Optional[TraceTuple] = None) -> TraceTuple:
+    """Trace coordinates of ``mats`` (d1..d4), copying what ``old`` knows.
+
+    ``table[k]`` is ``j`` when coordinate ``k`` of ``mats`` equals
+    coordinate ``j`` of ``old``, and ``None`` when it must be computed.  The
+    products ``M1 M2`` and ``M3 M4`` are built only when a computed
+    coordinate needs them.
+    """
+    factors: list[Optional[Mat2]] = [*mats[:4], None, None]
+    values = []
+    for k, src in enumerate(table):
+        if src is not None:
+            values.append(old.values[src])
+            continue
+        recipe = _RECIPES[k]
+        for f in recipe:
+            if factors[f] is None:
+                i, j = _FACTORS[f]
+                factors[f] = factors[i - 1] * factors[j - 1]
+        if len(recipe) == 1:
+            values.append(factors[recipe[0]].trace())
+        else:
+            values.append(factors[recipe[0]].trace_of_product(factors[recipe[1]]))
+    return TraceTuple(values)
+
+
 def trace_coordinates(rho: RepTuple) -> TraceTuple:
-    m1, m2, m3, m4 = rho.mats
-    p12, p34 = m1 * m2, m3 * m4
-    return TraceTuple([
-        m1.trace(), m2.trace(), m3.trace(), m4.trace(),
-        p12.trace_of_product(p34),
-        p12.trace(), m1.trace_of_product(m3), m1.trace_of_product(m4),
-        m2.trace_of_product(m3), m2.trace_of_product(m4), p34.trace(),
-        p12.trace_of_product(m3), p12.trace_of_product(m4),
-        m1.trace_of_product(p34), m2.trace_of_product(p34)])
-
-
-def trace_of_five(mats: Sequence[Mat2]) -> TraceTuple:
-    """Trace tuple of the representation d_i -> mats[i] (first four)."""
-    return trace_coordinates(RepTuple(*mats[:4]))
+    """All fifteen coordinates of ``rho``, each computed."""
+    return carry_traces(rho.mats, _ALL_FRESH)
 
 
 def induced_representation(words: Sequence[GroupWord],

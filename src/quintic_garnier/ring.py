@@ -191,7 +191,8 @@ class LaurentPoly:
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            if other.ctx != self.ctx:
+            # identity first: a shared context object needs no VarContext.__eq__
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextError("context mismatch")
             return other
         if isinstance(other, (int, Fraction)):

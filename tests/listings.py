@@ -100,3 +100,11 @@ def random_monomial_matrix(rng: random.Random, ctx=CTX_UV) -> Mat2:
 
 def random_rep_tuple(rng: random.Random, ctx=CTX_UV) -> RepTuple:
     return RepTuple(*(random_monomial_matrix(rng, ctx) for _ in range(4)))
+
+
+def random_unipotent(rng: random.Random, ctx) -> Mat2:
+    """[[1, m], [0, 1]] or [[1, 0], [m, 1]] for a random signed unit monomial m."""
+    m = ctx.monomial(rng.choice([1, -1]),
+                     {n: rng.randint(-2, 2) for n in ctx.names})
+    one, zero = ctx.one(), ctx.zero()
+    return Mat2(one, m, zero, one) if rng.random() < 0.5 else Mat2(one, zero, m, one)

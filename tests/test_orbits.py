@@ -4,19 +4,21 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 
-from quintic_garnier.braids import (BraidWord, braid_act, center_check,
+from quintic_garnier.braids import (BraidWord, _carried_moves, _copy_table,
+                                    _keyed, braid_act, center_check,
                                     extended_orbit, full_twist, orbit,
                                     orbit_compare, parse_substitution,
                                     pure_generators)
 from quintic_garnier.families import CTX_S, CTX_UV, builtin_family
 from quintic_garnier.reps import RepTuple, TraceTuple, trace_coordinates
 from quintic_garnier.ring import LaurentPoly, VarContext
-from quintic_garnier.sl2 import Mat2
-from listings import EXTENDED_SIZES, LISTINGS, random_rep_tuple
+from quintic_garnier.sl2 import Mat2, closure
+from listings import EXTENDED_SIZES, LISTINGS, random_rep_tuple, random_unipotent
 
 u, v = CTX_UV.var("u"), CTX_UV.var("v")
 s = CTX_S.var("s")
@@ -226,11 +228,13 @@ def _orbit_digest(res) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+GOLDEN_DIGESTS = json.loads(
+    (Path(__file__).parent / "golden" / "orbit_digests.json").read_text())
+
+
 def test_extended_orbit_json_matches_golden_digests():
     """The orbit JSON of rho1..rho4 and of rho1 at u=3/2, v=-7 stays
     byte-identical: the digests were recorded before the kernels changed."""
-    golden = json.loads(
-        (Path(__file__).parent / "golden" / "orbit_digests.json").read_text())
     point = {"u": Fraction(3, 2), "v": Fraction(-7)}
     rho1 = builtin_family("rho1").rep
     seeds = {name: builtin_family(name).rep
@@ -239,4 +243,85 @@ def test_extended_orbit_json_matches_golden_digests():
         *(Mat2(*(e.substitute(point) for e in m.entries())) for m in rho1.mats))
     got = {key: _orbit_digest(extended_orbit(rep, seed_name=key.split()[0]))
            for key, rep in seeds.items()}
-    assert got == golden
+    assert got == {key: GOLDEN_DIGESTS[key] for key in got}
+
+
+def test_pure_and_cutoff_orbit_json_matches_golden_digests():
+    """Pure orbits of rho1..rho4 and the identity, and the partial extended
+    orbit of rho1 cut off at 7 elements, stay byte-identical too."""
+    got = {f"pure {name}": _orbit_digest(orbit(builtin_family(name).rep,
+                                               pure_generators(), seed_name=name))
+           for name in ("rho1", "rho2", "rho3", "rho4", "identity")}
+    cut = extended_orbit(builtin_family("rho1").rep, cutoff=7, seed_name="rho1")
+    assert cut.status == "cutoff" and len(cut) == 7
+    got["rho1 cutoff=7"] = _orbit_digest(cut)
+    assert got == {key: GOLDEN_DIGESTS[key] for key in got}
+    # the two golden tests together cover every recorded digest
+    assert len(GOLDEN_DIGESTS) == len(got) + 5
+
+
+SPHERICAL = [BraidWord([i], "spherical5") for i in (1, 2, 3, 4)]
+
+
+def _checked_images(item, moves):
+    """Every move's image of ``item``, after checking that its carried trace
+    tuple equals the one recomputed from its matrices, coordinate for
+    coordinate."""
+    images = []
+    for name, move in moves:
+        mats, carried = image = move(item)
+        rho = mats if isinstance(mats, RepTuple) else RepTuple(*mats[:4])
+        fresh = trace_coordinates(rho)
+        wrong = [k for k in range(15) if carried.values[k] != fresh.values[k]]
+        assert wrong == [], (name, wrong)
+        images.append(image)
+    return images
+
+
+def _assert_orbit_carries_keys(seed, words, cutoff):
+    """Close the orbit with every move applied through the check."""
+    moves = _carried_moves(words)
+    checked = [(name, lambda item, m=(name, move): _checked_images(item, [m])[0])
+               for name, move in moves]
+    closure(_keyed(seed), checked, itemgetter(1), cutoff)
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["catalog", "conjugate"])
+@pytest.mark.parametrize("name", ["rho1", "rho2", "rho3", "rho4"])
+def test_carried_keys_match_recomputed_traces_on_orbits(name, conjugated):
+    rho = builtin_family(name).rep
+    if conjugated:
+        rho = rho.conjugate_by(random_unipotent(random.Random(name), rho.ctx))
+    _assert_orbit_carries_keys(rho.five(), SPHERICAL, 10000)
+    _assert_orbit_carries_keys(rho, pure_generators(), 1000)
+
+
+def test_carried_keys_match_recomputed_traces_over_extension():
+    fam = builtin_family("gamma3_finite")
+    a, b = fam.assignment["a"], fam.assignment["b"]
+    rho = RepTuple(a, b, a * b, b * a * b)
+    _assert_orbit_carries_keys(rho.five(), SPHERICAL, 30)
+    _assert_orbit_carries_keys(rho, pure_generators(), 1000)
+
+
+def test_carried_keys_match_recomputed_traces_on_random_walks():
+    rng = random.Random(71)
+    spherical, pure = _carried_moves(SPHERICAL), _carried_moves(pure_generators())
+    for _ in range(50):
+        rho = random_rep_tuple(rng)
+        for seed, moves in ((rho.five(), spherical), (rho, pure)):
+            item = _keyed(seed)
+            for _ in range(4):
+                item = rng.choice(_checked_images(item, moves))
+
+
+def test_copy_tables_of_elementary_moves():
+    tables = [_copy_table(w.letters, w.flavor)
+              for g in SPHERICAL for w in (g, g.inverse())]
+    assert [t.count(None) for t in tables] == [3, 3, 3, 3, 3, 3, 4, 4]
+    # sigma_1 swaps t1 and t2; sigma_1..sigma_3 keep t5 = tr(M1 M2 M3 M4)
+    assert tables[0][:2] == (1, 0)
+    assert all(t[4] == 4 for t in tables[:6])
+    # a pure generator fixes the local traces t1..t4
+    for g in pure_generators():
+        assert _copy_table(g.letters, g.flavor)[:4] == (0, 1, 2, 3)

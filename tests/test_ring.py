@@ -147,6 +147,24 @@ def test_mul_by_zero_or_one_of_another_context_raises():
                 a * b
 
 
+def test_equal_contexts_interoperate_and_unequal_ones_raise():
+    # a context built anew with the same names is a different object
+    twin = VarContext(["u", "v"])
+    assert twin is not UV and twin == UV
+    p, q = u + v ** -1, twin.var("u") - 2
+    assert p + q == u + v ** -1 + u - 2
+    assert p * q == q * p == (u + v ** -1) * (u - 2)
+    assert p - q == u + v ** -1 - u + 2
+    ext = VarContext(["u", "v"], extension=("u", [1, 1]))
+    for other in (VarContext(["v", "u"]), VarContext(["u"]), ext):
+        r = other.var("u") + 1
+        for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a - b):
+            with pytest.raises(ContextError):
+                op(p, r)
+            with pytest.raises(ContextError):
+                op(r, p)
+
+
 def test_is_one():
     assert UV.one().is_one() and (u * u ** -1).is_one()
     assert not any(p.is_one() for p in (UV.zero(), UV.const(2), u, u + 1, -UV.one()))

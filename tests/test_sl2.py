@@ -14,7 +14,7 @@ from quintic_garnier.ring import LaurentPoly
 from quintic_garnier.sl2 import (GroupWord, Mat2, closure, commutator,
                                  projective_closure, verify_relations,
                                  word_evaluate)
-from listings import random_monomial_matrix, random_rep_tuple
+from listings import random_monomial_matrix, random_rep_tuple, random_unipotent
 
 u, v = CTX_UV.var("u"), CTX_UV.var("v")
 J = Mat2.antidiagonal(CTX_UV.one())
@@ -170,20 +170,12 @@ def _full_product_coordinates(rho):
             + [(pair[(a, b)] * m[c]).trace() for a, b, c in triples])
 
 
-def _unipotent(rng, ctx):
-    """[[1, m], [0, 1]] or [[1, 0], [m, 1]] for a random signed unit monomial m."""
-    m = ctx.monomial(rng.choice([1, -1]),
-                     {n: rng.randint(-2, 2) for n in ctx.names})
-    one, zero = ctx.one(), ctx.zero()
-    return Mat2(one, m, zero, one) if rng.random() < 0.5 else Mat2(one, zero, m, one)
-
-
 def test_trace_coordinates_match_full_product_reference():
     rng = random.Random(67)
     fam = builtin_family("gamma3_finite")
     a, b = fam.assignment["a"], fam.assignment["b"]
     reps = [builtin_family(f"rho{i}").rep for i in (1, 2, 3, 4)]
-    reps += [rho.conjugate_by(_unipotent(rng, rho.ctx)) for rho in reps]
+    reps += [rho.conjugate_by(random_unipotent(rng, rho.ctx)) for rho in reps]
     reps.append(RepTuple(a, b, a * b, b * a * b))
     for rho in reps:
         got = trace_coordinates(rho).values
