@@ -19,8 +19,20 @@ rotation and inversion, one of the fifteen coordinate words, the new value
 is copied from the old tuple; σ1 swaps t1 and t2 and keeps t5, for
 example, and only three or four of the fifteen are computed.  The copy is
 exact because the trace is a class function and ``tr(W^-1) = tr(W)`` at
-determinant one, over any commutative ring.  The images still pass through
-:class:`~quintic_garnier.reps.RepTuple`, which checks their determinants.
+determinant one, over any commutative ring.  The same words show which of
+the pair products ``M1 M2`` and ``M3 M4`` a move leaves equal (σ1 and σ3
+keep both, the spherical σ4 keeps ``M1 M2``, σ2 neither); an element carries
+the products it has built, and a move passes on those it keeps.
+
+A letter creates one matrix, ``a b a^-1`` or ``b^-1 a b``, and copies the
+rest.  The inverse factor is the plain adjugate, and the new matrix has its
+determinant checked once; the copied matrices are not checked again.  This
+is exact over any commutative ring: ``det`` is multiplicative and the
+adjugate of a determinant-one matrix has determinant one, so the images of
+unimodular matrices are unimodular.  The checks stay at the entry points,
+where matrices come from outside: :class:`~quintic_garnier.reps.RepTuple`,
+:meth:`~quintic_garnier.sl2.Mat2.inverse` and
+:func:`~quintic_garnier.sl2.word_evaluate`.
 """
 
 from __future__ import annotations
@@ -30,8 +42,8 @@ import json
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .reps import (COORDINATE_WORDS, RepTuple, TraceTuple, carry_traces,
-                   trace_coordinates)
+from .reps import (COORDINATE_WORDS, PRODUCT_WORDS, RepTuple, TraceTuple,
+                   carry_traces, trace_coordinates)
 from .ring import LaurentPoly, VarContext, parse_poly
 from .sl2 import GroupWord, Mat2, closure
 
@@ -78,32 +90,43 @@ class BraidWord:
         return f"BraidWord({self.name})"
 
 
-def _apply_letter(mats: list, x: int) -> None:
-    """One letter on a list of matrices, or of group words (:func:`_copy_table`)."""
+def _apply_letter(mats: list, x: int, inverse) -> int:
+    """One letter on a list of matrices, or of group words (:func:`_copy_table`),
+    with ``inverse`` inverting an entry; returns the index of the entry it creates."""
     i = abs(x) - 1
     a, b = mats[i], mats[i + 1]
     if x > 0:
-        mats[i], mats[i + 1] = a * b * a.inverse(), a
-    else:
-        mats[i], mats[i + 1] = b, b.inverse() * a * b
+        mats[i], mats[i + 1] = a * b * inverse(a), a
+        return i
+    mats[i], mats[i + 1] = b, inverse(b) * a * b
+    return i + 1
+
+
+def _act(letters: Sequence[int], mats: list) -> list:
+    """Letters on a list of unimodular matrices, in place; each matrix a
+    letter creates has its determinant checked once."""
+    one = mats[0].ctx.one()
+    for x in letters:
+        if mats[_apply_letter(mats, x, Mat2.adjugate)].det() != one:
+            raise ValueError("a braid move built a matrix of determinant other than one")
+    return mats
 
 
 def braid_act(word: BraidWord, rho: Union[RepTuple, Sequence[Mat2]]):
-    """Apply a braid word; returns the same shape as the input."""
+    """Apply a braid word; returns the same shape as the input.
+
+    The matrices of a raw sequence are taken to be unimodular, as those of
+    a :class:`~quintic_garnier.reps.RepTuple` are checked to be.
+    """
     if isinstance(rho, RepTuple):
         if word.flavor != "b4":
             raise IndexError("a 4-tuple carries only the b4 action")
-        mats = list(rho.mats)
-        for x in word.letters:
-            _apply_letter(mats, x)
-        return RepTuple(*mats)
+        return RepTuple._from_checked(_act(word.letters, list(rho.mats)))
     mats = list(rho)
     top = 3 if word.flavor == "b4" else 4
     if len(mats) <= top:
         raise IndexError("tuple too short for flavor")
-    for x in word.letters:
-        _apply_letter(mats, x)
-    return tuple(mats)
+    return tuple(_act(word.letters, mats))
 
 
 def pure_generators() -> list[BraidWord]:
@@ -197,35 +220,50 @@ def _cyclic_class(w: GroupWord) -> tuple:
 
 
 _COORDINATE_CLASSES = {_cyclic_class(w): k for k, w in enumerate(COORDINATE_WORDS)}
+_PRODUCT_INDEX = {w: j for j, w in enumerate(PRODUCT_WORDS)}
 
 
 @functools.lru_cache(maxsize=256)
-def _copy_table(letters: tuple[int, ...], flavor: str) -> tuple[Optional[int], ...]:
-    """For each trace coordinate after the word acts, the coordinate before
-    it that has the same value, or ``None`` where it must be computed."""
+def _copy_table(letters: tuple[int, ...], flavor: str) -> tuple[tuple, tuple]:
+    """What a word leaves equal: ``(table, kept)``.
+
+    ``table`` gives, for each trace coordinate after the word acts, the
+    coordinate before it that has the same value, or ``None`` where it must
+    be computed.  ``kept`` gives, for ``M1 M2`` and ``M3 M4`` after the
+    word acts, the one of the two before it that is the same word in
+    d1..d4, or ``None``.
+    """
     gens = [GroupWord.gen(f"d{i}") for i in (1, 2, 3, 4)]
     if flavor == "spherical5":
         gens.append((gens[0] * gens[1] * gens[2] * gens[3]).inverse())
     for x in letters:
-        _apply_letter(gens, x)
+        _apply_letter(gens, x, GroupWord.inverse)
     images = dict(zip(("d1", "d2", "d3", "d4"), gens))
-    table = []
-    for w in COORDINATE_WORDS:
-        image = GroupWord()
+
+    def image(w: GroupWord) -> GroupWord:
+        out = GroupWord()
         for sym, e in w.letters:
-            image = image * images[sym] ** e
-        table.append(_COORDINATE_CLASSES.get(_cyclic_class(image)))
-    return tuple(table)
+            out = out * images[sym] ** e
+        return out
+
+    table = tuple(_COORDINATE_CLASSES.get(_cyclic_class(image(w)))
+                  for w in COORDINATE_WORDS)
+    kept = tuple(_PRODUCT_INDEX.get(image(w)) for w in PRODUCT_WORDS)
+    return table, kept
 
 
-def _keyed(mats, table: Sequence[Optional[int]] = (), old: Optional[TraceTuple] = None):
-    """A closure item: the matrices and their trace tuple, copied from
-    ``old`` where ``table`` allows.  A 5-tuple's first four matrices go
-    through ``RepTuple``, which checks their determinants."""
-    rho = mats if isinstance(mats, RepTuple) else RepTuple(*mats[:4])
+def _keyed(mats, copies: Optional[tuple] = None, old: Optional[tuple] = None):
+    """A closure item ``(mats, traces, products)``: the matrices, their
+    trace tuple, and their products ``M1 M2`` and ``M3 M4``, each ``None``
+    until a computed coordinate needs it.  For the image of a move,
+    ``copies`` is the move's :func:`_copy_table` and ``old`` the item it
+    moved; what they show equal is copied from ``old``, not computed."""
+    quad = mats.mats if isinstance(mats, RepTuple) else mats
     if old is None:
-        return mats, trace_coordinates(rho)
-    return mats, carry_traces(rho.mats, table, old)
+        return (mats, *carry_traces(quad))
+    table, kept = copies
+    products = tuple(None if j is None else old[2][j] for j in kept)
+    return (mats, *carry_traces(quad, table, old[1], products))
 
 
 def _carried_moves(words: Iterable[BraidWord]) -> list:
@@ -233,9 +271,9 @@ def _carried_moves(words: Iterable[BraidWord]) -> list:
     moves = []
     for g in words:
         for w in (g, g.inverse()):
-            table = _copy_table(w.letters, w.flavor)
-            moves.append((w.name, lambda item, w=w, table=table:
-                          _keyed(braid_act(w, item[0]), table, item[1])))
+            copies = _copy_table(w.letters, w.flavor)
+            moves.append((w.name, lambda item, w=w, copies=copies:
+                          _keyed(braid_act(w, item[0]), copies, item)))
     return moves
 
 

@@ -77,8 +77,11 @@ def _parse_at(text: str) -> dict[str, Fraction]:
         if not piece:
             continue
         name, _, val = piece.partition("=")
+        name = name.strip()
+        if name in out:
+            raise ValueError(f"--at names {name!r} more than once")
         try:
-            out[name.strip()] = Fraction(val.strip())
+            out[name] = Fraction(val.strip())
         except ZeroDivisionError:
             raise ValueError(f"--at value {piece!r} has a zero denominator") from None
     return out
@@ -455,10 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit = sub.add_parser("orbit", help="compute a mapping-class orbit")
     p_orbit.add_argument("family", nargs="?", default=None,
                          help="catalog family name (rho1..rho4, identity)")
-    p_orbit.add_argument("--pure", action="store_true",
-                         help="pure six-generator action (default)")
-    p_orbit.add_argument("--extended", action="store_true",
-                         help="five-strand extended action")
+    action = p_orbit.add_mutually_exclusive_group()
+    action.add_argument("--pure", action="store_true",
+                        help="pure six-generator action (default)")
+    action.add_argument("--extended", action="store_true",
+                        help="five-strand extended action")
     p_orbit.add_argument("--cutoff", type=int, default=None)
     p_orbit.add_argument("--out", default=None, help="write the orbit JSON here")
     p_orbit.add_argument("--at", default=None,

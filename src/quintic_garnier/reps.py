@@ -20,7 +20,10 @@ products of a full matrix product.
 them are known to equal old ones (a braid move permutes most of them; see
 :mod:`~quintic_garnier.braids`).  A copy is exact, not an approximation: the
 trace is a class function, ``tr(W^-1) = tr(W)`` at determinant one, and both
-hold over any commutative ring, so over ``Q[r]/(m)`` too.
+hold over any commutative ring, so over ``Q[r]/(m)`` too.  It also takes
+and hands back the pair products ``M1 M2`` and ``M3 M4``: a braid move that
+leaves one of them equal, as a word in the free generators, passes it on
+instead of building it again.
 """
 
 from __future__ import annotations
@@ -46,6 +49,16 @@ class RepTuple:
             if m.det() != one:
                 raise ValueError("representation matrices must have determinant one")
         self._m5: Optional[Mat2] = None
+
+    @classmethod
+    def _from_checked(cls, mats: Sequence[Mat2]) -> "RepTuple":
+        """Four matrices already known to have determinant one, not checked
+        again: the image of a braid move (see :mod:`~quintic_garnier.braids`)."""
+        rho = cls.__new__(cls)
+        rho.mats = tuple(mats)
+        rho.ctx = rho.mats[0].ctx
+        rho._m5 = None
+        return rho
 
     @classmethod
     def identity(cls, ctx: VarContext) -> "RepTuple":
@@ -132,19 +145,26 @@ _FACTORS = ((1,), (2,), (3,), (4,), (1, 2), (3, 4))
 COORDINATE_WORDS = tuple(GroupWord((f"d{i}", 1) for f in recipe for i in _FACTORS[f])
                          for recipe in _RECIPES)
 """The fifteen coordinates as words over d1..d4, in :class:`TraceTuple` order."""
+PRODUCT_WORDS = tuple(GroupWord((f"d{i}", 1) for i in _FACTORS[f]) for f in (4, 5))
+"""``M1 M2`` and ``M3 M4`` as words over d1..d4: the products that
+:func:`carry_traces` takes and hands back."""
 _ALL_FRESH = (None,) * 15
 
 
-def carry_traces(mats: Sequence[Mat2], table: Sequence[Optional[int]],
-                 old: Optional[TraceTuple] = None) -> TraceTuple:
-    """Trace coordinates of ``mats`` (d1..d4), copying what ``old`` knows.
+def carry_traces(mats: Sequence[Mat2], table: Sequence[Optional[int]] = _ALL_FRESH,
+                 old: Optional[TraceTuple] = None,
+                 products: Sequence[Optional[Mat2]] = (None, None),
+                 ) -> tuple[TraceTuple, tuple[Optional[Mat2], Optional[Mat2]]]:
+    """Trace coordinates of ``mats`` (d1..d4), copying what is known.
 
     ``table[k]`` is ``j`` when coordinate ``k`` of ``mats`` equals
-    coordinate ``j`` of ``old``, and ``None`` when it must be computed.  The
-    products ``M1 M2`` and ``M3 M4`` are built only when a computed
-    coordinate needs them.
+    coordinate ``j`` of ``old``, and ``None`` when it must be computed.
+    ``products`` holds ``M1 M2`` and ``M3 M4`` of ``mats`` where they are
+    already known, ``None`` where not; a missing one is built only when a
+    computed coordinate needs it.  Returns the coordinates and the two
+    products as they stand afterwards, so a caller can carry them on.
     """
-    factors: list[Optional[Mat2]] = [*mats[:4], None, None]
+    factors: list[Optional[Mat2]] = [*mats[:4], *products]
     values = []
     for k, src in enumerate(table):
         if src is not None:
@@ -159,12 +179,12 @@ def carry_traces(mats: Sequence[Mat2], table: Sequence[Optional[int]],
             values.append(factors[recipe[0]].trace())
         else:
             values.append(factors[recipe[0]].trace_of_product(factors[recipe[1]]))
-    return TraceTuple(values)
+    return TraceTuple(values), (factors[4], factors[5])
 
 
 def trace_coordinates(rho: RepTuple) -> TraceTuple:
     """All fifteen coordinates of ``rho``, each computed."""
-    return carry_traces(rho.mats, _ALL_FRESH)
+    return carry_traces(rho.mats)[0]
 
 
 def induced_representation(words: Sequence[GroupWord],

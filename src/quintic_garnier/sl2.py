@@ -69,11 +69,18 @@ class Mat2:
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a, -self.b, -self.c, -self.d)
 
+    def adjugate(self) -> "Mat2":
+        """((d, -b), (-c, a)): the inverse when the determinant is one.
+
+        Nothing is checked; :meth:`inverse` is the checked form.
+        """
+        return Mat2(self.d, -self.b, -self.c, self.a)
+
     def inverse(self) -> "Mat2":
         """Adjugate inverse; requires determinant exactly one."""
         if self.det() != self.ctx.one():
             raise ValueError("inverse defined only for determinant-one matrices")
-        return Mat2(self.d, -self.b, -self.c, self.a)
+        return self.adjugate()
 
     def conjugate_by(self, g: "Mat2") -> "Mat2":
         return g * self * g.inverse()

@@ -234,6 +234,29 @@ def test_compare_malformed_orbit_files_are_usage_errors(capsys, tmp_path, defect
     assert captured.err.startswith("error:")
 
 
+def test_rep_file_matrix_of_determinant_two_is_usage_error(capsys, tmp_path):
+    det_two = ["1*u^1", "0", "0", "2*u^-1"]
+    path = _rep_file(tmp_path, RHO1_FILE[:3] + (det_two,))
+    rc = main(["orbit", "--rep-file", path, "--extended"])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err.startswith("error:") and "determinant" in captured.err
+
+
+def test_pure_and_extended_are_mutually_exclusive(capsys):
+    rc = main(["orbit", "rho1", "--pure", "--extended"])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert "--extended" in captured.err and "--pure" in captured.err
+
+
+def test_orbit_at_repeated_name_is_usage_error(capsys):
+    rc = main(["orbit", "rho1", "--pure", "--at", "u=1,u=2"])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err.startswith("error:") and "'u'" in captured.err
+
+
 def test_rep_file_fifth_matrix_must_close_the_product(capsys, tmp_path):
     # the four multiply to diag(-u^-1 v, -u v^-1); its inverse closes the product
     closing = ["-1*u^1*v^-1", "0", "0", "-1*u^-1*v^1"]

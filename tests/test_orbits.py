@@ -73,6 +73,14 @@ def test_braid_act_preserves_det_and_product():
             assert prod.is_identity()
 
 
+def test_a_letter_checks_the_matrix_it_creates():
+    # a = diag(2u, u^-1) has determinant two; sigma_1 builds a I adj(a) = 2 I
+    two = Mat2(2 * u, 0, 0, u ** -1)
+    ident = Mat2.identity(CTX_UV)
+    with pytest.raises(ValueError, match="determinant"):
+        braid_act(BraidWord([1], "spherical5"), [two] + [ident] * 4)
+
+
 def test_flavor_range_checks():
     with pytest.raises(IndexError):
         BraidWord([4], "b4")
@@ -266,14 +274,19 @@ SPHERICAL = [BraidWord([i], "spherical5") for i in (1, 2, 3, 4)]
 def _checked_images(item, moves):
     """Every move's image of ``item``, after checking that its carried trace
     tuple equals the one recomputed from its matrices, coordinate for
-    coordinate."""
+    coordinate; that each of its matrices has determinant one; and that
+    each pair product it carries equals the product built afresh."""
     images = []
     for name, move in moves:
-        mats, carried = image = move(item)
-        rho = mats if isinstance(mats, RepTuple) else RepTuple(*mats[:4])
-        fresh = trace_coordinates(rho)
+        mats, carried, products = image = move(item)
+        mats = mats.mats if isinstance(mats, RepTuple) else mats
+        one = mats[0].ctx.one()
+        assert [m.det() for m in mats] == [one] * len(mats), name
+        fresh = trace_coordinates(RepTuple(*mats[:4]))
         wrong = [k for k in range(15) if carried.values[k] != fresh.values[k]]
         assert wrong == [], (name, wrong)
+        for p, (i, j) in zip(products, ((0, 1), (2, 3))):
+            assert p is None or p == mats[i] * mats[j], (name, i, j)
         images.append(image)
     return images
 
@@ -316,12 +329,35 @@ def test_carried_keys_match_recomputed_traces_on_random_walks():
 
 
 def test_copy_tables_of_elementary_moves():
-    tables = [_copy_table(w.letters, w.flavor)
-              for g in SPHERICAL for w in (g, g.inverse())]
+    tables, kept = zip(*(_copy_table(w.letters, w.flavor)
+                         for g in SPHERICAL for w in (g, g.inverse())))
     assert [t.count(None) for t in tables] == [3, 3, 3, 3, 3, 3, 4, 4]
     # sigma_1 swaps t1 and t2; sigma_1..sigma_3 keep t5 = tr(M1 M2 M3 M4)
     assert tables[0][:2] == (1, 0)
     assert all(t[4] == 4 for t in tables[:6])
+    # sigma_1 and sigma_3 keep M1 M2 and M3 M4, sigma_2 neither, and the
+    # spherical sigma_4 keeps M1 M2; each the same as its inverse
+    assert kept == ((0, 1),) * 2 + ((None, None),) * 2 + ((0, 1),) * 2 + ((0, None),) * 2
     # a pure generator fixes the local traces t1..t4
     for g in pure_generators():
-        assert _copy_table(g.letters, g.flavor)[:4] == (0, 1, 2, 3)
+        assert _copy_table(g.letters, g.flavor)[0][:4] == (0, 1, 2, 3)
+
+
+def test_extended_orbit_builds_only_what_is_new(monkeypatch):
+    """Pinned counts over the extended orbit of catalog rho1: one determinant
+    per letter (the matrix it creates) plus one for the seed's fifth matrix,
+    and no pair product built again after a move that keeps it.  A change
+    that brings back re-checks or rebuilt products fails here."""
+    rep = builtin_family("rho1").rep
+    calls = {"det": 0, "__mul__": 0}
+    for attr in calls:
+        def counted(*args, _f=getattr(Mat2, attr), _attr=attr):
+            calls[_attr] += 1
+            return _f(*args)
+        monkeypatch.setattr(Mat2, attr, counted)
+    res = extended_orbit(rep)
+    assert len(res) == 240 and res.status == "closed"
+    letters = 240 * len(SPHERICAL) * 2
+    # two products per letter, three for the seed's fifth matrix, and the
+    # pair products that the computed coordinates need and no move kept
+    assert calls == {"det": letters + 1, "__mul__": 2 * letters + 3 + 1154}

@@ -194,6 +194,21 @@ def test_rep_tuple_product_and_determinants():
         assert verify_product_identity(rho) == {"sl2": True, "psl2": True}
 
 
+def test_entry_points_reject_a_determinant_two_matrix():
+    """Braid moves skip the checks of matrices they copy; the entry points,
+    where matrices come from outside, keep theirs."""
+    det_two = Mat2(u, 0, 0, 2 * u ** -1)
+    with pytest.raises(ValueError, match="determinant one"):
+        RepTuple(J, det_two, J, J)
+    with pytest.raises(ValueError, match="determinant-one"):
+        det_two.inverse()
+    with pytest.raises(ValueError, match="'b'"):
+        word_evaluate({"a": J, "b": det_two}, GroupWord.gen("b"))
+    # the adjugate is the unchecked form: m adj(m) = det(m) I
+    two = CTX_UV.const(2)
+    assert det_two * det_two.adjugate() == Mat2(two, 0, 0, two)
+
+
 def test_product_identity_of_line_rows():
     for name, expect in [("line_case1", True), ("line_case2", True),
                          ("line_case3b", True)]:
