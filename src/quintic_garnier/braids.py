@@ -11,18 +11,22 @@ Orbits are breadth-first closures deduplicated by the exact fifteen-trace
 tuple of the underlying class; the element set is independent of generator
 order and scheduling, while provenance edges may differ.
 
-Each orbit element carries its trace tuple, and a move computes only the
-coordinates it changes.  The same move applied to the free generators
-d1..d4 (with ``d5 = (d1 d2 d3 d4)^-1`` for ``spherical5``) gives each new
-coordinate as a word in the old generators.  When that word is, up to
-rotation and inversion, one of the fifteen coordinate words, the new value
-is copied from the old tuple; σ1 swaps t1 and t2 and keeps t5, for
-example, and only three or four of the fifteen are computed.  The copy is
-exact because the trace is a class function and ``tr(W^-1) = tr(W)`` at
-determinant one, over any commutative ring.  The same words show which of
-the pair products ``M1 M2`` and ``M3 M4`` a move leaves equal (σ1 and σ3
-keep both, the spherical σ4 keeps ``M1 M2``, σ2 neither); an element carries
-the products it has built, and a move passes on those it keeps.
+An orbit step works on plain items ``(mats, traces, (M1 M2, M3 M4))``: the
+tuple of matrices (four for ``b4``, five for ``spherical5``), their trace
+tuple, and the two pair products, each ``None`` until a computed coordinate
+needs it.  No :class:`~quintic_garnier.reps.RepTuple` is built in the loop,
+and a move computes only the coordinates it changes.  The same move applied
+to the free generators d1..d4 (with ``d5 = (d1 d2 d3 d4)^-1`` for
+``spherical5``) gives each new coordinate as a word in the old generators.
+When that word is, up to rotation and inversion, one of the fifteen
+coordinate words, the new value is copied from the old tuple; σ1 swaps t1
+and t2 and keeps t5, for example, and only three or four of the fifteen are
+computed.  The copy is exact because the trace is a class function and
+``tr(W^-1) = tr(W)`` at determinant one, over any commutative ring.  The
+same words show which of the pair products ``M1 M2`` and ``M3 M4`` a move
+leaves equal (σ1 and σ3 keep both, the spherical σ4 keeps ``M1 M2``, σ2
+neither); an element carries the products it has built, and a move passes
+on those it keeps.
 
 A letter creates one matrix, ``a b a^-1`` or ``b^-1 a b``, and copies the
 rest.  The inverse factor is the plain adjugate, and the new matrix has its
@@ -102,14 +106,15 @@ def _apply_letter(mats: list, x: int, inverse) -> int:
     return i + 1
 
 
-def _act(letters: Sequence[int], mats: list) -> list:
-    """Letters on a list of unimodular matrices, in place; each matrix a
-    letter creates has its determinant checked once."""
+def _act(letters: Sequence[int], mats: Sequence[Mat2]) -> tuple:
+    """Letters on unimodular matrices; each matrix a letter creates has its
+    determinant checked once."""
+    mats = list(mats)
     one = mats[0].ctx.one()
     for x in letters:
         if mats[_apply_letter(mats, x, Mat2.adjugate)].det() != one:
             raise ValueError("a braid move built a matrix of determinant other than one")
-    return mats
+    return tuple(mats)
 
 
 def braid_act(word: BraidWord, rho: Union[RepTuple, Sequence[Mat2]]):
@@ -121,12 +126,11 @@ def braid_act(word: BraidWord, rho: Union[RepTuple, Sequence[Mat2]]):
     if isinstance(rho, RepTuple):
         if word.flavor != "b4":
             raise IndexError("a 4-tuple carries only the b4 action")
-        return RepTuple._from_checked(_act(word.letters, list(rho.mats)))
-    mats = list(rho)
+        return RepTuple(*_act(word.letters, rho.mats))
     top = 3 if word.flavor == "b4" else 4
-    if len(mats) <= top:
+    if len(rho) <= top:
         raise IndexError("tuple too short for flavor")
-    return tuple(_act(word.letters, mats))
+    return _act(word.letters, rho)
 
 
 def pure_generators() -> list[BraidWord]:
@@ -252,38 +256,40 @@ def _copy_table(letters: tuple[int, ...], flavor: str) -> tuple[tuple, tuple]:
     return table, kept
 
 
-def _keyed(mats, copies: Optional[tuple] = None, old: Optional[tuple] = None):
-    """A closure item ``(mats, traces, products)``: the matrices, their
-    trace tuple, and their products ``M1 M2`` and ``M3 M4``, each ``None``
-    until a computed coordinate needs it.  For the image of a move,
-    ``copies`` is the move's :func:`_copy_table` and ``old`` the item it
-    moved; what they show equal is copied from ``old``, not computed."""
-    quad = mats.mats if isinstance(mats, RepTuple) else mats
-    if old is None:
-        return (mats, *carry_traces(quad))
-    table, kept = copies
-    products = tuple(None if j is None else old[2][j] for j in kept)
-    return (mats, *carry_traces(quad, table, old[1], products))
-
-
 def _carried_moves(words: Iterable[BraidWord]) -> list:
-    """Each word and its inverse as named closure moves on keyed items."""
+    """Each word and its inverse as named closure moves on items
+    ``(mats, traces, products)``.  A move acts on the matrices with
+    :func:`_act` and copies from the old item what the word's
+    :func:`_copy_table` shows equal; the rest is computed."""
     moves = []
     for g in words:
         for w in (g, g.inverse()):
-            copies = _copy_table(w.letters, w.flavor)
-            moves.append((w.name, lambda item, w=w, copies=copies:
-                          _keyed(braid_act(w, item[0]), copies, item)))
+            table, kept = _copy_table(w.letters, w.flavor)
+
+            def move(item, letters=w.letters, table=table, kept=kept):
+                mats, traces, products = item
+                mats = _act(letters, mats)
+                carried = tuple(None if j is None else products[j] for j in kept)
+                return (mats, *carry_traces(mats, table, traces, carried))
+            moves.append((w.name, move))
     return moves
+
+
+def _orbit(mats: tuple, words: Sequence[BraidWord], cutoff: int,
+           seed_name: str) -> OrbitResult:
+    """Closure of the item of ``mats`` under ``words`` and their inverses."""
+    elements, _, edges, status = closure((mats, *carry_traces(mats)),
+                                         _carried_moves(words), itemgetter(1), cutoff)
+    return OrbitResult(seed_name, elements, edges, status,
+                       [g.name for g in words], cutoff)
 
 
 def orbit(seed: RepTuple, generators: Sequence[BraidWord], cutoff: int = 1000,
           seed_name: str = "seed") -> OrbitResult:
     """Closure of the seed's class under the given words and their inverses."""
-    elements, _, edges, status = closure(_keyed(seed), _carried_moves(generators),
-                                         itemgetter(1), cutoff)
-    return OrbitResult(seed_name, elements, edges, status,
-                       [g.name for g in generators], cutoff)
+    if any(g.flavor != "b4" for g in generators):
+        raise IndexError("a 4-tuple carries only the b4 action")
+    return _orbit(seed.mats, generators, cutoff, seed_name)
 
 
 def extended_orbit(seed: RepTuple, cutoff: int = 10000,
@@ -294,10 +300,7 @@ def extended_orbit(seed: RepTuple, cutoff: int = 10000,
     fifth matrix participates through the last move.
     """
     gens = [BraidWord([i], "spherical5") for i in (1, 2, 3, 4)]
-    elements, _, edges, status = closure(_keyed(seed.five()), _carried_moves(gens),
-                                         itemgetter(1), cutoff)
-    return OrbitResult(seed_name, elements, edges, status,
-                       [g.name for g in gens], cutoff)
+    return _orbit(seed.five(), gens, cutoff, seed_name)
 
 
 def orbit_compare(a: Union[OrbitResult, Iterable[TraceTuple]],

@@ -133,9 +133,7 @@ def _load_rep_file(path: str) -> RepTuple:
 
 def cmd_orbit(args) -> int:
     started = time.perf_counter()
-    cutoff = args.cutoff
-    if cutoff is None:
-        cutoff = 10000 if args.extended else 1000
+    limit = {} if args.cutoff is None else {"cutoff": args.cutoff}
     try:
         if args.rep_file:
             rep = _load_rep_file(args.rep_file)
@@ -149,27 +147,24 @@ def cmd_orbit(args) -> int:
         if args.at:
             rep = _specialize_rep(rep, _parse_at(args.at))
         if args.extended:
-            res = extended_orbit(rep, cutoff=cutoff, seed_name=name)
+            res = extended_orbit(rep, seed_name=name, **limit)
             expected = EXPECTED_EXTENDED.get(name)
         else:
-            res = orbit(rep, pure_generators(), cutoff=cutoff, seed_name=name)
+            res = orbit(rep, pure_generators(), seed_name=name, **limit)
             expected = EXPECTED_PURE.get(name)
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     checks = [ok("closed", res.status == "closed",
                  f"status={res.status}, size={len(res)}")]
-    if expected is not None and not args.at:
+    if expected is not None:
+        note = " (specialized parameters may degenerate)" if args.at else ""
         checks.append(ok("expected_size", len(res) == expected,
-                         f"size={len(res)}, expected={expected}"))
-    elif expected is not None:
-        checks.append(ok("expected_size", len(res) == expected,
-                         f"size={len(res)}, expected={expected} "
-                         "(specialized parameters may degenerate)"))
+                         f"size={len(res)}, expected={expected}{note}"))
     if args.out:
         res.write(args.out)
     rc = emit("orbit", {"family": name, "mode": "extended" if args.extended
-                        else "pure", "cutoff": cutoff, "at": args.at or None},
+                        else "pure", "cutoff": res.cutoff, "at": args.at or None},
               {"size": len(res), "status": res.status}, checks, started,
               args.timing)
     if res.status == "cutoff":

@@ -81,9 +81,6 @@ class MatConnection:
         self.omega = omega
         self.divisors = tuple(divisors)
 
-    def entry(self, i: int, j: int) -> ScalarOneForm:
-        return self.omega[i][j]
-
     def trace_form(self) -> ScalarOneForm:
         return self.omega[0][0] + self.omega[1][1]
 
@@ -100,21 +97,16 @@ class MatConnection:
 
 
 class RiccatiForm:
-    """``dw + P2 w^2 + P1 w + P0`` over a declared fiber coordinate."""
+    """``dw + P2 w^2 + P1 w + P0`` in the fiber coordinate ``w``."""
 
-    __slots__ = ("name", "basis", "base_vars", "fiber_var", "P2", "P1", "P0")
+    __slots__ = ("name", "basis", "base_vars", "P2", "P1", "P0")
 
     def __init__(self, name: str, basis: DenomBasis, base_vars: tuple[str, str],
-                 P2: ScalarOneForm, P1: ScalarOneForm, P0: ScalarOneForm,
-                 fiber_var: str = "w"):
+                 P2: ScalarOneForm, P1: ScalarOneForm, P0: ScalarOneForm):
         self.name = name
         self.basis = basis
         self.base_vars = base_vars
-        self.fiber_var = fiber_var
         self.P2, self.P1, self.P0 = P2, P1, P0
-
-    def coefficients(self) -> tuple[ScalarOneForm, ScalarOneForm, ScalarOneForm]:
-        return (self.P2, self.P1, self.P0)
 
     def __eq__(self, other):
         if not isinstance(other, RiccatiForm):
@@ -339,11 +331,11 @@ def _eigenvalues(m):
 # ---------------------------------------------------------------------------
 # projectivization and Riccati pullback
 
-def riccati_of_connection(conn: MatConnection, fiber_var: str = "w") -> RiccatiForm:
+def riccati_of_connection(conn: MatConnection) -> RiccatiForm:
     """Fiber chart on flat sections: P2 = -w12, P1 = w22 - w11, P0 = w21."""
     om = conn.omega
     return RiccatiForm("P(" + conn.name + ")", conn.basis, conn.base_vars,
-                       -om[0][1], om[1][1] - om[0][0], om[1][0], fiber_var)
+                       -om[0][1], om[1][1] - om[0][0], om[1][0])
 
 
 def pullback_riccati(ric: RiccatiForm, phi: RationalMap,
@@ -360,7 +352,7 @@ def pullback_riccati(ric: RiccatiForm, phi: RationalMap,
     mob = phi.fiber
     if mob is None:
         return RiccatiForm(name or f"{phi.name}*{ric.name}", phi.src, base,
-                           P2, P1, P0, ric.fiber_var)
+                           P2, P1, P0)
     p, q, r, t = mob.p, mob.q, mob.r, mob.t
     den = mob.determinant().inverse()
     dp = ScalarOneForm.d_of(p, base)
@@ -372,7 +364,7 @@ def pullback_riccati(ric: RiccatiForm, phi: RationalMap,
             + P2 * (2 * p * q) + P1 * (p * t + q * r) + P0 * (2 * r * t)) * den
     new0 = (dq * t - dt * q + P2 * (q * q) + P1 * (q * t) + P0 * (t * t)) * den
     return RiccatiForm(name or f"{phi.name}*{ric.name}", phi.src, base,
-                       new2, new1, new0, ric.fiber_var)
+                       new2, new1, new0)
 
 
 # ---------------------------------------------------------------------------

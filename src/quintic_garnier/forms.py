@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 
 from .fractions import (BasisError, DenomBasis, FactoredFraction, eval_poly,
                         frac_eq, serialize_frac)
-from .ring import ContextError, LaurentPoly, exact_divide
+from .ring import ContextError, LaurentPoly
 
 
 class ScalarOneForm:
@@ -203,51 +203,46 @@ def divisor_pullback(f: LaurentPoly, phi: RationalMap,
     """Pull a divisor polynomial back and factor it over a declared list.
 
     Returns ``(unit, {factor_name: exponent})``; the unit is a signed
-    monomial.  Raises :class:`BasisError` with the residual when a factor
-    outside the declared list remains.
+    monomial.  The declared non-monomial factors are divided out by
+    :meth:`DenomBasis.divide_out`, and a declared monomial then counts by
+    its valuation; the order does not matter when, as for an irreducible
+    factor written without a monomial content, each non-monomial factor has
+    order 0 along every coordinate.  Raises :class:`BasisError` with the
+    residual when a factor outside the declared list remains.
     """
     pulled = eval_poly(f, phi.subs, phi.src)
+    polys = {name: g for name, g in declared.items() if not g.is_monomial()}
+    basis = DenomBasis(phi.src.ctx, list(polys.values()), list(polys))
     # clear declared-basis denominators into the answer with negative signs
     out: dict[str, int] = {}
-    p = pulled.num
     for g, e in zip(phi.src.factors, pulled.exps):
         if e:
-            name = _match_name(g, declared)
+            name = next((n for n, h in polys.items() if h == g), None)
             if name is None:
                 err = BasisError(f"denominator factor outside declared list: {g!r}")
                 err.residual = g  # type: ignore[attr-defined]
                 raise err
             out[name] = out.get(name, 0) - e
+    p, counts = basis.divide_out(pulled.num)
+    for name, k in zip(basis.names, counts):
+        out[name] = out.get(name, 0) + k
     for name, g in declared.items():
-        if g.is_monomial():
-            # valuation along a coordinate divisor (may be negative)
-            (gexps, _), = g.terms.items()
-            if any(a < 0 for a in gexps):
-                raise BasisError(f"declared monomial divisor {name!r} has a pole")
-            k = None
-            for i, a in enumerate(gexps):
-                if a > 0:
-                    cand = min(e[i] for e in p.terms) // a
-                    k = cand if k is None else min(k, cand)
-            if k:
-                p = p * (g ** k).inverse()
-                out[name] = out.get(name, 0) + k
+        if name in polys:
             continue
-        while True:
-            q = exact_divide(p, g)
-            if q is None:
-                break
-            p = q
-            out[name] = out.get(name, 0) + 1
+        # valuation along a coordinate divisor (may be negative)
+        (gexps, _), = g.terms.items()
+        if any(a < 0 for a in gexps):
+            raise BasisError(f"declared monomial divisor {name!r} has a pole")
+        k = None
+        for i, a in enumerate(gexps):
+            if a > 0:
+                cand = min(e[i] for e in p.terms) // a
+                k = cand if k is None else min(k, cand)
+        if k:
+            p = p * (g ** k).inverse()
+            out[name] = out.get(name, 0) + k
     if not p.is_monomial():
         err = BasisError("residual factor outside declared list")
         err.residual = p  # type: ignore[attr-defined]
         raise err
     return p, {k: v for k, v in out.items() if v}
-
-
-def _match_name(g: LaurentPoly, declared: Mapping[str, LaurentPoly]) -> Optional[str]:
-    for name, h in declared.items():
-        if g == h:
-            return name
-    return None

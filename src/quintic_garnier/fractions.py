@@ -7,9 +7,11 @@ the constructor is folded into the numerator (``num * f_i^-e_i``), so every
 value has one representation up to cancellation, and :meth:`reduce` makes it
 unique.  Monomial denominators never appear: they are units of the Laurent
 ring and are folded into the numerator's exponents.  No general gcd is
-computed; equality is decided by cross-multiplication, and
-:meth:`FactoredFraction.reduce` cancels declared factors out of the numerator
-by exact division.
+computed; equality is decided by cross-multiplication.
+
+Declared factors are divided out in one loop, :meth:`DenomBasis.divide_out`:
+:meth:`DenomBasis.factor_over` runs it unbounded, and
+:meth:`FactoredFraction.reduce` runs it bounded by the denominator exponents.
 
 Substitution (:func:`eval_poly`) runs the loop and policy of
 :func:`ring.evaluate`: images are rationals, polynomials or fractions, an
@@ -97,6 +99,25 @@ class DenomBasis:
             num = self.ctx.const(num)
         return FactoredFraction(self, num, tuple(exps))
 
+    def divide_out(self, p: LaurentPoly, bounds: Optional[Sequence[int]] = None
+                   ) -> tuple[LaurentPoly, tuple[int, ...]]:
+        """Divide ``p`` by each factor in turn as often as it goes exactly,
+        by factor ``i`` at most ``bounds[i]`` times when bounds are given.
+
+        Returns the quotient and the number of divisions by each factor.
+        ``p`` must be nonzero when no bounds are given.
+        """
+        counts = []
+        for i, f in enumerate(self.factors):
+            k = 0
+            while bounds is None or k < bounds[i]:
+                q = exact_divide(p, f)
+                if q is None:
+                    break
+                p, k = q, k + 1
+            counts.append(k)
+        return p, tuple(counts)
+
     def factor_over(self, p: LaurentPoly) -> tuple[LaurentPoly, tuple[int, ...]]:
         """Factor ``p`` as ``unit * prod(f_i^k_i)``.
 
@@ -105,19 +126,12 @@ class DenomBasis:
         """
         if p.is_zero():
             raise BasisError("cannot factor the zero polynomial")
-        exps = [0] * self.nfactors()
-        for i, f in enumerate(self.factors):
-            while True:
-                q = exact_divide(p, f)
-                if q is None:
-                    break
-                p = q
-                exps[i] += 1
+        p, exps = self.divide_out(p)
         if not p.is_monomial():
             err = BasisError(f"residual factor outside basis: {serialize_poly(p)}")
             err.residual = p  # type: ignore[attr-defined]
             raise err
-        return p, tuple(exps)
+        return p, exps
 
 
 class FactoredFraction:
@@ -236,15 +250,9 @@ class FactoredFraction:
         """Cancel declared factors out of the numerator where possible."""
         if self.is_zero():
             return self
-        num, exps = self.num, list(self.exps)
-        for i, f in enumerate(self.basis.factors):
-            while exps[i] > 0:
-                q = exact_divide(num, f)
-                if q is None:
-                    break
-                num = q
-                exps[i] -= 1
-        return FactoredFraction(self.basis, num, tuple(exps))
+        num, ks = self.basis.divide_out(self.num, self.exps)
+        return FactoredFraction(self.basis, num,
+                                tuple(e - k for e, k in zip(self.exps, ks)))
 
     # -- predicates ------------------------------------------------------
 

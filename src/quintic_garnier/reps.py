@@ -39,7 +39,7 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 class RepTuple:
     """Images of d1..d4, with the derived fifth matrix."""
 
-    __slots__ = ("mats", "ctx", "_m5")
+    __slots__ = ("mats", "ctx")
 
     def __init__(self, m1: Mat2, m2: Mat2, m3: Mat2, m4: Mat2):
         self.mats = (m1, m2, m3, m4)
@@ -48,17 +48,6 @@ class RepTuple:
         for m in self.mats:
             if m.det() != one:
                 raise ValueError("representation matrices must have determinant one")
-        self._m5: Optional[Mat2] = None
-
-    @classmethod
-    def _from_checked(cls, mats: Sequence[Mat2]) -> "RepTuple":
-        """Four matrices already known to have determinant one, not checked
-        again: the image of a braid move (see :mod:`~quintic_garnier.braids`)."""
-        rho = cls.__new__(cls)
-        rho.mats = tuple(mats)
-        rho.ctx = rho.mats[0].ctx
-        rho._m5 = None
-        return rho
 
     @classmethod
     def identity(cls, ctx: VarContext) -> "RepTuple":
@@ -67,16 +56,16 @@ class RepTuple:
 
     @property
     def m5(self) -> Mat2:
-        if self._m5 is None:
-            p = self.mats[0] * self.mats[1] * self.mats[2] * self.mats[3]
-            self._m5 = p.inverse()
-        return self._m5
+        """The inverse of ``M1 M2 M3 M4``, computed on each access."""
+        return (self.mats[0] * self.mats[1] * self.mats[2] * self.mats[3]).inverse()
 
     def five(self) -> tuple[Mat2, ...]:
         return self.mats + (self.m5,)
 
     def conjugate_by(self, g: Mat2) -> "RepTuple":
-        return RepTuple(*(m.conjugate_by(g) for m in self.mats))
+        """``g M g^-1`` for each matrix; ``g^-1`` is taken once."""
+        g_inv = g.inverse()
+        return RepTuple(*(g * m * g_inv for m in self.mats))
 
     def __eq__(self, other):
         return isinstance(other, RepTuple) and self.mats == other.mats
@@ -113,23 +102,12 @@ class TraceTuple:
     def __hash__(self):
         return hash(self.key())
 
-    def __lt__(self, other: "TraceTuple"):
-        return self.serialize() < other.serialize()
-
     def serialize(self) -> tuple[str, ...]:
         return tuple(serialize_poly(v) for v in self.values)
 
     def substitute(self, sigma: Mapping[str, LaurentPoly],
                    target: Optional[VarContext] = None) -> "TraceTuple":
         return TraceTuple([v.substitute(sigma, target) for v in self.values])
-
-    @property
-    def t(self) -> tuple[LaurentPoly, ...]:
-        return self.values[:5]
-
-    @property
-    def r(self) -> tuple[LaurentPoly, ...]:
-        return self.values[5:]
 
     def __repr__(self):
         return "(" + ", ".join(self.serialize()) + ")"

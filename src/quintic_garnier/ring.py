@@ -123,9 +123,6 @@ class VarContext:
             exps[self.index[name]] = int(e)
         return LaurentPoly(self, {tuple(exps): coeff})
 
-    def parse(self, text: str) -> "LaurentPoly":
-        return parse_poly(self, text)
-
 
 class LaurentPoly:
     """Sparse Laurent polynomial; immutable by convention."""
@@ -535,6 +532,9 @@ def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
             elif fac in ctx.index:
                 powers[fac] = powers.get(fac, 0) + 1
             else:
-                coeff *= Fraction(fac)
+                try:
+                    coeff *= Fraction(fac)
+                except ZeroDivisionError:
+                    raise ValueError(f"term {term!r} has a zero denominator") from None
         total = total + ctx.monomial(coeff, powers)
     return total

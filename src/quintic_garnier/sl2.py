@@ -82,9 +82,6 @@ class Mat2:
             raise ValueError("inverse defined only for determinant-one matrices")
         return self.adjugate()
 
-    def conjugate_by(self, g: "Mat2") -> "Mat2":
-        return g * self * g.inverse()
-
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
@@ -150,9 +147,6 @@ class GroupWord:
         for _ in range(n):
             out = out * self
         return out
-
-    def is_empty(self) -> bool:
-        return not self.letters
 
     def symbols(self) -> set[str]:
         return {sym for sym, _ in self.letters}

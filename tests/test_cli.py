@@ -1,10 +1,12 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from quintic_garnier import cli, ring
 from quintic_garnier.cli import main
 
 
@@ -81,6 +83,16 @@ def test_compare_substitution_must_map_every_source_variable(capsys, tmp_path):
     captured = capsys.readouterr()
     assert rc == 3 and not captured.out
     assert captured.err.startswith("error:") and "'v'" in captured.err
+
+
+def test_compare_substitution_zero_denominator_is_usage_error(capsys, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run_cli(capsys, "orbit", "rho2", "--pure", "--out", str(a))
+    run_cli(capsys, "orbit", "rho3", "--pure", "--out", str(b))
+    rc = main(["compare", str(a), str(b), "--subst", "u=1/0*s,v=s"])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err.startswith("error:") and "1/0" in captured.err
 
 
 def test_pure_orbits_disjoint_via_cli(capsys, tmp_path):
@@ -193,7 +205,8 @@ def _rep_file(tmp_path, matrices):
 
 @pytest.mark.parametrize("matrices", [
     RHO1_FILE[:3], RHO1_FILE[:3] + (["1", "0", "0"],),
-    RHO1_FILE[:2] + ([0, 1, -1, 0],) + RHO1_FILE[3:]])
+    RHO1_FILE[:2] + ([0, 1, -1, 0],) + RHO1_FILE[3:],
+    RHO1_FILE[:2] + (["0", "1/0", "-1", "0"],) + RHO1_FILE[3:]])
 def test_rep_file_malformed_matrices_are_usage_errors(capsys, tmp_path, matrices):
     path = _rep_file(tmp_path, matrices)
     rc = main(["orbit", "--rep-file", path, "--pure"])
@@ -216,7 +229,7 @@ def test_rep_file_malformed_documents_are_usage_errors(capsys, tmp_path, doc):
 
 
 @pytest.mark.parametrize("defect", ["number-element", "string-variables",
-                                    "top-level-list"])
+                                    "top-level-list", "zero-denominator"])
 def test_compare_malformed_orbit_files_are_usage_errors(capsys, tmp_path, defect):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli(capsys, "orbit", "rho1", "--pure", "--out", str(a))
@@ -225,6 +238,8 @@ def test_compare_malformed_orbit_files_are_usage_errors(capsys, tmp_path, defect
         data["elements"][0][0] = 2
     elif defect == "string-variables":
         data["variables"] = "uv"
+    elif defect == "zero-denominator":
+        data["elements"][0][0] = "1/0"
     else:
         data = [data]
     b.write_text(json.dumps(data))
@@ -281,3 +296,24 @@ def test_compare_requires_matching_variable_names(capsys, tmp_path):
     assert rc == 0 and doc["results"]["relation"] == "disjoint"
     rc, doc = run_cli(capsys, "compare", str(a), str(b), "--subst", "u=s,v=t")
     assert rc == 0 and doc["results"]["relation"] == "equal"
+
+
+def test_verify_suites_divide_exactly_1289_times(monkeypatch):
+    """Pinned count of ``exact_divide`` calls over every suite of ``verify
+    all``, through each module that binds the function by name: a change
+    to the divide-out loops that adds or drops a division fails here."""
+    calls = [0]
+    divide = ring.exact_divide
+
+    def counted(p, f):
+        calls[0] += 1
+        return divide(p, f)
+    bound = [m for name, m in sys.modules.items()
+             if name.startswith("quintic_garnier")
+             and getattr(m, "exact_divide", None) is divide]
+    assert ring in bound and len(bound) > 1
+    for module in bound:
+        monkeypatch.setattr(module, "exact_divide", counted)
+    for suite in cli.SUITES.values():
+        suite()
+    assert calls[0] == 1289

@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 from quintic_garnier.braids import (BraidWord, _carried_moves, _copy_table,
-                                    _keyed, braid_act, center_check,
-                                    extended_orbit, full_twist, orbit,
-                                    orbit_compare, parse_substitution,
-                                    pure_generators)
+                                    braid_act, center_check, extended_orbit,
+                                    full_twist, orbit, orbit_compare,
+                                    parse_substitution, pure_generators)
 from quintic_garnier.families import CTX_S, CTX_UV, builtin_family
-from quintic_garnier.reps import RepTuple, TraceTuple, trace_coordinates
+from quintic_garnier.reps import (RepTuple, TraceTuple, carry_traces,
+                                  trace_coordinates)
 from quintic_garnier.ring import LaurentPoly, VarContext
 from quintic_garnier.sl2 import Mat2, closure
 from listings import EXTENDED_SIZES, LISTINGS, random_rep_tuple, random_unipotent
@@ -88,6 +88,14 @@ def test_flavor_range_checks():
         BraidWord([5], "spherical5")
     with pytest.raises(IndexError):
         braid_act(BraidWord([1], "spherical5"), builtin_family("rho1").rep)
+
+
+def test_orbit_rejects_a_spherical_word_at_entry(monkeypatch):
+    moves = []
+    monkeypatch.setattr(Mat2, "__mul__", lambda *args: moves.append(args))
+    with pytest.raises(IndexError):
+        orbit(builtin_family("rho1").rep, [BraidWord([1], "spherical5")])
+    assert moves == []
 
 
 def test_pure_generators_are_pure():
@@ -271,6 +279,11 @@ def test_pure_and_cutoff_orbit_json_matches_golden_digests():
 SPHERICAL = [BraidWord([i], "spherical5") for i in (1, 2, 3, 4)]
 
 
+def _item(mats):
+    """The closure item ``(mats, traces, products)`` an orbit starts from."""
+    return (tuple(mats), *carry_traces(mats))
+
+
 def _checked_images(item, moves):
     """Every move's image of ``item``, after checking that its carried trace
     tuple equals the one recomputed from its matrices, coordinate for
@@ -279,7 +292,7 @@ def _checked_images(item, moves):
     images = []
     for name, move in moves:
         mats, carried, products = image = move(item)
-        mats = mats.mats if isinstance(mats, RepTuple) else mats
+        assert isinstance(mats, tuple), name
         one = mats[0].ctx.one()
         assert [m.det() for m in mats] == [one] * len(mats), name
         fresh = trace_coordinates(RepTuple(*mats[:4]))
@@ -296,7 +309,7 @@ def _assert_orbit_carries_keys(seed, words, cutoff):
     moves = _carried_moves(words)
     checked = [(name, lambda item, m=(name, move): _checked_images(item, [m])[0])
                for name, move in moves]
-    closure(_keyed(seed), checked, itemgetter(1), cutoff)
+    closure(_item(seed), checked, itemgetter(1), cutoff)
 
 
 @pytest.mark.parametrize("conjugated", [False, True], ids=["catalog", "conjugate"])
@@ -306,7 +319,7 @@ def test_carried_keys_match_recomputed_traces_on_orbits(name, conjugated):
     if conjugated:
         rho = rho.conjugate_by(random_unipotent(random.Random(name), rho.ctx))
     _assert_orbit_carries_keys(rho.five(), SPHERICAL, 10000)
-    _assert_orbit_carries_keys(rho, pure_generators(), 1000)
+    _assert_orbit_carries_keys(rho.mats, pure_generators(), 1000)
 
 
 def test_carried_keys_match_recomputed_traces_over_extension():
@@ -314,7 +327,7 @@ def test_carried_keys_match_recomputed_traces_over_extension():
     a, b = fam.assignment["a"], fam.assignment["b"]
     rho = RepTuple(a, b, a * b, b * a * b)
     _assert_orbit_carries_keys(rho.five(), SPHERICAL, 30)
-    _assert_orbit_carries_keys(rho, pure_generators(), 1000)
+    _assert_orbit_carries_keys(rho.mats, pure_generators(), 1000)
 
 
 def test_carried_keys_match_recomputed_traces_on_random_walks():
@@ -322,8 +335,8 @@ def test_carried_keys_match_recomputed_traces_on_random_walks():
     spherical, pure = _carried_moves(SPHERICAL), _carried_moves(pure_generators())
     for _ in range(50):
         rho = random_rep_tuple(rng)
-        for seed, moves in ((rho.five(), spherical), (rho, pure)):
-            item = _keyed(seed)
+        for seed, moves in ((rho.five(), spherical), (rho.mats, pure)):
+            item = _item(seed)
             for _ in range(4):
                 item = rng.choice(_checked_images(item, moves))
 

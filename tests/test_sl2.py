@@ -136,6 +136,23 @@ def test_trace_coordinates_conjugation_invariant():
         assert trace_coordinates(rho.conjugate_by(g)) == trace_coordinates(rho)
 
 
+def test_conjugate_by_checks_g_once_and_each_conjugate(monkeypatch):
+    """One determinant for ``g^-1`` and one per conjugate in the
+    constructor: five in all, and the conjugates are ``g M g^-1``."""
+    rho = builtin_family("rho1").rep
+    g = random_unipotent(random.Random(5), rho.ctx)
+    calls = []
+    det = Mat2.det
+    monkeypatch.setattr(Mat2, "det", lambda m: calls.append(m) or det(m))
+    conj = rho.conjugate_by(g)
+    assert len(calls) == 5
+    g_inv = g.adjugate()
+    assert conj.mats == tuple(g * m * g_inv for m in rho.mats)
+    bad = Mat2(2 * u, 0, 0, u ** -1)
+    with pytest.raises(ValueError, match="determinant"):
+        rho.conjugate_by(bad)
+
+
 def _random_entry(rng, ctx):
     """Up to three terms, exponents in -3..3; zero and one come up often."""
     kind = rng.random()
