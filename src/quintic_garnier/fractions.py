@@ -12,6 +12,10 @@ computed; equality is decided by cross-multiplication.
 Declared factors are divided out in one loop, :meth:`DenomBasis.divide_out`:
 :meth:`DenomBasis.factor_over` runs it unbounded, and
 :meth:`FactoredFraction.reduce` runs it bounded by the denominator exponents.
+Each basis remembers the complete factorizations that :meth:`factor_over`
+found, keyed by the polynomial, so a pullback that inverts the same image of
+a factor again divides nothing.  Only successes are stored (a residual
+raises again on every call), and at most :data:`FACTOR_MEMO_CAP` per basis.
 
 Substitution (:func:`eval_poly`) runs the loop and policy of
 :func:`ring.evaluate`: images are rationals, polynomials or fractions, an
@@ -28,6 +32,10 @@ from .ring import (ContextError, LaurentPoly, Rat, VarContext, evaluate,
                    exact_divide, serialize_poly)
 
 
+#: Most factorizations one basis remembers; once full it stores no more.
+FACTOR_MEMO_CAP = 1024
+
+
 class BasisError(ValueError):
     """A denominator factor fell outside the declared basis."""
 
@@ -39,7 +47,7 @@ class DenomBasis:
     and pairwise non-associate; irreducibility is the caller's promise.
     """
 
-    __slots__ = ("ctx", "factors", "names")
+    __slots__ = ("ctx", "factors", "names", "_factored")
 
     def __init__(self, ctx: VarContext, factors: Sequence[LaurentPoly],
                  names: Optional[Sequence[str]] = None):
@@ -52,6 +60,7 @@ class DenomBasis:
         self.factors = tuple(factors)
         self.names = tuple(names) if names is not None else tuple(
             serialize_poly(f) for f in factors)
+        self._factored: dict[LaurentPoly, tuple[LaurentPoly, tuple[int, ...]]] = {}
 
     def __eq__(self, other):
         return self is other or (isinstance(other, DenomBasis)
@@ -105,8 +114,11 @@ class DenomBasis:
         by factor ``i`` at most ``bounds[i]`` times when bounds are given.
 
         Returns the quotient and the number of divisions by each factor.
-        ``p`` must be nonzero when no bounds are given.
+        Raises :class:`BasisError` for the zero polynomial when no bounds are
+        given, since zero divides by every factor without end.
         """
+        if bounds is None and p.is_zero():
+            raise BasisError("cannot factor the zero polynomial")
         counts = []
         for i, f in enumerate(self.factors):
             k = 0
@@ -122,16 +134,21 @@ class DenomBasis:
         """Factor ``p`` as ``unit * prod(f_i^k_i)``.
 
         Returns ``(unit, exponents)``; raises :class:`BasisError` with the
-        residual attached when a non-unit factor remains.
+        residual attached when a non-unit factor remains.  A result is
+        remembered by this basis (up to :data:`FACTOR_MEMO_CAP` of them) and
+        returned again for an equal ``p``; failures are not remembered.
         """
-        if p.is_zero():
-            raise BasisError("cannot factor the zero polynomial")
-        p, exps = self.divide_out(p)
-        if not p.is_monomial():
-            err = BasisError(f"residual factor outside basis: {serialize_poly(p)}")
-            err.residual = p  # type: ignore[attr-defined]
+        hit = self._factored.get(p)
+        if hit is not None:
+            return hit
+        unit, exps = self.divide_out(p)
+        if not unit.is_monomial():
+            err = BasisError(f"residual factor outside basis: {serialize_poly(unit)}")
+            err.residual = unit  # type: ignore[attr-defined]
             raise err
-        return p, exps
+        if len(self._factored) < FACTOR_MEMO_CAP:
+            self._factored[p] = unit, exps
+        return unit, exps
 
 
 class FactoredFraction:

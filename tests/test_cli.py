@@ -1,6 +1,8 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -298,10 +300,14 @@ def test_compare_requires_matching_variable_names(capsys, tmp_path):
     assert rc == 0 and doc["results"]["relation"] == "equal"
 
 
-def test_verify_suites_divide_exactly_1289_times(monkeypatch):
-    """Pinned count of ``exact_divide`` calls over every suite of ``verify
-    all``, through each module that binds the function by name: a change
-    to the divide-out loops that adds or drops a division fails here."""
+def run_suites():
+    for suite in cli.SUITES.values():
+        suite()
+
+
+def count_divisions(run):
+    """Calls to ``exact_divide`` made by ``run()``, counted through each
+    module that binds the function by name."""
     calls = [0]
     divide = ring.exact_divide
 
@@ -313,7 +319,31 @@ def test_verify_suites_divide_exactly_1289_times(monkeypatch):
              and getattr(m, "exact_divide", None) is divide]
     assert ring in bound and len(bound) > 1
     for module in bound:
-        monkeypatch.setattr(module, "exact_divide", counted)
-    for suite in cli.SUITES.values():
-        suite()
-    assert calls[0] == 1289
+        module.exact_divide = counted
+    try:
+        run()
+    finally:
+        for module in bound:
+            module.exact_divide = divide
+    return calls[0]
+
+
+def test_verify_suites_divide_exactly_595_times_cold():
+    """Pinned count of ``exact_divide`` calls over every suite of ``verify
+    all`` in a fresh interpreter, where every basis starts with no
+    remembered factorization: a change to the divide-out loops or to the
+    factorization memo that adds or drops a division fails here."""
+    path = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import test_cli; print(test_cli.count_divisions(test_cli.run_suites))"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) == 595
+
+
+def test_verify_suites_divide_exactly_301_times_warm():
+    """Pinned count of ``exact_divide`` calls over a second run of every
+    suite: the first run leaves each factorization the suites need
+    remembered, so the count does not depend on which tests ran before."""
+    run_suites()
+    assert count_divisions(run_suites) == 301

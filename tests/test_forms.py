@@ -91,6 +91,12 @@ def test_divisor_pullback_reports_residual():
         divisor_pullback(x ** 2 - y, PI, {"v": v})
 
 
+def test_divisor_pullback_of_zero_raises():
+    # zero divides by every declared factor; the divide-out must not loop
+    with pytest.raises(BasisError, match="zero polynomial"):
+        divisor_pullback(XY.zero(), PI, {"u-v": u - v})
+
+
 def test_d_squared_zero_randomized():
     rng = random.Random(5)
     for _ in range(1000):

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from quintic_garnier.fractions import BasisError, DenomBasis, FactoredFraction, frac_eq
-from quintic_garnier.ring import LaurentPoly, VarContext
+from quintic_garnier import fractions as kernel
+from quintic_garnier.connections import B_UV
+from quintic_garnier.fractions import (FACTOR_MEMO_CAP, BasisError, DenomBasis,
+                                       FactoredFraction, frac_eq)
+from quintic_garnier.ring import ContextError, LaurentPoly, VarContext
 
 UV = VarContext(["u", "v"])
 u = UV.var("u")
@@ -129,3 +132,72 @@ def test_every_constructor_gives_nonnegative_exponents():
     for h in built:
         assert all(e >= 0 for e in h.exps), h
     assert frac_eq(f, B.of((u ** 2 - v ** 2) * (u - v) * (v - 1) ** 2, {1: 2}))
+
+
+@pytest.fixture
+def divisions(monkeypatch):
+    """Counts the ``exact_divide`` calls that ``quintic_garnier.fractions`` makes."""
+    calls = [0]
+    divide = kernel.exact_divide
+
+    def counted(p, f):
+        calls[0] += 1
+        return divide(p, f)
+    monkeypatch.setattr(kernel, "exact_divide", counted)
+    return calls
+
+
+def test_factor_memo_matches_a_fresh_basis(divisions):
+    ctx = B_UV.ctx
+    memo = DenomBasis(ctx, B_UV.factors, B_UV.names)
+    rng = random.Random(21)
+    for _ in range(40):
+        unit = ctx.monomial(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)),
+                            {n: rng.randint(-2, 2) for n in ctx.names})
+        ks = tuple(rng.randint(0, 2) for _ in memo.factors)
+        p = unit
+        for f, k in zip(memo.factors, ks):
+            p = p * f ** k
+        for call in ("first", "second"):
+            same = LaurentPoly(ctx, dict(p.terms))  # equal, not identical
+            divisions[0] = 0
+            got = memo.factor_over(same)
+            cost = divisions[0]
+            assert got == DenomBasis(ctx, B_UV.factors).factor_over(p) == (unit, ks)
+            assert (cost > 0) if call == "first" else (cost == 0), call
+
+
+def test_factor_memo_stores_no_failure(divisions):
+    memo = DenomBasis(UV, B.factors)
+    p = (u + 2) * (u - v) ** 2
+    costs = []
+    for _ in range(3):
+        divisions[0] = 0
+        with pytest.raises(BasisError) as err:
+            memo.factor_over(p)
+        assert err.value.residual == u + 2
+        costs.append(divisions[0])
+    assert costs[0] > 0 and costs == [costs[0]] * 3
+
+
+def test_factor_memo_keeps_extension_contexts_apart():
+    # Q[r]/(r^2 - 2) and Q[r]/(r^2 - 3) share their variable names, so
+    # their polynomials hash alike, but they never compare equal
+    ctx2 = VarContext(["r", "s"], extension=("r", [-2, 0]))
+    ctx3 = VarContext(["r", "s"], extension=("r", [-3, 0]))
+    r, s = ctx2.var("r"), ctx2.var("s")
+    memo = DenomBasis(ctx2, [s - 1])
+    p2 = r * (s - 1) ** 2
+    p3 = LaurentPoly(ctx3, dict(p2.terms))
+    assert hash(p3) == hash(p2) and p3 != p2
+    assert memo.factor_over(p2) == (r, (2,))
+    with pytest.raises(ContextError):
+        memo.factor_over(p3)
+
+
+def test_factor_memo_stops_growing_at_its_cap():
+    memo = DenomBasis(UV, B.factors)
+    for k in range(1, FACTOR_MEMO_CAP + 6):
+        inv = memo.const(k).inverse()
+        assert (inv.num, inv.exps) == (UV.const(Fraction(1, k)), (0, 0, 0))
+    assert len(memo._factored) == FACTOR_MEMO_CAP
