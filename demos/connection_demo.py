@@ -7,10 +7,10 @@ residue table with eigenvalues along each polar divisor.
 """
 
 from quintic_garnier.connections import (
-    build_omega0, build_omega1, build_riccati1, case1_connection,
-    case1_divisors, flat_case1_connection, flat_representative, is_flat,
-    map_cover_bar, map_elementary, map_involution, pullback_riccati,
-    quintic2_divisors, residue, riccati_of_connection)
+    CASE1_DIVISORS, QUINTIC2_DIVISORS, build_omega0, build_omega1,
+    build_riccati1, case1_connection, flat_case1_connection,
+    flat_representative, is_flat, map_cover_bar, map_elementary,
+    map_involution, pullback_riccati, residue, riccati_of_connection)
 from quintic_garnier.fractions import serialize_frac
 
 print("=== the covering chain, link by link ===")
@@ -29,7 +29,7 @@ print("its Riccati pulls back to the cover:",
       pullback_riccati(riccati_of_connection(rep), map_cover_bar()) == r1)
 
 print("\n=== residue table of the derived connection ===")
-for name, chart in quintic2_divisors().items():
+for name, chart in QUINTIC2_DIVISORS.items():
     rd = residue(rep, chart)
     eig = ", ".join(serialize_frac(e) for e in rd.eigenvalues)
     print(f"{name:9s} consistent={rd.consistent} eigenvalues: {eig}")
@@ -45,6 +45,6 @@ print("derived representative flat:", is_flat(cf))
 print("transcribed display flat:   ", is_flat(case1_connection()),
       "(known transcription defect, see the verification suite)")
 for name in ("x", "y", "tangent-conic"):
-    rd = residue(cf, case1_divisors()[name])
+    rd = residue(cf, CASE1_DIVISORS[name])
     eig = ", ".join(serialize_frac(e) for e in rd.eigenvalues)
     print(f"{name:14s} consistent={rd.consistent} eigenvalues: {eig}")

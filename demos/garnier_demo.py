@@ -53,4 +53,4 @@ print("  t1 matches quoted variants (with a^-2, without):",
 print("  S_q matches:", report["S_q"]["matches_45"])
 print("  P_q matches as quoted / after repairing the parameter factor:",
       report["P_q"]["matches_45"], report["P_q"]["matches_45_repaired"])
-print("  parity invariance (c -> -c, t1 <-> t2):", parity_invariance())
+print("  parity invariance (c -> -c, t1 <-> t2):", parity_invariance(data))

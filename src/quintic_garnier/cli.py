@@ -264,25 +264,22 @@ def suite_flatness() -> list[Check]:
 def suite_residues() -> list[Check]:
     checks = []
     rep, _ = connections.flat_representative()
-    expected = {"y": "1/4", "y-1": "1/2*lam1^1", "conic": "1/2*lam0^1",
-                "infinity": "1/4"}
-    for name, chart in connections.quintic2_divisors().items():
-        rd = connections.residue(rep, chart)
-        got = (sorted(serialize_frac(e) for e in rd.eigenvalues)
-               if rd.eigenvalues else None)
-        want = sorted([expected[name], "-" + expected[name]])
-        checks.append(ok(f"residue:quintic2:{name}",
-                         rd.consistent and got == want, rd.as_dict()))
-    cf = connections.flat_case1_connection()
-    expected1 = {"x": "1/2*lam0^1", "y": "1/2*lam1^1", "tangent-conic": "1/4"}
-    charts = connections.case1_divisors()
-    for name, want1 in expected1.items():
-        rd = connections.residue(cf, charts[name])
-        got = (sorted(serialize_frac(e) for e in rd.eigenvalues)
-               if rd.eigenvalues else None)
-        checks.append(ok(f"residue:case1_flat:{name}",
-                         rd.consistent and got == sorted([want1, "-" + want1]),
-                         rd.as_dict()))
+    tables = [
+        ("quintic2", rep, connections.QUINTIC2_DIVISORS,
+         {"y": "1/4", "y-1": "1/2*lam1^1", "conic": "1/2*lam0^1",
+          "infinity": "1/4"}),
+        ("case1_flat", connections.flat_case1_connection(),
+         connections.CASE1_DIVISORS,
+         {"x": "1/2*lam0^1", "y": "1/2*lam1^1", "tangent-conic": "1/4"}),
+    ]
+    for label, conn, charts, expected in tables:
+        for name, want in expected.items():
+            rd = connections.residue(conn, charts[name])
+            got = (sorted(serialize_frac(e) for e in rd.eigenvalues)
+                   if rd.eigenvalues else None)
+            checks.append(ok(f"residue:{label}:{name}",
+                             rd.consistent and got == sorted([want, "-" + want]),
+                             rd.as_dict()))
     return checks
 
 
@@ -408,7 +405,7 @@ def suite_garnier() -> list[Check]:
                     "derived value disagrees beyond the known repair",
         }))
     checks.append(ok("separant_nonzero", report["separant_nonzero"]))
-    parity = garnier.parity_invariance()
+    parity = garnier.parity_invariance(data)
     checks.append(ok("parity_invariance", all(parity.values()), parity))
     return checks
 

@@ -2,10 +2,14 @@
 
 A :class:`MatConnection` stores the matrix of one-forms of ``d + omega`` (so
 items quoted with a global minus sign are stored negated).  The module
-provides exact curvature, residues along declared divisors with eigenvalue
-extraction, projectivization to a Riccati form, Riccati pullback under
-rational maps with a Moebius fiber action, and divisor pullback
-factorization.
+provides exact curvature, residues with eigenvalue extraction,
+projectivization to a Riccati form, Riccati pullback under rational maps
+with a Moebius fiber action, and divisor pullback factorization.
+
+The polar locus of each catalog quintic is declared once, as a table of
+residue charts: :data:`QUINTIC2_DIVISORS` (y, y-1, the conic, the line at
+infinity) and :data:`CASE1_DIVISORS` (x, y, the tangent conic, the line at
+infinity).
 
 Two transcription variants of the quintic-polar connection are kept in the
 catalog (``quintic2_matrix`` and ``quintic2_scaled``); both carry known
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .forms import MobiusAction, RationalMap, ScalarOneForm, ScalarTwoForm
 from .fractions import (BasisError, DenomBasis, FactoredFraction, eval_poly,
@@ -45,12 +49,13 @@ CTX_UV = VarContext(["u", "v", "lam0", "lam1"])
 CTX_XY = VarContext(["x", "y", "lam0", "lam1"])
 CTX_INF = VarContext(["xt", "yt", "lam0", "lam1"])
 
-_u, _v = CTX_UV.var("u"), CTX_UV.var("v")
-_x, _y = CTX_XY.var("x"), CTX_XY.var("y")
+_u, _v, _uv_l0, _uv_l1 = (CTX_UV.var(n) for n in CTX_UV.names)
+_x, _y, _l0, _l1 = (CTX_XY.var(n) for n in CTX_XY.names)
 _xt, _yt = CTX_INF.var("xt"), CTX_INF.var("yt")
 
 B_UV = DenomBasis(CTX_UV, [_u - 1, _u + 1, _v - 1, _v + 1, _u - _v, _u + _v],
                   names=["u-1", "u+1", "v-1", "v+1", "u-v", "u+v"])
+_UM1, _UP1, _VM1, _VP1, _UMV, _UPV = range(6)   # factor indices of B_UV
 B_XY = DenomBasis(CTX_XY, [_y - 1, _x ** 2 - _y], names=["y-1", "conic"])
 B_INF = DenomBasis(CTX_INF, [_yt - _xt, 1 - _xt * _yt],
                    names=["yt-xt", "conic-inf"])
@@ -69,17 +74,16 @@ FormMatrix = tuple[tuple[ScalarOneForm, ScalarOneForm],
 
 
 class MatConnection:
-    """``d + omega`` with a 2x2 matrix of one-forms and declared polar divisors."""
+    """``d + omega`` with a 2x2 matrix of one-forms."""
 
-    __slots__ = ("name", "basis", "base_vars", "omega", "divisors")
+    __slots__ = ("name", "basis", "base_vars", "omega")
 
     def __init__(self, name: str, basis: DenomBasis, base_vars: tuple[str, str],
-                 omega: FormMatrix, divisors: Sequence[str] = ()):
+                 omega: FormMatrix):
         self.name = name
         self.basis = basis
         self.base_vars = base_vars
         self.omega = omega
-        self.divisors = tuple(divisors)
 
     def trace_form(self) -> ScalarOneForm:
         return self.omega[0][0] + self.omega[1][1]
@@ -90,7 +94,7 @@ class MatConnection:
     def pull_back(self, phi: RationalMap, name: Optional[str] = None) -> "MatConnection":
         om = tuple(tuple(phi.pull_one_form(w) for w in row) for row in self.omega)
         return MatConnection(name or f"{phi.name}*{self.name}", phi.src,
-                             phi.src_base, om, self.divisors)
+                             phi.src_base, om)
 
     def __repr__(self):
         return f"MatConnection({self.name})"
@@ -163,8 +167,7 @@ def gauge_transform(conn: MatConnection, g) -> MatConnection:
                 val = val + dg[k][j] * gi[i][k]
             row.append(val)
         out.append(tuple(row))
-    return MatConnection(conn.name + "-gauge", basis, bv, tuple(out),
-                         conn.divisors)
+    return MatConnection(conn.name + "-gauge", basis, bv, tuple(out))
 
 
 def conjugate_two_forms(curv, g, basis) -> tuple:
@@ -376,28 +379,17 @@ def _one(basis, base, A=None, B=None) -> ScalarOneForm:
                          B if B is not None else basis.zero())
 
 
-def _uv_parts():
-    l0 = CTX_UV.var("lam0")
-    l1 = CTX_UV.var("lam1")
-    um1, up1, vm1, vp1, umv, upv = range(6)
-    return l0, l1, um1, up1, vm1, vp1, umv, upv
-
-
 def build_omega0() -> ScalarOneForm:
-    l0, l1, um1, up1, vm1, vp1, _, _ = _uv_parts()
-    A = B_UV.of(l0, {um1: 1}) - B_UV.of(l0, {up1: 1})
-    B = B_UV.of(l1, {vm1: 1}) - B_UV.of(l1, {vp1: 1})
+    A = B_UV.of(_uv_l0, {_UM1: 1}) - B_UV.of(_uv_l0, {_UP1: 1})
+    B = B_UV.of(_uv_l1, {_VM1: 1}) - B_UV.of(_uv_l1, {_VP1: 1})
     return _one(B_UV, ("u", "v"), A, B)
 
 
 def build_omega1() -> ScalarOneForm:
-    l0, l1, _, _, vm1, vp1, umv, upv = _uv_parts()
-    uu = CTX_UV.var("u")
-    vv = CTX_UV.var("v")
-    A = B_UV.of(l0, {umv: 1}) - B_UV.of(l0, {upv: 1})
-    B = (B_UV.of(l0 * uu * vv ** -1, {upv: 1})
-         - B_UV.of(l0 * uu * vv ** -1, {umv: 1})
-         + B_UV.of(l1, {vm1: 1}) - B_UV.of(l1, {vp1: 1}))
+    A = B_UV.of(_uv_l0, {_UMV: 1}) - B_UV.of(_uv_l0, {_UPV: 1})
+    B = (B_UV.of(_uv_l0 * _u * _v ** -1, {_UPV: 1})
+         - B_UV.of(_uv_l0 * _u * _v ** -1, {_UMV: 1})
+         + B_UV.of(_uv_l1, {_VM1: 1}) - B_UV.of(_uv_l1, {_VP1: 1}))
     return _one(B_UV, ("u", "v"), A, B)
 
 
@@ -413,8 +405,7 @@ def diagonal_cover_connection() -> MatConnection:
     half = B_UV.const(Fraction(1, 2))
     z = _one(B_UV, ("u", "v"))
     return MatConnection("cover-diagonal", B_UV, ("u", "v"),
-                         ((w0 * half, z), (z, w0 * (-half))),
-                         divisors=["u-1", "u+1", "v-1", "v+1"])
+                         ((w0 * half, z), (z, w0 * (-half))))
 
 
 def map_cover() -> RationalMap:
@@ -447,9 +438,9 @@ def map_cover_bar() -> RationalMap:
                        {"x": B_UV.of(_u), "y": B_UV.of(_v ** 2)}, fiber=fiber)
 
 
-def map_infinity_chart(target: str = "quintic2") -> RationalMap:
-    """Chart at infinity (xt, yt) -> (x, y) = (1/xt, yt/xt)."""
-    src, dst = (B_INF, B_XY) if target == "quintic2" else (B_C1INF, B_CASE1)
+def map_infinity_chart(src: DenomBasis, dst: DenomBasis) -> RationalMap:
+    """Chart at infinity (xt, yt) -> (x, y) = (1/xt, yt/xt), from a basis
+    over ``CTX_INF`` to one over ``CTX_XY``."""
     return RationalMap("inf-chart", src, dst, ("xt", "yt"), ("x", "y"),
                        {"x": FactoredFraction(src, _xt ** -1),
                         "y": FactoredFraction(src, _yt * _xt ** -1)})
@@ -492,27 +483,27 @@ def flat_case1_connection() -> MatConnection:
 
     Pushed down from ``d + (1/2) diag(eta, -eta)`` on the cover in the frame
     ``(e1 + e2, (p - q)(e1 - e2))``; flat by construction and logarithmic
-    along the affine polar components x, y and the conic (the frame leaves a
-    double pole on the tangent line at infinity; see the ledger notes).
+    along the affine polar components x, y and the conic.  The frame leaves a
+    double pole on the line at infinity, which the residue along
+    ``CASE1_DIVISORS["infinity"]`` reports (pinned in
+    ``tests/test_connections.py``).
     """
-    x, y, l0, l1 = _xy_scalars()
-    s = x + y - 1
+    s = _x + _y - 1
     # eta / (2(p-q)) descends to:
-    cA = B_CASE1.of(Fraction(1, 4) * l0 * s * x ** -1
-                    + Fraction(1, 2) * l1, {0: 1})
-    cB = B_CASE1.of(-Fraction(1, 2) * l0
-                    - Fraction(1, 4) * l1 * s * y ** -1, {0: 1})
+    cA = B_CASE1.of(Fraction(1, 4) * _l0 * s * _x ** -1
+                    + Fraction(1, 2) * _l1, {0: 1})
+    cB = B_CASE1.of(-Fraction(1, 2) * _l0
+                    - Fraction(1, 4) * _l1 * s * _y ** -1, {0: 1})
     C = ScalarOneForm(B_CASE1, ("x", "y"), cA, cB)
     # (p-q) eta / 2 descends to 4 * conic * C:
     Bf = ScalarOneForm(B_CASE1, ("x", "y"),
-                       B_CASE1.of(l0 * s * x ** -1 + 2 * l1),
-                       B_CASE1.of(-2 * l0 - l1 * s * y ** -1))
+                       B_CASE1.of(_l0 * s * _x ** -1 + 2 * _l1),
+                       B_CASE1.of(-2 * _l0 - _l1 * s * _y ** -1))
     theta_A = B_CASE1.of(Fraction(1, 4) * _dc.derivative("x"), {0: 1})
     theta_B = B_CASE1.of(Fraction(1, 4) * _dc.derivative("y"), {0: 1})
     theta = ScalarOneForm(B_CASE1, ("x", "y"), theta_A, theta_B)
     return MatConnection("case1_flat", B_CASE1, ("x", "y"),
-                         ((-theta, Bf), (C, theta)),
-                         divisors=["x", "y", "tangent-conic"])
+                         ((-theta, Bf), (C, theta)))
 
 
 # homogeneous models for the divisor identities through the line at infinity
@@ -545,115 +536,100 @@ def map_elementary_homogeneous() -> RationalMap:
 # ---------------------------------------------------------------------------
 # catalog: the plane connections
 
-def _xy_scalars():
-    l0 = CTX_XY.var("lam0")
-    l1 = CTX_XY.var("lam1")
-    return _x, _y, l0, l1
-
-
 def lower_left_form() -> ScalarOneForm:
     """The derived lower-left entry: the one-form pushed down from half of
     the diagonal cover form, divided by the odd coordinate."""
-    x, y, l0, l1 = _xy_scalars()
-    A = B_XY.of(l0, {1: 1})                       # lam0 / (x^2 - y)
-    B = (B_XY.of(-Fraction(1, 2) * l0 * x * y ** -1, {1: 1})
-         + B_XY.of(Fraction(1, 2) * l1 * y ** -1, {0: 1}))
+    A = B_XY.of(_l0, {1: 1})                       # lam0 / (x^2 - y)
+    B = (B_XY.of(-Fraction(1, 2) * _l0 * _x * _y ** -1, {1: 1})
+         + B_XY.of(Fraction(1, 2) * _l1 * _y ** -1, {0: 1}))
     return _one(B_XY, ("x", "y"), A, B)
 
 
 def flat_quintic2_connection() -> MatConnection:
     """The corrected quintic-polar connection: flat by construction."""
-    x, y, l0, l1 = _xy_scalars()
     C = lower_left_form()
-    yC = C * B_XY.of(y)
-    quarter = B_XY.of(-Fraction(1, 4) * y ** -1)
+    yC = C * B_XY.of(_y)
+    quarter = B_XY.of(-Fraction(1, 4) * _y ** -1)
     w11 = _one(B_XY, ("x", "y"), None, quarter)
     w22 = _one(B_XY, ("x", "y"), None, -quarter)
     return MatConnection("quintic2_flat", B_XY, ("x", "y"),
-                         ((w11, yC), (C, w22)),
-                         divisors=["y", "y-1", "conic", "infinity"])
+                         ((w11, yC), (C, w22)))
 
 
 def quintic2_matrix_connection() -> MatConnection:
     """Catalog variant quoted directly as a matrix of logarithmic forms."""
-    x, y, l0, l1 = _xy_scalars()
-    w11 = _one(B_XY, ("x", "y"), None, B_XY.of(-Fraction(1, 4) * y ** -1))
-    w22 = _one(B_XY, ("x", "y"), None, B_XY.of(Fraction(1, 4) * y ** -1))
+    w11 = _one(B_XY, ("x", "y"), None, B_XY.of(-Fraction(1, 4) * _y ** -1))
+    w22 = _one(B_XY, ("x", "y"), None, B_XY.of(Fraction(1, 4) * _y ** -1))
     w12 = _one(B_XY, ("x", "y"),
-               B_XY.of(-l0 * y, {1: 1}),
-               B_XY.of(Fraction(1, 2) * l0 * x * y ** -1, {1: 1})
-               - B_XY.of(Fraction(1, 2) * l1, {0: 1}))
+               B_XY.of(-_l0 * _y, {1: 1}),
+               B_XY.of(Fraction(1, 2) * _l0 * _x * _y ** -1, {1: 1})
+               - B_XY.of(Fraction(1, 2) * _l1, {0: 1}))
     w21 = _one(B_XY, ("x", "y"),
-               B_XY.of(l0, {1: 1}),
-               B_XY.of(l0 * x * y ** -1, {1: 1})
-               - B_XY.of(Fraction(1, 2) * l1 * y ** -1, {0: 1}))
+               B_XY.of(_l0, {1: 1}),
+               B_XY.of(_l0 * _x * _y ** -1, {1: 1})
+               - B_XY.of(Fraction(1, 2) * _l1 * _y ** -1, {0: 1}))
     return MatConnection("quintic2_matrix", B_XY, ("x", "y"),
-                         ((w11, w12), (w21, w22)),
-                         divisors=["y", "y-1", "conic", "infinity"])
+                         ((w11, w12), (w21, w22)))
 
 
 def quintic2_scaled_connection() -> MatConnection:
     """Catalog variant quoted as ``d - Omega / (y (y-1) (x^2-y))``."""
-    x, y, l0, l1 = _xy_scalars()
-
     def over_q(dx_num, dy_num) -> ScalarOneForm:
-        A = B_XY.over(dx_num * y ** -1, _y - 1, _x ** 2 - _y).reduce()
-        B = B_XY.over(dy_num * y ** -1, _y - 1, _x ** 2 - _y).reduce()
+        A = B_XY.over(dx_num * _y ** -1, _y - 1, _x ** 2 - _y).reduce()
+        B = B_XY.over(dy_num * _y ** -1, _y - 1, _x ** 2 - _y).reduce()
         return _one(B_XY, ("x", "y"), A, B)
 
     # omega = -Omega/q, entered entrywise (q = y (y-1) (x^2-y))
     om11 = over_q(CTX_XY.zero(),
-                  Fraction(1, 4) * (y - 1) * (x ** 2 - y) * y ** -1)
-    om12 = over_q(l0 * y ** 2 * (y - 1),
-                  Fraction(1, 2) * y * (l0 * x * (1 - y) + l1 * (x ** 2 - y)))
-    om21 = over_q(l0 * y * (y - 1),
-                  Fraction(1, 2) * (l0 * x * (1 - y) + l1 * (x ** 2 - y)))
+                  Fraction(1, 4) * (_y - 1) * (_x ** 2 - _y) * _y ** -1)
+    om12 = over_q(_l0 * _y ** 2 * (_y - 1),
+                  Fraction(1, 2) * _y * (_l0 * _x * (1 - _y) + _l1 * (_x ** 2 - _y)))
+    om21 = over_q(_l0 * _y * (_y - 1),
+                  Fraction(1, 2) * (_l0 * _x * (1 - _y) + _l1 * (_x ** 2 - _y)))
     om22 = over_q(CTX_XY.zero(),
-                  -Fraction(1, 4) * (y - 1) * (x ** 2 - y) * y ** -1)
+                  -Fraction(1, 4) * (_y - 1) * (_x ** 2 - _y) * _y ** -1)
     return MatConnection("quintic2_scaled", B_XY, ("x", "y"),
-                         ((om11, om12), (om21, om22)),
-                         divisors=["y", "y-1", "conic", "infinity"])
+                         ((om11, om12), (om21, om22)))
 
 
 def riccati_plane_catalog() -> RiccatiForm:
     """The quoted plane Riccati form (transcribed with its defects)."""
-    x, y, l0, l1 = _xy_scalars()
     P2 = _one(B_XY, ("x", "y"),
-              B_XY.of(l0, {1: 1}),
-              B_XY.of(l0 * x * y ** -1, {1: 1})
-              - B_XY.of(Fraction(1, 2) * l1 * y ** -1, {0: 1}))
-    P1 = _one(B_XY, ("x", "y"), None, B_XY.of(-Fraction(1, 2) * y ** -1))
+              B_XY.of(_l0, {1: 1}),
+              B_XY.of(_l0 * _x * _y ** -1, {1: 1})
+              - B_XY.of(Fraction(1, 2) * _l1 * _y ** -1, {0: 1}))
+    P1 = _one(B_XY, ("x", "y"), None, B_XY.of(-Fraction(1, 2) * _y ** -1))
     P0 = _one(B_XY, ("x", "y"),
-              B_XY.of(-l0 * y, {1: 1}),
-              B_XY.of(Fraction(1, 2) * l0 * x * y ** -1, {1: 1})
-              - B_XY.of(Fraction(1, 2) * l1, {0: 1}))
+              B_XY.of(-_l0 * _y, {1: 1}),
+              B_XY.of(Fraction(1, 2) * _l0 * _x * _y ** -1, {1: 1})
+              - B_XY.of(Fraction(1, 2) * _l1, {0: 1}))
     return RiccatiForm("riccati_plane", B_XY, ("x", "y"), P2, P1, P0)
 
 
 def case1_connection() -> MatConnection:
     """The two-parameter family on the conic-with-tangents quintic."""
-    x, y, l0, l1 = _xy_scalars()
-
     def form(dx_num: LaurentPoly, dy_num: LaurentPoly) -> ScalarOneForm:
         return ScalarOneForm(B_CASE1, ("x", "y"),
                              B_CASE1.of(dx_num, {0: 1}),
                              B_CASE1.of(dy_num, {0: 1}))
 
     half = Fraction(1, 2)
-    a0_11 = form(2 * (x - 1) * y, (x ** 2 + x * (y - 2) - y + 1) * x * y ** -1)
-    a0_12 = form(2 * (2 * x - y + 2) * y,
-                 (2 * x ** 2 + y * (x - y + 3) - 2) * x * y ** -1)
-    a0_21 = form(-2 * y ** 2, (x + y - 1) * x ** 2 * y ** -1)
-    a1_11 = form((x ** 2 + (x - 1) * (y - 1)) * y * x ** -1, 2 * (x - 1) * x)
-    a1_12 = form((x ** 2 + y * (x - y + 3) - 2) * y * x ** -1,
-                 2 * (2 * x - y + 2) * x)
-    a1_21 = form(-(x + y - 1) * y ** 2 * x ** -1, -2 * x ** 2)
-    a2_11 = form(-(x + y + 1) * y, -(x ** 2 - x * (y + 2) - y + 1) * x * y ** -1)
-    a2_12 = form(-2 * (x - y + 3) * y, -(x ** 2 - 2 * y * (x + 1) + 1) * x * y ** -1)
+    a0_11 = form(2 * (_x - 1) * _y, (_x ** 2 + _x * (_y - 2) - _y + 1) * _x * _y ** -1)
+    a0_12 = form(2 * (2 * _x - _y + 2) * _y,
+                 (2 * _x ** 2 + _y * (_x - _y + 3) - 2) * _x * _y ** -1)
+    a0_21 = form(-2 * _y ** 2, (_x + _y - 1) * _x ** 2 * _y ** -1)
+    a1_11 = form((_x ** 2 + (_x - 1) * (_y - 1)) * _y * _x ** -1, 2 * (_x - 1) * _x)
+    a1_12 = form((_x ** 2 + _y * (_x - _y + 3) - 2) * _y * _x ** -1,
+                 2 * (2 * _x - _y + 2) * _x)
+    a1_21 = form(-(_x + _y - 1) * _y ** 2 * _x ** -1, -2 * _x ** 2)
+    a2_11 = form(-(_x + _y + 1) * _y,
+                 -(_x ** 2 - _x * (_y + 2) - _y + 1) * _x * _y ** -1)
+    a2_12 = form(-2 * (_x - _y + 3) * _y,
+                 -(_x ** 2 - 2 * _y * (_x + 1) + 1) * _x * _y ** -1)
     a2_21 = ScalarOneForm.zero(B_CASE1, ("x", "y"))
 
-    l0f = B_CASE1.of(l0)
-    l1f = B_CASE1.of(l1)
+    l0f = B_CASE1.of(_l0)
+    l1f = B_CASE1.of(_l1)
     mhalf = B_CASE1.const(-half)
 
     def entry(a0, a1, a2) -> ScalarOneForm:
@@ -664,54 +640,45 @@ def case1_connection() -> MatConnection:
     w21 = entry(a0_21, a1_21, a2_21)
     w22 = -w11
     return MatConnection("case1", B_CASE1, ("x", "y"),
-                         ((w11, w12), (w21, w22)),
-                         divisors=["x", "y", "tangent-conic", "infinity"])
+                         ((w11, w12), (w21, w22)))
 
 
 # ---------------------------------------------------------------------------
-# divisor charts of the catalog connections
+# residue charts: each polar component of the catalog connections with a
+# rational parametrization, over one context per curve coordinate
 
-def quintic2_divisors() -> dict[str, DivisorChart]:
-    ctx_x = VarContext(["x", "lam0", "lam1"])
-    xx = ctx_x.var("x")
-    b_x = DenomBasis(ctx_x, [xx - 1, xx + 1], names=["x-1", "x+1"])
-    ctx_yt = VarContext(["yt", "lam0", "lam1"])
-    b_yt = DenomBasis(ctx_yt, [], names=[])
-    return {
-        "y": DivisorChart("y", None, "y", {"y": ctx_x.zero()}, b_x),
-        "y-1": DivisorChart("y-1", _y - 1, "y", {"y": ctx_x.one()}, b_x),
-        "conic": DivisorChart("conic", _x ** 2 - _y, "y", {"y": xx ** 2}, b_x),
-        "infinity": DivisorChart("infinity", None, "xt",
-                                 {"xt": ctx_yt.zero()}, b_yt,
-                                 chart=map_infinity_chart("quintic2")),
-    }
+CTX_X = VarContext(["x", "lam0", "lam1"])
+CTX_Y = VarContext(["y", "lam0", "lam1"])
+CTX_T = VarContext(["t", "lam0", "lam1"])
+CTX_YT = VarContext(["yt", "lam0", "lam1"])
+_xc, _yc = CTX_X.var("x"), CTX_Y.var("y")
+_tc, _ytc = CTX_T.var("t"), CTX_YT.var("yt")
+_B_XC = DenomBasis(CTX_X, [_xc - 1, _xc + 1], names=["x-1", "x+1"])
 
+QUINTIC2_DIVISORS: dict[str, DivisorChart] = {
+    "y": DivisorChart("y", None, "y", {"y": CTX_X.zero()}, _B_XC),
+    "y-1": DivisorChart("y-1", _y - 1, "y", {"y": CTX_X.one()}, _B_XC),
+    "conic": DivisorChart("conic", _x ** 2 - _y, "y", {"y": _xc ** 2}, _B_XC),
+    "infinity": DivisorChart("infinity", None, "xt", {"xt": CTX_YT.zero()},
+                             DenomBasis(CTX_YT, []),
+                             chart=map_infinity_chart(B_INF, B_XY)),
+}
 
-def case1_divisors() -> dict[str, DivisorChart]:
-    ctx_y = VarContext(["y", "lam0", "lam1"])
-    yy = ctx_y.var("y")
-    b_y = DenomBasis(ctx_y, [yy - 1], names=["y-1"])
-    ctx_x = VarContext(["x", "lam0", "lam1"])
-    xx = ctx_x.var("x")
-    b_x = DenomBasis(ctx_x, [xx - 1], names=["x-1"])
-    ctx_t = VarContext(["t", "lam0", "lam1"])
-    tt = ctx_t.var("t")
-    b_t = DenomBasis(ctx_t, [tt - 1, tt + 1], names=["t-1", "t+1"])
-    ctx_s = VarContext(["yt", "lam0", "lam1"])
-    ss = ctx_s.var("yt")
-    b_s = DenomBasis(ctx_s, [ss - 1], names=["yt-1"])
-    quarter = Fraction(1, 4)
-    return {
-        "x": DivisorChart("x", None, "x", {"x": ctx_y.zero()}, b_y),
-        "y": DivisorChart("y", None, "y", {"y": ctx_x.zero()}, b_x),
-        # rational parametrization of the tangent conic
-        "tangent-conic": DivisorChart(
-            "tangent-conic", _dc, "y",
-            {"x": quarter * (tt + 1) ** 2, "y": quarter * (tt - 1) ** 2}, b_t),
-        "infinity": DivisorChart("infinity", None, "xt",
-                                 {"xt": ctx_s.zero()}, b_s,
-                                 chart=map_infinity_chart("case1")),
-    }
+CASE1_DIVISORS: dict[str, DivisorChart] = {
+    "x": DivisorChart("x", None, "x", {"x": CTX_Y.zero()},
+                      DenomBasis(CTX_Y, [_yc - 1], names=["y-1"])),
+    "y": DivisorChart("y", None, "y", {"y": CTX_X.zero()},
+                      DenomBasis(CTX_X, [_xc - 1], names=["x-1"])),
+    # rational parametrization of the tangent conic
+    "tangent-conic": DivisorChart(
+        "tangent-conic", _dc, "y",
+        {"x": Fraction(1, 4) * (_tc + 1) ** 2,
+         "y": Fraction(1, 4) * (_tc - 1) ** 2},
+        DenomBasis(CTX_T, [_tc - 1, _tc + 1], names=["t-1", "t+1"])),
+    "infinity": DivisorChart("infinity", None, "xt", {"xt": CTX_YT.zero()},
+                             DenomBasis(CTX_YT, [_ytc - 1], names=["yt-1"]),
+                             chart=map_infinity_chart(B_C1INF, B_CASE1)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -119,8 +119,7 @@ def specialize_connection(conn: MatConnection,
         ScalarOneForm(basis, conn.base_vars, w.A.substitute(values, basis),
                       w.B.substitute(values, basis))
         for w in row) for row in conn.omega)
-    return MatConnection(conn.name + "@", basis, conn.base_vars, om,
-                         conn.divisors)
+    return MatConnection(conn.name + "@", basis, conn.base_vars, om)
 
 
 def pole_positions() -> tuple[LaurentPoly, LaurentPoly]:
@@ -164,10 +163,10 @@ class H21Data:
 def h21_extract(rest: Optional[LineRestriction] = None) -> H21Data:
     """Extract the quadratic numerator data of the lower-left coefficient.
 
-    Requires the rational-pole parametrization; checks that the numerator is
-    quadratic (equivalently that the residue at infinity has vanishing
-    lower-left entry) and verifies the partial-fraction assembly over the
-    four finite poles.
+    Requires the rational-pole parametrization and a quadratic numerator.
+    The lower-left residue at infinity vanishes when the four finite pole
+    residues sum to zero (residue theorem); the same residues verify the
+    partial-fraction assembly.
     """
     if rest is None:
         rest = restrict_to_line(mode="ac")
@@ -177,7 +176,6 @@ def h21_extract(rest: Optional[LineRestriction] = None) -> H21Data:
     num = _clear(rest.matrix[1][0], rest.denominator)
     if num.max_exponent("y") > 2:
         raise RestrictionError("lower-left numerator degree is not 2")
-    res_inf_zero = num.max_exponent("y") <= 2
     coeffs = num.coefficients_in("y")
     n2 = coeffs.get(2, basis.ctx.zero())
     n1 = coeffs.get(1, basis.ctx.zero())
@@ -190,31 +188,34 @@ def h21_extract(rest: Optional[LineRestriction] = None) -> H21Data:
     leading = (n2f * two_a2.inverse()).reduce()
     S_q = (-FactoredFraction(basis, n1) * inv_n2).reduce()
     P_q = (FactoredFraction(basis, n0) * inv_n2).reduce()
-    assembly = _verify_assembly(rest, num)
+    res_inf_zero, assembly = _residue_checks(rest, num)
     return H21Data(leading, S_q, P_q, num, res_inf_zero, assembly)
 
 
-def _verify_assembly(rest: LineRestriction, num: LaurentPoly) -> bool:
-    """Partial fractions: sum of the four pole residues reassembles the
-    lower-left coefficient exactly."""
+def _residue_checks(rest: LineRestriction, num: LaurentPoly) -> tuple[bool, bool]:
+    """Residues of ``num / denominator`` at the four finite poles: whether
+    they sum to zero (so the residue at infinity vanishes), and whether
+    their partial fractions reassemble the lower-left coefficient exactly."""
     basis = rest.basis
     ctx = basis.ctx
     yv = ctx.var("y")
     t1, t2 = pole_positions()
     poles = [ctx.zero(), ctx.one(), t1, t2]
     ddenom = rest.denominator.derivative("y")
+    res_sum = basis.zero()
     total = basis.zero()
     two_a2 = 2 * ctx.var("a") ** 2
     for i, p in enumerate(poles):
         n_at = FactoredFraction(basis, num.substitute({"y": p}))
         d_at = FactoredFraction(basis, ddenom.substitute({"y": p}))
         res = n_at * d_at.inverse()
+        res_sum = res_sum + res
         other = ctx.one()
         for j, pj in enumerate(poles):
             if j != i:
                 other = other * (yv - pj)
         total = total + res * FactoredFraction(basis, other * two_a2)
-    return frac_eq(total, FactoredFraction(basis, num))
+    return res_sum.is_zero(), frac_eq(total, FactoredFraction(basis, num))
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +333,8 @@ def alphas_report() -> dict:
     }
 
 
-def parity_invariance() -> dict[str, bool]:
+def parity_invariance(data: GarnierData) -> dict[str, bool]:
     """All fields are invariant under ``c -> -c`` combined with ``t1 <-> t2``."""
-    data, _ = garnier_parametrization()
     flip = {"c": -_c}
     out = {}
     for name, val in [("S_q", data.S_q), ("P_q", data.P_q),

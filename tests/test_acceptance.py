@@ -14,11 +14,11 @@ from quintic_garnier import connections, garnier
 from quintic_garnier.braids import (BraidWord, braid_act, center_check,
                                     extended_orbit, orbit, pure_generators)
 from quintic_garnier.connections import (
-    build_omega0, build_omega1, build_riccati1, case1_connection,
+    QUINTIC2_DIVISORS, build_omega0, build_omega1, build_riccati1, case1_connection,
     diagonal_cover_connection, flat_case1_connection, flat_representative,
     is_flat, map_cover, map_cover_bar, map_cover_homogeneous,
     map_elementary, map_elementary_homogeneous, map_involution,
-    pullback_riccati, quintic2_divisors, residue, riccati_of_connection)
+    pullback_riccati, residue, riccati_of_connection)
 from quintic_garnier.families import CTX_S, CTX_UV, builtin_family
 from quintic_garnier.forms import (RationalMap, ScalarOneForm, ScalarTwoForm,
                                    divisor_pullback)
@@ -197,7 +197,7 @@ def test_criterion_08_residues():
     expected = {"y": "1/4", "y-1": "1/2*lam1^1", "conic": "1/2*lam0^1",
                 "infinity": "1/4"}
     all_ok = True
-    for name, chart in quintic2_divisors().items():
+    for name, chart in QUINTIC2_DIVISORS.items():
         rd = residue(rep, chart)
         got = (sorted(serialize_frac(e) for e in rd.eigenvalues)
                if rd.eigenvalues else None)

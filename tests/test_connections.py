@@ -6,15 +6,15 @@ from fractions import Fraction
 import pytest
 
 from quintic_garnier.connections import (
-    B_CASE1, B_PQ, B_UV, B_XY, CTX_PQ, CTX_UV, CTX_XY,
-    MatConnection, builtin_connection, build_case1_cover_form, build_omega0,
-    build_omega1, build_riccati1, case1_connection, case1_divisors,
-    conjugate_two_forms, diagonal_cover_connection,
+    B_CASE1, B_PQ, B_UV, B_XY, CASE1_DIVISORS, CTX_PQ, CTX_UV, CTX_XY,
+    QUINTIC2_DIVISORS, MatConnection, builtin_connection,
+    build_case1_cover_form, build_omega0, build_omega1, build_riccati1,
+    case1_connection, conjugate_two_forms, diagonal_cover_connection,
     flat_case1_connection, flat_quintic2_connection, flat_representative,
     gauge_transform, is_flat, map_cover, map_cover_bar,
     map_cover_homogeneous, map_elementary, map_elementary_homogeneous,
     map_involution, map_symmetric_cover, mat_curvature,
-    pullback_riccati, quintic2_divisors, quintic2_matrix_connection,
+    pullback_riccati, quintic2_matrix_connection,
     quintic2_scaled_connection, residue, riccati_of_connection,
     riccati_plane_catalog)
 from quintic_garnier.forms import RationalMap, ScalarOneForm, divisor_pullback
@@ -148,7 +148,7 @@ EXPECTED_EIGENVALUES = {
 
 def test_residue_table_of_flat_representative():
     rep, _ = flat_representative()
-    charts = quintic2_divisors()
+    charts = QUINTIC2_DIVISORS
     lam0 = "1/2*lam0^1"
     lam1 = "1/2*lam1^1"
     expected = {"y": "1/4", "y-1": lam1, "conic": lam0, "infinity": "1/4"}
@@ -163,7 +163,7 @@ def test_residue_table_of_flat_representative():
 
 def test_residue_entries_along_the_conic():
     rep, _ = flat_representative()
-    rd = residue(rep, quintic2_divisors()["conic"])
+    rd = residue(rep, QUINTIC2_DIVISORS["conic"])
     flat = [serialize_frac(e) for row in rd.matrix for e in row]
     assert flat == ["0", "1/2*x^1*lam0^1", "1/2*x^-1*lam0^1", "0"]
 
@@ -175,19 +175,19 @@ def test_scalar_residue_example():
     w = ScalarOneForm(B_XY, ("x", "y"), B_XY.zero(), B_XY.of(lam * ctx.var("y") ** -1))
     z = ScalarOneForm.zero(B_XY, ("x", "y"))
     conn = MatConnection("scalar", B_XY, ("x", "y"), ((w, z), (z, z)))
-    rd = residue(conn, quintic2_divisors()["y"])
+    rd = residue(conn, QUINTIC2_DIVISORS["y"])
     assert serialize_frac(rd.matrix[0][0]) == "1*lam0^1"
 
 
 def test_double_pole_is_flagged():
-    rd = residue(quintic2_scaled_connection(), quintic2_divisors()["y"])
+    rd = residue(quintic2_scaled_connection(), QUINTIC2_DIVISORS["y"])
     assert not rd.consistent
     assert any("order > 1" in n for n in rd.notes)
 
 
 def test_trace_free_residues_pair_up():
     rep, _ = flat_representative()
-    for chart in quintic2_divisors().values():
+    for chart in QUINTIC2_DIVISORS.values():
         rd = residue(rep, chart)
         assert rd.eigenvalues is not None
         s = (rd.eigenvalues[0] + rd.eigenvalues[1]).reduce()
@@ -266,13 +266,19 @@ def test_case1_transcription_is_not_flat():
 
 def test_case1_flat_residues():
     cf = flat_case1_connection()
-    charts = case1_divisors()
+    charts = CASE1_DIVISORS
     expected = {"x": "1/2*lam0^1", "y": "1/2*lam1^1", "tangent-conic": "1/4"}
     for name, want in expected.items():
         rd = residue(cf, charts[name])
         assert rd.consistent, rd.notes
         vals = sorted(serialize_frac(e) for e in rd.eigenvalues)
         assert vals == sorted([want, "-" + want]), (name, vals)
+
+
+def test_case1_flat_has_a_double_pole_at_infinity():
+    rd = residue(flat_case1_connection(), CASE1_DIVISORS["infinity"])
+    assert not rd.consistent
+    assert rd.notes == ["entry (1,2): pole of order > 1 along infinity"]
 
 
 def test_builtin_connection_names():

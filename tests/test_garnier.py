@@ -7,7 +7,8 @@ import pytest
 from quintic_garnier.connections import flat_quintic2_connection
 from quintic_garnier.fractions import FactoredFraction, frac_eq
 from quintic_garnier.garnier import (B_AC, CTX_AC, RestrictionError,
-                                     alphas_report, garnier_parametrization,
+                                     _residue_checks, alphas_report,
+                                     garnier_parametrization,
                                      h21_extract, parity_invariance,
                                      pole_positions, pole_positions_at,
                                      poles_factor_denominator,
@@ -72,6 +73,15 @@ def test_h21_quadratic_and_checks():
     assert frac_eq(lhs, FactoredFraction(B_AC, -coeffs[1]))
 
 
+def test_residue_at_infinity_flag_fails_for_a_cubic_numerator():
+    rest = restrict_to_line(mode="ac")
+    num = h21_extract(rest).numerator
+    assert _residue_checks(rest, num) == (True, True)
+    # y*num still interpolates exactly through the four finite poles, but
+    # its residues no longer sum to zero: the residue at infinity is nonzero
+    assert _residue_checks(rest, CTX_AC.var("y") * num) == (False, True)
+
+
 def test_h21_requires_rational_pole_chart():
     with pytest.raises(RestrictionError):
         h21_extract(restrict_to_line(mode="ab"))
@@ -91,7 +101,8 @@ def test_garnier_report_agreements():
 
 
 def test_parity_invariance_of_garnier_fields():
-    flags = parity_invariance()
+    data, _ = garnier_parametrization()
+    flags = parity_invariance(data)
     assert all(flags.values()), flags
 
 
