@@ -210,7 +210,7 @@ def divisor_pullback(f: LaurentPoly, phi: RationalMap,
     order 0 along every coordinate.  Raises :class:`BasisError` with the
     residual when a factor outside the declared list remains.
     """
-    pulled = eval_poly(f, phi.subs, phi.src)
+    pulled = eval_poly(f, phi.subs, phi.src).reduce()
     polys = {name: g for name, g in declared.items() if not g.is_monomial()}
     basis = DenomBasis(phi.src.ctx, list(polys.values()), list(polys))
     # clear declared-basis denominators into the answer with negative signs

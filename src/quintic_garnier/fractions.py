@@ -152,7 +152,17 @@ class DenomBasis:
 
 
 class FactoredFraction:
-    """``num / prod(f_i^e_i)`` over a :class:`DenomBasis`, all ``e_i >= 0``."""
+    """``num / prod(f_i^e_i)`` over a :class:`DenomBasis`, all ``e_i >= 0``.
+
+    Lowest terms are not kept: arithmetic, :meth:`derivative`,
+    :meth:`substitute` and :func:`eval_poly` may leave a declared factor in
+    both numerator and denominator.  They hold only where the normal form is
+    observed: :meth:`__hash__` and :func:`serialize_frac` reduce first, and
+    a caller that reads ``num`` or ``exps`` calls :meth:`reduce` itself
+    (``garnier._clear``, ``connections._sqrt_fraction``,
+    ``connections._residue_side``, ``forms.divisor_pullback``).  Equality is
+    cross-multiplication and needs no reduction.
+    """
 
     __slots__ = ("basis", "num", "exps")
 
@@ -298,7 +308,7 @@ class FactoredFraction:
                 exps = self.exps[:i] + (e + 1,) + self.exps[i + 1:]
                 out = out - FactoredFraction(
                     self.basis, self.num * f.derivative(name) * e, exps)
-        return out.reduce()
+        return out
 
     # -- substitution -------------------------------------------------------
 
@@ -316,13 +326,13 @@ class FactoredFraction:
         for f, e in zip(self.basis.factors, self.exps):
             if e:
                 out = out * eval_poly(f, images, tgt) ** (-e)
-        return out.reduce()
+        return out
 
 
 def eval_poly(p: LaurentPoly,
               images: Mapping[str, Union[FactoredFraction, LaurentPoly, Rat]],
               target: DenomBasis) -> FactoredFraction:
-    """Evaluate a Laurent polynomial at images of its variables, reduced.
+    """Evaluate a Laurent polynomial at images of its variables.
 
     Follows the substitution policy of :func:`ring.evaluate`: an image is an
     ``int``, a ``Fraction``, a polynomial of the target context or a fraction
@@ -338,7 +348,7 @@ def eval_poly(p: LaurentPoly,
             raise ContextError("image context mismatch")
         return FactoredFraction(target, value)
 
-    return evaluate(p, images, target.ctx, lift).reduce()
+    return evaluate(p, images, target.ctx, lift)
 
 
 def frac_eq(x: FactoredFraction, y: FactoredFraction) -> bool:

@@ -8,6 +8,14 @@ exponent vectors to coefficients, and every value is normalized on
 construction (no zero coefficients, exponents of an algebraic-extension
 variable reduced into ``[0, deg-1]``).
 
+A stored coefficient is a :data:`Rat`: an ``int`` when it is integral and a
+``Fraction`` otherwise, so integer polynomials multiply with ``int``
+arithmetic and never build a ``Fraction``.  ``int`` and ``Fraction`` compare and hash alike and
+print the same, so keys and text do not depend on which one is stored.
+Every division goes through ``Fraction`` (``int / int`` would be a float),
+constructors raise ``TypeError`` for a float, and :meth:`constant_value`
+returns a ``Fraction``.
+
 The context may declare one algebraic extension: a designated variable ``r``
 together with a monic minimal polynomial over Q.  Arithmetic then happens in
 ``Q[r]/(m(r))`` tensored with the Laurent ring on the remaining variables;
@@ -38,6 +46,19 @@ Exponents = tuple[int, ...]
 V = TypeVar("V")
 
 
+def _co(c: Rat) -> Rat:
+    """A coefficient as stored: an ``int`` when integral, else a ``Fraction``."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _rat(c) -> Rat:
+    """A coefficient handed in from outside, as stored; a float raises."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient must be an int or a Fraction, "
+                        f"not {type(c).__name__}")
+    return _co(c)
+
+
 class ContextError(ValueError):
     """Operands do not share a variable context, or a variable is unknown."""
 
@@ -62,13 +83,13 @@ class VarContext:
         self.index = {n: i for i, n in enumerate(self.names)}
         self.ext_var: Optional[int] = None
         self.ext_deg = 0
-        self._ext_high: dict[int, Fraction] = {}
-        self._ext_inv: dict[int, Fraction] = {}
+        self._ext_high: dict[int, Rat] = {}
+        self._ext_inv: dict[int, Rat] = {}
         if extension is not None:
             var, coeffs = extension
             if var not in self.index:
                 raise ContextError(f"extension variable {var!r} not declared")
-            cs = [Fraction(c) for c in coeffs]
+            cs = [_rat(c) for c in coeffs]
             if not cs or cs[0] == 0:
                 raise ContextError("minimal polynomial needs nonzero constant term")
             self.ext_var = self.index[var]
@@ -76,8 +97,9 @@ class VarContext:
             # r^d = -(c0 + c1 r + ... + c_{d-1} r^{d-1})
             self._ext_high = {k: -c for k, c in enumerate(cs) if c != 0}
             # r^-1 = -(c1 + c2 r + ... + r^{d-1}) / c0
-            inv = {k - 1: -Fraction(1) / cs[0] * c for k, c in enumerate(cs) if k >= 1 and c != 0}
-            inv[self.ext_deg - 1] = -Fraction(1) / cs[0]
+            inv = {k - 1: _co(-Fraction(c) / cs[0])
+                   for k, c in enumerate(cs) if k >= 1 and c != 0}
+            inv[self.ext_deg - 1] = _co(Fraction(-1) / cs[0])
             self._ext_inv = inv
 
     def __eq__(self, other):
@@ -104,16 +126,16 @@ class VarContext:
         return self.const(1)
 
     def const(self, c: Rat) -> "LaurentPoly":
-        c = Fraction(c)
+        c = _rat(c)
         if c == 0:
             return self.zero()
-        return LaurentPoly(self, {(0,) * self.nvars(): c})
+        return LaurentPoly(self, {(0,) * self.nvars(): c}, _normalized=True)
 
     def var(self, name: str, power: int = 1) -> "LaurentPoly":
         return self.monomial(1, {name: power})
 
     def monomial(self, coeff: Rat, powers: Mapping[str, int]) -> "LaurentPoly":
-        coeff = Fraction(coeff)
+        coeff = _rat(coeff)
         if coeff == 0:
             return self.zero()
         exps = [0] * self.nvars()
@@ -129,7 +151,7 @@ class LaurentPoly:
 
     __slots__ = ("ctx", "terms", "_key")
 
-    def __init__(self, ctx: VarContext, terms: dict[Exponents, Fraction],
+    def __init__(self, ctx: VarContext, terms: dict[Exponents, Rat],
                  _normalized: bool = False):
         self.ctx = ctx
         if not _normalized:
@@ -160,7 +182,7 @@ class LaurentPoly:
             return Fraction(0)
         if not self.is_constant():
             raise UnitError("not a constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def key(self) -> tuple:
         """Canonical hashable form (terms sorted by descending exponents)."""
@@ -212,7 +234,7 @@ class LaurentPoly:
             else:
                 s = s + c
                 if s:
-                    terms[e] = s
+                    terms[e] = _co(s)
                 else:
                     del terms[e]
         return LaurentPoly(self.ctx, terms, _normalized=True)
@@ -244,18 +266,18 @@ class LaurentPoly:
             return other
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Rat] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
                 c = ca * cb
                 s = out.get(e)
                 if s is None:
-                    out[e] = c
+                    out[e] = _co(c)
                 else:
                     s = s + c
                     if s:
-                        out[e] = s
+                        out[e] = _co(s)
                     else:
                         del out[e]
         if self.ctx.ext_var is not None:
@@ -295,19 +317,20 @@ class LaurentPoly:
                  for d, c in self.ctx._ext_inv.items()})
             return rest * rinv ** k
         inv = tuple(-e for e in exps)
-        return LaurentPoly(self.ctx, {inv: 1 / coeff}, _normalized=True)
+        return LaurentPoly(self.ctx, {inv: _co(Fraction(1) / coeff)},
+                           _normalized=True)
 
     # -- calculus and substitution ---------------------------------------
 
     def derivative(self, name: str) -> "LaurentPoly":
         i = self.ctx.index[name]
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Rat] = {}
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
             ne = list(e)
             ne[i] -= 1
-            out[tuple(ne)] = c * e[i]
+            out[tuple(ne)] = _co(c * e[i])
         return LaurentPoly(self.ctx, out, _normalized=True)
 
     def substitute(self, images: Mapping[str, Union["LaurentPoly", Rat]],
@@ -347,7 +370,7 @@ class LaurentPoly:
     def coefficients_in(self, name: str) -> dict[int, "LaurentPoly"]:
         """Split into coefficients of powers of one variable."""
         i = self.ctx.index[name]
-        buckets: dict[int, dict[Exponents, Fraction]] = {}
+        buckets: dict[int, dict[Exponents, Rat]] = {}
         for e, c in self.terms.items():
             ne = list(e)
             d = ne[i]
@@ -357,10 +380,10 @@ class LaurentPoly:
                 for d, t in sorted(buckets.items())}
 
 
-def _normalize(ctx: VarContext, terms: dict[Exponents, Fraction]) -> dict[Exponents, Fraction]:
-    out: dict[Exponents, Fraction] = {}
+def _normalize(ctx: VarContext, terms: dict[Exponents, Rat]) -> dict[Exponents, Rat]:
+    out: dict[Exponents, Rat] = {}
     ev = ctx.ext_var
-    pending = [(e, Fraction(c)) for e, c in terms.items() if c]
+    pending = [(e, _rat(c)) for e, c in terms.items() if c]
     d = ctx.ext_deg
     while pending:
         e, c = pending.pop()
@@ -378,11 +401,11 @@ def _normalize(ctx: VarContext, terms: dict[Exponents, Fraction]) -> dict[Expone
         s = out.get(e)
         if s is None:
             if c:
-                out[e] = c
+                out[e] = _co(c)
         else:
             s = s + c
             if s:
-                out[e] = s
+                out[e] = _co(s)
             else:
                 del out[e]
     return out
@@ -409,17 +432,17 @@ def exact_divide(p: LaurentPoly, f: LaurentPoly) -> Optional[LaurentPoly]:
     F = {tuple(x - m for x, m in zip(e, fmin)): c for e, c in f.terms.items()}
     lf = max(F)
     cf = F[lf]
-    quot: dict[Exponents, Fraction] = {}
+    quot: dict[Exponents, Rat] = {}
     while P:
         lp = max(P)
         diff = tuple(a - b for a, b in zip(lp, lf))
         if any(d < 0 for d in diff):
             return None
-        c = P[lp] / cf
-        quot[diff] = quot.get(diff, Fraction(0)) + c
+        c = _co(Fraction(P[lp]) / cf)
+        quot[diff] = quot.get(diff, 0) + c
         for e, fc in F.items():
             t = tuple(a + b for a, b in zip(diff, e))
-            s = P.get(t, Fraction(0)) - c * fc
+            s = P.get(t, 0) - c * fc
             if s:
                 P[t] = s
             else:

@@ -328,7 +328,7 @@ def count_divisions(run):
     return calls[0]
 
 
-def test_verify_suites_divide_exactly_571_times_cold():
+def test_verify_suites_divide_exactly_486_times_cold():
     """Pinned count of ``exact_divide`` calls over every suite of ``verify
     all`` in a fresh interpreter, where every basis starts with no
     remembered factorization: a change to the divide-out loops or to the
@@ -338,12 +338,12 @@ def test_verify_suites_divide_exactly_571_times_cold():
     code = "import test_cli; print(test_cli.count_divisions(test_cli.run_suites))"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert int(out) == 571
+    assert int(out) == 486
 
 
-def test_verify_suites_divide_exactly_243_times_warm():
+def test_verify_suites_divide_exactly_158_times_warm():
     """Pinned count of ``exact_divide`` calls over a second run of every
     suite: the first run leaves each factorization the suites need
     remembered, so the count does not depend on which tests ran before."""
     run_suites()
-    assert count_divisions(run_suites) == 243
+    assert count_divisions(run_suites) == 158

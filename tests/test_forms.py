@@ -7,7 +7,8 @@ import pytest
 
 from quintic_garnier.forms import (MobiusAction, RationalMap, ScalarOneForm,
                                    ScalarTwoForm, divisor_pullback)
-from quintic_garnier.fractions import BasisError, DenomBasis, FactoredFraction, frac_eq
+from quintic_garnier.fractions import (BasisError, DenomBasis, FactoredFraction,
+                                       eval_poly, frac_eq, serialize_frac)
 from quintic_garnier.ring import LaurentPoly, VarContext
 
 XY = VarContext(["x", "y"])
@@ -24,6 +25,10 @@ PI = RationalMap("pi", BUV, BXY, ("u", "v"), ("x", "y"),
                  {"x": BUV.of(u), "y": BUV.of(v ** 2)})
 BMAP = RationalMap("b", BUV, BUV, ("u", "v"), ("u", "v"),
                    {"u": BUV.of(u * v), "v": BUV.of(v)})
+# the birational map (u, v) -> (uv/(u-1), v/(u-1)), whose images have a
+# denominator, so a pulled-back polynomial can share a factor with it
+MOVE = RationalMap("m", BUV, BXY, ("u", "v"), ("x", "y"),
+                   {"x": BUV.of(u * v, {0: 1}), "y": BUV.of(v, {0: 1})})
 
 
 def one_form(A, B, basis=BXY, base=("x", "y")):
@@ -89,6 +94,38 @@ def test_divisor_pullback_under_elementary_transform():
 def test_divisor_pullback_reports_residual():
     with pytest.raises(BasisError):
         divisor_pullback(x ** 2 - y, PI, {"v": v})
+
+
+def test_divisor_pullback_reduces_the_pulled_back_value():
+    # x - y pulls back to v(u-1)/(u-1): a denominator factor outside the
+    # declared list that only the reduction cancels
+    pulled = eval_poly(x - y, MOVE.subs, BUV)
+    assert pulled.exps == (1, 0, 0, 0, 0, 0) and pulled.num == v * (u - 1)
+    unit, factors = divisor_pullback(x - y, MOVE, {"v": v})
+    assert factors == {"v": 1} and unit.is_one()
+
+
+def test_unreduced_results_observe_as_reduced():
+    # derivative, substitute and eval_poly return fractions that need not
+    # be in lowest terms; every observation must match the reduced value
+    rng = random.Random(29)
+    unreduced = {"derivative": 0, "substitute": 0, "eval_poly": 0}
+    for _ in range(300):
+        f, g = _random_frac(rng), _random_frac_uv(rng)
+        cases = [("derivative", f.derivative("x")),
+                 ("derivative", f.derivative("y")),
+                 ("substitute", f.substitute(PI.subs, BUV)),
+                 ("substitute", g.substitute(BMAP.subs, BUV)),
+                 ("eval_poly", eval_poly(f.num, PI.subs, BUV)),
+                 ("eval_poly", eval_poly(f.num, MOVE.subs, BUV))]
+        for op, got in cases:
+            red = got.reduce()
+            assert serialize_frac(got) == serialize_frac(red)
+            assert hash(got) == hash(red)
+            assert got == red and red == got
+            unreduced[op] += (got.num, got.exps) != (red.num, red.exps)
+    # each operation really left some value unreduced
+    assert all(unreduced.values()), unreduced
 
 
 def test_divisor_pullback_of_zero_raises():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from quintic_garnier.families import CTX_ROOT, CTX_UV
+from quintic_garnier.fractions import DenomBasis
 from quintic_garnier.ring import (ContextError, LaurentPoly, UnitError, VarContext,
                                   exact_divide, parse_poly, serialize_poly)
 
@@ -210,6 +212,70 @@ def test_exact_division():
     assert exact_divide(p, u + 1) is None
     # Laurent shift: monomials always divide
     assert exact_divide(u + u ** -1, u) == 1 + u ** -2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UV.const(0.1),
+    lambda: UV.monomial(0.5, {"u": 1}),
+    lambda: UV.const(2.0),
+    lambda: LaurentPoly(UV, {(1, 0): 0.25}),
+    lambda: VarContext(["r"], extension=("r", [1.0, 1])),
+    lambda: DenomBasis(UV, [u - v]).const(0.25)],
+    ids=["const", "monomial", "integral-float", "terms", "extension", "basis"])
+def test_float_coefficients_are_rejected(build):
+    # a float holds a binary approximation; storing it exactly would let it
+    # decide a result, so every entry point refuses it
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        build()
+
+
+def _assert_stored(p):
+    """Every stored coefficient is an ``int`` when integral, else a
+    ``Fraction`` with a denominator other than 1; never a float."""
+    assert isinstance(p, LaurentPoly)
+    for c in p.terms.values():
+        assert (type(c) is int
+                or (type(c) is Fraction and c.denominator != 1)), (p, c)
+
+
+@pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])
+def test_stored_coefficients_are_int_when_integral(ctx):
+    rng = random.Random(83)
+    S = VarContext(["s"])
+    s = S.var("s")
+    # a ring map out of each context: u, v -> -s^2, s^-1, and for
+    # Q[r]/(r^2 + r + 1) the conjugation r -> r^2
+    if ctx is CTX_UV:
+        images, target = {"u": -(s ** 2), "v": Fraction(1, 2) * s ** -1}, S
+    else:
+        images, target = {"r": ctx.var("r") ** 2}, ctx
+    name = ctx.names[0]
+    for c in (3, -1, Fraction(6, 3), Fraction(3, 2), Fraction(-4, 6)):
+        _assert_stored(ctx.const(c))
+        _assert_stored(ctx.monomial(c, {name: 2}))
+        _assert_stored(ctx.monomial(c, {name: 1}).inverse())
+        _assert_stored(ctx.const(c).inverse())
+        assert type(ctx.const(c).constant_value()) is Fraction
+    assert type(ctx.const(7).constant_value()) is Fraction
+    assert type(ctx.zero().constant_value()) is Fraction
+    for _ in range(200):
+        p, q = _random_poly(rng, ctx), _random_poly(rng, ctx)
+        results = [p, q, p + q, p - q, -p, p * q, p ** 2, p ** 3,
+                   2 * p, Fraction(1, 2) * p, p + Fraction(1, 2),
+                   p.derivative(name),
+                   p.substitute(images, target),
+                   parse_poly(ctx, serialize_poly(p))]
+        if p.is_monomial():
+            results += [p.inverse(), p ** -2]
+        if not q.is_zero():
+            got = exact_divide(p * q, q)
+            if got is not None:
+                assert got * q == p * q
+                results.append(got)
+        for r in results:
+            _assert_stored(r)
+        if p.is_constant():
+            assert type(p.constant_value()) is Fraction
 
 
 def _random_poly(rng, ctx, max_terms=3, max_exp=3):
