@@ -11,30 +11,30 @@ Orbits are breadth-first closures deduplicated by the exact fifteen-trace
 tuple of the underlying class; the element set is independent of generator
 order and scheduling, while provenance edges may differ.
 
-An orbit step works on plain items ``(mats, traces, (M1 M2, M3 M4))``: the
-tuple of matrices (four for ``b4``, five for ``spherical5``), their trace
-tuple, and the two pair products, each ``None`` until a computed coordinate
-needs it.  No :class:`~quintic_garnier.reps.RepTuple` is built in the loop,
-and a move computes only the coordinates it changes.  The same move applied
-to the free generators d1..d4 (with ``d5 = (d1 d2 d3 d4)^-1`` for
-``spherical5``) gives each new coordinate as a word in the old generators.
-When that word is, up to rotation and inversion, one of the fifteen
-coordinate words, the new value is copied from the old tuple; σ1 swaps t1
-and t2 and keeps t5, for example, and only three or four of the fifteen are
-computed.  The copy is exact because the trace is a class function and
-``tr(W^-1) = tr(W)`` at determinant one, over any commutative ring.  The
-same words show which of the pair products ``M1 M2`` and ``M3 M4`` a move
-leaves equal (σ1 and σ3 keep both, the spherical σ4 keeps ``M1 M2``, σ2
-neither); an element carries the products it has built, and a move passes
-on those it keeps.
+An orbit is closed on trace tuples alone.  The seed's coordinates come from
+:func:`~quintic_garnier.reps.trace_coordinates`, the only matrix work of an
+orbit; after that each letter acts through its
+:class:`~quintic_garnier.traces.TraceMap`, the fifteen new coordinates as
+polynomials in the old ones.  :func:`_letter_map` derives it on first use
+by applying the letter to d1..d4 and ``d5 = (d1 d2 d3 d4)^-1`` as group
+words, so the same eight maps serve ``b4`` and ``spherical5``; a word acts
+letter by letter, the pure generators included.  A coordinate a letter only
+permutes is a single variable of its map and is copied: σ1..σ3 change three
+coordinates and σ4 four, each a four-term polynomial of degree two.  The
+maps are exact on the coordinates of any unimodular tuple over any
+commutative ring and send them to those of its image (see
+:mod:`~quintic_garnier.traces`), so the elements and edges are those that
+moving the matrices gives.
 
-A letter creates one matrix, ``a b a^-1`` or ``b^-1 a b``, and copies the
-rest.  The inverse factor is the plain adjugate, and the new matrix has its
-determinant checked once; the copied matrices are not checked again.  This
-is exact over any commutative ring: ``det`` is multiplicative and the
-adjugate of a determinant-one matrix has determinant one, so the images of
-unimodular matrices are unimodular.  The checks stay at the entry points,
-where matrices come from outside: :class:`~quintic_garnier.reps.RepTuple`,
+:func:`braid_act` moves the matrices themselves; the tests use it as the
+oracle the trace maps are checked against.  A letter creates one matrix,
+``a b a^-1`` or ``b^-1 a b``, and copies the rest.  The inverse factor is
+the plain adjugate, and the new matrix has its determinant checked once;
+the copied matrices are not checked again.  This is exact over any
+commutative ring: ``det`` is multiplicative and the adjugate of a
+determinant-one matrix has determinant one, so the images of unimodular
+matrices are unimodular.  The checks stay at the entry points, where
+matrices come from outside: :class:`~quintic_garnier.reps.RepTuple`,
 :meth:`~quintic_garnier.sl2.Mat2.inverse` and
 :func:`~quintic_garnier.sl2.word_evaluate`.
 """
@@ -43,13 +43,14 @@ from __future__ import annotations
 
 import functools
 import json
-from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
-from .reps import (COORDINATE_WORDS, PRODUCT_WORDS, RepTuple, TraceTuple,
-                   carry_traces, trace_coordinates)
+from .reps import RepTuple, TraceTuple, trace_coordinates
 from .ring import LaurentPoly, VarContext, parse_poly
 from .sl2 import GroupWord, Mat2, closure
+
+if TYPE_CHECKING:
+    from .traces import TraceMap
 
 
 class BraidWord:
@@ -95,7 +96,7 @@ class BraidWord:
 
 
 def _apply_letter(mats: list, x: int, inverse) -> int:
-    """One letter on a list of matrices, or of group words (:func:`_copy_table`),
+    """One letter on a list of matrices, or of group words (:func:`_letter_map`),
     with ``inverse`` inverting an entry; returns the index of the entry it creates."""
     i = abs(x) - 1
     a, b = mats[i], mats[i + 1]
@@ -212,74 +213,40 @@ class OrbitResult:
             fh.write("\n")
 
 
-def _cyclic_class(w: GroupWord) -> tuple:
-    """Letters of ``w`` cyclically reduced, least over rotations and inversion."""
-    letters = w.letters
-    while len(letters) > 1 and letters[0] == (letters[-1][0], -letters[-1][1]):
-        letters = letters[1:-1]
-    forms = []
-    for word in (letters, GroupWord(letters).inverse().letters):
-        forms += [word[i:] + word[:i] for i in range(len(word))]
-    return min(forms, default=())
+@functools.lru_cache(maxsize=None)
+def _letter_map(x: int) -> TraceMap:
+    """The trace map of letter ``x``, derived on first use: the letter acts on
+    d1..d4 and ``d5 = (d1 d2 d3 d4)^-1``, so σ1..σ3 serve ``b4`` and
+    ``spherical5`` alike and σ4 is the spherical move.  The reduction module
+    is imported here, not with the package: it costs nothing to a process
+    that closes no orbit."""
+    from .traces import TraceMap
 
-
-_COORDINATE_CLASSES = {_cyclic_class(w): k for k, w in enumerate(COORDINATE_WORDS)}
-_PRODUCT_INDEX = {w: j for j, w in enumerate(PRODUCT_WORDS)}
-
-
-@functools.lru_cache(maxsize=256)
-def _copy_table(letters: tuple[int, ...], flavor: str) -> tuple[tuple, tuple]:
-    """What a word leaves equal: ``(table, kept)``.
-
-    ``table`` gives, for each trace coordinate after the word acts, the
-    coordinate before it that has the same value, or ``None`` where it must
-    be computed.  ``kept`` gives, for ``M1 M2`` and ``M3 M4`` after the
-    word acts, the one of the two before it that is the same word in
-    d1..d4, or ``None``.
-    """
     gens = [GroupWord.gen(f"d{i}") for i in (1, 2, 3, 4)]
-    if flavor == "spherical5":
-        gens.append((gens[0] * gens[1] * gens[2] * gens[3]).inverse())
-    for x in letters:
-        _apply_letter(gens, x, GroupWord.inverse)
-    images = dict(zip(("d1", "d2", "d3", "d4"), gens))
-
-    def image(w: GroupWord) -> GroupWord:
-        out = GroupWord()
-        for sym, e in w.letters:
-            out = out * images[sym] ** e
-        return out
-
-    table = tuple(_COORDINATE_CLASSES.get(_cyclic_class(image(w)))
-                  for w in COORDINATE_WORDS)
-    kept = tuple(_PRODUCT_INDEX.get(image(w)) for w in PRODUCT_WORDS)
-    return table, kept
+    gens.append((gens[0] * gens[1] * gens[2] * gens[3]).inverse())
+    _apply_letter(gens, x, GroupWord.inverse)
+    return TraceMap(gens[:4])
 
 
-def _carried_moves(words: Iterable[BraidWord]) -> list:
-    """Each word and its inverse as named closure moves on items
-    ``(mats, traces, products)``.  A move acts on the matrices with
-    :func:`_act` and copies from the old item what the word's
-    :func:`_copy_table` shows equal; the rest is computed."""
+def _trace_moves(words: Iterable[BraidWord]) -> list:
+    """Each word and its inverse as named closure moves on trace tuples,
+    acting letter by letter through :func:`_letter_map`."""
     moves = []
     for g in words:
         for w in (g, g.inverse()):
-            table, kept = _copy_table(w.letters, w.flavor)
-
-            def move(item, letters=w.letters, table=table, kept=kept):
-                mats, traces, products = item
-                mats = _act(letters, mats)
-                carried = tuple(None if j is None else products[j] for j in kept)
-                return (mats, *carry_traces(mats, table, traces, carried))
+            def move(traces, maps=[_letter_map(x) for x in w.letters]):
+                for m in maps:
+                    traces = m(traces)
+                return traces
             moves.append((w.name, move))
     return moves
 
 
-def _orbit(mats: tuple, words: Sequence[BraidWord], cutoff: int,
+def _orbit(seed: RepTuple, words: Sequence[BraidWord], cutoff: int,
            seed_name: str) -> OrbitResult:
-    """Closure of the item of ``mats`` under ``words`` and their inverses."""
-    elements, _, edges, status = closure((mats, *carry_traces(mats)),
-                                         _carried_moves(words), itemgetter(1), cutoff)
+    """Closure of the seed's trace tuple under ``words`` and their inverses."""
+    elements, _, edges, status = closure(trace_coordinates(seed), _trace_moves(words),
+                                         lambda traces: traces, cutoff)
     return OrbitResult(seed_name, elements, edges, status,
                        [g.name for g in words], cutoff)
 
@@ -289,7 +256,7 @@ def orbit(seed: RepTuple, generators: Sequence[BraidWord], cutoff: int = 1000,
     """Closure of the seed's class under the given words and their inverses."""
     if any(g.flavor != "b4" for g in generators):
         raise IndexError("a 4-tuple carries only the b4 action")
-    return _orbit(seed.mats, generators, cutoff, seed_name)
+    return _orbit(seed, generators, cutoff, seed_name)
 
 
 def extended_orbit(seed: RepTuple, cutoff: int = 10000,
@@ -297,10 +264,10 @@ def extended_orbit(seed: RepTuple, cutoff: int = 10000,
     """Closure of the 5-tuple under the four spherical elementary moves.
 
     Elements are keyed by the trace tuple of the first four matrices; the
-    fifth matrix participates through the last move.
+    fifth matrix, ``(M1 M2 M3 M4)^-1``, enters through the map of σ4.
     """
     gens = [BraidWord([i], "spherical5") for i in (1, 2, 3, 4)]
-    return _orbit(seed.five(), gens, cutoff, seed_name)
+    return _orbit(seed, gens, cutoff, seed_name)
 
 
 def orbit_compare(a: Union[OrbitResult, Iterable[TraceTuple]],

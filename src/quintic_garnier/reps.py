@@ -7,23 +7,15 @@ the identity.  A point of the character variety is recorded by the fifteen
 trace functions
 
     t1..t4 = tr(Mi),  t5 = tr(M1 M2 M3 M4),
-    r1..r6 = traces of the pair products (12), (13), (14), (23), (24), (34),
-    r7..r10 = traces of the triple products (123), (124), (134), (234),
+    r12, r13, r14, r23, r24, r34 = traces of the pair products,
+    r123, r124, r134, r234 = traces of the triple products,
 
-in this fixed order; :data:`COORDINATE_WORDS` lists them as words over
-d1..d4.  Only the pair products (12) and (34) are built as matrices; every
-other coordinate is a trace of a product,
-:meth:`~quintic_garnier.sl2.Mat2.trace_of_product`, which needs half the ring
-products of a full matrix product.
-
-:func:`carry_traces` computes the coordinates of new matrices when some of
-them are known to equal old ones (a braid move permutes most of them; see
-:mod:`~quintic_garnier.braids`).  A copy is exact, not an approximation: the
-trace is a class function, ``tr(W^-1) = tr(W)`` at determinant one, and both
-hold over any commutative ring, so over ``Q[r]/(m)`` too.  It also takes
-and hands back the pair products ``M1 M2`` and ``M3 M4``: a braid move that
-leaves one of them equal, as a word in the free generators, passes it on
-instead of building it again.
+in this fixed order.  :func:`trace_coordinates` computes them from matrices:
+only the pair products (12) and (34) are built, and every other coordinate
+is a trace of a product, :meth:`~quintic_garnier.sl2.Mat2.trace_of_product`,
+which needs half the ring products of a full matrix product.
+:mod:`~quintic_garnier.traces` computes them after a braid move without any
+matrix.
 """
 
 from __future__ import annotations
@@ -113,56 +105,17 @@ class TraceTuple:
         return "(" + ", ".join(self.serialize()) + ")"
 
 
-# The one formula list: each coordinate is tr(A) or tr(A B) for factors A, B
-# among M1..M4 (0..3), P12 = M1 M2 (4) and P34 = M3 M4 (5); _FACTORS holds
-# the generator indices of each factor's word.
-_RECIPES = ((0,), (1,), (2,), (3,), (4, 5),
-            (4,), (0, 2), (0, 3), (1, 2), (1, 3), (5,),
-            (4, 2), (4, 3), (0, 5), (1, 5))
-_FACTORS = ((1,), (2,), (3,), (4,), (1, 2), (3, 4))
-COORDINATE_WORDS = tuple(GroupWord((f"d{i}", 1) for f in recipe for i in _FACTORS[f])
-                         for recipe in _RECIPES)
-"""The fifteen coordinates as words over d1..d4, in :class:`TraceTuple` order."""
-PRODUCT_WORDS = tuple(GroupWord((f"d{i}", 1) for i in _FACTORS[f]) for f in (4, 5))
-"""``M1 M2`` and ``M3 M4`` as words over d1..d4: the products that
-:func:`carry_traces` takes and hands back."""
-_ALL_FRESH = (None,) * 15
-
-
-def carry_traces(mats: Sequence[Mat2], table: Sequence[Optional[int]] = _ALL_FRESH,
-                 old: Optional[TraceTuple] = None,
-                 products: Sequence[Optional[Mat2]] = (None, None),
-                 ) -> tuple[TraceTuple, tuple[Optional[Mat2], Optional[Mat2]]]:
-    """Trace coordinates of ``mats`` (d1..d4), copying what is known.
-
-    ``table[k]`` is ``j`` when coordinate ``k`` of ``mats`` equals
-    coordinate ``j`` of ``old``, and ``None`` when it must be computed.
-    ``products`` holds ``M1 M2`` and ``M3 M4`` of ``mats`` where they are
-    already known, ``None`` where not; a missing one is built only when a
-    computed coordinate needs it.  Returns the coordinates and the two
-    products as they stand afterwards, so a caller can carry them on.
-    """
-    factors: list[Optional[Mat2]] = [*mats[:4], *products]
-    values = []
-    for k, src in enumerate(table):
-        if src is not None:
-            values.append(old.values[src])
-            continue
-        recipe = _RECIPES[k]
-        for f in recipe:
-            if factors[f] is None:
-                i, j = _FACTORS[f]
-                factors[f] = factors[i - 1] * factors[j - 1]
-        if len(recipe) == 1:
-            values.append(factors[recipe[0]].trace())
-        else:
-            values.append(factors[recipe[0]].trace_of_product(factors[recipe[1]]))
-    return TraceTuple(values), (factors[4], factors[5])
-
-
 def trace_coordinates(rho: RepTuple) -> TraceTuple:
-    """All fifteen coordinates of ``rho``, each computed."""
-    return carry_traces(rho.mats)[0]
+    """All fifteen coordinates of ``rho``, from the two products ``M1 M2`` and
+    ``M3 M4`` and traces of products."""
+    m1, m2, m3, m4 = rho.mats
+    p12, p34 = m1 * m2, m3 * m4
+    return TraceTuple([m1.trace(), m2.trace(), m3.trace(), m4.trace(),
+                       p12.trace_of_product(p34), p12.trace(),
+                       m1.trace_of_product(m3), m1.trace_of_product(m4),
+                       m2.trace_of_product(m3), m2.trace_of_product(m4), p34.trace(),
+                       p12.trace_of_product(m3), p12.trace_of_product(m4),
+                       m1.trace_of_product(p34), m2.trace_of_product(p34)])
 
 
 def induced_representation(words: Sequence[GroupWord],

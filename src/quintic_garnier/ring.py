@@ -191,10 +191,13 @@ class LaurentPoly:
         return self._key
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.const(other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if isinstance(other, (int, Fraction)):
+                other = self.ctx.const(other)
+            elif isinstance(other, float):
+                raise TypeError("a Laurent polynomial does not compare with a float")
+            else:
+                return NotImplemented
         return self.ctx == other.ctx and self.terms == other.terms
 
     def __hash__(self):
@@ -323,7 +326,11 @@ class LaurentPoly:
     # -- calculus and substitution ---------------------------------------
 
     def derivative(self, name: str) -> "LaurentPoly":
+        """Partial derivative by a free variable; the extension variable is
+        bound by its minimal polynomial, so it raises :class:`ContextError`."""
         i = self.ctx.index[name]
+        if i == self.ctx.ext_var:
+            raise ContextError(f"cannot differentiate by the extension variable {name!r}")
         out: dict[Exponents, Rat] = {}
         for e, c in self.terms.items():
             if e[i] == 0:

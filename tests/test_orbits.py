@@ -2,22 +2,27 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 
 import pytest
 
-from quintic_garnier.braids import (BraidWord, _carried_moves, _copy_table,
-                                    braid_act, center_check, extended_orbit,
-                                    full_twist, orbit, orbit_compare,
-                                    parse_substitution, pure_generators)
-from quintic_garnier.families import CTX_S, CTX_UV, builtin_family
-from quintic_garnier.reps import (RepTuple, TraceTuple, carry_traces,
-                                  trace_coordinates)
+from quintic_garnier import braids
+from quintic_garnier.braids import (BraidWord, OrbitResult, _letter_map,
+                                    _trace_moves, braid_act, center_check,
+                                    extended_orbit, full_twist, orbit,
+                                    orbit_compare, parse_substitution,
+                                    pure_generators)
+from quintic_garnier.families import CTX_ROOT, CTX_S, CTX_UV, builtin_family
+from quintic_garnier.reps import RepTuple, TraceTuple, trace_coordinates
 from quintic_garnier.ring import LaurentPoly, VarContext
 from quintic_garnier.sl2 import Mat2, closure
+from quintic_garnier.traces import CTX_TRACE, TRACE_NAMES, _compile, _evaluate
 from listings import EXTENDED_SIZES, LISTINGS, random_rep_tuple, random_unipotent
 
 u, v = CTX_UV.var("u"), CTX_UV.var("v")
@@ -277,39 +282,76 @@ def test_pure_and_cutoff_orbit_json_matches_golden_digests():
 
 
 SPHERICAL = [BraidWord([i], "spherical5") for i in (1, 2, 3, 4)]
+LETTERS = (1, -1, 2, -2, 3, -3, 4, -4)
+COORDINATE_VARIABLES = {CTX_TRACE.var(n): k for k, n in enumerate(TRACE_NAMES)}
 
 
-def _item(mats):
-    """The closure item ``(mats, traces, products)`` an orbit starts from."""
-    return (tuple(mats), *carry_traces(mats))
+def _oracle_traces(mats):
+    """Trace coordinates of the first four matrices of a ``braid_act`` image,
+    which has checked the determinant of each matrix it built; ``RepTuple``
+    checks those of the four again."""
+    return trace_coordinates(RepTuple(*mats[:4]))
 
 
-def _checked_images(item, moves):
-    """Every move's image of ``item``, after checking that its carried trace
-    tuple equals the one recomputed from its matrices, coordinate for
-    coordinate; that each of its matrices has determinant one; and that
-    each pair product it carries equals the product built afresh."""
-    images = []
-    for name, move in moves:
-        mats, carried, products = image = move(item)
-        assert isinstance(mats, tuple), name
-        one = mats[0].ctx.one()
-        assert [m.det() for m in mats] == [one] * len(mats), name
-        fresh = trace_coordinates(RepTuple(*mats[:4]))
-        wrong = [k for k in range(15) if carried.values[k] != fresh.values[k]]
-        assert wrong == [], (name, wrong)
-        for p, (i, j) in zip(products, ((0, 1), (2, 3))):
-            assert p is None or p == mats[i] * mats[j], (name, i, j)
-        images.append(image)
-    return images
+def _assert_same_coordinates(got, want, label):
+    wrong = [k for k in range(15) if got.values[k] != want.values[k]]
+    assert wrong == [], (label, wrong)
 
 
-def _assert_orbit_carries_keys(seed, words, cutoff):
-    """Close the orbit with every move applied through the check."""
-    moves = _carried_moves(words)
-    checked = [(name, lambda item, m=(name, move): _checked_images(item, [m])[0])
-               for name, move in moves]
-    closure(_item(seed), checked, itemgetter(1), cutoff)
+def _oracle_moves(words):
+    """The runtime moves of ``words`` on items ``(matrices, traces)``: the
+    matrices move through ``braid_act`` and the traces through the letter
+    maps, and every image is checked against the traces of its matrices."""
+    acting = [w for g in words for w in (g, g.inverse())]
+    moves = []
+    for w, (name, move) in zip(acting, _trace_moves(words)):
+        def checked(item, w=w, name=name, move=move):
+            mats, traces = item
+            mats = braid_act(w, mats)
+            got = move(traces)
+            _assert_same_coordinates(got, _oracle_traces(mats), name)
+            return mats, got
+        moves.append((name, checked))
+    return moves
+
+
+def _assert_orbit_matches_oracle(rho, words, cutoff, run):
+    """Close the orbit through the oracle moves; its elements, edges and
+    status must be those of the runtime orbit ``run``."""
+    seed = rho.five() if words is SPHERICAL else rho.mats
+    keys, _, edges, status = closure((seed, trace_coordinates(rho)),
+                                     _oracle_moves(words), itemgetter(1), cutoff)
+    want = OrbitResult("seed", keys, edges, status, [g.name for g in words], cutoff)
+    assert run.to_json() == want.to_json()
+
+
+def _assert_orbits_match_oracle(rho, spherical_cutoff=10000):
+    _assert_orbit_matches_oracle(rho, SPHERICAL, spherical_cutoff,
+                                 extended_orbit(rho, spherical_cutoff))
+    _assert_orbit_matches_oracle(rho, pure_generators(), 1000,
+                                 orbit(rho, pure_generators(), 1000))
+
+
+def _random_unimodular(rng, ctx):
+    """``[[1, a], [0, 1]] [[1, 0], [b, 1]]`` for random signed monomials a
+    and b: unimodular by construction, with entries of up to two terms."""
+    a, b = (ctx.monomial(rng.choice((1, -1, 2, -2)),
+                         {n: rng.randint(-1, 1) for n in ctx.names}) for _ in range(2))
+    one, zero = ctx.one(), ctx.zero()
+    return Mat2(one, a, zero, one) * Mat2(one, zero, b, one)
+
+
+@pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])
+def test_letter_maps_match_matrix_oracle_on_random_tuples(ctx):
+    """Every letter map, coordinate for coordinate, against ``braid_act``
+    and ``trace_coordinates`` on 200 seeded random unimodular tuples."""
+    rng = random.Random(73)
+    for _ in range(200):
+        rho = RepTuple(*(_random_unimodular(rng, ctx) for _ in range(4)))
+        five, traces = rho.five(), trace_coordinates(rho)
+        for x in LETTERS:
+            image = braid_act(BraidWord([x], "spherical5"), five)
+            _assert_same_coordinates(_letter_map(x)(traces), _oracle_traces(image), x)
 
 
 @pytest.mark.parametrize("conjugated", [False, True], ids=["catalog", "conjugate"])
@@ -318,59 +360,115 @@ def test_carried_keys_match_recomputed_traces_on_orbits(name, conjugated):
     rho = builtin_family(name).rep
     if conjugated:
         rho = rho.conjugate_by(random_unipotent(random.Random(name), rho.ctx))
-    _assert_orbit_carries_keys(rho.five(), SPHERICAL, 10000)
-    _assert_orbit_carries_keys(rho.mats, pure_generators(), 1000)
+    _assert_orbits_match_oracle(rho)
 
 
 def test_carried_keys_match_recomputed_traces_over_extension():
     fam = builtin_family("gamma3_finite")
     a, b = fam.assignment["a"], fam.assignment["b"]
-    rho = RepTuple(a, b, a * b, b * a * b)
-    _assert_orbit_carries_keys(rho.five(), SPHERICAL, 30)
-    _assert_orbit_carries_keys(rho.mats, pure_generators(), 1000)
+    _assert_orbits_match_oracle(RepTuple(a, b, a * b, b * a * b), spherical_cutoff=30)
 
 
 def test_carried_keys_match_recomputed_traces_on_random_walks():
     rng = random.Random(71)
-    spherical, pure = _carried_moves(SPHERICAL), _carried_moves(pure_generators())
+    spherical, pure = _oracle_moves(SPHERICAL), _oracle_moves(pure_generators())
     for _ in range(50):
         rho = random_rep_tuple(rng)
         for seed, moves in ((rho.five(), spherical), (rho.mats, pure)):
-            item = _item(seed)
+            item = (seed, trace_coordinates(rho))
             for _ in range(4):
-                item = rng.choice(_checked_images(item, moves))
+                item = rng.choice([move(item) for _, move in moves])
 
 
-def test_copy_tables_of_elementary_moves():
-    tables, kept = zip(*(_copy_table(w.letters, w.flavor)
-                         for g in SPHERICAL for w in (g, g.inverse())))
-    assert [t.count(None) for t in tables] == [3, 3, 3, 3, 3, 3, 4, 4]
+@pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])
+def test_compiled_terms_match_substitute(ctx):
+    """Compiled terms evaluate as ``substitute`` does, for polynomials with
+    constant terms, powers up to three and fractional coefficients."""
+    rng = random.Random(89)
+    xyz = VarContext(["x", "y", "z"])
+
+    def value():
+        return sum((ctx.monomial(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                                 {n: rng.randint(-2, 2) for n in ctx.names})
+                    for _ in range(rng.randint(0, 3))), ctx.zero())
+    for _ in range(100):
+        p = LaurentPoly(xyz, {tuple(rng.randint(0, 3) for _ in range(3)):
+                              Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                              for _ in range(rng.randint(0, 4))})
+        values = [value() for _ in range(3)]
+        entry = _compile(p)
+        got = values[entry] if isinstance(entry, int) else _evaluate(entry, values)
+        assert got == p.substitute(dict(zip(xyz.names, values)), ctx)
+    # a zero result is the zero value a product met, not a new one
+    x, y, z = (xyz.var(n) for n in xyz.names)
+    zero = ctx.zero()
+    assert _evaluate(_compile(x * y - z), [zero, ctx.one(), zero]) is zero
+
+
+def test_letter_maps_copy_what_a_move_permutes():
+    polys = [_letter_map(x).polys for x in LETTERS]
+    copies = [[COORDINATE_VARIABLES.get(p) for p in ps] for ps in polys]
+    assert [c.count(None) for c in copies] == [3, 3, 3, 3, 3, 3, 4, 4]
     # sigma_1 swaps t1 and t2; sigma_1..sigma_3 keep t5 = tr(M1 M2 M3 M4)
-    assert tables[0][:2] == (1, 0)
-    assert all(t[4] == 4 for t in tables[:6])
-    # sigma_1 and sigma_3 keep M1 M2 and M3 M4, sigma_2 neither, and the
-    # spherical sigma_4 keeps M1 M2; each the same as its inverse
-    assert kept == ((0, 1),) * 2 + ((None, None),) * 2 + ((0, 1),) * 2 + ((0, None),) * 2
-    # a pure generator fixes the local traces t1..t4
+    assert copies[0][:2] == [1, 0]
+    assert all(c[4] == 4 for c in copies[:6])
+    # each coordinate a move changes is a four-term polynomial of degree two
+    for ps, c in zip(polys, copies):
+        for p, k in zip(ps, c):
+            assert k is not None or (len(p.terms) == 4
+                                     and max(map(sum, p.terms)) == 2), p
+    # the spherical sigma_4 sends tr(M2 M4) to t2 t5 - r124 r23 + t3 r14 - r134
+    t2, t3, t5, r14, r23, r124, r134 = (CTX_TRACE.var(n) for n in
+                                        ("t2", "t3", "t5", "r14", "r23", "r124", "r134"))
+    assert polys[6][9] == t2 * t5 - r124 * r23 + t3 * r14 - r134
+    # a pure generator fixes the local traces t1..t4: the letters permute
+    # them, and the permutations compose to the identity
     for g in pure_generators():
-        assert _copy_table(g.letters, g.flavor)[0][:4] == (0, 1, 2, 3)
+        local = [0, 1, 2, 3]
+        for x in g.letters:
+            local = [local[k] for k in copies[LETTERS.index(x)][:4]]
+        assert local == [0, 1, 2, 3], g.name
 
 
-def test_extended_orbit_builds_only_what_is_new(monkeypatch):
-    """Pinned counts over the extended orbit of catalog rho1: one determinant
-    per letter (the matrix it creates) plus one for the seed's fifth matrix,
-    and no pair product built again after a move that keeps it.  A change
-    that brings back re-checks or rebuilt products fails here."""
-    rep = builtin_family("rho1").rep
-    calls = {"det": 0, "__mul__": 0}
+def test_orbits_build_no_matrix_after_the_seed(monkeypatch):
+    """After the seed's trace coordinates, an orbit is closed on trace
+    tuples alone: no matrix product, determinant or adjugate."""
+    calls = {"__mul__": 0, "det": 0, "adjugate": 0}
+    armed = []
     for attr in calls:
         def counted(*args, _f=getattr(Mat2, attr), _attr=attr):
-            calls[_attr] += 1
+            if armed:
+                calls[_attr] += 1
             return _f(*args)
         monkeypatch.setattr(Mat2, attr, counted)
-    res = extended_orbit(rep)
-    assert len(res) == 240 and res.status == "closed"
-    letters = 240 * len(SPHERICAL) * 2
-    # two products per letter, three for the seed's fifth matrix, and the
-    # pair products that the computed coordinates need and no move kept
-    assert calls == {"det": letters + 1, "__mul__": 2 * letters + 3 + 1154}
+    seed_traces = braids.trace_coordinates
+
+    def seed(rho):
+        assert not armed, "the seed's traces are computed once"
+        traces = seed_traces(rho)
+        armed.append(rho)
+        return traces
+    monkeypatch.setattr(braids, "trace_coordinates", seed)
+    rho = builtin_family("rho1").rep.conjugate_by(random_unipotent(random.Random(3), CTX_UV))
+    res = extended_orbit(rho)
+    assert len(res) == 240 and res.status == "closed" and armed == [rho]
+    armed.clear()
+    res = orbit(rho, pure_generators())
+    assert len(res) == 4 and res.status == "closed" and armed == [rho]
+    assert calls == {"__mul__": 0, "det": 0, "adjugate": 0}
+
+
+def test_letter_maps_are_derived_on_first_use():
+    """Importing the package loads no trace reduction and derives no letter
+    map; the first orbit derives the maps it needs."""
+    code = ("import sys, quintic_garnier as q; from quintic_garnier import braids\n"
+            "print('quintic_garnier.traces' in sys.modules, "
+            "braids._letter_map.cache_info().currsize)\n"
+            "q.orbit(q.builtin_family('rho1').rep, q.pure_generators())\n"
+            "from quintic_garnier import traces\n"
+            "print(braids._letter_map.cache_info().currsize, len(traces._TRACES) > 0)\n")
+    src = str(Path(braids.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "0", "6", "True"]
