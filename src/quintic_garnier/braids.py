@@ -26,6 +26,15 @@ commutative ring and send them to those of its image (see
 :mod:`~quintic_garnier.traces`), so the elements and edges are those that
 moving the matrices gives.
 
+Each word is followed by its inverse in the list of moves, and the closure
+computes only one edge of each reverse pair: once ``w`` takes ``t`` to
+``t'``, the edge back from ``t'`` under ``w^-1`` is appended without
+evaluating the letter maps.  This is exact, not a guess: the braid group
+acts on trace tuples, so ``w^-1`` after ``w`` is the identity on the orbit,
+and the inferred target is an element already found.  The elements, the
+edges and their order, and the cutoff point are those that computing both
+directions gives.
+
 :func:`braid_act` moves the matrices themselves; the tests use it as the
 oracle the trace maps are checked against.  A letter creates one matrix,
 ``a b a^-1`` or ``b^-1 a b``, and copies the rest.  The inverse factor is
@@ -229,7 +238,7 @@ def _letter_map(x: int) -> TraceMap:
 
 
 def _trace_moves(words: Iterable[BraidWord]) -> list:
-    """Each word and its inverse as named closure moves on trace tuples,
+    """Each word, then its inverse, as named closure moves on trace tuples,
     acting letter by letter through :func:`_letter_map`."""
     moves = []
     for g in words:
@@ -244,9 +253,13 @@ def _trace_moves(words: Iterable[BraidWord]) -> list:
 
 def _orbit(seed: RepTuple, words: Sequence[BraidWord], cutoff: int,
            seed_name: str) -> OrbitResult:
-    """Closure of the seed's trace tuple under ``words`` and their inverses."""
-    elements, _, edges, status = closure(trace_coordinates(seed), _trace_moves(words),
-                                         lambda traces: traces, cutoff)
+    """Closure of the seed's trace tuple under ``words`` and their inverses;
+    move ``m ^ 1`` is the inverse of move ``m``, so each edge's reverse is
+    inferred, not computed."""
+    moves = _trace_moves(words)
+    elements, _, edges, status = closure(trace_coordinates(seed), moves,
+                                         lambda traces: traces, cutoff,
+                                         [m ^ 1 for m in range(len(moves))])
     return OrbitResult(seed_name, elements, edges, status,
                        [g.name for g in words], cutoff)
 

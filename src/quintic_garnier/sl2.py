@@ -262,7 +262,8 @@ class ClosureResult:
 
 
 def closure(seed, moves: Sequence[tuple[str, Callable]], key: Callable,
-            cutoff: int) -> tuple[list, list, list[tuple[int, str, int]], str]:
+            cutoff: int, inverses: Optional[Sequence[int]] = None
+            ) -> tuple[list, list, list[tuple[int, str, int]], str]:
     """Breadth-first closure of ``seed`` under ``moves``, deduplicated by ``key``.
 
     ``moves`` is a list of ``(name, fn)`` pairs, applied in order to every
@@ -271,28 +272,46 @@ def closure(seed, moves: Sequence[tuple[str, Callable]], key: Callable,
     first), one edge ``(i, name, j)`` per move applied, and a status that is
     ``"closed"``, or ``"cutoff"`` as soon as a new element would go past
     ``cutoff``, which must be at least 1.
+
+    ``inverses[m]``, when given, is the index of the move inverse to move
+    ``m``, an involution of ``range(len(moves))``.  The moves must then be
+    a group action on the keys: an edge ``(i, m, j)`` that is computed
+    gives its reverse ``(j, inverses[m], i)``, which is appended when the
+    loop reaches it, without calling the move or the key.  Its target is
+    an element already known, so the keys, items, edges and status are
+    those of the same call without ``inverses``.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
+    if inverses is not None and (
+            len(inverses) != len(moves)
+            or any(not 0 <= n < len(moves) or inverses[n] != m
+                   for m, n in enumerate(inverses))):
+        raise ValueError("inverses must be an involution of the move indices")
     start = key(seed)
     index = {start: 0}
     keys, items = [start], [seed]
     edges: list[tuple[int, str, int]] = []
+    reverses: dict[tuple[int, int], int] = {}
     frontier = [0]
     while frontier:
         nxt = []
         for i in frontier:
-            for name, move in moves:
-                image = move(items[i])
-                k = key(image)
-                j = index.get(k)
+            for m, (name, move) in enumerate(moves):
+                j = reverses.pop((i, m), None)
                 if j is None:
-                    if len(keys) >= cutoff:
-                        return keys, items, edges, "cutoff"
-                    j = index[k] = len(keys)
-                    keys.append(k)
-                    items.append(image)
-                    nxt.append(j)
+                    image = move(items[i])
+                    k = key(image)
+                    j = index.get(k)
+                    if j is None:
+                        if len(keys) >= cutoff:
+                            return keys, items, edges, "cutoff"
+                        j = index[k] = len(keys)
+                        keys.append(k)
+                        items.append(image)
+                        nxt.append(j)
+                    if inverses is not None:
+                        reverses[j, inverses[m]] = i
                 edges.append((i, name, j))
         frontier = nxt
     return keys, items, edges, "closed"

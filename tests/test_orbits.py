@@ -458,6 +458,25 @@ def test_orbits_build_no_matrix_after_the_seed(monkeypatch):
     assert calls == {"__mul__": 0, "det": 0, "adjugate": 0}
 
 
+def test_orbits_compute_one_edge_of_each_reverse_pair(monkeypatch):
+    """A word and its inverse cancel on trace tuples, so the closure
+    evaluates one move per pair of reverse edges and infers the other."""
+    calls = []
+    trace_moves = braids._trace_moves
+
+    def counted(words):
+        return [(name, lambda traces, move=move: calls.append(name) or move(traces))
+                for name, move in trace_moves(words)]
+    monkeypatch.setattr(braids, "_trace_moves", counted)
+    edges = 0
+    for name in ("rho1", "rho2", "rho3", "rho4"):
+        rho = builtin_family(name).rep
+        for res in (extended_orbit(rho), orbit(rho, pure_generators())):
+            assert res.status == "closed"
+            edges += len(res.edges)
+    assert (len(calls), edges) == (2176, 4352)
+
+
 def test_letter_maps_are_derived_on_first_use():
     """Importing the package loads no trace reduction and derives no letter
     map; the first orbit derives the maps it needs."""

@@ -89,6 +89,43 @@ def test_closure_levels_edges_and_cutoff():
     assert edges == [(0, "+2", 1), (0, "+3", 2)]
 
 
+def _counted_moves(calls):
+    """+2, -2, +3, -3 on residues mod 6, each call counted in ``calls``."""
+    def step(d):
+        def move(k):
+            calls.append(d)
+            return (k + d) % 6
+        return move
+    return [(f"{d:+d}", step(d)) for d in (2, -2, 3, -3)]
+
+
+@pytest.mark.parametrize("cutoff", [6, 3])
+def test_closure_infers_reverse_edges(cutoff):
+    plain_calls, calls = [], []
+    plain = closure(0, _counted_moves(plain_calls), lambda k: k, cutoff)
+    got = closure(0, _counted_moves(calls), lambda k: k, cutoff, [1, 0, 3, 2])
+    assert got == plain
+    keys, _, edges, status = got
+    if cutoff == 6:
+        assert status == "closed" and len(keys) == 6 and len(edges) == 24
+        # each computed edge names its reverse, so half the edges cost a call
+        assert len(plain_calls) == len(edges) and len(calls) == len(edges) // 2
+    else:
+        # the cutoff falls on the third move, before any reverse is reached
+        assert status == "cutoff" and keys == [0, 2, 4]
+        assert edges == [(0, "+2", 1), (0, "-2", 2)] and calls == plain_calls
+
+
+@pytest.mark.parametrize("inverses", [[1, 0, 3], [1, 0, 3, 2, 4], [1, 2, 3, 0],
+                                      [1, 0, 3, 4], [1, 0, 3, -1]],
+                         ids=["short", "long", "cycle", "out_of_range", "negative"])
+def test_closure_rejects_malformed_inverses(inverses):
+    calls = []
+    with pytest.raises(ValueError, match="inverses"):
+        closure(0, _counted_moves(calls), lambda k: k, 6, inverses)
+    assert calls == []
+
+
 @pytest.mark.parametrize("cutoff", [0, -3])
 def test_closure_rejects_cutoff_below_one(cutoff):
     with pytest.raises(ValueError, match="cutoff"):
