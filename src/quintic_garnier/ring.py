@@ -21,11 +21,17 @@ together with a monic minimal polynomial over Q.  Arithmetic then happens in
 ``Q[r]/(m(r))`` tensored with the Laurent ring on the remaining variables;
 ``r`` is a unit because ``m`` has nonzero constant term.
 
-Substitution has one loop, :func:`evaluate`, and one policy: images are
+Substitution has one policy and two routes.  The policy: images are
 rationals, polynomials or (for ``fractions.eval_poly``) fractions; a variable
 with no image maps to the target variable of the same name; ``ContextError``
-is raised only when a variable that occurs has no image, and ``UnitError``
-for a negative power of a polynomial image that is not a signed monomial.
+is raised only when a variable that occurs has no image, or when an image is
+a polynomial of another context, and ``UnitError`` for a negative power of a
+polynomial image that is not a signed monomial.  The routes:
+:meth:`LaurentPoly.substitute` maps the exponents of every term linearly when
+each image is one term (a monomial of the target or a nonzero rational, as
+``braids.parse_substitution`` and ``--at`` give), and hands every other input
+to :func:`evaluate`, the generic loop over any ring with ``+``, ``*`` and
+``**``.
 
 The text grammar used for serialization is::
 
@@ -283,9 +289,7 @@ class LaurentPoly:
                         out[e] = _co(s)
                     else:
                         del out[e]
-        if self.ctx.ext_var is not None:
-            return LaurentPoly(self.ctx, out)
-        return LaurentPoly(self.ctx, out, _normalized=True)
+        return _from_acc(self.ctx, out)
 
     __rmul__ = __mul__
 
@@ -345,11 +349,19 @@ class LaurentPoly:
         """Ring-homomorphism image in ``target`` (default: this context).
 
         Follows the substitution policy of :func:`evaluate`; an image is an
-        ``int``, a ``Fraction`` or a polynomial of ``target``.
+        ``int``, a ``Fraction`` or a polynomial of ``target``.  When every
+        image is one term, a nonzero rational or a monomial of ``target``,
+        each term maps to one term: its exponents map linearly and its
+        coefficient takes powers of the image coefficients, and the terms
+        are summed into one accumulator.  Any other image (zero, several
+        terms, another context) goes through :func:`evaluate`.
         """
         tgt = target if target is not None else self.ctx
         if tgt is self.ctx and not images:
             return self
+        units = _unit_images(self.ctx, images, tgt)
+        if units is not None:
+            return _substitute_units(self, units, tgt)
 
         def lift(value) -> LaurentPoly:
             if isinstance(value, (int, Fraction)):
@@ -387,6 +399,14 @@ class LaurentPoly:
                 for d, t in sorted(buckets.items())}
 
 
+def _from_acc(ctx: VarContext, acc: dict[Exponents, Rat]) -> LaurentPoly:
+    """The value of an accumulator of nonzero stored coefficients: only an
+    extension context has exponents left to reduce."""
+    if ctx.ext_var is not None:
+        return LaurentPoly(ctx, acc)
+    return LaurentPoly(ctx, acc, _normalized=True)
+
+
 def _normalize(ctx: VarContext, terms: dict[Exponents, Rat]) -> dict[Exponents, Rat]:
     out: dict[Exponents, Rat] = {}
     ev = ctx.ext_var
@@ -416,6 +436,65 @@ def _normalize(ctx: VarContext, terms: dict[Exponents, Rat]) -> dict[Exponents, 
             else:
                 del out[e]
     return out
+
+
+def _unit_images(src: VarContext, images: Mapping[str, object],
+                 tgt: VarContext) -> Optional[list]:
+    """Per variable of ``src``, its image ``(coefficient, ((j, exponent), ...))``
+    over the variables ``j`` of ``tgt``, or ``None`` for a variable with no
+    image; ``None`` overall when an image is not one term of ``tgt``."""
+    units: list = []
+    for name in src.names:
+        if name in images:
+            value = images[name]
+            if isinstance(value, LaurentPoly):
+                if len(value.terms) != 1 or (value.ctx is not tgt and value.ctx != tgt):
+                    return None
+                (exps, c), = value.terms.items()
+                units.append((c, tuple((j, e) for j, e in enumerate(exps) if e)))
+            elif isinstance(value, (int, Fraction)) and value:
+                units.append((_co(value), ()))
+            else:
+                return None
+        elif name in tgt.index:
+            units.append((1, ((tgt.index[name], 1),)))
+        else:
+            units.append(None)
+    return units
+
+
+def _substitute_units(p: LaurentPoly, units: list, tgt: VarContext) -> LaurentPoly:
+    """``p`` at one-term images (see :func:`_unit_images`): each term maps to
+    one term of ``tgt``, summed into one accumulator."""
+    n = tgt.nvars()
+    acc: dict[Exponents, Rat] = {}
+    for exps, c in p.terms.items():
+        out = [0] * n
+        for i, k in enumerate(exps):
+            if not k:
+                continue
+            unit = units[i]
+            if unit is None:
+                raise ContextError(f"variable {p.ctx.names[i]!r} has no image")
+            uc, ue = unit
+            if uc == -1:
+                if k & 1:
+                    c = -c
+            elif uc != 1:
+                c = c * (uc ** k if k > 0 else Fraction(uc) ** k)
+            for j, e in ue:
+                out[j] += k * e
+        e = tuple(out)
+        s = acc.get(e)
+        if s is None:
+            acc[e] = _co(c)
+        else:
+            s = s + c
+            if s:
+                acc[e] = _co(s)
+            else:
+                del acc[e]
+    return _from_acc(tgt, acc)
 
 
 # -- exact division -------------------------------------------------------
@@ -464,7 +543,8 @@ def exact_divide(p: LaurentPoly, f: LaurentPoly) -> Optional[LaurentPoly]:
 def evaluate(p: LaurentPoly, images: Mapping[str, object], target: VarContext,
              lift: Callable[[object], V]) -> V:
     """Evaluate ``p`` at images of its variables in any ring with ``+``, ``*``
-    and ``**``: the one evaluation loop behind every substitution.
+    and ``**``: the generic loop behind every substitution except
+    :meth:`LaurentPoly.substitute` at images that are all one term.
 
     ``lift`` carries a rational, an image or a polynomial of ``target`` into
     the value ring.  A variable with no image maps to the ``target`` variable
@@ -520,10 +600,17 @@ def serialize_poly(p: LaurentPoly) -> str:
 
 # a numeric literal up to the exponent marker of scientific notation
 _MANTISSA = re.compile(r"(\d+\.?\d*|\.\d+)[eE]")
+# a coefficient that ``int`` reads exactly as ``Fraction`` would
+_INTEGER = re.compile(r"[0-9]+")
 
 
 def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
-    """Parse the polynomial grammar; variables must be declared in ``ctx``."""
+    """Parse the polynomial grammar; variables must be declared in ``ctx``.
+
+    The terms are summed into one accumulator and normalized once.  A plain
+    integer literal is read with ``int``, any other coefficient with
+    ``Fraction``.
+    """
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
@@ -545,26 +632,34 @@ def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
         else:
             buf.append(ch)
     terms.append((sign, "".join(buf).strip()))
-    total = ctx.zero()
+    index = ctx.index
+    acc: dict[Exponents, Rat] = {}
     for sgn, term in terms:
         if not term:
             raise ValueError("malformed polynomial text")
         factors = [f.strip() for f in term.split("*")]
-        coeff = Fraction(sgn)
-        powers: dict[str, int] = {}
-        for j, fac in enumerate(factors):
+        coeff: Rat = sgn
+        exps = [0] * len(index)
+        for fac in factors:
             if "^" in fac:
                 var, _, exp = fac.partition("^")
                 var = var.strip()
-                if var not in ctx.index:
+                if var not in index:
                     raise ContextError(f"undeclared variable {var!r}")
-                powers[var] = powers.get(var, 0) + int(exp)
-            elif fac in ctx.index:
-                powers[fac] = powers.get(fac, 0) + 1
+                exps[index[var]] += int(exp)
+            elif fac in index:
+                exps[index[fac]] += 1
+            elif _INTEGER.fullmatch(fac):
+                coeff *= int(fac)
             else:
                 try:
                     coeff *= Fraction(fac)
                 except ZeroDivisionError:
                     raise ValueError(f"term {term!r} has a zero denominator") from None
-        total = total + ctx.monomial(coeff, powers)
-    return total
+        e = tuple(exps)
+        s = acc.get(e, 0) + coeff
+        if s:
+            acc[e] = _co(s)
+        else:
+            acc.pop(e, None)
+    return _from_acc(ctx, acc)

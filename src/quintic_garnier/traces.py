@@ -30,6 +30,7 @@ first letter map, so importing the package does not load it.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Sequence
 
 from .reps import TraceTuple
@@ -189,29 +190,39 @@ def _compile(p: LaurentPoly):
 
 
 def _evaluate(terms: tuple, values: Sequence[LaurentPoly]) -> LaurentPoly:
-    """Compiled terms at ``values``: each term a product of values, and every
-    term summed into one accumulator, not into a new value per partial sum
-    as :func:`~quintic_garnier.ring.evaluate` does.  A zero result is a zero
-    value that a product met, where there is one, as a zero product is."""
+    """Compiled terms at ``values``, summed into one accumulator, not into a
+    new value per partial sum as :func:`~quintic_garnier.ring.evaluate`
+    does.  For a term ``c * x_1 ... x_k`` the first k - 1 factors are
+    multiplied as values, and the terms of the last one are multiplied
+    straight into the accumulator.  A zero result is a zero factor that a
+    term met, where there is one, as a zero product is."""
     ctx = values[0].ctx
     acc: dict = {}
     zero = None
     for c, idx in terms:
-        if idx:
+        last = values[idx[-1]] if idx else ctx.one()
+        if not last.terms:
+            zero = last
+            continue
+        # c times the first k - 1 factors; None stands for no exponents
+        head = ((None, c),)
+        if len(idx) > 1:
             p = values[idx[0]]
-            for i in idx[1:]:
+            for i in idx[1:-1]:
                 p = p * values[i]
             if not p.terms:
                 zero = p
-            items = p.terms.items()
-        else:
-            items = (((0,) * ctx.nvars(), 1),)
-        for e, x in items:
-            s = acc.get(e, 0) + c * x
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-    if not acc and zero is not None:
+                continue
+            head = [(e, c * x) for e, x in p.terms.items()]
+        for ea, ca in head:
+            for eb, cb in last.terms.items():
+                e = eb if ea is None else tuple(map(add, ea, eb))
+                s = acc.get(e, 0) + ca * cb
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+    result = LaurentPoly(ctx, acc)
+    if not result.terms and zero is not None:
         return zero
-    return LaurentPoly(ctx, acc)
+    return result

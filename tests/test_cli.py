@@ -70,6 +70,28 @@ def test_compare_membership(capsys, tmp_path):
     assert rc == 0 and doc["results"]["relation"] == "equal"
 
 
+@pytest.mark.parametrize("golden,orbit_b,subst", [
+    ("compare_rho2_rho3.json", "rho3_pure.json", "u=-s,v=s"),
+    ("compare_rho2_rho4.json", "rho4_pure.json", "u=s,v=s"),
+    ("compare_rho2_self.json", "rho2_ext.json", None),
+])
+def test_compare_matches_golden_report(capsys, tmp_path, monkeypatch, golden,
+                                       orbit_b, subst):
+    """The whole report, witnesses and ``size_a`` included: under u=s,v=s the
+    120 elements of the rho2 orbit become 40, so a term merged wrongly by
+    the substitution shows here."""
+    monkeypatch.chdir(tmp_path)
+    for name, mode, out in (("rho2", "--extended", "rho2_ext.json"),
+                            ("rho3", "--pure", "rho3_pure.json"),
+                            ("rho4", "--pure", "rho4_pure.json")):
+        assert main(["orbit", name, mode, "--out", out]) == 0
+    capsys.readouterr()
+    argv = ["compare", "rho2_ext.json", orbit_b] + (["--subst", subst] if subst else [])
+    assert main(argv) == 0
+    expected = (Path(__file__).parent / "golden" / golden).read_text()
+    assert capsys.readouterr().out == expected
+
+
 def test_compare_malformed_substitution(capsys, tmp_path):
     a = tmp_path / "a.json"
     run_cli(capsys, "orbit", "rho3", "--pure", "--out", str(a))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from quintic_garnier import braids
+from quintic_garnier import braids, ring
 from quintic_garnier.braids import (BraidWord, OrbitResult, _letter_map,
                                     _trace_moves, braid_act, center_check,
                                     extended_orbit, full_twist, orbit,
@@ -381,9 +381,10 @@ def test_carried_keys_match_recomputed_traces_on_random_walks():
 
 
 @pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])
-def test_compiled_terms_match_substitute(ctx):
-    """Compiled terms evaluate as ``substitute`` does, for polynomials with
-    constant terms, powers up to three and fractional coefficients."""
+def test_compiled_terms_match_evaluate(ctx):
+    """Compiled terms evaluate as :func:`ring.evaluate` does, for polynomials
+    with constant terms, powers up to three and fractional coefficients, at
+    values that include zero and values whose terms cancel."""
     rng = random.Random(89)
     xyz = VarContext(["x", "y", "z"])
 
@@ -391,18 +392,31 @@ def test_compiled_terms_match_substitute(ctx):
         return sum((ctx.monomial(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
                                  {n: rng.randint(-2, 2) for n in ctx.names})
                     for _ in range(rng.randint(0, 3))), ctx.zero())
-    for _ in range(100):
+
+    def lift(c):
+        return c if isinstance(c, LaurentPoly) else ctx.const(c)
+    for k in range(150):
         p = LaurentPoly(xyz, {tuple(rng.randint(0, 3) for _ in range(3)):
                               Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                               for _ in range(rng.randint(0, 4))})
         values = [value() for _ in range(3)]
+        if k >= 100:  # z = -x, so that terms cancel
+            values[2] = -values[0]
         entry = _compile(p)
         got = values[entry] if isinstance(entry, int) else _evaluate(entry, values)
-        assert got == p.substitute(dict(zip(xyz.names, values)), ctx)
-    # a zero result is the zero value a product met, not a new one
+        assert got == ring.evaluate(p, dict(zip(xyz.names, values)), ctx, lift)
+    # a zero result is a zero factor a term met, not a new value, also when
+    # the other terms cancel
     x, y, z = (xyz.var(n) for n in xyz.names)
-    zero = ctx.zero()
-    assert _evaluate(_compile(x * y - z), [zero, ctx.one(), zero]) is zero
+    one, z1, z2 = ctx.one(), ctx.zero(), ctx.zero()
+    assert _evaluate(_compile(x * y - z), [z1, one, z1]) is z1
+    assert _evaluate(_compile(x * y - z), [z1, one, z2]) in (z1, z2)
+    w = value() + 1
+    assert _evaluate(_compile(x - y + z * x), [w, w, z2]) is z2
+    assert _evaluate(_compile(x * y - z), [w, w, w * w]).is_zero()
+    if ctx is CTX_ROOT:  # r*r + r + 1 cancels only once r^2 is reduced
+        r = ctx.var("r")
+        assert _evaluate(_compile(x * y + x + z + 1), [r, r, z2]) is z2
 
 
 def test_letter_maps_copy_what_a_move_permutes():

@@ -7,8 +7,9 @@ import pytest
 
 from quintic_garnier.families import CTX_ROOT, CTX_UV
 from quintic_garnier.fractions import DenomBasis
+from quintic_garnier import ring
 from quintic_garnier.ring import (ContextError, LaurentPoly, UnitError, VarContext,
-                                  exact_divide, parse_poly, serialize_poly)
+                                  evaluate, exact_divide, parse_poly, serialize_poly)
 
 UV = VarContext(["u", "v"])
 u = UV.var("u")
@@ -87,6 +88,90 @@ def test_substitution_is_ring_homomorphism():
         q = _random_poly(rng, UV)
         assert (p * q).substitute(sigma, S) == p.substitute(sigma, S) * q.substitute(sigma, S)
         assert (p + q).substitute(sigma, S) == p.substitute(sigma, S) + q.substitute(sigma, S)
+
+
+def _evaluated(p, images, target):
+    """The oracle: :func:`ring.evaluate` in ``target``, with no route choice."""
+    def lift(value):
+        if isinstance(value, (int, Fraction)):
+            return target.const(value)
+        if value.ctx != target:
+            raise ContextError("image context mismatch")
+        return value
+    return evaluate(p, images, target, lift)
+
+
+S1 = VarContext(["s"])
+SU = VarContext(["s", "u"])
+R_S = VarContext(["r", "s"], extension=("r", [1, 1]))  # r^2 + r + 1 = 0
+
+
+def _unit_maps():
+    """(source, images, target) with every image one term."""
+    s, su, rs = S1.var("s"), SU.var("s"), R_S.var("s")
+    r, rr = CTX_ROOT.var("r"), R_S.var("r")
+    return [
+        (CTX_UV, {"u": -(s ** 2), "v": Fraction(3, 2) * s ** -1}, S1),
+        (CTX_UV, {"u": s, "v": -s}, S1),                # u^a v^b collide and cancel
+        (CTX_UV, {"u": s ** -1, "v": s}, S1),
+        (CTX_UV, {"u": Fraction(-2, 3), "v": 5 * s ** 2}, S1),
+        (CTX_UV, {"u": 3, "v": Fraction(1, 2)}, S1),    # constants only
+        (CTX_UV, {"v": Fraction(3, 2) * su ** -1}, SU),  # u left unmapped
+        (CTX_UV, {"u": rr, "v": -Fraction(1, 2) * rr * rs ** -1}, R_S),  # r^k reduced
+        (CTX_ROOT, {"r": r}, CTX_ROOT),
+        (CTX_ROOT, {"r": -rr * rs}, R_S),
+        (CTX_ROOT, {"r": Fraction(7, 2)}, S1),
+    ]
+
+
+def test_unit_images_substitute_as_evaluate(monkeypatch):
+    """One-term images take the accumulator route of ``substitute``, which
+    gives what :func:`ring.evaluate` gives, coefficient types included."""
+    rng = random.Random(97)
+    cases = [(src, images, target, _random_poly(rng, src, max_terms=6))
+             for src, images, target in _unit_maps() for _ in range(60)]
+    expected = [_evaluated(p, images, target) for _, images, target, p in cases]
+
+    def no_evaluate(*args):
+        raise AssertionError("one-term images went through evaluate")
+    monkeypatch.setattr(ring, "evaluate", no_evaluate)
+    for (_, images, target, p), want in zip(cases, expected):
+        got = p.substitute(images, target)
+        assert got.ctx is target and got == want, (p, images)
+        _assert_stored(got)
+        assert {e: type(c) for e, c in got.terms.items()} == \
+            {e: type(c) for e, c in want.terms.items()}
+    # terms that collide under u, v -> s, -s cancel in the accumulator
+    s = S1.var("s")
+    assert (u * v ** 2 + u ** 2 * v).substitute({"u": s, "v": -s}, S1).is_zero()
+
+
+def test_substitution_errors_match_evaluate():
+    """Both routes raise alike: a missing image only when its variable occurs,
+    an image of another context always, and a zero image (which goes through
+    ``evaluate``) keeps its UnitError for a negative power."""
+    s = S1.var("s")
+    t = VarContext(["t"]).var("t")
+    cases = [
+        (u ** 2 + 3, {"u": -s}, None),
+        (u * v, {"u": -s}, ContextError),               # v occurs, no image
+        (u * v, {"u": -s, "v": s + 1}, None),
+        (u * v ** -1, {"u": -s, "v": s + 1}, UnitError),
+        (u + 1, {"u": s, "v": t}, ContextError),        # v does not occur
+        (u + 1, {"u": s, "v": t + 1}, ContextError),
+        (u ** -1 + v, {"u": 0, "v": s}, UnitError),
+        (u ** -1 + v, {"u": S1.zero(), "v": s}, UnitError),
+        (u ** 2 + v, {"u": Fraction(0), "v": s}, None),
+    ]
+    for p, images, error in cases:
+        if error is None:
+            assert p.substitute(images, S1) == _evaluated(p, images, S1)
+            continue
+        with pytest.raises(error) as via_evaluate:
+            _evaluated(p, images, S1)
+        with pytest.raises(error) as via_substitute:
+            p.substitute(images, S1)
+        assert str(via_substitute.value) == str(via_evaluate.value)
 
 
 def test_ring_axioms_randomized():
@@ -190,6 +275,28 @@ def test_grammar_roundtrip():
     assert parse_poly(UV, "3/2*u^1*v^-1 - 1") == Fraction(3, 2) * u * v ** -1 - 1
 
 
+@pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])
+def test_grammar_roundtrip_keeps_values_and_coefficient_types(ctx):
+    rng = random.Random(101)
+    for _ in range(500):
+        p = _random_poly(rng, ctx, max_terms=5)
+        q = parse_poly(ctx, serialize_poly(p))
+        assert q == p
+        assert {e: type(c) for e, c in q.terms.items()} == \
+            {e: type(c) for e, c in p.terms.items()}
+
+
+def test_grammar_sums_repeated_and_cancelling_monomials():
+    assert parse_poly(UV, "u + u - 2*u").is_zero()
+    five = parse_poly(UV, "2*u^1*u^-1 + 3")
+    assert five == 5 and type(five.terms[(0, 0)]) is int
+    assert parse_poly(UV, "3/2*v + 1/2*v") == 2 * v
+    assert type(parse_poly(UV, "3/2*v + 1/2*v").terms[(0, 1)]) is int
+    assert parse_poly(UV, "0*u + v") == v
+    assert parse_poly(CTX_ROOT, "r^3") == CTX_ROOT.one()
+    assert parse_poly(CTX_ROOT, "r^2 + r + 1").is_zero()
+
+
 def test_grammar_variable_names_ending_in_e():
     # a sign after e/E is an exponent sign only inside a numeric literal
     EU = VarContext(["e", "u"])
@@ -275,6 +382,10 @@ def test_stored_coefficients_are_int_when_integral(ctx):
         images, target = {"u": -(s ** 2), "v": Fraction(1, 2) * s ** -1}, S
     else:
         images, target = {"r": ctx.var("r") ** 2}, ctx
+    # one-term images take the accumulator route of substitute
+    units, unit_target = (
+        ({"u": Fraction(3, 2) * s ** -1, "v": -(s ** 2)}, S) if ctx is CTX_UV
+        else ({"r": -Fraction(2, 3) * R_S.var("r") * R_S.var("s")}, R_S))
     name = ctx.names[0]
     for c in (3, -1, Fraction(6, 3), Fraction(3, 2), Fraction(-4, 6)):
         _assert_stored(ctx.const(c))
@@ -289,6 +400,7 @@ def test_stored_coefficients_are_int_when_integral(ctx):
         results = [p, q, p + q, p - q, -p, p * q, p ** 2, p ** 3,
                    2 * p, Fraction(1, 2) * p, p + Fraction(1, 2),
                    p.substitute(images, target),
+                   p.substitute(units, unit_target),
                    parse_poly(ctx, serialize_poly(p))]
         if ctx.ext_var is None:  # r is bound by its minimal polynomial
             results.append(p.derivative(name))
