@@ -3,9 +3,9 @@
 The elementary move of index i sends ``(.., M_i, M_{i+1}, ..)`` to
 ``(.., M_i M_{i+1} M_i^-1, M_i, ..)``; its inverse is
 ``(M_{i+1}, M_{i+1}^-1 M_i M_{i+1})``.  Words act letter by letter, first
-letter first.  Two flavors are supported: ``b4`` (indices 1..3, acting on
-4-tuples) and ``spherical5`` (indices 1..4, acting on product-identity
-5-tuples).
+letter first.  Letter ``±k`` moves matrices k and k+1, so it needs k+1
+matrices: σ1..σ3 act on a :class:`~quintic_garnier.reps.RepTuple`, and σ4
+also on its five matrices, whose product is the identity.
 
 Orbits are breadth-first closures deduplicated by the exact fifteen-trace
 tuple of the underlying class; the element set is independent of generator
@@ -17,8 +17,8 @@ orbit; after that each letter acts through its
 :class:`~quintic_garnier.traces.TraceMap`, the fifteen new coordinates as
 polynomials in the old ones.  :func:`_letter_map` derives it on first use
 by applying the letter to d1..d4 and ``d5 = (d1 d2 d3 d4)^-1`` as group
-words, so the same eight maps serve ``b4`` and ``spherical5``; a word acts
-letter by letter, the pure generators included.  A coordinate a letter only
+words, so one map per letter serves every word; a word acts letter by
+letter, the pure generators included.  A coordinate a letter only
 permutes is a single variable of its map and is copied: σ1..σ3 change three
 coordinates and σ4 four, each a four-term polynomial of degree two.  The
 maps are exact on the coordinates of any unimodular tuple over any
@@ -63,34 +63,29 @@ if TYPE_CHECKING:
 
 
 class BraidWord:
-    """Signed generator letters with a declared flavor."""
+    """Signed generator letters ±1..±4."""
 
-    __slots__ = ("letters", "flavor", "name")
+    __slots__ = ("letters", "name")
 
-    def __init__(self, letters: Iterable[int], flavor: str = "b4",
-                 name: Optional[str] = None):
+    def __init__(self, letters: Iterable[int], *, name: Optional[str] = None):
         self.letters = tuple(int(x) for x in letters)
-        if flavor not in ("b4", "spherical5"):
-            raise ValueError("flavor is 'b4' or 'spherical5'")
-        top = 3 if flavor == "b4" else 4
         for x in self.letters:
-            if x == 0 or abs(x) > top:
-                raise IndexError(f"letter {x} out of range for {flavor}")
-        self.flavor = flavor
+            if x == 0 or abs(x) > 4:
+                raise IndexError(f"letter {x} out of range 1..4")
         self.name = name or "".join(
             (f"s{abs(x)}" if x > 0 else f"s{abs(x)}'") for x in self.letters) or "e"
 
     def inverse(self) -> "BraidWord":
-        return BraidWord([-x for x in reversed(self.letters)], self.flavor,
+        return BraidWord([-x for x in reversed(self.letters)],
                          name=self.name + "^-1")
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return BraidWord(self.letters + other.letters, self.flavor)
+        return BraidWord(self.letters + other.letters)
 
     def __pow__(self, n: int) -> "BraidWord":
         if n < 0:
             return self.inverse() ** (-n)
-        return BraidWord(self.letters * n, self.flavor)
+        return BraidWord(self.letters * n)
 
     def permutation(self, strands: int) -> tuple[int, ...]:
         """Underlying strand permutation (image of each position)."""
@@ -127,20 +122,24 @@ def _act(letters: Sequence[int], mats: Sequence[Mat2]) -> tuple:
     return tuple(mats)
 
 
+def _check_reach(words: Iterable[BraidWord], n: int) -> None:
+    """Letter ``±k`` needs k+1 matrices: refuse a word that reaches past ``n``."""
+    for w in words:
+        if any(abs(x) >= n for x in w.letters):
+            raise IndexError(f"word {w.name} needs more than {n} matrices")
+
+
 def braid_act(word: BraidWord, rho: Union[RepTuple, Sequence[Mat2]]):
-    """Apply a braid word; returns the same shape as the input.
+    """Apply a braid word; returns a :class:`~quintic_garnier.reps.RepTuple`
+    for one, a tuple for a sequence of matrices.
 
     The matrices of a raw sequence are taken to be unimodular, as those of
     a :class:`~quintic_garnier.reps.RepTuple` are checked to be.
     """
-    if isinstance(rho, RepTuple):
-        if word.flavor != "b4":
-            raise IndexError("a 4-tuple carries only the b4 action")
-        return RepTuple(*_act(word.letters, rho.mats))
-    top = 3 if word.flavor == "b4" else 4
-    if len(rho) <= top:
-        raise IndexError("tuple too short for flavor")
-    return _act(word.letters, rho)
+    mats = rho.mats if isinstance(rho, RepTuple) else rho
+    _check_reach([word], len(mats))
+    moved = _act(word.letters, mats)
+    return RepTuple(*moved) if isinstance(rho, RepTuple) else moved
 
 
 def pure_generators() -> list[BraidWord]:
@@ -155,14 +154,14 @@ def pure_generators() -> list[BraidWord]:
         for j in range(i + 1, 5):
             run = list(range(j - 1, i, -1))
             letters = run + [i, i] + [-x for x in reversed(run)]
-            out.append(BraidWord(letters, "b4", name=f"A{i}{j}"))
+            out.append(BraidWord(letters, name=f"A{i}{j}"))
     return out
 
 
 def full_twist() -> BraidWord:
     """The square of the half twist; generates the center of the 4-strand group."""
-    half = BraidWord([1, 2, 1, 3, 2, 1], "b4", name="D")
-    return BraidWord(half.letters * 2, "b4", name="D^2")
+    half = BraidWord([1, 2, 1, 3, 2, 1], name="D")
+    return BraidWord(half.letters * 2, name="D^2")
 
 
 def center_check(rho: RepTuple) -> bool:
@@ -225,8 +224,8 @@ class OrbitResult:
 @functools.lru_cache(maxsize=None)
 def _letter_map(x: int) -> TraceMap:
     """The trace map of letter ``x``, derived on first use: the letter acts on
-    d1..d4 and ``d5 = (d1 d2 d3 d4)^-1``, so σ1..σ3 serve ``b4`` and
-    ``spherical5`` alike and σ4 is the spherical move.  The reduction module
+    d1..d4 and ``d5 = (d1 d2 d3 d4)^-1``, so σ1..σ3 move the first four
+    matrices alone and σ4 the fourth and fifth.  The reduction module
     is imported here, not with the package: it costs nothing to a process
     that closes no orbit."""
     from .traces import TraceMap
@@ -257,18 +256,18 @@ def _orbit(seed: RepTuple, words: Sequence[BraidWord], cutoff: int,
     move ``m ^ 1`` is the inverse of move ``m``, so each edge's reverse is
     inferred, not computed."""
     moves = _trace_moves(words)
-    elements, _, edges, status = closure(trace_coordinates(seed), moves,
-                                         lambda traces: traces, cutoff,
-                                         [m ^ 1 for m in range(len(moves))])
+    elements, edges, status = closure(trace_coordinates(seed), moves,
+                                      lambda traces: traces, cutoff,
+                                      [m ^ 1 for m in range(len(moves))])
     return OrbitResult(seed_name, elements, edges, status,
                        [g.name for g in words], cutoff)
 
 
 def orbit(seed: RepTuple, generators: Sequence[BraidWord], cutoff: int = 1000,
           seed_name: str = "seed") -> OrbitResult:
-    """Closure of the seed's class under the given words and their inverses."""
-    if any(g.flavor != "b4" for g in generators):
-        raise IndexError("a 4-tuple carries only the b4 action")
+    """Closure of the seed's class under the given words and their inverses;
+    σ4 needs the fifth matrix, so it is refused here (see :func:`extended_orbit`)."""
+    _check_reach(generators, 4)
     return _orbit(seed, generators, cutoff, seed_name)
 
 
@@ -279,7 +278,7 @@ def extended_orbit(seed: RepTuple, cutoff: int = 10000,
     Elements are keyed by the trace tuple of the first four matrices; the
     fifth matrix, ``(M1 M2 M3 M4)^-1``, enters through the map of σ4.
     """
-    gens = [BraidWord([i], "spherical5") for i in (1, 2, 3, 4)]
+    gens = [BraidWord([i]) for i in (1, 2, 3, 4)]
     return _orbit(seed, gens, cutoff, seed_name)
 
 

@@ -263,7 +263,7 @@ def suite_flatness() -> list[Check]:
 
 def suite_residues() -> list[Check]:
     checks = []
-    rep, _ = connections.flat_representative()
+    rep = connections.flat_quintic2_connection()
     tables = [
         ("quintic2", rep, connections.QUINTIC2_DIVISORS,
          {"y": "1/4", "y-1": "1/2*lam1^1", "conic": "1/2*lam0^1",
@@ -293,7 +293,7 @@ def suite_pullbacks() -> list[Check]:
     checks.append(ok("involution:riccati1",
                      connections.pullback_riccati(
                          r1, connections.map_involution()) == r1))
-    rep, _ = connections.flat_representative()
+    rep = connections.flat_quintic2_connection()
     ric = connections.riccati_of_connection(rep)
     checks.append(ok("pullback:cover_bar:riccati",
                      connections.pullback_riccati(

@@ -165,8 +165,9 @@ def h21_extract(rest: Optional[LineRestriction] = None) -> H21Data:
 
     Requires the rational-pole parametrization and a quadratic numerator.
     The lower-left residue at infinity vanishes when the four finite pole
-    residues sum to zero (residue theorem); the same residues verify the
-    partial-fraction assembly.
+    residues sum to zero (residue theorem); the assembly is verified by
+    rebuilding the lower-left coefficient from ``leading``, ``S_q`` and
+    ``P_q`` (:func:`_assembles`).
     """
     if rest is None:
         rest = restrict_to_line(mode="ac")
@@ -188,34 +189,36 @@ def h21_extract(rest: Optional[LineRestriction] = None) -> H21Data:
     leading = (n2f * two_a2.inverse()).reduce()
     S_q = (-FactoredFraction(basis, n1) * inv_n2).reduce()
     P_q = (FactoredFraction(basis, n0) * inv_n2).reduce()
-    res_inf_zero, assembly = _residue_checks(rest, num)
-    return H21Data(leading, S_q, P_q, num, res_inf_zero, assembly)
+    return H21Data(leading, S_q, P_q, num, _residues_sum_to_zero(rest, num),
+                   _assembles(rest, leading, S_q, P_q))
 
 
-def _residue_checks(rest: LineRestriction, num: LaurentPoly) -> tuple[bool, bool]:
-    """Residues of ``num / denominator`` at the four finite poles: whether
-    they sum to zero (so the residue at infinity vanishes), and whether
-    their partial fractions reassemble the lower-left coefficient exactly."""
+def _residues_sum_to_zero(rest: LineRestriction, num: LaurentPoly) -> bool:
+    """Whether the residues of ``num / denominator`` at the four finite poles
+    sum to zero, so that the residue at infinity vanishes."""
     basis = rest.basis
     ctx = basis.ctx
-    yv = ctx.var("y")
     t1, t2 = pole_positions()
-    poles = [ctx.zero(), ctx.one(), t1, t2]
     ddenom = rest.denominator.derivative("y")
     res_sum = basis.zero()
-    total = basis.zero()
-    two_a2 = 2 * ctx.var("a") ** 2
-    for i, p in enumerate(poles):
+    for p in (ctx.zero(), ctx.one(), t1, t2):
         n_at = FactoredFraction(basis, num.substitute({"y": p}))
         d_at = FactoredFraction(basis, ddenom.substitute({"y": p}))
-        res = n_at * d_at.inverse()
-        res_sum = res_sum + res
-        other = ctx.one()
-        for j, pj in enumerate(poles):
-            if j != i:
-                other = other * (yv - pj)
-        total = total + res * FactoredFraction(basis, other * two_a2)
-    return res_sum.is_zero(), frac_eq(total, FactoredFraction(basis, num))
+        res_sum = res_sum + n_at * d_at.inverse()
+    return res_sum.is_zero()
+
+
+def _assembles(rest: LineRestriction, leading: FactoredFraction,
+               S_q: FactoredFraction, P_q: FactoredFraction) -> bool:
+    """Whether ``leading (y^2 - S_q y + P_q) a^2 / (y (y-1) Q)`` is the
+    lower-left coefficient; with ``Q = a^2 (y - t1)(y - t2)``
+    (:func:`poles_factor_denominator`) this is the monic quadratic over the
+    four finite poles."""
+    basis = rest.basis
+    yv, a = basis.ctx.var("y"), basis.ctx.var("a")
+    monic = basis.of(yv ** 2) - S_q * basis.of(yv) + P_q
+    assembled = leading * monic * basis.over(a ** 2 * yv ** -1, yv - 1, Q_AC)
+    return frac_eq(assembled, rest.matrix[1][0])
 
 
 # ---------------------------------------------------------------------------

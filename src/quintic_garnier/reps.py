@@ -10,10 +10,8 @@ trace functions
     r12, r13, r14, r23, r24, r34 = traces of the pair products,
     r123, r124, r134, r234 = traces of the triple products,
 
-in this fixed order.  :func:`trace_coordinates` computes them from matrices:
-only the pair products (12) and (34) are built, and every other coordinate
-is a trace of a product, :meth:`~quintic_garnier.sl2.Mat2.trace_of_product`,
-which needs half the ring products of a full matrix product.
+in this fixed order.  :func:`trace_coordinates` computes them from matrices
+as traces of products, with ``M1 M2`` and ``M3 M4`` built once;
 :mod:`~quintic_garnier.traces` computes them after a braid move without any
 matrix.
 """
@@ -106,16 +104,15 @@ class TraceTuple:
 
 
 def trace_coordinates(rho: RepTuple) -> TraceTuple:
-    """All fifteen coordinates of ``rho``, from the two products ``M1 M2`` and
-    ``M3 M4`` and traces of products."""
+    """All fifteen coordinates of ``rho``, as traces of products."""
     m1, m2, m3, m4 = rho.mats
     p12, p34 = m1 * m2, m3 * m4
     return TraceTuple([m1.trace(), m2.trace(), m3.trace(), m4.trace(),
-                       p12.trace_of_product(p34), p12.trace(),
-                       m1.trace_of_product(m3), m1.trace_of_product(m4),
-                       m2.trace_of_product(m3), m2.trace_of_product(m4), p34.trace(),
-                       p12.trace_of_product(m3), p12.trace_of_product(m4),
-                       m1.trace_of_product(p34), m2.trace_of_product(p34)])
+                       (p12 * p34).trace(), p12.trace(),
+                       (m1 * m3).trace(), (m1 * m4).trace(),
+                       (m2 * m3).trace(), (m2 * m4).trace(), p34.trace(),
+                       (p12 * m3).trace(), (p12 * m4).trace(),
+                       (m1 * p34).trace(), (m2 * p34).trace()])
 
 
 def induced_representation(words: Sequence[GroupWord],

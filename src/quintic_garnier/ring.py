@@ -585,11 +585,12 @@ def evaluate(p: LaurentPoly, images: Mapping[str, object], target: VarContext,
 # -- text grammar -----------------------------------------------------------
 
 def serialize_poly(p: LaurentPoly) -> str:
-    """Canonical emission: terms by descending lex exponent order."""
+    """Canonical emission: terms by descending lex exponent order, the
+    order of the cached :meth:`LaurentPoly.key`."""
     if p.is_zero():
         return "0"
     parts = []
-    for exps, coeff in sorted(p.terms.items(), reverse=True):
+    for exps, coeff in p.key():
         factors = [str(coeff)]
         for name, e in zip(p.ctx.names, exps):
             if e:

@@ -55,11 +55,6 @@ class Mat2:
     def trace(self) -> LaurentPoly:
         return self.a + self.d
 
-    def trace_of_product(self, other: "Mat2") -> LaurentPoly:
-        """``(self * other).trace()`` from the 4 diagonal ring products."""
-        return (self.a * other.a + self.b * other.c
-                + self.c * other.b + self.d * other.d)
-
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.a * other.a + self.b * other.c,
                     self.a * other.b + self.b * other.d,
@@ -263,13 +258,13 @@ class ClosureResult:
 
 def closure(seed, moves: Sequence[tuple[str, Callable]], key: Callable,
             cutoff: int, inverses: Optional[Sequence[int]] = None
-            ) -> tuple[list, list, list[tuple[int, str, int]], str]:
+            ) -> tuple[list, list[tuple[int, str, int]], str]:
     """Breadth-first closure of ``seed`` under ``moves``, deduplicated by ``key``.
 
     ``moves`` is a list of ``(name, fn)`` pairs, applied in order to every
     element of a level before the next level starts.  Returns ``(keys,
-    items, edges, status)``: keys and items in discovery order (the seed
-    first), one edge ``(i, name, j)`` per move applied, and a status that is
+    edges, status)``: the keys in discovery order (the seed's first), one
+    edge ``(i, name, j)`` per move applied, and a status that is
     ``"closed"``, or ``"cutoff"`` as soon as a new element would go past
     ``cutoff``, which must be at least 1.
 
@@ -278,7 +273,7 @@ def closure(seed, moves: Sequence[tuple[str, Callable]], key: Callable,
     a group action on the keys: an edge ``(i, m, j)`` that is computed
     gives its reverse ``(j, inverses[m], i)``, which is appended when the
     loop reaches it, without calling the move or the key.  Its target is
-    an element already known, so the keys, items, edges and status are
+    an element already known, so the keys, edges and status are
     those of the same call without ``inverses``.
     """
     if cutoff < 1:
@@ -305,7 +300,7 @@ def closure(seed, moves: Sequence[tuple[str, Callable]], key: Callable,
                     j = index.get(k)
                     if j is None:
                         if len(keys) >= cutoff:
-                            return keys, items, edges, "cutoff"
+                            return keys, edges, "cutoff"
                         j = index[k] = len(keys)
                         keys.append(k)
                         items.append(image)
@@ -314,7 +309,7 @@ def closure(seed, moves: Sequence[tuple[str, Callable]], key: Callable,
                         reverses[j, inverses[m]] = i
                 edges.append((i, name, j))
         frontier = nxt
-    return keys, items, edges, "closed"
+    return keys, edges, "closed"
 
 
 def projective_closure(generators: Sequence[Mat2], cutoff: int = 1000) -> ClosureResult:
@@ -324,8 +319,8 @@ def projective_closure(generators: Sequence[Mat2], cutoff: int = 1000) -> Closur
     otherwise a cutoff marker (not fatal: symbolic tori never close).
     """
     moves = [(str(n), lambda m, g=g: m * g) for n, g in enumerate(generators)]
-    keys, _, _, status = closure(Mat2.identity(generators[0].ctx), moves,
-                                 Mat2.projective_key, cutoff)
+    keys, _, status = closure(Mat2.identity(generators[0].ctx), moves,
+                              Mat2.projective_key, cutoff)
     if status == "cutoff":
         return ClosureResult("cutoff", None, len(keys))
     return ClosureResult("finite", len(keys), len(keys))

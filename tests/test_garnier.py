@@ -7,7 +7,8 @@ import pytest
 from quintic_garnier.connections import flat_quintic2_connection
 from quintic_garnier.fractions import FactoredFraction, frac_eq
 from quintic_garnier.garnier import (B_AC, CTX_AC, RestrictionError,
-                                     _residue_checks, alphas_report,
+                                     _assembles, _residues_sum_to_zero,
+                                     alphas_report,
                                      garnier_parametrization,
                                      h21_extract, parity_invariance,
                                      pole_positions, pole_positions_at,
@@ -76,10 +77,19 @@ def test_h21_quadratic_and_checks():
 def test_residue_at_infinity_flag_fails_for_a_cubic_numerator():
     rest = restrict_to_line(mode="ac")
     num = h21_extract(rest).numerator
-    assert _residue_checks(rest, num) == (True, True)
-    # y*num still interpolates exactly through the four finite poles, but
-    # its residues no longer sum to zero: the residue at infinity is nonzero
-    assert _residue_checks(rest, CTX_AC.var("y") * num) == (False, True)
+    assert _residues_sum_to_zero(rest, num)
+    # the residues of y*num no longer sum to zero: the residue at infinity
+    # is nonzero
+    assert not _residues_sum_to_zero(rest, CTX_AC.var("y") * num)
+
+
+def test_h21_assembly_fails_for_perturbed_fields():
+    rest = restrict_to_line(mode="ac")
+    h = h21_extract(rest)
+    assert _assembles(rest, h.leading, h.S_q, h.P_q)
+    assert not _assembles(rest, h.leading, -h.S_q, h.P_q)
+    assert not _assembles(rest, h.leading, h.S_q, 2 * h.P_q)
+    assert not _assembles(rest, 2 * h.leading, h.S_q, h.P_q)
 
 
 def test_h21_requires_rational_pole_chart():

@@ -70,7 +70,7 @@ def test_braid_act_preserves_det_and_product():
         rho = random_rep_tuple(rng)
         five = rho.five()
         for i in (1, 2, 3, 4):
-            img = braid_act(BraidWord([i], "spherical5"), five)
+            img = braid_act(BraidWord([i]), five)
             assert all(m.det() == one for m in img)
             prod = img[0]
             for m in img[1:]:
@@ -83,23 +83,41 @@ def test_a_letter_checks_the_matrix_it_creates():
     two = Mat2(2 * u, 0, 0, u ** -1)
     ident = Mat2.identity(CTX_UV)
     with pytest.raises(ValueError, match="determinant"):
-        braid_act(BraidWord([1], "spherical5"), [two] + [ident] * 4)
+        braid_act(BraidWord([1]), [two] + [ident] * 4)
 
 
-def test_flavor_range_checks():
-    with pytest.raises(IndexError):
-        BraidWord([4], "b4")
-    with pytest.raises(IndexError):
-        BraidWord([5], "spherical5")
-    with pytest.raises(IndexError):
-        braid_act(BraidWord([1], "spherical5"), builtin_family("rho1").rep)
+def test_a_letter_needs_one_more_matrix_than_its_index():
+    rho = builtin_family("rho1").rep
+    for x in (4, -4):
+        w = BraidWord([1, x])
+        with pytest.raises(IndexError):
+            braid_act(w, rho)
+        with pytest.raises(IndexError):
+            braid_act(w, rho.mats)
+        five = braid_act(w, rho.five())
+        assert isinstance(five, tuple) and len(five) == 5
+        assert five == braid_act(BraidWord([x]), braid_act(BraidWord([1]), rho.five()))
+    # sigma_1..sigma_3 move the first four of five matrices as they move four
+    w = BraidWord([1, -2, 3])
+    assert braid_act(w, rho.five())[:4] == braid_act(w, rho).mats
+    assert braid_act(w, rho.mats) == braid_act(w, rho).mats
+    for x in (0, 5, -5):
+        with pytest.raises(IndexError):
+            BraidWord([x])
+
+
+def test_a_positional_name_is_refused():
+    with pytest.raises(TypeError):
+        BraidWord([1], "b4")
+    assert BraidWord([1, -2], name="w").name == "w"
+    assert BraidWord([1, -2]).name == "s1s2'"
 
 
 def test_orbit_rejects_a_spherical_word_at_entry(monkeypatch):
     moves = []
     monkeypatch.setattr(Mat2, "__mul__", lambda *args: moves.append(args))
     with pytest.raises(IndexError):
-        orbit(builtin_family("rho1").rep, [BraidWord([1], "spherical5")])
+        orbit(builtin_family("rho1").rep, [BraidWord([1]), BraidWord([2, -4])])
     assert moves == []
 
 
@@ -281,7 +299,7 @@ def test_pure_and_cutoff_orbit_json_matches_golden_digests():
     assert len(GOLDEN_DIGESTS) == len(got) + 5
 
 
-SPHERICAL = [BraidWord([i], "spherical5") for i in (1, 2, 3, 4)]
+SPHERICAL = [BraidWord([i]) for i in (1, 2, 3, 4)]
 LETTERS = (1, -1, 2, -2, 3, -3, 4, -4)
 COORDINATE_VARIABLES = {CTX_TRACE.var(n): k for k, n in enumerate(TRACE_NAMES)}
 
@@ -319,8 +337,8 @@ def _assert_orbit_matches_oracle(rho, words, cutoff, run):
     """Close the orbit through the oracle moves; its elements, edges and
     status must be those of the runtime orbit ``run``."""
     seed = rho.five() if words is SPHERICAL else rho.mats
-    keys, _, edges, status = closure((seed, trace_coordinates(rho)),
-                                     _oracle_moves(words), itemgetter(1), cutoff)
+    keys, edges, status = closure((seed, trace_coordinates(rho)),
+                                  _oracle_moves(words), itemgetter(1), cutoff)
     want = OrbitResult("seed", keys, edges, status, [g.name for g in words], cutoff)
     assert run.to_json() == want.to_json()
 
@@ -350,7 +368,7 @@ def test_letter_maps_match_matrix_oracle_on_random_tuples(ctx):
         rho = RepTuple(*(_random_unimodular(rng, ctx) for _ in range(4)))
         five, traces = rho.five(), trace_coordinates(rho)
         for x in LETTERS:
-            image = braid_act(BraidWord([x], "spherical5"), five)
+            image = braid_act(BraidWord([x]), five)
             _assert_same_coordinates(_letter_map(x)(traces), _oracle_traces(image), x)
 
 

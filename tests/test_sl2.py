@@ -1,6 +1,7 @@
 """Matrices, words, relation checks, closures, trace coordinates."""
 
 import random
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from quintic_garnier.families import (CTX_ROOT, CTX_S, CTX_T, CTX_UV,
                                       builtin_family)
 from quintic_garnier.reps import (PAIRS, RepTuple, irreducibility_witness,
                                   trace_coordinates, verify_product_identity)
-from quintic_garnier.ring import LaurentPoly
 from quintic_garnier.sl2 import (GroupWord, Mat2, closure, commutator,
                                  projective_closure, verify_relations,
                                  word_evaluate)
@@ -80,11 +80,11 @@ def test_relation_report_shape():
 def test_closure_levels_edges_and_cutoff():
     # residues mod 6 from 0 under +2 and +3: level 1 is {2, 3}, level 2 {4, 5}
     moves = [("+2", lambda k: (k + 2) % 6), ("+3", lambda k: (k + 3) % 6)]
-    keys, items, edges, status = closure(0, moves, lambda k: k, cutoff=6)
-    assert status == "closed" and keys == items == [0, 2, 3, 4, 5, 1]
+    keys, edges, status = closure(0, moves, lambda k: k, cutoff=6)
+    assert status == "closed" and keys == [0, 2, 3, 4, 5, 1]
     assert edges[:4] == [(0, "+2", 1), (0, "+3", 2), (1, "+2", 3), (1, "+3", 4)]
     assert len(edges) == 2 * len(keys)
-    keys, _, edges, status = closure(0, moves, lambda k: k, cutoff=3)
+    keys, edges, status = closure(0, moves, lambda k: k, cutoff=3)
     assert status == "cutoff" and keys == [0, 2, 3]
     assert edges == [(0, "+2", 1), (0, "+3", 2)]
 
@@ -105,7 +105,7 @@ def test_closure_infers_reverse_edges(cutoff):
     plain = closure(0, _counted_moves(plain_calls), lambda k: k, cutoff)
     got = closure(0, _counted_moves(calls), lambda k: k, cutoff, [1, 0, 3, 2])
     assert got == plain
-    keys, _, edges, status = got
+    keys, edges, status = got
     if cutoff == 6:
         assert status == "closed" and len(keys) == 6 and len(edges) == 24
         # each computed edge names its reverse, so half the edges cost a call
@@ -190,27 +190,29 @@ def test_conjugate_by_checks_g_once_and_each_conjugate(monkeypatch):
         rho.conjugate_by(bad)
 
 
-def _random_entry(rng, ctx):
-    """Up to three terms, exponents in -3..3; zero and one come up often."""
-    kind = rng.random()
-    if kind < 0.15:
-        return ctx.zero()
-    if kind < 0.3:
-        return ctx.one()
-    terms = {tuple(rng.randint(-3, 3) for _ in ctx.names):
-             Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-             for _ in range(rng.randint(1, 3))}
-    return LaurentPoly(ctx, terms)
+def _random_unimodular(rng, ctx):
+    """Three random unipotents, the last with a rational coefficient:
+    unimodular by construction, with several terms per entry."""
+    m = ctx.monomial(rng.choice([2, -2, Fraction(1, 2), Fraction(-1, 3)]),
+                     {n: rng.randint(-2, 2) for n in ctx.names})
+    one, zero = ctx.one(), ctx.zero()
+    return (random_unipotent(rng, ctx) * random_unipotent(rng, ctx)
+            * Mat2(one, zero, m, one))
 
 
 @pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])
-def test_trace_of_product_matches_full_product(ctx):
+def test_trace_coordinates_match_coordinate_words(ctx):
+    """Each of the fifteen coordinates is the trace of its word in d1..d4:
+    the four generators, their product, then the pairs and the triples."""
+    subsets = ([(i,) for i in range(4)] + [(0, 1, 2, 3)]
+               + list(combinations(range(4), 2)) + list(combinations(range(4), 3)))
+    words = [GroupWord((f"d{i + 1}", 1) for i in c) for c in subsets]
     rng = random.Random(61)
-    for _ in range(200):
-        a, b = (Mat2(*(_random_entry(rng, ctx) for _ in range(4)))
-                for _ in range(2))
-        assert a.trace_of_product(b) == (a * b).trace()
-        assert hash(a.trace_of_product(b)) == hash((a * b).trace())
+    for _ in range(100):
+        mats = [_random_unimodular(rng, ctx) for _ in range(4)]
+        assignment = {f"d{i + 1}": m for i, m in enumerate(mats)}
+        want = tuple(word_evaluate(assignment, w).trace() for w in words)
+        assert trace_coordinates(RepTuple(*mats)).values == want
 
 
 def _full_product_coordinates(rho):
