@@ -18,13 +18,24 @@ orbit; after that each letter acts through its
 polynomials in the old ones.  :func:`_letter_map` derives it on first use
 by applying the letter to d1..d4 and ``d5 = (d1 d2 d3 d4)^-1`` as group
 words, so one map per letter serves every word; a word acts letter by
-letter, the pure generators included.  A coordinate a letter only
-permutes is a single variable of its map and is copied: σ1..σ3 change three
-coordinates and σ4 four, each a four-term polynomial of degree two.  The
-maps are exact on the coordinates of any unimodular tuple over any
-commutative ring and send them to those of its image (see
-:mod:`~quintic_garnier.traces`), so the elements and edges are those that
-moving the matrices gives.
+letter, the pure generators included.  The maps are exact on the
+coordinates of any unimodular tuple over any commutative ring and send them
+to those of its image (see :mod:`~quintic_garnier.traces`), so the elements
+and edges are those that moving the matrices gives.
+
+An orbit fills its slots with few distinct values: rho1's 240 elements hold
+14.  So the closure runs on ids into a
+:class:`~quintic_garnier.traces.ValueTable` of its own, the distinct
+coordinate values numbered as they are first seen, and an element is a
+tuple of fifteen ids.  A coordinate a letter only permutes is a single
+variable of its map and its id is copied: σ1..σ3 change three coordinates
+and σ4 four, each a four-term polynomial of degree two.  A changed
+coordinate is memoized on the letter, the coordinate and the ids of the
+coordinates its polynomial reads; only a new input evaluates the
+polynomial, and its value is interned by its key.  The intermediate values
+of a word go into the same table.  The table and the memo live for one
+orbit.  :class:`OrbitResult` serializes each table value once and builds
+its trace tuples from the shared values.
 
 Each word is followed by its inverse in the list of moves, and the closure
 computes only one edge of each reverse pair: once ``w`` takes ``t`` to
@@ -55,11 +66,11 @@ import json
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 from .reps import RepTuple, TraceTuple, trace_coordinates
-from .ring import LaurentPoly, VarContext, parse_poly
+from .ring import LaurentPoly, VarContext, parse_poly, serialize_poly
 from .sl2 import GroupWord, Mat2, closure
 
 if TYPE_CHECKING:
-    from .traces import TraceMap
+    from .traces import TraceMap, ValueTable
 
 
 class BraidWord:
@@ -174,15 +185,25 @@ def center_check(rho: RepTuple) -> bool:
 
 
 class OrbitResult:
-    """Finite (or truncated) orbit: canonical trace tuples plus provenance."""
+    """Finite (or truncated) orbit: canonical trace tuples plus provenance.
 
-    def __init__(self, seed_name: str, elements: list[TraceTuple],
-                 edges: list[tuple[int, str, int]], status: str,
-                 generators: list[str], cutoff: int):
-        order = sorted(range(len(elements)), key=lambda i: elements[i].serialize())
+    It is built from the closure's elements, tuples of ids into ``values``,
+    the distinct coordinate values of the orbit.  Each value is serialized
+    once; the elements are ordered by the tuple of their texts, which
+    :meth:`to_json` reuses, and handed out as trace tuples that share the
+    values.
+    """
+
+    def __init__(self, seed_name: str, elements: Sequence[tuple[int, ...]],
+                 values: Sequence[LaurentPoly], edges: list[tuple[int, str, int]],
+                 status: str, generators: list[str], cutoff: int):
+        texts = [serialize_poly(v) for v in values]
+        rows = [tuple(texts[i] for i in e) for e in elements]
+        order = sorted(range(len(elements)), key=rows.__getitem__)
         rank = {old: new for new, old in enumerate(order)}
         self.seed_name = seed_name
-        self.elements = [elements[i] for i in order]
+        self.elements = [TraceTuple([values[i] for i in elements[k]]) for k in order]
+        self._rows = [rows[k] for k in order]
         self.edges = sorted((rank[a], g, rank[b]) for a, g, b in edges)
         self.status = status  # "closed" | "cutoff"
         self.generators = generators
@@ -196,7 +217,7 @@ class OrbitResult:
 
     def substituted_set(self, sigma: Mapping[str, LaurentPoly],
                         target: Optional[VarContext] = None) -> set[TraceTuple]:
-        return {e.substitute(sigma, target) for e in self.elements}
+        return _substituted(self.elements, sigma, target)
 
     def variables(self) -> tuple[str, ...]:
         if not self.elements:
@@ -211,7 +232,7 @@ class OrbitResult:
             "cutoff": self.cutoff,
             "size": len(self.elements),
             "variables": list(self.variables()),
-            "elements": [list(e.serialize()) for e in self.elements],
+            "elements": [list(row) for row in self._rows],
             "edges": [list(e) for e in self.edges],
         }
 
@@ -236,30 +257,33 @@ def _letter_map(x: int) -> TraceMap:
     return TraceMap(gens[:4])
 
 
-def _trace_moves(words: Iterable[BraidWord]) -> list:
-    """Each word, then its inverse, as named closure moves on trace tuples,
-    acting letter by letter through :func:`_letter_map`."""
+def _trace_moves(words: Iterable[BraidWord], table: ValueTable) -> list:
+    """Each word, then its inverse, as named closure moves on the elements of
+    ``table``, acting letter by letter through :func:`_letter_map`."""
     moves = []
     for g in words:
         for w in (g, g.inverse()):
-            def move(traces, maps=[_letter_map(x) for x in w.letters]):
+            def move(ids, maps=[_letter_map(x) for x in w.letters]):
                 for m in maps:
-                    traces = m(traces)
-                return traces
+                    ids = m(ids, table)
+                return ids
             moves.append((w.name, move))
     return moves
 
 
 def _orbit(seed: RepTuple, words: Sequence[BraidWord], cutoff: int,
            seed_name: str) -> OrbitResult:
-    """Closure of the seed's trace tuple under ``words`` and their inverses;
-    move ``m ^ 1`` is the inverse of move ``m``, so each edge's reverse is
-    inferred, not computed."""
-    moves = _trace_moves(words)
-    elements, edges, status = closure(trace_coordinates(seed), moves,
-                                      lambda traces: traces, cutoff,
+    """Closure of the seed's trace tuple under ``words`` and their inverses,
+    on ids into a value table of its own; move ``m ^ 1`` is the inverse of
+    move ``m``, so each edge's reverse is inferred, not computed."""
+    from .traces import ValueTable
+
+    table = ValueTable()
+    moves = _trace_moves(words, table)
+    start = tuple(map(table.intern, trace_coordinates(seed).values))
+    elements, edges, status = closure(start, moves, lambda ids: ids, cutoff,
                                       [m ^ 1 for m in range(len(moves))])
-    return OrbitResult(seed_name, elements, edges, status,
+    return OrbitResult(seed_name, elements, table.values, edges, status,
                        [g.name for g in words], cutoff)
 
 
@@ -294,7 +318,7 @@ def orbit_compare(a: Union[OrbitResult, Iterable[TraceTuple]],
     sa = a.element_set() if isinstance(a, OrbitResult) else set(a)
     sb = b.element_set() if isinstance(b, OrbitResult) else set(b)
     if sigma:
-        sa = {e.substitute(sigma, target) for e in sa}
+        sa = _substituted(sa, sigma, target)
     common = sa & sb
     if not common:
         relation = "disjoint"
@@ -310,6 +334,20 @@ def orbit_compare(a: Union[OrbitResult, Iterable[TraceTuple]],
     return {"relation": relation, "common": len(common),
             "size_a": len(sa), "size_b": len(sb),
             "witnesses": [list(w) for w in witnesses]}
+
+
+def _substituted(elements: Iterable[TraceTuple], sigma: Mapping[str, LaurentPoly],
+                 target: Optional[VarContext]) -> set[TraceTuple]:
+    """``sigma`` applied to each element; an orbit has few distinct
+    coordinate values, and each is substituted once."""
+    images: dict[LaurentPoly, LaurentPoly] = {}
+
+    def image(v: LaurentPoly) -> LaurentPoly:
+        w = images.get(v)
+        if w is None:
+            w = images[v] = v.substitute(sigma, target)
+        return w
+    return {TraceTuple([image(v) for v in e.values]) for e in elements}
 
 
 def parse_substitution(text: str, src: VarContext,

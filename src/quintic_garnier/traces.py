@@ -24,16 +24,18 @@ a checked tuple to those of its image, which is again unimodular, so maps
 can be applied one after another without a matrix.  Of the reductions the
 rewriting finds, the one with the fewest terms is kept.
 
+A map acts on ids into a :class:`ValueTable`, the distinct coordinate
+values of one orbit, and evaluates each entry once per distinct input.
+
 :mod:`~quintic_garnier.braids` imports this module when it derives its
 first letter map, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, itemgetter
 from typing import Sequence
 
-from .reps import TraceTuple
 from .ring import LaurentPoly, VarContext
 from .sl2 import GroupWord
 
@@ -45,7 +47,7 @@ _COORDINATE_LETTERS = ((1,), (2,), (3,), (4,), (1, 2, 3, 4), (1, 2), (1, 3), (1,
                        (2, 3), (2, 4), (3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4),
                        (2, 3, 4))
 """The fifteen coordinates as words over d1..d4 (generator indices), in
-:class:`TraceTuple` order."""
+:class:`~quintic_garnier.reps.TraceTuple` order."""
 
 
 # -- trace reduction ---------------------------------------------------------
@@ -151,18 +153,49 @@ def _rewrites(word: tuple):
 _GENERATORS = {f"d{i}": i for i in (1, 2, 3, 4)}
 
 
+class ValueTable:
+    """The distinct coordinate values of one orbit, numbered in the order
+    they are first seen, and the memo of the letter maps that act on them.
+
+    An element is a tuple of fifteen ids into :attr:`values`.  A value is
+    interned by its :meth:`~quintic_garnier.ring.LaurentPoly.key` once, when
+    it is first computed; a key carries no variable context, so the values
+    of one table must share one, as those of one orbit do.  The memo
+    remembers the id a map entry gave for the ids of the coordinates it
+    reads, so each entry is evaluated once per distinct input.
+    """
+
+    __slots__ = ("values", "memo", "_ids")
+
+    def __init__(self):
+        self.values: list[LaurentPoly] = []
+        self._ids: dict[tuple, int] = {}
+        self.memo: dict[tuple, int] = {}
+
+    def intern(self, value: LaurentPoly) -> int:
+        key = value.key()
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.values)
+            self.values.append(value)
+        return i
+
+
 class TraceMap:
     """The fifteen coordinates after a substitution of d1..d4, as polynomials
     in the fifteen before it.
 
     ``polys[k]`` is the trace of coordinate word k with d1..d4 replaced by
     ``images`` (words over d1..d4), reduced to a polynomial over
-    :data:`CTX_TRACE`.  Calling the map on a :class:`TraceTuple` evaluates
-    the polynomials there: a coordinate that is one variable is copied, the
-    others are compiled once into terms for :func:`_evaluate`.
+    :data:`CTX_TRACE`.  Calling the map on an element of a
+    :class:`ValueTable`, fifteen ids, gives the ids of its image.  A
+    coordinate that is one variable is an id copy.  The others are compiled
+    once into terms for :func:`_evaluate`, which runs on the table's values
+    only when the table's memo has no id for the entry and the ids of the
+    coordinates it reads; its result is interned.
     """
 
-    __slots__ = ("polys", "_entries")
+    __slots__ = ("polys", "_copy", "_changed")
 
     def __init__(self, images: Sequence[GroupWord]):
         if len(images) != 4:
@@ -170,12 +203,24 @@ class TraceMap:
         subst = [tuple(_GENERATORS[sym] * e for sym, e in w.letters) for w in images]
         self.polys = tuple(_trace(tuple(x for i in w for x in subst[i - 1]))
                            for w in _COORDINATE_LETTERS)
-        self._entries = tuple(_compile(p) for p in self.polys)
+        entries = [_compile(p) for p in self.polys]
+        # every coordinate is copied first, a changed one from t1, then overwritten
+        self._copy = itemgetter(*(e if e.__class__ is int else 0 for e in entries))
+        # (coordinate, the ids it reads as a memo key, compiled terms)
+        self._changed = tuple((k, itemgetter(*sorted({i for _, idx in e for i in idx})), e)
+                              for k, e in enumerate(entries) if e.__class__ is not int)
 
-    def __call__(self, traces: TraceTuple) -> TraceTuple:
-        vals = traces.values
-        return TraceTuple([vals[e] if e.__class__ is int else _evaluate(e, vals)
-                           for e in self._entries])
+    def __call__(self, ids: tuple, table: ValueTable) -> tuple:
+        image = list(self._copy(ids))
+        memo = table.memo
+        for k, reads, terms in self._changed:
+            key = (self, k, reads(ids))
+            i = memo.get(key)
+            if i is None:
+                values = table.values
+                i = memo[key] = table.intern(_evaluate(terms, [values[j] for j in ids]))
+            image[k] = i
+        return tuple(image)
 
 
 def _compile(p: LaurentPoly):

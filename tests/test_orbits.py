@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from quintic_garnier import braids, ring
+from quintic_garnier import braids, ring, traces
 from quintic_garnier.braids import (BraidWord, OrbitResult, _letter_map,
                                     _trace_moves, braid_act, center_check,
                                     extended_orbit, full_twist, orbit,
@@ -22,7 +22,8 @@ from quintic_garnier.families import CTX_ROOT, CTX_S, CTX_UV, builtin_family
 from quintic_garnier.reps import RepTuple, TraceTuple, trace_coordinates
 from quintic_garnier.ring import LaurentPoly, VarContext
 from quintic_garnier.sl2 import Mat2, closure
-from quintic_garnier.traces import CTX_TRACE, TRACE_NAMES, _compile, _evaluate
+from quintic_garnier.traces import (CTX_TRACE, TRACE_NAMES, ValueTable, _compile,
+                                      _evaluate)
 from listings import EXTENDED_SIZES, LISTINGS, random_rep_tuple, random_unipotent
 
 u, v = CTX_UV.var("u"), CTX_UV.var("v")
@@ -316,18 +317,27 @@ def _assert_same_coordinates(got, want, label):
     assert wrong == [], (label, wrong)
 
 
-def _oracle_moves(words):
-    """The runtime moves of ``words`` on items ``(matrices, traces)``: the
-    matrices move through ``braid_act`` and the traces through the letter
-    maps, and every image is checked against the traces of its matrices."""
+def _intern(table, traces):
+    return tuple(map(table.intern, traces.values))
+
+
+def _decode(table, ids):
+    return TraceTuple([table.values[i] for i in ids])
+
+
+def _oracle_moves(words, table):
+    """The runtime moves of ``words`` on items ``(matrices, ids)``: the
+    matrices move through ``braid_act`` and the ids into ``table`` through
+    the letter maps, and every image is checked against the traces of its
+    matrices."""
     acting = [w for g in words for w in (g, g.inverse())]
     moves = []
-    for w, (name, move) in zip(acting, _trace_moves(words)):
+    for w, (name, move) in zip(acting, _trace_moves(words, table)):
         def checked(item, w=w, name=name, move=move):
-            mats, traces = item
+            mats, ids = item
             mats = braid_act(w, mats)
-            got = move(traces)
-            _assert_same_coordinates(got, _oracle_traces(mats), name)
+            got = move(ids)
+            _assert_same_coordinates(_decode(table, got), _oracle_traces(mats), name)
             return mats, got
         moves.append((name, checked))
     return moves
@@ -337,9 +347,12 @@ def _assert_orbit_matches_oracle(rho, words, cutoff, run):
     """Close the orbit through the oracle moves; its elements, edges and
     status must be those of the runtime orbit ``run``."""
     seed = rho.five() if words is SPHERICAL else rho.mats
-    keys, edges, status = closure((seed, trace_coordinates(rho)),
-                                  _oracle_moves(words), itemgetter(1), cutoff)
-    want = OrbitResult("seed", keys, edges, status, [g.name for g in words], cutoff)
+    table = ValueTable()
+    start = (seed, _intern(table, trace_coordinates(rho)))
+    keys, edges, status = closure(start, _oracle_moves(words, table),
+                                  itemgetter(1), cutoff)
+    want = OrbitResult("seed", keys, table.values, edges, status,
+                       [g.name for g in words], cutoff)
     assert run.to_json() == want.to_json()
 
 
@@ -366,10 +379,12 @@ def test_letter_maps_match_matrix_oracle_on_random_tuples(ctx):
     rng = random.Random(73)
     for _ in range(200):
         rho = RepTuple(*(_random_unimodular(rng, ctx) for _ in range(4)))
-        five, traces = rho.five(), trace_coordinates(rho)
+        table = ValueTable()
+        five, ids = rho.five(), _intern(table, trace_coordinates(rho))
         for x in LETTERS:
             image = braid_act(BraidWord([x]), five)
-            _assert_same_coordinates(_letter_map(x)(traces), _oracle_traces(image), x)
+            _assert_same_coordinates(_decode(table, _letter_map(x)(ids, table)),
+                                     _oracle_traces(image), x)
 
 
 @pytest.mark.parametrize("conjugated", [False, True], ids=["catalog", "conjugate"])
@@ -389,11 +404,13 @@ def test_carried_keys_match_recomputed_traces_over_extension():
 
 def test_carried_keys_match_recomputed_traces_on_random_walks():
     rng = random.Random(71)
-    spherical, pure = _oracle_moves(SPHERICAL), _oracle_moves(pure_generators())
+    table = ValueTable()
+    spherical = _oracle_moves(SPHERICAL, table)
+    pure = _oracle_moves(pure_generators(), table)
     for _ in range(50):
         rho = random_rep_tuple(rng)
         for seed, moves in ((rho.five(), spherical), (rho.mats, pure)):
-            item = (seed, trace_coordinates(rho))
+            item = (seed, _intern(table, trace_coordinates(rho)))
             for _ in range(4):
                 item = rng.choice([move(item) for _, move in moves])
 
@@ -496,9 +513,9 @@ def test_orbits_compute_one_edge_of_each_reverse_pair(monkeypatch):
     calls = []
     trace_moves = braids._trace_moves
 
-    def counted(words):
-        return [(name, lambda traces, move=move: calls.append(name) or move(traces))
-                for name, move in trace_moves(words)]
+    def counted(words, table):
+        return [(name, lambda ids, move=move: calls.append(name) or move(ids))
+                for name, move in trace_moves(words, table)]
     monkeypatch.setattr(braids, "_trace_moves", counted)
     edges = 0
     for name in ("rho1", "rho2", "rho3", "rho4"):
@@ -507,6 +524,99 @@ def test_orbits_compute_one_edge_of_each_reverse_pair(monkeypatch):
             assert res.status == "closed"
             edges += len(res.edges)
     assert (len(calls), edges) == (2176, 4352)
+
+
+def test_orbit_memo_evaluates_each_entry_once_per_distinct_input(monkeypatch):
+    """An extended orbit evaluates a letter-map entry once per distinct ids
+    of the coordinates it reads, and its elements share the few distinct
+    values of its table."""
+    calls = []
+    evaluate = traces._evaluate
+    monkeypatch.setattr(traces, "_evaluate",
+                        lambda terms, values: calls.append(terms) or evaluate(terms, values))
+    got = {}
+    for name in ("rho1", "rho2", "rho3", "rho4"):
+        calls.clear()
+        res = extended_orbit(builtin_family(name).rep)
+        assert res.status == "closed"
+        values = [v for e in res.elements for v in e.values]
+        assert len({id(v) for v in values}) == len(set(values))
+        got[name] = (len(calls), len(set(values)))
+    assert got == {"rho1": (1431, 14), "rho2": (854, 9), "rho3": (716, 8), "rho4": (308, 5)}
+
+
+LETTER_NAMES = {x: f"s{abs(x)}" + ("^-1" if x < 0 else "") for x in LETTERS}
+ACTION_RELATIONS = {
+    **{f"s{i} s{i}^-1 = 1": ([i, -i], []) for i in (1, 2, 3, 4)},
+    **{f"s{i} s{i + 1} s{i} = s{i + 1} s{i} s{i + 1}": ([i, i + 1, i], [i + 1, i, i + 1])
+       for i in (1, 2, 3)},
+    **{f"s{i} s{j} = s{j} s{i}": ([i, j], [j, i]) for i, j in ((1, 3), (1, 4), (2, 4))},
+    "s1 s2 s3 s4 s4 s3 s2 s1 = 1": ([1, 2, 3, 4, 4, 3, 2, 1], []),
+    "(s1 s2 s3 s4)^5 = 1": ([1, 2, 3, 4] * 5, []),
+}
+"""Each letter followed by its inverse, and the defining relations of the
+mapping class group of the five-punctured sphere (Birman), as words in the
+letters of :data:`LETTERS` that must act alike."""
+
+
+def _action_verdicts(res) -> dict[str, bool]:
+    """Whether each move read from ``res.edges`` permutes the orbit, and
+    whether the permutations satisfy each of :data:`ACTION_RELATIONS`."""
+    n = len(res)
+    targets = {name: [[] for _ in range(n)] for name in LETTER_NAMES.values()}
+    for a, name, b in res.edges:
+        targets[name][a].append(b)
+    perms = {name: [t[0] for t in out] for name, out in targets.items()
+             if all(len(t) == 1 for t in out) and sorted(t[0] for t in out) == list(range(n))}
+    verdicts = {f"{name} permutes": name in perms for name in targets}
+
+    def act(word):
+        image = list(range(n))
+        for x in word:
+            p = perms[LETTER_NAMES[x]]
+            image = [p[i] for i in image]
+        return image
+    for relation, (lhs, rhs) in ACTION_RELATIONS.items():
+        verdicts[relation] = (all(LETTER_NAMES[x] in perms for x in lhs + rhs)
+                              and act(lhs) == act(rhs))
+    return verdicts
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["catalog", "conjugate"])
+@pytest.mark.parametrize("name", ["rho1", "rho2", "rho3", "rho4"])
+def test_extended_orbit_edges_define_a_braid_action(name, conjugated):
+    """The moves of a closed extended orbit, read from its edges, are
+    permutations that satisfy the relations of the spherical braid action.
+    A memo keyed on the wrong inputs could still close, but not this."""
+    rho = builtin_family(name).rep
+    if conjugated:
+        rho = rho.conjugate_by(random_unipotent(random.Random(name), rho.ctx))
+    res = extended_orbit(rho)
+    assert res.status == "closed"
+    verdicts = _action_verdicts(res)
+    assert len(verdicts) == len(LETTER_NAMES) + len(ACTION_RELATIONS)
+    assert [k for k, ok in verdicts.items() if not ok] == []
+
+
+def test_braid_action_check_fails_on_redirected_edges():
+    res = extended_orbit(builtin_family("rho4").rep)
+    edges = list(res.edges)
+    # one edge of sigma_1 redirected: sigma_1 stops being a permutation
+    k = next(k for k, (a, g, b) in enumerate(edges) if g == "s1")
+    a, g, b = edges[k]
+    res.edges = edges[:k] + [(a, g, (b + 1) % len(res))] + edges[k + 1:]
+    failed = [k for k, ok in _action_verdicts(res).items() if not ok]
+    assert "s1 permutes" in failed and "s1 s1^-1 = 1" in failed
+    # sigma_1 and its inverse conjugated by the swap of two elements that
+    # sigma_1 moves: every move is still a permutation, with its inverse,
+    # but a braid relation breaks
+    a, b = next((a, b) for a, g, b in edges if g == "s1" and a != b)
+    swap = {a: b, b: a}
+    res.edges = [(swap.get(i, i), g, swap.get(j, j)) if g in ("s1", "s1^-1") else (i, g, j)
+                 for i, g, j in edges]
+    failed = [k for k, ok in _action_verdicts(res).items() if not ok]
+    assert not any(k.endswith("permutes") or k.endswith("^-1 = 1") for k in failed)
+    assert failed and set(failed) <= set(ACTION_RELATIONS)
 
 
 def test_letter_maps_are_derived_on_first_use():
