@@ -281,7 +281,7 @@ def _orbit(seed: RepTuple, words: Sequence[BraidWord], cutoff: int,
     table = ValueTable()
     moves = _trace_moves(words, table)
     start = tuple(map(table.intern, trace_coordinates(seed).values))
-    elements, edges, status = closure(start, moves, lambda ids: ids, cutoff,
+    elements, edges, status = closure(start, moves, cutoff,
                                       [m ^ 1 for m in range(len(moves))])
     return OrbitResult(seed_name, elements, table.values, edges, status,
                        [g.name for g in words], cutoff)
@@ -353,7 +353,8 @@ def _substituted(elements: Iterable[TraceTuple], sigma: Mapping[str, LaurentPoly
 def parse_substitution(text: str, src: VarContext,
                        target: VarContext) -> dict[str, LaurentPoly]:
     """Parse ``u=-s,v=s`` into a signed-monomial substitution map; a source
-    variable without an image must be a target variable, which it maps to."""
+    variable named twice is an error, and one without an image must be a
+    target variable, which it maps to."""
     sigma: dict[str, LaurentPoly] = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -363,6 +364,8 @@ def parse_substitution(text: str, src: VarContext,
         name = name.strip()
         if name not in src.index:
             raise ValueError(f"unknown source variable {name!r}")
+        if name in sigma:
+            raise ValueError(f"substitution names {name!r} more than once")
         image = parse_poly(target, rhs.strip())
         if not image.is_monomial():
             raise ValueError(f"image of {name!r} is not a signed monomial")

@@ -98,7 +98,8 @@ def _specialize_rep(rep: RepTuple, values: dict[str, Fraction]) -> RepTuple:
 
 
 def _load_rows(path: str, key: str) -> tuple[VarContext, list[list]]:
-    """The context and the parsed polynomial rows of a JSON input file."""
+    """The context and the parsed polynomial rows of a JSON input file; an
+    orbit file repeats few distinct strings, and each is parsed once."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -112,7 +113,9 @@ def _load_rows(path: str, key: str) -> tuple[VarContext, list[list]]:
         raise ValueError(f"{path}: {key!r} must be a list of rows of "
                          "polynomial strings")
     ctx = VarContext(names)
-    return ctx, [[parse_poly(ctx, s) for s in row] for row in rows]
+    texts = dict.fromkeys(s for row in rows for s in row)
+    parsed = {s: parse_poly(ctx, s) for s in texts}
+    return ctx, [[parsed[s] for s in row] for row in rows]
 
 
 def _load_rep_file(path: str) -> RepTuple:

@@ -21,17 +21,15 @@ together with a monic minimal polynomial over Q.  Arithmetic then happens in
 ``Q[r]/(m(r))`` tensored with the Laurent ring on the remaining variables;
 ``r`` is a unit because ``m`` has nonzero constant term.
 
-Substitution has one policy and two routes.  The policy: images are
-rationals, polynomials or (for ``fractions.eval_poly``) fractions; a variable
-with no image maps to the target variable of the same name; ``ContextError``
-is raised only when a variable that occurs has no image, or when an image is
-a polynomial of another context, and ``UnitError`` for a negative power of a
-polynomial image that is not a signed monomial.  The routes:
-:meth:`LaurentPoly.substitute` maps the exponents of every term linearly when
-each image is one term (a monomial of the target or a nonzero rational, as
-``braids.parse_substitution`` and ``--at`` give), and hands every other input
-to :func:`evaluate`, the generic loop over any ring with ``+``, ``*`` and
-``**``.
+Substitution has one policy and one route.  Images are rationals,
+polynomials or (for ``fractions.eval_poly``) fractions; a variable with no
+image maps to the target variable of the same name; ``ContextError`` is
+raised only when a variable that occurs has no image, or when an image is a
+polynomial of another context, and ``UnitError`` for a negative power of a
+polynomial image that is not a signed monomial.  :func:`evaluate`, the
+generic loop over any ring with ``+``, ``*`` and ``**``, carries it out:
+:meth:`LaurentPoly.substitute` calls it with a lift into polynomials, and
+``fractions.eval_poly`` with a lift into fractions.
 
 The text grammar used for serialization is::
 
@@ -348,20 +346,13 @@ class LaurentPoly:
                    target: Optional[VarContext] = None) -> "LaurentPoly":
         """Ring-homomorphism image in ``target`` (default: this context).
 
-        Follows the substitution policy of :func:`evaluate`; an image is an
-        ``int``, a ``Fraction`` or a polynomial of ``target``.  When every
-        image is one term, a nonzero rational or a monomial of ``target``,
-        each term maps to one term: its exponents map linearly and its
-        coefficient takes powers of the image coefficients, and the terms
-        are summed into one accumulator.  Any other image (zero, several
-        terms, another context) goes through :func:`evaluate`.
+        Follows the substitution policy of :func:`evaluate`, which computes
+        it; an image is an ``int``, a ``Fraction`` or a polynomial of
+        ``target``.
         """
         tgt = target if target is not None else self.ctx
         if tgt is self.ctx and not images:
             return self
-        units = _unit_images(self.ctx, images, tgt)
-        if units is not None:
-            return _substitute_units(self, units, tgt)
 
         def lift(value) -> LaurentPoly:
             if isinstance(value, (int, Fraction)):
@@ -438,65 +429,6 @@ def _normalize(ctx: VarContext, terms: dict[Exponents, Rat]) -> dict[Exponents, 
     return out
 
 
-def _unit_images(src: VarContext, images: Mapping[str, object],
-                 tgt: VarContext) -> Optional[list]:
-    """Per variable of ``src``, its image ``(coefficient, ((j, exponent), ...))``
-    over the variables ``j`` of ``tgt``, or ``None`` for a variable with no
-    image; ``None`` overall when an image is not one term of ``tgt``."""
-    units: list = []
-    for name in src.names:
-        if name in images:
-            value = images[name]
-            if isinstance(value, LaurentPoly):
-                if len(value.terms) != 1 or (value.ctx is not tgt and value.ctx != tgt):
-                    return None
-                (exps, c), = value.terms.items()
-                units.append((c, tuple((j, e) for j, e in enumerate(exps) if e)))
-            elif isinstance(value, (int, Fraction)) and value:
-                units.append((_co(value), ()))
-            else:
-                return None
-        elif name in tgt.index:
-            units.append((1, ((tgt.index[name], 1),)))
-        else:
-            units.append(None)
-    return units
-
-
-def _substitute_units(p: LaurentPoly, units: list, tgt: VarContext) -> LaurentPoly:
-    """``p`` at one-term images (see :func:`_unit_images`): each term maps to
-    one term of ``tgt``, summed into one accumulator."""
-    n = tgt.nvars()
-    acc: dict[Exponents, Rat] = {}
-    for exps, c in p.terms.items():
-        out = [0] * n
-        for i, k in enumerate(exps):
-            if not k:
-                continue
-            unit = units[i]
-            if unit is None:
-                raise ContextError(f"variable {p.ctx.names[i]!r} has no image")
-            uc, ue = unit
-            if uc == -1:
-                if k & 1:
-                    c = -c
-            elif uc != 1:
-                c = c * (uc ** k if k > 0 else Fraction(uc) ** k)
-            for j, e in ue:
-                out[j] += k * e
-        e = tuple(out)
-        s = acc.get(e)
-        if s is None:
-            acc[e] = _co(c)
-        else:
-            s = s + c
-            if s:
-                acc[e] = _co(s)
-            else:
-                del acc[e]
-    return _from_acc(tgt, acc)
-
-
 # -- exact division -------------------------------------------------------
 
 def exact_divide(p: LaurentPoly, f: LaurentPoly) -> Optional[LaurentPoly]:
@@ -543,8 +475,7 @@ def exact_divide(p: LaurentPoly, f: LaurentPoly) -> Optional[LaurentPoly]:
 def evaluate(p: LaurentPoly, images: Mapping[str, object], target: VarContext,
              lift: Callable[[object], V]) -> V:
     """Evaluate ``p`` at images of its variables in any ring with ``+``, ``*``
-    and ``**``: the generic loop behind every substitution except
-    :meth:`LaurentPoly.substitute` at images that are all one term.
+    and ``**``: the generic loop behind every substitution.
 
     ``lift`` carries a rational, an image or a polynomial of ``target`` into
     the value ring.  A variable with no image maps to the ``target`` variable

@@ -92,12 +92,10 @@ class Mat2:
     def projectively_identity(self) -> bool:
         return self.is_identity() or self == -Mat2.identity(self.ctx)
 
-    def projective_key(self) -> tuple:
-        """Canonical hashable key identifying {M, -M}."""
-        k1 = (self.a.key(), self.b.key(), self.c.key(), self.d.key())
-        m = -self
-        k2 = (m.a.key(), m.b.key(), m.c.key(), m.d.key())
-        return min(k1, k2)
+    def projective_rep(self) -> "Mat2":
+        """Whichever of M and -M has the lesser entry keys: the same matrix
+        for both members of {M, -M}."""
+        return min(self, -self, key=lambda m: tuple(e.key() for e in m.entries()))
 
     def entries(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
         return (self.a, self.b, self.c, self.d)
@@ -256,25 +254,26 @@ class ClosureResult:
         return f"CutoffExceeded({self.explored})"
 
 
-def closure(seed, moves: Sequence[tuple[str, Callable]], key: Callable,
-            cutoff: int, inverses: Optional[Sequence[int]] = None
+def closure(seed, moves: Sequence[tuple[str, Callable]], cutoff: int,
+            inverses: Optional[Sequence[int]] = None
             ) -> tuple[list, list[tuple[int, str, int]], str]:
-    """Breadth-first closure of ``seed`` under ``moves``, deduplicated by ``key``.
+    """Breadth-first closure of ``seed`` under ``moves``.
 
-    ``moves`` is a list of ``(name, fn)`` pairs, applied in order to every
-    element of a level before the next level starts.  Returns ``(keys,
-    edges, status)``: the keys in discovery order (the seed's first), one
-    edge ``(i, name, j)`` per move applied, and a status that is
-    ``"closed"``, or ``"cutoff"`` as soon as a new element would go past
-    ``cutoff``, which must be at least 1.
+    The elements must be hashable; two are the same element when they are
+    equal.  ``moves`` is a list of ``(name, fn)`` pairs, applied in order to
+    every element of a level before the next level starts.  Returns
+    ``(elements, edges, status)``: the elements in discovery order (the
+    seed first), one edge ``(i, name, j)`` per move applied, and a status
+    that is ``"closed"``, or ``"cutoff"`` as soon as a new element would go
+    past ``cutoff``, which must be at least 1.
 
     ``inverses[m]``, when given, is the index of the move inverse to move
     ``m``, an involution of ``range(len(moves))``.  The moves must then be
-    a group action on the keys: an edge ``(i, m, j)`` that is computed
+    a group action on the elements: an edge ``(i, m, j)`` that is computed
     gives its reverse ``(j, inverses[m], i)``, which is appended when the
-    loop reaches it, without calling the move or the key.  Its target is
-    an element already known, so the keys, edges and status are
-    those of the same call without ``inverses``.
+    loop reaches it, without calling the move.  Its target is an element
+    already known, so the elements, edges and status are those of the same
+    call without ``inverses``.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
@@ -283,9 +282,8 @@ def closure(seed, moves: Sequence[tuple[str, Callable]], key: Callable,
             or any(not 0 <= n < len(moves) or inverses[n] != m
                    for m, n in enumerate(inverses))):
         raise ValueError("inverses must be an involution of the move indices")
-    start = key(seed)
-    index = {start: 0}
-    keys, items = [start], [seed]
+    index = {seed: 0}
+    elements = [seed]
     edges: list[tuple[int, str, int]] = []
     reverses: dict[tuple[int, int], int] = {}
     frontier = [0]
@@ -295,32 +293,32 @@ def closure(seed, moves: Sequence[tuple[str, Callable]], key: Callable,
             for m, (name, move) in enumerate(moves):
                 j = reverses.pop((i, m), None)
                 if j is None:
-                    image = move(items[i])
-                    k = key(image)
-                    j = index.get(k)
+                    image = move(elements[i])
+                    j = index.get(image)
                     if j is None:
-                        if len(keys) >= cutoff:
-                            return keys, edges, "cutoff"
-                        j = index[k] = len(keys)
-                        keys.append(k)
-                        items.append(image)
+                        if len(elements) >= cutoff:
+                            return elements, edges, "cutoff"
+                        j = index[image] = len(elements)
+                        elements.append(image)
                         nxt.append(j)
                     if inverses is not None:
                         reverses[j, inverses[m]] = i
                 edges.append((i, name, j))
         frontier = nxt
-    return keys, edges, "closed"
+    return elements, edges, "closed"
 
 
 def projective_closure(generators: Sequence[Mat2], cutoff: int = 1000) -> ClosureResult:
     """Close a matrix set under multiplication modulo global sign.
 
-    Returns ``Finite(order)`` when the closure stabilizes below the cutoff,
+    Every element is the :meth:`Mat2.projective_rep` of its class {M, -M},
+    so the closure's own equality counts classes.  Returns ``Finite(order)`` when the closure stabilizes below the cutoff,
     otherwise a cutoff marker (not fatal: symbolic tori never close).
     """
-    moves = [(str(n), lambda m, g=g: m * g) for n, g in enumerate(generators)]
-    keys, _, status = closure(Mat2.identity(generators[0].ctx), moves,
-                              Mat2.projective_key, cutoff)
+    moves = [(str(n), lambda m, g=g: (m * g).projective_rep())
+             for n, g in enumerate(generators)]
+    elements, _, status = closure(Mat2.identity(generators[0].ctx).projective_rep(),
+                                  moves, cutoff)
     if status == "cutoff":
-        return ClosureResult("cutoff", None, len(keys))
-    return ClosureResult("finite", len(keys), len(keys))
+        return ClosureResult("cutoff", None, len(elements))
+    return ClosureResult("finite", len(elements), len(elements))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,34 @@ def test_compare_substitution_zero_denominator_is_usage_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert rc == 3 and not captured.out
     assert captured.err.startswith("error:") and "1/0" in captured.err
+
+
+def test_compare_repeated_substitution_name_is_usage_error(capsys, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run_cli(capsys, "orbit", "rho2", "--pure", "--out", str(a))
+    run_cli(capsys, "orbit", "rho3", "--pure", "--out", str(b))
+    rc = main(["compare", str(a), str(b), "--subst", "u=-s,u=s,v=s"])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err.startswith("error:") and "'u'" in captured.err
+
+
+def test_compare_parses_each_distinct_coordinate_string_once(capsys, tmp_path,
+                                                             monkeypatch):
+    """rho2's extended orbit file holds 1,800 coordinate strings, 9 of them
+    distinct; each file of a comparison parses each distinct string once."""
+    a = tmp_path / "a.json"
+    assert main(["orbit", "rho2", "--extended", "--out", str(a)]) == 0
+    strings = [t for row in json.loads(a.read_text())["elements"] for t in row]
+    assert (len(strings), len(set(strings))) == (1800, 9)
+    calls = []
+    parse = cli.parse_poly
+    monkeypatch.setattr(cli, "parse_poly",
+                        lambda ctx, text: calls.append(text) or parse(ctx, text))
+    capsys.readouterr()
+    rc, doc = run_cli(capsys, "compare", str(a), str(a))
+    assert rc == 0 and doc["results"]["relation"] == "equal"
+    assert Counter(calls) == Counter(2 * sorted(set(strings)))
 
 
 def test_pure_orbits_disjoint_via_cli(capsys, tmp_path):

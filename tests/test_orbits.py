@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -211,6 +210,24 @@ def test_identifications_under_parameter_changes():
     assert cmp3["relation"] == "a_contains_b"
 
 
+def test_orbit_compare_substitutes_each_distinct_value_once(monkeypatch):
+    """rho2's extended orbit fills 1,800 coordinate slots with 9 distinct
+    values; comparing it with rho3's pure orbit under u=-s, v=s substitutes
+    each value once."""
+    ext2 = extended_orbit(builtin_family("rho2").rep, seed_name="rho2")
+    pure3 = orbit(builtin_family("rho3").rep, pure_generators(), seed_name="rho3")
+    sigma = parse_substitution("u=-s,v=s", CTX_UV, CTX_S)
+    calls = []
+    substitute = LaurentPoly.substitute
+    monkeypatch.setattr(LaurentPoly, "substitute",
+                        lambda p, *args: calls.append(p) or substitute(p, *args))
+    got = orbit_compare(ext2, pure3, sigma=sigma, target=CTX_S)
+    assert got["relation"] == "a_contains_b"
+    slots = [v for e in ext2.elements for v in e.values]
+    assert (len(slots), len(set(slots))) == (1800, 9)
+    assert len(calls) == 9 and set(calls) == set(slots)
+
+
 def test_pure_orbits_pairwise_disjoint_same_context():
     o1 = orbit(builtin_family("rho1").rep, pure_generators(), 100)
     o2 = orbit(builtin_family("rho2").rep, pure_generators(), 100)
@@ -258,6 +275,8 @@ def test_parse_substitution():
         parse_substitution("u=s+1", CTX_UV, CTX_S)
     with pytest.raises(ValueError):
         parse_substitution("w=s", CTX_UV, CTX_S)
+    with pytest.raises(ValueError, match="'u'"):
+        parse_substitution("u=-s,u=s,v=s", CTX_UV, CTX_S)
     # v is neither mapped nor a variable of the target
     with pytest.raises(ValueError, match="'v'"):
         parse_substitution("u=-s", CTX_UV, CTX_S)
@@ -325,20 +344,20 @@ def _decode(table, ids):
     return TraceTuple([table.values[i] for i in ids])
 
 
-def _oracle_moves(words, table):
-    """The runtime moves of ``words`` on items ``(matrices, ids)``: the
-    matrices move through ``braid_act`` and the ids into ``table`` through
-    the letter maps, and every image is checked against the traces of its
-    matrices."""
+def _oracle_moves(words, table, mats_of):
+    """The runtime moves of ``words`` on id tuples of ``table``, each checked
+    against ``braid_act``: ``mats_of`` holds matrices for every id tuple
+    reached, the matrices move through ``braid_act``, and every image is
+    checked against the traces of its matrices."""
     acting = [w for g in words for w in (g, g.inverse())]
     moves = []
     for w, (name, move) in zip(acting, _trace_moves(words, table)):
-        def checked(item, w=w, name=name, move=move):
-            mats, ids = item
-            mats = braid_act(w, mats)
+        def checked(ids, w=w, name=name, move=move):
+            mats = braid_act(w, mats_of[ids])
             got = move(ids)
             _assert_same_coordinates(_decode(table, got), _oracle_traces(mats), name)
-            return mats, got
+            mats_of.setdefault(got, mats)
+            return got
         moves.append((name, checked))
     return moves
 
@@ -346,12 +365,12 @@ def _oracle_moves(words, table):
 def _assert_orbit_matches_oracle(rho, words, cutoff, run):
     """Close the orbit through the oracle moves; its elements, edges and
     status must be those of the runtime orbit ``run``."""
-    seed = rho.five() if words is SPHERICAL else rho.mats
     table = ValueTable()
-    start = (seed, _intern(table, trace_coordinates(rho)))
-    keys, edges, status = closure(start, _oracle_moves(words, table),
-                                  itemgetter(1), cutoff)
-    want = OrbitResult("seed", keys, table.values, edges, status,
+    start = _intern(table, trace_coordinates(rho))
+    mats_of = {start: rho.five() if words is SPHERICAL else rho.mats}
+    elements, edges, status = closure(start, _oracle_moves(words, table, mats_of),
+                                      cutoff)
+    want = OrbitResult("seed", elements, table.values, edges, status,
                        [g.name for g in words], cutoff)
     assert run.to_json() == want.to_json()
 
@@ -405,14 +424,17 @@ def test_carried_keys_match_recomputed_traces_over_extension():
 def test_carried_keys_match_recomputed_traces_on_random_walks():
     rng = random.Random(71)
     table = ValueTable()
-    spherical = _oracle_moves(SPHERICAL, table)
-    pure = _oracle_moves(pure_generators(), table)
+    five_of, four_of = {}, {}
+    spherical = _oracle_moves(SPHERICAL, table, five_of)
+    pure = _oracle_moves(pure_generators(), table, four_of)
     for _ in range(50):
         rho = random_rep_tuple(rng)
-        for seed, moves in ((rho.five(), spherical), (rho.mats, pure)):
-            item = (seed, _intern(table, trace_coordinates(rho)))
+        for seed, mats_of, moves in ((rho.five(), five_of, spherical),
+                                     (rho.mats, four_of, pure)):
+            ids = _intern(table, trace_coordinates(rho))
+            mats_of.setdefault(ids, seed)
             for _ in range(4):
-                item = rng.choice([move(item) for _, move in moves])
+                ids = rng.choice([move(ids) for _, move in moves])
 
 
 @pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])

@@ -80,11 +80,11 @@ def test_relation_report_shape():
 def test_closure_levels_edges_and_cutoff():
     # residues mod 6 from 0 under +2 and +3: level 1 is {2, 3}, level 2 {4, 5}
     moves = [("+2", lambda k: (k + 2) % 6), ("+3", lambda k: (k + 3) % 6)]
-    keys, edges, status = closure(0, moves, lambda k: k, cutoff=6)
+    keys, edges, status = closure(0, moves, cutoff=6)
     assert status == "closed" and keys == [0, 2, 3, 4, 5, 1]
     assert edges[:4] == [(0, "+2", 1), (0, "+3", 2), (1, "+2", 3), (1, "+3", 4)]
     assert len(edges) == 2 * len(keys)
-    keys, edges, status = closure(0, moves, lambda k: k, cutoff=3)
+    keys, edges, status = closure(0, moves, cutoff=3)
     assert status == "cutoff" and keys == [0, 2, 3]
     assert edges == [(0, "+2", 1), (0, "+3", 2)]
 
@@ -102,8 +102,8 @@ def _counted_moves(calls):
 @pytest.mark.parametrize("cutoff", [6, 3])
 def test_closure_infers_reverse_edges(cutoff):
     plain_calls, calls = [], []
-    plain = closure(0, _counted_moves(plain_calls), lambda k: k, cutoff)
-    got = closure(0, _counted_moves(calls), lambda k: k, cutoff, [1, 0, 3, 2])
+    plain = closure(0, _counted_moves(plain_calls), cutoff)
+    got = closure(0, _counted_moves(calls), cutoff, [1, 0, 3, 2])
     assert got == plain
     keys, edges, status = got
     if cutoff == 6:
@@ -122,14 +122,14 @@ def test_closure_infers_reverse_edges(cutoff):
 def test_closure_rejects_malformed_inverses(inverses):
     calls = []
     with pytest.raises(ValueError, match="inverses"):
-        closure(0, _counted_moves(calls), lambda k: k, 6, inverses)
+        closure(0, _counted_moves(calls), 6, inverses)
     assert calls == []
 
 
 @pytest.mark.parametrize("cutoff", [0, -3])
 def test_closure_rejects_cutoff_below_one(cutoff):
     with pytest.raises(ValueError, match="cutoff"):
-        closure(0, [("+1", lambda k: k + 1)], lambda k: k, cutoff)
+        closure(0, [("+1", lambda k: k + 1)], cutoff)
     with pytest.raises(ValueError, match="cutoff"):
         projective_closure([J], cutoff=cutoff)
 
