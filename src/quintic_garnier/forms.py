@@ -13,9 +13,9 @@ chain rules symbolically, never numerics.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
-from .fractions import (BasisError, DenomBasis, FactoredFraction, eval_poly,
+from .fractions import (BasisError, DenomBasis, FactoredFraction, Substitution,
                         frac_eq, serialize_frac)
 from .ring import ContextError, LaurentPoly
 
@@ -147,9 +147,16 @@ class RationalMap:
     pullback therefore carries objects on the target to the source.  The
     optional ``fiber`` Moebius action transforms a projective fiber
     coordinate, for Riccati pullbacks.
+
+    Every pullback of a function goes through :meth:`pull`, one
+    :class:`fractions.Substitution` whose memo lives as long as the map: each
+    power ``phi^*(X)^k`` of an image, keyed by (variable, k), and each pulled
+    inverse power of a denominator factor, keyed by (factor, e).  It is
+    bounded by those keys, not by the number of functions pulled.
     """
 
-    __slots__ = ("name", "src", "dst", "src_base", "dst_base", "subs", "fiber")
+    __slots__ = ("name", "src", "dst", "src_base", "dst_base", "subs", "fiber",
+                 "_pullback")
 
     def __init__(self, name: str, src: DenomBasis, dst: DenomBasis,
                  src_base: tuple[str, str], dst_base: tuple[str, str],
@@ -167,32 +174,36 @@ class RationalMap:
         self.fiber = fiber
         if fiber is not None and fiber.determinant().is_zero():
             raise ValueError("degenerate Moebius fiber action")
+        self._pullback = Substitution(dst.ctx, self.subs, src)
+
+    def pull(self, f: Union[FactoredFraction, LaurentPoly]) -> FactoredFraction:
+        """``phi^* f``: a function on the target chart as a fraction over
+        ``src``."""
+        if isinstance(f, LaurentPoly):
+            return self._pullback.poly(f)
+        return self._pullback.fraction(f)
 
     def pull_one_form(self, omega: ScalarOneForm) -> ScalarOneForm:
-        """Chain rule: substitute and differentiate the substitutions."""
+        """Chain rule: pull the coefficients and differentiate the substitutions."""
         X, Y = self.dst_base
-        a = omega.A.substitute(self.subs, self.src)
-        b = omega.B.substitute(self.subs, self.src)
         dX = ScalarOneForm.d_of(self.subs[X], self.src_base)
         dY = ScalarOneForm.d_of(self.subs[Y], self.src_base)
-        return dX * a + dY * b
+        return dX * self.pull(omega.A) + dY * self.pull(omega.B)
 
     def pull_two_form(self, eta: ScalarTwoForm) -> ScalarTwoForm:
         """Pullback of ``c dX^dY`` is ``(c o phi) * Jacobian * dx^dy``."""
         X, Y = self.dst_base
         x, y = self.src_base
-        c = eta.coeff.substitute(self.subs, self.src)
         fx, fy = self.subs[X], self.subs[Y]
         jac = (fx.derivative(x) * fy.derivative(y)
                - fx.derivative(y) * fy.derivative(x))
-        return ScalarTwoForm(self.src, self.src_base, c * jac)
+        return ScalarTwoForm(self.src, self.src_base, self.pull(eta.coeff) * jac)
 
     def compose(self, inner: "RationalMap") -> "RationalMap":
         """``self o inner``: apply ``inner`` first (so substitutions chain)."""
         if inner.dst != self.src:
             raise ContextError("maps do not compose")
-        subs = {v: f.substitute(inner.subs, inner.src)
-                for v, f in self.subs.items()}
+        subs = {v: inner.pull(f) for v, f in self.subs.items()}
         return RationalMap(f"{self.name}*{inner.name}", inner.src, self.dst,
                            inner.src_base, self.dst_base, subs)
 
@@ -210,7 +221,7 @@ def divisor_pullback(f: LaurentPoly, phi: RationalMap,
     order 0 along every coordinate.  Raises :class:`BasisError` with the
     residual when a factor outside the declared list remains.
     """
-    pulled = eval_poly(f, phi.subs, phi.src).reduce()
+    pulled = phi.pull(f).reduce()
     polys = {name: g for name, g in declared.items() if not g.is_monomial()}
     basis = DenomBasis(phi.src.ctx, list(polys.values()), list(polys))
     # clear declared-basis denominators into the answer with negative signs

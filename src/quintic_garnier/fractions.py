@@ -17,19 +17,28 @@ found, keyed by the polynomial, so a pullback that inverts the same image of
 a factor again divides nothing.  Only successes are stored (a residual
 raises again on every call), and at most :data:`FACTOR_MEMO_CAP` per basis.
 
-Substitution (:func:`eval_poly`) runs the loop and policy of
-:func:`ring.evaluate`: images are rationals, polynomials or fractions, an
-unmapped variable maps to the same-named target variable, and ``ContextError``
-is raised only when a variable that occurs has no image.
+Substitution is one kernel, :class:`Substitution`.  It resolves the images
+once by :func:`ring.resolve_images`, the policy that :func:`ring.evaluate`
+shares: images are rationals, polynomials or fractions, an unmapped variable
+maps to the same-named target variable, ``ContextError`` is raised when a
+variable that occurs has no image, and the image of an extension variable
+must be a root of its minimal polynomial.  It sums the terms of a
+polynomial into one accumulator per denominator exponent vector and puts
+them over their common denominator once, in one more sum.
+:func:`eval_poly` and :meth:`FactoredFraction.substitute` use a kernel that
+lasts for one call; ``forms.RationalMap`` keeps one for as long as the map
+lives, so its memo of image powers and pulled factor inverses serves every
+pullback along the map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping, Optional, Sequence, Union
 
-from .ring import (ContextError, LaurentPoly, Rat, VarContext, evaluate,
-                   exact_divide, serialize_poly)
+from .ring import (ContextError, Exponents, LaurentPoly, Rat, VarContext, _co,
+                   exact_divide, image_power, resolve_images, serialize_poly)
 
 
 #: Most factorizations one basis remembers; once full it stores no more.
@@ -150,6 +159,15 @@ class DenomBasis:
             self._factored[p] = unit, exps
         return unit, exps
 
+    def power(self, exps: Sequence[int]) -> LaurentPoly:
+        """``prod(f_i^e_i)``, starting from the first present factor."""
+        p = None
+        for f, e in zip(self.factors, exps):
+            if e:
+                q = f ** e
+                p = q if p is None else p * q
+        return self.ctx.one() if p is None else p
+
 
 class FactoredFraction:
     """``num / prod(f_i^e_i)`` over a :class:`DenomBasis`, all ``e_i >= 0``.
@@ -258,19 +276,13 @@ class FactoredFraction:
         return FactoredFraction(self.basis, unit.inverse(),
                                 tuple(k - e for e, k in zip(self.exps, ks)))
 
-    def basis_power(self, exps: tuple[int, ...]) -> LaurentPoly:
-        p = self.ctx.one()
-        for f, e in zip(self.basis.factors, exps):
-            if e:
-                p = p * f ** e
-        return p
-
     def _common(self, other: "FactoredFraction"
                 ) -> tuple[LaurentPoly, LaurentPoly, tuple[int, ...]]:
         """Both numerators over the least common denominator ``m``."""
         m = tuple(max(a, b) for a, b in zip(self.exps, other.exps))
-        return (self.num * self.basis_power(tuple(c - a for c, a in zip(m, self.exps))),
-                other.num * self.basis_power(tuple(c - a for c, a in zip(m, other.exps))),
+        power = self.basis.power
+        return (self.num * power(tuple(map(sub, m, self.exps))),
+                other.num * power(tuple(map(sub, m, other.exps))),
                 m)
 
     def reduce(self) -> "FactoredFraction":
@@ -296,59 +308,165 @@ class FactoredFraction:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, name: str) -> "FactoredFraction":
-        """Quotient rule: ``d(n/prod f^e) = dn/prod f^e - sum_i e_i n df_i/(f_i prod f^e)``.
+        """Quotient rule over one denominator.
 
-        Only factors with a positive exponent contribute a term.
+        With ``P`` the factors that contribute a term (positive exponent,
+        nonzero derivative), the result is ``dn * prod_P f_i - sum_{i in P}
+        e_i n df_i prod_{P - i} f_j`` over the denominator with ``e_i + 1``
+        on each factor of ``P``, summed into one accumulator.
         """
         if self.is_zero():
             return self
-        out = FactoredFraction(self.basis, self.num.derivative(name), self.exps)
+        dn = self.num.derivative(name)
+        present = []
         for i, (f, e) in enumerate(zip(self.basis.factors, self.exps)):
             if e:
-                exps = self.exps[:i] + (e + 1,) + self.exps[i + 1:]
-                out = out - FactoredFraction(
-                    self.basis, self.num * f.derivative(name) * e, exps)
-        return out
+                df = f.derivative(name)
+                if df:
+                    present.append((i, f, df))
+        if not present:
+            return FactoredFraction(self.basis, dn, self.exps)
+        acc: dict[Exponents, Rat] = {}
+        exps = list(self.exps)
+        for i, f, df in present:
+            exps[i] += 1
+            dn = dn * f
+            t = self.num * df
+            for j, g, _ in present:
+                if j != i:
+                    t = t * g
+            _add_into(acc, t, -self.exps[i])
+        _add_into(acc, dn)
+        return FactoredFraction(self.basis, LaurentPoly(self.ctx, acc, _normalized=True),
+                                tuple(exps))
 
     # -- substitution -------------------------------------------------------
 
     def substitute(self, images: Mapping[str, Union["FactoredFraction",
                                                     LaurentPoly, Rat]],
                    target: Optional[DenomBasis] = None) -> "FactoredFraction":
-        """Evaluate at images of the variables, as :func:`eval_poly` does.
+        """Evaluate at images of the variables: :meth:`Substitution.fraction`
+        with a memo that lasts for this call.
 
         Every substituted denominator factor must clear over the target
         basis (raises :class:`BasisError` otherwise, signalling the caller
         to extend the basis).
         """
         tgt = target if target is not None else self.basis
-        out = eval_poly(self.num, images, tgt)
-        for f, e in zip(self.basis.factors, self.exps):
+        return Substitution(self.ctx, images, tgt).fraction(self)
+
+
+def _add_into(acc: dict[Exponents, Rat], p: LaurentPoly, scale: Rat = 1) -> None:
+    """Add ``scale * p`` into an accumulator of nonzero stored coefficients."""
+    for e, c in p.terms.items():
+        s = acc.get(e, 0) + c * scale
+        if s:
+            acc[e] = _co(s)
+        else:
+            del acc[e]
+
+
+class Substitution:
+    """The images of one substitution out of ``ctx`` into fractions over
+    ``target``, resolved once, with a memo.
+
+    The images follow the policy of :func:`ring.resolve_images`: an image is
+    an ``int``, a ``Fraction``, a polynomial of the target context or a
+    fraction over ``target``, and an unmapped variable maps to the target
+    variable of the same name.  :meth:`poly` groups the term numerators of a
+    polynomial by their denominator exponents and puts them over the common
+    denominator once; :meth:`fraction` multiplies that by the pulled inverse
+    powers of the denominator factors.
+
+    The memo holds each power ``img(X)^k`` taken, keyed by (variable, k), and
+    each pulled inverse power of a denominator factor, keyed by (factor, e),
+    so it is bounded by those keys; it lives as long as this object.
+    """
+
+    __slots__ = ("ctx", "target", "img", "_powers", "_inverses")
+
+    def __init__(self, ctx: VarContext,
+                 images: Mapping[str, Union[FactoredFraction, LaurentPoly, Rat]],
+                 target: DenomBasis):
+        def lift(value) -> FactoredFraction:
+            if isinstance(value, FactoredFraction):
+                if value.basis != target:
+                    raise ContextError("denominator basis mismatch")
+                return value
+            if isinstance(value, (int, Fraction)):
+                return target.const(value)
+            if value.ctx != target.ctx:
+                raise ContextError("image context mismatch")
+            return FactoredFraction(target, value)
+
+        self.ctx = ctx
+        self.target = target
+        self.img = resolve_images(ctx, images, target.ctx, lift)
+        self._powers: dict[tuple[int, int], FactoredFraction] = {}
+        self._inverses: dict[tuple[LaurentPoly, int], FactoredFraction] = {}
+
+    def poly(self, p: LaurentPoly) -> FactoredFraction:
+        """The image of a polynomial of ``ctx``, over one common denominator."""
+        if p.ctx is not self.ctx and p.ctx != self.ctx:
+            raise ContextError("context mismatch")
+        powers = self._powers
+        nothing = (0,) * self.target.nfactors()
+        one = self.target.ctx.one()
+        groups: dict[tuple[int, ...], dict[Exponents, Rat]] = {}
+        for exps, coeff in p.terms.items():
+            num, den = None, nothing
+            for i, e in enumerate(exps):
+                if e:
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = powers[(i, e)] = image_power(self.ctx, self.img, i, e)
+                    num = pw.num if num is None else num * pw.num
+                    if pw.exps != nothing:
+                        den = tuple(map(add, den, pw.exps))
+            acc = groups.get(den)
+            if acc is None:
+                acc = groups[den] = {}
+            _add_into(acc, one if num is None else num, coeff)
+        return _over_common(self.target, groups)
+
+    def fraction(self, fr: FactoredFraction) -> FactoredFraction:
+        """The image of a fraction over a basis of ``ctx``."""
+        out = self.poly(fr.num)
+        for f, e in zip(fr.basis.factors, fr.exps):
             if e:
-                out = out * eval_poly(f, images, tgt) ** (-e)
+                inv = self._inverses.get((f, e))
+                if inv is None:
+                    inv = self._inverses[(f, e)] = self.poly(f) ** -e
+                out = out * inv
         return out
+
+
+def _over_common(basis: DenomBasis,
+                 groups: Mapping[tuple[int, ...], dict[Exponents, Rat]]
+                 ) -> FactoredFraction:
+    """The sum of numerator accumulators keyed by their denominator
+    exponents, over the least common denominator of the nonzero ones."""
+    ctx = basis.ctx
+    nums = {den: LaurentPoly(ctx, acc, _normalized=True)
+            for den, acc in groups.items() if acc}
+    if not nums:
+        return basis.zero()
+    if len(nums) == 1:
+        (den, num), = nums.items()
+        return FactoredFraction(basis, num, den)
+    m = tuple(map(max, *nums))
+    out: dict[Exponents, Rat] = {}
+    for den, num in nums.items():
+        _add_into(out, num if den == m else num * basis.power(tuple(map(sub, m, den))))
+    return FactoredFraction(basis, LaurentPoly(ctx, out, _normalized=True), m)
 
 
 def eval_poly(p: LaurentPoly,
               images: Mapping[str, Union[FactoredFraction, LaurentPoly, Rat]],
               target: DenomBasis) -> FactoredFraction:
-    """Evaluate a Laurent polynomial at images of its variables.
-
-    Follows the substitution policy of :func:`ring.evaluate`: an image is an
-    ``int``, a ``Fraction``, a polynomial of the target context or a fraction
-    over ``target``; an unmapped variable maps to the target variable of the
-    same name.
-    """
-    def lift(value) -> FactoredFraction:
-        if isinstance(value, FactoredFraction):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return target.const(value)
-        if value.ctx != target.ctx:
-            raise ContextError("image context mismatch")
-        return FactoredFraction(target, value)
-
-    return evaluate(p, images, target.ctx, lift)
+    """Evaluate a Laurent polynomial at images of its variables:
+    :meth:`Substitution.poly` with a memo that lasts for this call."""
+    return Substitution(p.ctx, images, target).poly(p)
 
 
 def frac_eq(x: FactoredFraction, y: FactoredFraction) -> bool:
@@ -363,7 +481,7 @@ def serialize_frac(fr: FactoredFraction) -> str:
     """Emit ``num`` or ``(num) / (expanded denominator)``."""
     r = fr.reduce()
     num = serialize_poly(r.num)
-    denom = r.basis_power(r.exps)
+    denom = r.basis.power(r.exps)
     if denom.is_one():
         return num
     return f"({num}) / ({serialize_poly(denom)})"

@@ -21,15 +21,17 @@ together with a monic minimal polynomial over Q.  Arithmetic then happens in
 ``Q[r]/(m(r))`` tensored with the Laurent ring on the remaining variables;
 ``r`` is a unit because ``m`` has nonzero constant term.
 
-Substitution has one policy and one route.  Images are rationals,
-polynomials or (for ``fractions.eval_poly``) fractions; a variable with no
-image maps to the target variable of the same name; ``ContextError`` is
-raised only when a variable that occurs has no image, or when an image is a
-polynomial of another context, and ``UnitError`` for a negative power of a
-polynomial image that is not a signed monomial.  :func:`evaluate`, the
-generic loop over any ring with ``+``, ``*`` and ``**``, carries it out:
-:meth:`LaurentPoly.substitute` calls it with a lift into polynomials, and
-``fractions.eval_poly`` with a lift into fractions.
+Substitution has one policy, :func:`resolve_images` with
+:func:`image_power`.  Images are rationals, polynomials or (in
+``fractions``) fractions; a variable with no image maps to the target
+variable of the same name; ``ContextError`` is raised when a variable that
+occurs has no image, when an image is a polynomial of another context, or
+when the image of an extension variable is not a root of its minimal
+polynomial, and ``UnitError`` for a negative power of a polynomial image that
+is not a signed monomial.  :func:`evaluate`, the generic loop over any ring
+with ``+``, ``*`` and ``**``, carries it out for
+:meth:`LaurentPoly.substitute`; ``fractions.Substitution`` carries it out
+for fractions, summing over one common denominator.
 
 The text grammar used for serialization is::
 
@@ -295,12 +297,19 @@ class LaurentPoly:
         n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.ctx.one()
+        if n == 0:
+            return self.ctx.one()
+        # square from the base: the lowest set bit starts the result
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
             n >>= 1
         return result
 
@@ -346,9 +355,10 @@ class LaurentPoly:
                    target: Optional[VarContext] = None) -> "LaurentPoly":
         """Ring-homomorphism image in ``target`` (default: this context).
 
-        Follows the substitution policy of :func:`evaluate`, which computes
-        it; an image is an ``int``, a ``Fraction`` or a polynomial of
-        ``target``.
+        Follows the substitution policy of :func:`resolve_images` and is
+        computed by :func:`evaluate`; an image is an ``int``, a ``Fraction``
+        or a polynomial of ``target``, and the image of an extension
+        variable is a root of its minimal polynomial.
         """
         tgt = target if target is not None else self.ctx
         if tgt is self.ctx and not images:
@@ -472,25 +482,65 @@ def exact_divide(p: LaurentPoly, f: LaurentPoly) -> Optional[LaurentPoly]:
 
 # -- evaluation --------------------------------------------------------------
 
-def evaluate(p: LaurentPoly, images: Mapping[str, object], target: VarContext,
-             lift: Callable[[object], V]) -> V:
-    """Evaluate ``p`` at images of its variables in any ring with ``+``, ``*``
-    and ``**``: the generic loop behind every substitution.
+def resolve_images(ctx: VarContext, images: Mapping[str, object],
+                   target: VarContext, lift: Callable[[object], V]
+                   ) -> list[Optional[V]]:
+    """The image of each variable of ``ctx``, in order, lifted into the value
+    ring: the one policy of every substitution.
 
-    ``lift`` carries a rational, an image or a polynomial of ``target`` into
-    the value ring.  A variable with no image maps to the ``target`` variable
-    of the same name; :class:`ContextError` is raised only when a variable
-    that occurs in ``p`` has neither.  A negative power of a polynomial
-    image that is not a unit raises :class:`UnitError`.
+    A variable with no image maps to the ``target`` variable of the same
+    name, and to ``None`` when ``target`` has none; ``lift`` raises for an
+    image it cannot carry.  When ``ctx`` has an algebraic extension, the
+    image of its variable must be a root of the minimal polynomial in the
+    value ring (one evaluation of it, tested by truth value), since only
+    then is the substitution a ring map; :class:`ContextError` otherwise.
     """
     img: list[Optional[V]] = []
-    for name in p.ctx.names:
+    for name in ctx.names:
         if name in images:
             img.append(lift(images[name]))
         elif name in target.index:
             img.append(lift(target.var(name)))
         else:
             img.append(None)
+    ev = ctx.ext_var
+    root = img[ev] if ev is not None else None
+    if root is not None:
+        # m(root) = root^d - sum_k high_k root^k, from r^d = sum_k high_k r^k
+        m = root ** ctx.ext_deg
+        for k, c in ctx._ext_high.items():
+            m = m - lift(c) * root ** k
+        if m:
+            raise ContextError(f"image of {ctx.names[ev]!r} is not a root of "
+                               "its minimal polynomial")
+    return img
+
+
+def image_power(ctx: VarContext, img: list[Optional[V]], i: int, e: int) -> V:
+    """``img[i] ** e`` for variable ``i`` of ``ctx``, under the policy of
+    :func:`resolve_images`: :class:`ContextError` when the variable has no
+    image, and :class:`UnitError` for a negative power of a polynomial image
+    that is not a unit."""
+    name = ctx.names[i]
+    if img[i] is None:
+        raise ContextError(f"variable {name!r} has no image")
+    try:
+        return img[i] ** e
+    except UnitError:
+        raise UnitError(f"negative power of {name!r} needs a unit image") from None
+
+
+def evaluate(p: LaurentPoly, images: Mapping[str, object], target: VarContext,
+             lift: Callable[[object], V]) -> V:
+    """Evaluate ``p`` at images of its variables in any ring with ``+``, ``*``
+    and ``**``: the generic loop behind :meth:`LaurentPoly.substitute`.
+
+    ``lift`` carries a rational, an image or a polynomial of ``target`` into
+    the value ring; the images are resolved by :func:`resolve_images`, and
+    each power is taken by :func:`image_power`, so a missing image raises
+    :class:`ContextError` only when its variable occurs in ``p``.
+    """
+    img = resolve_images(p.ctx, images, target, lift)
     out = lift(0)
     pow_cache: dict[tuple[int, int], V] = {}
     for exps, coeff in p.terms.items():
@@ -500,14 +550,7 @@ def evaluate(p: LaurentPoly, images: Mapping[str, object], target: VarContext,
                 continue
             pc = pow_cache.get((i, e))
             if pc is None:
-                name = p.ctx.names[i]
-                if img[i] is None:
-                    raise ContextError(f"variable {name!r} has no image")
-                try:
-                    pc = pow_cache[(i, e)] = img[i] ** e
-                except UnitError:
-                    raise UnitError(f"negative power of {name!r} needs a "
-                                    "unit image") from None
+                pc = pow_cache[(i, e)] = image_power(p.ctx, img, i, e)
             term = term * pc
         out = out + term
     return out

@@ -1,14 +1,18 @@
 """Differential forms: d, wedge, pullback, and their algebraic laws."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from quintic_garnier import fractions as kernel
+from quintic_garnier.connections import B_XY, map_cover
 from quintic_garnier.forms import (MobiusAction, RationalMap, ScalarOneForm,
                                    ScalarTwoForm, divisor_pullback)
 from quintic_garnier.fractions import (BasisError, DenomBasis, FactoredFraction,
-                                       eval_poly, frac_eq, serialize_frac)
+                                       Substitution, eval_poly, frac_eq,
+                                       serialize_frac)
 from quintic_garnier.ring import LaurentPoly, VarContext
 
 XY = VarContext(["x", "y"])
@@ -174,6 +178,55 @@ def test_pullback_functoriality():
     for _ in range(500):
         w = one_form(_random_frac(rng), _random_frac(rng))
         assert BMAP.pull_one_form(PI.pull_one_form(w)) == comp.pull_one_form(w)
+
+
+def test_pullback_memo_matches_a_fresh_map(monkeypatch):
+    """One ``cover`` pulls 100 seeded one-forms exactly as a fresh map per
+    form does, and its memo computes each (variable, exponent) power of an
+    image and each (factor, exponent) pulled inverse once."""
+    rng = random.Random(31)
+
+    def coefficient():
+        # a numerator of _random_frac in x, y, constant in lam0, lam1
+        num = LaurentPoly(B_XY.ctx, {e + (0, 0): c for e, c in
+                                     _random_frac(rng).num.terms.items()})
+        return FactoredFraction(B_XY, num,
+                                tuple(rng.randint(0, 2) for _ in B_XY.factors))
+
+    forms = [one_form(coefficient(), coefficient(), B_XY) for _ in range(100)]
+    fresh = [map_cover().pull_one_form(w) for w in forms]
+    # the keys these forms need: their own exponents, and those of each
+    # factor they divide by
+    names = B_XY.ctx.names
+    inverse_keys = {(f, e) for w in forms for c in (w.A, w.B)
+                    for f, e in zip(B_XY.factors, c.exps) if e}
+    power_keys = {(names[i], e) for p in [c.num for w in forms for c in (w.A, w.B)]
+                  + [f for f, _ in inverse_keys]
+                  for exps in p.terms for i, e in enumerate(exps) if e}
+
+    powers, factors = Counter(), Counter()
+    power, poly = kernel.image_power, Substitution.poly
+
+    def counted_power(ctx, img, i, e):
+        powers[ctx.names[i], e] += 1
+        return power(ctx, img, i, e)
+
+    def counted_poly(self, p):
+        factors.update(f for f in B_XY.factors if p is f)
+        return poly(self, p)
+
+    monkeypatch.setattr(kernel, "image_power", counted_power)
+    monkeypatch.setattr(Substitution, "poly", counted_poly)
+    cover = map_cover()
+    for w, want in zip(forms, fresh):
+        got = cover.pull_one_form(w)
+        for a, b in ((got.A, want.A), (got.B, want.B)):
+            assert (a.num, a.exps) == (b.num, b.exps), w
+    assert powers == Counter(power_keys)
+    assert factors == Counter(f for f, _ in inverse_keys)
+    memo = cover._pullback
+    assert len(memo._powers) <= len(power_keys)
+    assert len(memo._inverses) <= len(inverse_keys)
 
 
 def _random_frac(rng):

@@ -3,8 +3,8 @@
 Seeded random Laurent polynomials and factored fractions go through the
 package's arithmetic and through sympy's rational function field over QQ
 (the sparse arithmetic behind ``sympy.cancel``, which keeps every value in
-lowest terms), its polynomial ``div`` and its ``diff``; the results must
-agree exactly.  sympy is only a test oracle: the package itself stays
+lowest terms), its polynomial ``div``, its ``diff`` and its ``subs``; the
+results must agree exactly.  sympy is only a test oracle: the package itself stays
 standard-library only, and this module is skipped where sympy is missing.
 """
 
@@ -15,13 +15,16 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from quintic_garnier.fractions import DenomBasis, FactoredFraction  # noqa: E402
+from quintic_garnier.forms import RationalMap  # noqa: E402
+from quintic_garnier.fractions import (DenomBasis, FactoredFraction,  # noqa: E402
+                                       eval_poly)
 from quintic_garnier.ring import LaurentPoly, VarContext, exact_divide  # noqa: E402
 
 UV = VarContext(["u", "v"])
 u, v = UV.var("u"), UV.var("v")
 B = DenomBasis(UV, [u - v, v - 1, u ** 2 + v], names=["u-v", "v-1", "u^2+v"])
 K, KU, KV = sympy.field("u,v", sympy.QQ)
+SU, SV = sympy.symbols("u v")
 
 
 def polynomial_part(p):
@@ -112,12 +115,12 @@ def test_reduce_matches_sympy_cancel():
         x = random_frac(rng)
         # hide a random product of basis factors in numerator and denominator
         extra = tuple(rng.randint(0, 2) for _ in B.factors)
-        padded = FactoredFraction(B, x.num * x.basis_power(extra),
+        padded = FactoredFraction(B, x.num * x.basis.power(extra),
                                   tuple(a + b for a, b in zip(x.exps, extra)))
         r = padded.reduce()
         assert sym(r) == sym(x)
         # reduced: the lowest-terms denominator is the declared one up to a monomial
-        ratio = sym(r.basis_power(r.exps)) / sym(r).denom
+        ratio = sym(r.basis.power(r.exps)) / sym(r).denom
         assert len(ratio.numer.terms()) == len(ratio.denom.terms()) == 1
 
 
@@ -144,3 +147,46 @@ def test_equal_values_hash_equally():
         assert all(sym(w) == sym(forms[0]) for w in forms)
         assert all(w == forms[0] and hash(w) == hash(forms[0]) for w in forms)
         assert len(set(forms)) == 1
+
+
+# maps of QQ(u, v) whose images, and the images of whose basis factors, are
+# units times products of these factors, so every negative power of an
+# image and every pulled denominator clears over the basis
+BM = DenomBasis(UV, [u - 1, v - 1, u - v], names=["u-1", "v-1", "u-v"])
+SUBSTITUTIONS = [
+    {"u": BM.of(u, {0: 1}), "v": BM.of(v, {1: 1})},      # u/(u-1), v/(v-1)
+    {"u": BM.of(u, {0: 1}), "v": BM.of(u - v, {0: 1})},  # u/(u-1), (u-v)/(u-1)
+    {"u": BM.of(u ** -1), "v": BM.of(v * u ** -1)},      # 1/u, v/u
+]
+
+
+def sym_subs(x, images):
+    """sympy's substitution of ``images`` into ``x``, back in QQ(u, v); its
+    denominator's sign is not normalized, so compare by difference."""
+    expr = sym(x).as_expr().subs({SU: sym(images["u"]).as_expr(),
+                                  SV: sym(images["v"]).as_expr()},
+                                 simultaneous=True)
+    return K.from_expr(expr)
+
+
+def test_substitution_matches_sympy():
+    """``eval_poly`` and ``FactoredFraction.substitute`` (a fresh memo per
+    call) and ``RationalMap.pull`` (a memo that 200 earlier pulls filled)
+    agree with sympy's ``subs`` on Laurent polynomials and fractions."""
+    rng = random.Random(18)
+
+    def random_frac_m():
+        return FactoredFraction(BM, random_poly(rng, 4),
+                                tuple(rng.randint(0, 2) for _ in BM.factors))
+
+    for images in SUBSTITUTIONS:
+        phi = RationalMap("m", BM, BM, ("u", "v"), ("u", "v"), images)
+        for _ in range(200):
+            phi.pull(random_frac_m())
+        for _ in range(15):
+            p, x = random_poly(rng, 4), random_frac_m()
+            want_p, want_x = sym_subs(p, images), sym_subs(x, images)
+            assert sym(eval_poly(p, images, BM)) - want_p == 0, (p, images)
+            assert sym(x.substitute(images, BM)) - want_x == 0, (x, images)
+            assert sym(phi.pull(p)) - want_p == 0, (p, images)
+            assert sym(phi.pull(x)) - want_x == 0, (x, images)

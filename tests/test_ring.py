@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quintic_garnier.families import CTX_ROOT, CTX_UV
-from quintic_garnier.fractions import DenomBasis
+from quintic_garnier.fractions import DenomBasis, eval_poly
 from quintic_garnier.ring import (ContextError, LaurentPoly, UnitError, VarContext,
                                   evaluate, exact_divide, parse_poly, serialize_poly)
 
@@ -144,9 +144,13 @@ def test_one_term_images_substitute_as_ring_homomorphism():
     # terms that collide under u, v -> s, -s cancel
     s = S1.var("s")
     assert (u * v ** 2 + u ** 2 * v).substitute({"u": s, "v": -s}, S1).is_zero()
-    # an image that is no root maps the reduced form: r^2 = -1 - r at r = 7/2
+    # an image that is no root of r^2 + r + 1 gives no ring map, so it
+    # raises, into polynomials and into fractions alike
     r = CTX_ROOT.var("r")
-    assert (r ** 2).substitute({"r": Fraction(7, 2)}, S1) == S1.const(Fraction(-9, 2))
+    with pytest.raises(ContextError, match="not a root"):
+        (r ** 2).substitute({"r": Fraction(7, 2)}, S1)
+    with pytest.raises(ContextError, match="not a root"):
+        eval_poly(r ** 2, {"r": Fraction(7, 2)}, DenomBasis(S1, []))
 
 
 def test_substitution_errors_match_evaluate():
@@ -385,10 +389,9 @@ def test_stored_coefficients_are_int_when_integral(ctx):
         images, target = {"u": -(s ** 2), "v": Fraction(1, 2) * s ** -1}, S
     else:
         images, target = {"r": ctx.var("r") ** 2}, ctx
-    # one-term images take the accumulator route of substitute
     units, unit_target = (
         ({"u": Fraction(3, 2) * s ** -1, "v": -(s ** 2)}, S) if ctx is CTX_UV
-        else ({"r": -Fraction(2, 3) * R_S.var("r") * R_S.var("s")}, R_S))
+        else ({"r": R_S.var("r") ** 2}, R_S))
     name = ctx.names[0]
     for c in (3, -1, Fraction(6, 3), Fraction(3, 2), Fraction(-4, 6)):
         _assert_stored(ctx.const(c))
