@@ -38,8 +38,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .forms import MobiusAction, RationalMap, ScalarOneForm, ScalarTwoForm
-from .fractions import (BasisError, DenomBasis, FactoredFraction, eval_poly,
-                        frac_eq, serialize_frac)
+from .fractions import (BasisError, DenomBasis, FactoredFraction,
+                        Substitution, frac_eq, serialize_frac)
 from .ring import ContextError, LaurentPoly, UnitError, VarContext
 
 # ---------------------------------------------------------------------------
@@ -251,13 +251,12 @@ def _sqrt_fraction(f: FactoredFraction) -> Optional[FactoredFraction]:
     return FactoredFraction(r.basis, half, tuple(e // 2 for e in r.exps))
 
 
-def _residue_side(entry: ScalarOneForm, chart: DivisorChart, side: str
+def _residue_side(coeff: FactoredFraction, var: str, chart: DivisorChart,
+                  at: Substitution
                   ) -> tuple[Optional[FactoredFraction], Optional[str]]:
-    """Residue via one component; returns (value, error-note)."""
-    basis = entry.basis
-    x, y = entry.base_vars
-    var = x if side == "dx" else y
-    coeff = entry.A if side == "dx" else entry.B
+    """Residue via the ``d var`` coefficient of one entry, evaluated along
+    the chart by its kernel ``at``; returns (value, error-note)."""
+    basis = coeff.basis
     f_poly = basis.ctx.var(chart.var) if chart.poly is None else chart.poly
     df = f_poly.derivative(var)
     if df.is_zero():
@@ -272,9 +271,7 @@ def _residue_side(entry: ScalarOneForm, chart: DivisorChart, side: str
         if idx and scaled.exps[idx[0]] > 0:
             return None, f"pole of order > 1 along {chart.name}"
     try:
-        num = scaled.substitute(chart.subs, chart.target)
-        den = eval_poly(df, chart.subs, chart.target)
-        return num * den.inverse(), None
+        return at.fraction(scaled) * at.poly(df).inverse(), None
     except (BasisError, ContextError, UnitError) as exc:
         return None, f"restriction failed along {chart.name}: {exc}"
 
@@ -284,18 +281,20 @@ def residue(conn: MatConnection, chart: DivisorChart) -> ResidueData:
 
     The dx- and dy-derived values must agree wherever both are defined
     (logarithmicity); disagreement or a higher-order pole clears the
-    consistency flag.
+    consistency flag.  One substitution evaluates every entry on the chart.
     """
     if chart.chart is not None:
         conn = conn.pull_back(chart.chart, name=conn.name + "@inf")
+    at = Substitution(conn.basis.ctx, chart.subs, chart.target)
+    x, y = conn.base_vars
     notes: list[str] = []
     consistent = True
     matrix: list[list[FactoredFraction]] = []
     for i in (0, 1):
         row = []
         for j in (0, 1):
-            vx, ex = _residue_side(conn.omega[i][j], chart, "dx")
-            vy, ey = _residue_side(conn.omega[i][j], chart, "dy")
+            vx, ex = _residue_side(conn.omega[i][j].A, x, chart, at)
+            vy, ey = _residue_side(conn.omega[i][j].B, y, chart, at)
             for err in (ex, ey):
                 if err:
                     notes.append(f"entry ({i + 1},{j + 1}): {err}")

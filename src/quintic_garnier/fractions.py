@@ -24,11 +24,12 @@ maps to the same-named target variable, ``ContextError`` is raised when a
 variable that occurs has no image, and the image of an extension variable
 must be a root of its minimal polynomial.  It sums the terms of a
 polynomial into one accumulator per denominator exponent vector and puts
-them over their common denominator once, in one more sum.
-:func:`eval_poly` and :meth:`FactoredFraction.substitute` use a kernel that
-lasts for one call; ``forms.RationalMap`` keeps one for as long as the map
-lives, so its memo of image powers and pulled factor inverses serves every
-pullback along the map.
+them over their common denominator once, in one more sum.  The owner of a
+set of images keeps one kernel, and its memo of image powers and pulled
+factor inverses, for all it substitutes: ``forms.RationalMap`` for the
+map's life, ``connections.residue`` per chart, ``garnier`` per line,
+parameter point, pole and flip.  :func:`eval_poly` and
+:meth:`FactoredFraction.substitute` are one-call conveniences.
 """
 
 from __future__ import annotations
@@ -345,8 +346,9 @@ class FactoredFraction:
     def substitute(self, images: Mapping[str, Union["FactoredFraction",
                                                     LaurentPoly, Rat]],
                    target: Optional[DenomBasis] = None) -> "FactoredFraction":
-        """Evaluate at images of the variables: :meth:`Substitution.fraction`
-        with a memo that lasts for this call.
+        """Evaluate at images of the variables: a one-call convenience whose
+        kernel lasts for this call; the owner of images used again keeps one
+        :class:`Substitution` instead.
 
         Every substituted denominator factor must clear over the target
         basis (raises :class:`BasisError` otherwise, signalling the caller
@@ -464,8 +466,9 @@ def _over_common(basis: DenomBasis,
 def eval_poly(p: LaurentPoly,
               images: Mapping[str, Union[FactoredFraction, LaurentPoly, Rat]],
               target: DenomBasis) -> FactoredFraction:
-    """Evaluate a Laurent polynomial at images of its variables:
-    :meth:`Substitution.poly` with a memo that lasts for this call."""
+    """Evaluate a Laurent polynomial at images of its variables: a one-call
+    convenience whose kernel lasts for this call; the owner of images used
+    again keeps one :class:`Substitution` instead."""
     return Substitution(p.ctx, images, target).poly(p)
 
 

@@ -24,8 +24,9 @@ from typing import Mapping, Optional
 
 from .connections import MatConnection, flat_quintic2_connection
 from .forms import ScalarOneForm
-from .fractions import DenomBasis, FactoredFraction, frac_eq, serialize_frac
-from .ring import LaurentPoly, Rat, VarContext, serialize_poly
+from .fractions import (DenomBasis, FactoredFraction, Substitution, frac_eq,
+                        serialize_frac)
+from .ring import LaurentPoly, Rat, VarContext, _rat, serialize_poly
 
 # line context with both parametrizations
 CTX_AB = VarContext(["y", "a", "b", "lam0", "lam1"])
@@ -97,10 +98,10 @@ def restrict_to_line(conn: Optional[MatConnection] = None,
         basis, images, q = B_AC, {"x": _aa * _yac + _b_of_c}, Q_AC
     else:
         raise ValueError("mode is 'ab' or 'ac'")
+    line = Substitution(conn.basis.ctx, images, basis)
     avar = basis.ctx.var("a")
-    matrix = [[(w.A.substitute(images, basis) * avar
-                + w.B.substitute(images, basis)).reduce() for w in row]
-              for row in conn.omega]
+    matrix = [[(line.fraction(w.A) * avar + line.fraction(w.B)).reduce()
+               for w in row] for row in conn.omega]
     # fiber chart with denominators 2 y (y-1) Q: swap w -> -1/w of the
     # flat-section chart, i.e. (P2, P1, P0) = (m21, m11 - m22, -m12)
     P2 = matrix[1][0]
@@ -115,10 +116,10 @@ def specialize_connection(conn: MatConnection,
                           values: Mapping[str, Rat]) -> MatConnection:
     """Substitute exact rational values for parameters (context unchanged)."""
     basis = conn.basis
+    at = Substitution(basis.ctx, values, basis)
     om = tuple(tuple(
-        ScalarOneForm(basis, conn.base_vars, w.A.substitute(values, basis),
-                      w.B.substitute(values, basis))
-        for w in row) for row in conn.omega)
+        ScalarOneForm(basis, conn.base_vars, at.fraction(w.A),
+                      at.fraction(w.B)) for w in row) for row in conn.omega)
     return MatConnection(conn.name + "@", basis, conn.base_vars, om)
 
 
@@ -131,7 +132,7 @@ def pole_positions() -> tuple[LaurentPoly, LaurentPoly]:
 
 def pole_positions_at(a_val: Rat, c_val: Rat) -> tuple[Fraction, Fraction, list[str]]:
     """:func:`pole_positions` at rational ``(a, c)``, with a degeneracy note."""
-    point = {"a": Fraction(a_val), "c": Fraction(c_val)}
+    point = {"a": _rat(a_val), "c": _rat(c_val)}
     if point["a"] == 0:
         raise RestrictionError("a = 0 does not define a generic line")
     t1, t2 = (t.substitute(point).constant_value() for t in pole_positions())
@@ -202,9 +203,8 @@ def _residues_sum_to_zero(rest: LineRestriction, num: LaurentPoly) -> bool:
     ddenom = rest.denominator.derivative("y")
     res_sum = basis.zero()
     for p in (ctx.zero(), ctx.one(), t1, t2):
-        n_at = FactoredFraction(basis, num.substitute({"y": p}))
-        d_at = FactoredFraction(basis, ddenom.substitute({"y": p}))
-        res_sum = res_sum + n_at * d_at.inverse()
+        at = Substitution(ctx, {"y": p}, basis)
+        res_sum = res_sum + at.poly(num) * at.poly(ddenom).inverse()
     return res_sum.is_zero()
 
 
@@ -338,11 +338,11 @@ def alphas_report() -> dict:
 
 def parity_invariance(data: GarnierData) -> dict[str, bool]:
     """All fields are invariant under ``c -> -c`` combined with ``t1 <-> t2``."""
-    flip = {"c": -_c}
+    flip = Substitution(CTX_AC, {"c": -_c}, B_AC).fraction
     out = {}
     for name, val in [("S_q", data.S_q), ("P_q", data.P_q),
                       ("S_p", data.S_p), ("gamma", data.gamma)]:
-        out[name] = frac_eq(val.substitute(flip), val)
-    out["t_swap"] = (frac_eq(data.t1.substitute(flip), data.t2)
-                     and frac_eq(data.t2.substitute(flip), data.t1))
+        out[name] = frac_eq(flip(val), val)
+    out["t_swap"] = (frac_eq(flip(data.t1), data.t2)
+                     and frac_eq(flip(data.t2), data.t1))
     return out

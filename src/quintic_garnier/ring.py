@@ -23,12 +23,12 @@ together with a monic minimal polynomial over Q.  Arithmetic then happens in
 
 Substitution has one policy, :func:`resolve_images` with
 :func:`image_power`.  Images are rationals, polynomials or (in
-``fractions``) fractions; a variable with no image maps to the target
-variable of the same name; ``ContextError`` is raised when a variable that
-occurs has no image, when an image is a polynomial of another context, or
-when the image of an extension variable is not a root of its minimal
-polynomial, and ``UnitError`` for a negative power of a polynomial image that
-is not a signed monomial.  :func:`evaluate`, the generic loop over any ring
+``fractions``) fractions, never floats (``TypeError``); a variable with no
+image maps to the target variable of the same name; ``ContextError`` is
+raised when a variable that occurs has no image, when an image is a
+polynomial of another context, or when the image of an extension variable
+is not a root of its minimal polynomial, and ``UnitError`` for a negative
+power of a polynomial image that is not a signed monomial.  :func:`evaluate`, the generic loop over any ring
 with ``+``, ``*`` and ``**``, carries it out for
 :meth:`LaurentPoly.substitute`; ``fractions.Substitution`` carries it out
 for fractions, summing over one common denominator.
@@ -489,15 +489,18 @@ def resolve_images(ctx: VarContext, images: Mapping[str, object],
     ring: the one policy of every substitution.
 
     A variable with no image maps to the ``target`` variable of the same
-    name, and to ``None`` when ``target`` has none; ``lift`` raises for an
-    image it cannot carry.  When ``ctx`` has an algebraic extension, the
-    image of its variable must be a root of the minimal polynomial in the
-    value ring (one evaluation of it, tested by truth value), since only
-    then is the substitution a ring map; :class:`ContextError` otherwise.
+    name, and to ``None`` when ``target`` has none; a float image raises
+    ``TypeError``, and ``lift`` raises for another image it cannot carry.
+    When ``ctx`` has an algebraic extension, the image of its variable must
+    be a root of the minimal polynomial in the value ring (one evaluation of
+    it, tested by truth value), since only then is the substitution a ring
+    map; :class:`ContextError` otherwise.
     """
     img: list[Optional[V]] = []
     for name in ctx.names:
         if name in images:
+            if isinstance(images[name], float):
+                raise TypeError(f"image of {name!r} is a float, not an int or a Fraction")
             img.append(lift(images[name]))
         elif name in target.index:
             img.append(lift(target.var(name)))

@@ -239,15 +239,12 @@ def _evaluate(terms: tuple, values: Sequence[LaurentPoly]) -> LaurentPoly:
     new value per partial sum as :func:`~quintic_garnier.ring.evaluate`
     does.  For a term ``c * x_1 ... x_k`` the first k - 1 factors are
     multiplied as values, and the terms of the last one are multiplied
-    straight into the accumulator.  A zero result is a zero factor that a
-    term met, where there is one, as a zero product is."""
+    straight into the accumulator."""
     ctx = values[0].ctx
     acc: dict = {}
-    zero = None
     for c, idx in terms:
         last = values[idx[-1]] if idx else ctx.one()
         if not last.terms:
-            zero = last
             continue
         # c times the first k - 1 factors; None stands for no exponents
         head = ((None, c),)
@@ -256,7 +253,6 @@ def _evaluate(terms: tuple, values: Sequence[LaurentPoly]) -> LaurentPoly:
             for i in idx[1:-1]:
                 p = p * values[i]
             if not p.terms:
-                zero = p
                 continue
             head = [(e, c * x) for e, x in p.terms.items()]
         for ea, ca in head:
@@ -267,7 +263,4 @@ def _evaluate(terms: tuple, values: Sequence[LaurentPoly]) -> LaurentPoly:
                     acc[e] = s
                 else:
                     del acc[e]
-    result = LaurentPoly(ctx, acc)
-    if not result.terms and zero is not None:
-        return zero
-    return result
+    return LaurentPoly(ctx, acc)

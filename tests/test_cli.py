@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quintic_garnier import cli, ring
+from quintic_garnier import cli, fractions, ring
 from quintic_garnier.cli import main
 
 
@@ -398,3 +398,29 @@ def test_verify_suites_divide_exactly_134_times_warm():
     remembered, so the count does not depend on which tests ran before."""
     run_suites()
     assert count_divisions(run_suites) == 134
+
+
+def test_verify_suites_build_one_substitution_per_owner(monkeypatch):
+    """Pinned count of ``fractions.Substitution`` kernels per suite: each
+    residue chart, map, line restriction, parameter point, pole and flip
+    builds one for all the values it substitutes, and no suite falls back on
+    the generic ``ring.evaluate`` loop.  A kernel per entry again fails
+    here."""
+    suite, kernels, evaluations = [None], Counter(), [0]
+    init, evaluate = fractions.Substitution.__init__, ring.evaluate
+
+    def counted_init(self, *args):
+        kernels[suite[0]] += 1
+        init(self, *args)
+
+    def counted_evaluate(*args):
+        evaluations[0] += 1
+        return evaluate(*args)
+    monkeypatch.setattr(fractions.Substitution, "__init__", counted_init)
+    monkeypatch.setattr(ring, "evaluate", counted_evaluate)
+    for name, run in cli.SUITES.items():
+        suite[0] = name
+        run()
+    assert dict(kernels) == {"residues": 7, "pullbacks": 8, "restriction": 8,
+                             "garnier": 6}
+    assert evaluations[0] == 0

@@ -18,7 +18,8 @@ from quintic_garnier.connections import (
     quintic2_scaled_connection, residue, riccati_of_connection,
     riccati_plane_catalog)
 from quintic_garnier.forms import RationalMap, ScalarOneForm, divisor_pullback
-from quintic_garnier.fractions import FactoredFraction, frac_eq, serialize_frac
+from quintic_garnier.fractions import (FactoredFraction, eval_poly, frac_eq,
+                                       serialize_frac)
 from quintic_garnier.ring import VarContext
 from quintic_garnier.sl2 import Mat2
 
@@ -279,6 +280,50 @@ def test_case1_flat_has_a_double_pole_at_infinity():
     rd = residue(flat_case1_connection(), CASE1_DIVISORS["infinity"])
     assert not rd.consistent
     assert rd.notes == ["entry (1,2): pole of order > 1 along infinity"]
+
+
+def _one_call_residue_side(coeff, var, chart):
+    """One side of a residue by the one-call conveniences: a new
+    substitution for the entry and another for the derivative."""
+    f = coeff.ctx.var(chart.var) if chart.poly is None else chart.poly
+    df = f.derivative(var)
+    if df.is_zero():
+        return None
+    scaled = (coeff * f).reduce()
+    return (scaled.substitute(chart.subs, chart.target)
+            * eval_poly(df, chart.subs, chart.target).inverse())
+
+
+@pytest.mark.parametrize("build,charts", [
+    (flat_quintic2_connection, QUINTIC2_DIVISORS),
+    (quintic2_matrix_connection, QUINTIC2_DIVISORS),
+    (quintic2_scaled_connection, QUINTIC2_DIVISORS),
+    (flat_case1_connection, CASE1_DIVISORS),
+    (case1_connection, CASE1_DIVISORS)],
+    ids=["quintic2_flat", "quintic2_matrix", "quintic2_scaled", "case1_flat",
+         "case1"])
+def test_residue_kernel_matches_the_one_call_path(build, charts):
+    """One substitution per chart gives, entry by entry, the residue that a
+    new substitution per entry and side gives; an entry with a pole of
+    higher order has no residue to compare."""
+    conn = build()
+    compared = 0
+    for chart in charts.values():
+        rd = residue(conn, chart)
+        pulled = conn.pull_back(chart.chart) if chart.chart is not None else conn
+        x, y = pulled.base_vars
+        higher = {n.split(":")[0] for n in rd.notes if "order > 1" in n}
+        for i in (0, 1):
+            for j in (0, 1):
+                if f"entry ({i + 1},{j + 1})" in higher:
+                    continue
+                w = pulled.omega[i][j]
+                want = _one_call_residue_side(w.B, y, chart)
+                if want is None:
+                    want = _one_call_residue_side(w.A, x, chart)
+                assert frac_eq(rd.matrix[i][j], want), (chart.name, i, j)
+                compared += 1
+    assert compared
 
 
 def test_builtin_connection_names():

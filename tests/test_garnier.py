@@ -1,12 +1,14 @@
 """Line restriction, pole data, and the Garnier parametrization report."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from quintic_garnier.connections import flat_quintic2_connection
 from quintic_garnier.fractions import FactoredFraction, frac_eq
-from quintic_garnier.garnier import (B_AC, CTX_AC, RestrictionError,
+from quintic_garnier.garnier import (B_AB, B_AC, CTX_AB, CTX_AC,
+                                     RestrictionError,
                                      _assembles, _residues_sum_to_zero,
                                      alphas_report,
                                      garnier_parametrization,
@@ -24,6 +26,34 @@ def test_restricted_denominator_divides_declared_shape():
     a2, a1, a0 = rest.alphas()
     assert a1.min_exponent("y") >= 0
     assert a0.min_exponent("y") >= 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_restriction_kernel_matches_the_one_call_path(seed):
+    """One substitution per parameter point and per line restriction gives,
+    entry by entry, what a new substitution per entry gives."""
+    rng = random.Random(seed)
+    values = {name: Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+              for name in ("lam0", "lam1")}
+    conn = flat_quintic2_connection()
+    special = specialize_connection(conn, values)
+    for row, srow in zip(conn.omega, special.omega):
+        for w, s in zip(row, srow):
+            assert frac_eq(s.A, w.A.substitute(values, conn.basis))
+            assert frac_eq(s.B, w.B.substitute(values, conn.basis))
+    a, b, y = CTX_AB.var("a"), CTX_AB.var("b"), CTX_AB.var("y")
+    aa, c, yc = CTX_AC.var("a"), CTX_AC.var("c"), CTX_AC.var("y")
+    b_of_c = Fraction(1, 4) * (1 - c ** 2) * aa ** -1
+    lines = {"ab": (B_AB, {"x": a * y + b}),
+             "ac": (B_AC, {"x": aa * yc + b_of_c})}
+    for mode, (basis, images) in lines.items():
+        rest = restrict_to_line(special, mode)
+        avar = basis.ctx.var("a")
+        for row, srow in zip(rest.matrix, special.omega):
+            for got, w in zip(row, srow):
+                want = (w.A.substitute(images, basis) * avar
+                        + w.B.substitute(images, basis))
+                assert frac_eq(got, want), (mode, values)
 
 
 def test_alpha1_and_alpha0_match_reference():

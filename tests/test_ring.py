@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from quintic_garnier.connections import B_XY, CTX_XY, flat_quintic2_connection
 from quintic_garnier.families import CTX_ROOT, CTX_UV
 from quintic_garnier.fractions import DenomBasis, eval_poly
+from quintic_garnier.garnier import pole_positions_at, specialize_connection
 from quintic_garnier.ring import (ContextError, LaurentPoly, UnitError, VarContext,
                                   evaluate, exact_divide, parse_poly, serialize_poly)
 
@@ -334,11 +336,17 @@ def test_exact_division():
     lambda: UV.const(2.0),
     lambda: LaurentPoly(UV, {(1, 0): 0.25}),
     lambda: VarContext(["r"], extension=("r", [1.0, 1])),
-    lambda: DenomBasis(UV, [u - v]).const(0.25)],
-    ids=["const", "monomial", "integral-float", "terms", "extension", "basis"])
+    lambda: DenomBasis(UV, [u - v]).const(0.25),
+    lambda: CTX_XY.var("x").substitute({"x": 0.5}),
+    lambda: eval_poly(CTX_XY.var("x"), {"x": 0.5}, B_XY),
+    lambda: specialize_connection(flat_quintic2_connection(), {"lam0": 0.5}),
+    lambda: pole_positions_at(0.1, 4)],
+    ids=["const", "monomial", "integral-float", "terms", "extension", "basis",
+         "substitute", "eval_poly", "specialize", "pole_positions_at"])
 def test_float_coefficients_are_rejected(build):
     # a float holds a binary approximation; storing it exactly would let it
-    # decide a result, so every entry point refuses it
+    # decide a result, so every entry point refuses it, substitution images
+    # and parameter points included
     with pytest.raises(TypeError, match="int or a Fraction"):
         build()
 
