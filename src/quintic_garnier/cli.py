@@ -380,9 +380,10 @@ def suite_garnier() -> list[Check]:
     checks = []
     data, report = garnier.garnier_parametrization()
     checks.append(Check("garnier_fields", "pass", {
-        "t1": serialize_frac(data.t1), "t2": serialize_frac(data.t2),
-        "Sq": serialize_frac(data.S_q), "Pq": serialize_frac(data.P_q),
-        "Sp": serialize_frac(data.S_p), "gamma": serialize_frac(data.gamma),
+        "t1": report["t1"]["derived"], "t2": report["t2"]["derived"],
+        "Sq": report["S_q"]["derived"], "Pq": report["P_q"]["derived"],
+        "Sp": report["S_p"]["transcribed"],
+        "gamma": report["gamma"]["transcribed"],
         "agreement": {k: v for k, v in report.items()
                       if k in ("t1", "t2", "S_q", "P_q")},
     }))

@@ -5,7 +5,8 @@ coefficients over a declared denominator basis; a :class:`ScalarTwoForm`
 stores the single coefficient of ``dX ^ dY``.  :class:`RationalMap` carries
 the substitutions of a map between two such bases (target variable ->
 fraction in source variables) plus an optional Moebius action on a fiber
-coordinate, used for Riccati pullbacks.
+coordinate, used for Riccati pullbacks; it derives its differentials and
+Jacobian once, so pulling a form back differentiates nothing.
 
 Everything is exact: exterior derivative and pullback use the quotient and
 chain rules symbolically, never numerics.
@@ -152,11 +153,13 @@ class RationalMap:
     :class:`fractions.Substitution` whose memo lives as long as the map: each
     power ``phi^*(X)^k`` of an image, keyed by (variable, k), and each pulled
     inverse power of a denominator factor, keyed by (factor, e).  It is
-    bounded by those keys, not by the number of functions pulled.
+    bounded by those keys, not by the number of functions pulled.  The images
+    are fractions over ``src``; ``dX = d(phi^*X)``, ``dY = d(phi^*Y)`` and the
+    ``jacobian`` (of ``dX ^ dY``) are derived once, when the map is built.
     """
 
     __slots__ = ("name", "src", "dst", "src_base", "dst_base", "subs", "fiber",
-                 "_pullback")
+                 "_pullback", "dX", "dY", "jacobian")
 
     def __init__(self, name: str, src: DenomBasis, dst: DenomBasis,
                  src_base: tuple[str, str], dst_base: tuple[str, str],
@@ -175,6 +178,9 @@ class RationalMap:
         if fiber is not None and fiber.determinant().is_zero():
             raise ValueError("degenerate Moebius fiber action")
         self._pullback = Substitution(dst.ctx, self.subs, src)
+        self.dX, self.dY = (ScalarOneForm.d_of(self.subs[v], src_base)
+                            for v in dst_base)
+        self.jacobian = self.dX.wedge(self.dY).coeff
 
     def pull(self, f: Union[FactoredFraction, LaurentPoly]) -> FactoredFraction:
         """``phi^* f``: a function on the target chart as a fraction over
@@ -184,20 +190,13 @@ class RationalMap:
         return self._pullback.fraction(f)
 
     def pull_one_form(self, omega: ScalarOneForm) -> ScalarOneForm:
-        """Chain rule: pull the coefficients and differentiate the substitutions."""
-        X, Y = self.dst_base
-        dX = ScalarOneForm.d_of(self.subs[X], self.src_base)
-        dY = ScalarOneForm.d_of(self.subs[Y], self.src_base)
-        return dX * self.pull(omega.A) + dY * self.pull(omega.B)
+        """Chain rule: ``phi^*(A dX + B dY) = (A o phi) dX + (B o phi) dY``."""
+        return self.dX * self.pull(omega.A) + self.dY * self.pull(omega.B)
 
     def pull_two_form(self, eta: ScalarTwoForm) -> ScalarTwoForm:
         """Pullback of ``c dX^dY`` is ``(c o phi) * Jacobian * dx^dy``."""
-        X, Y = self.dst_base
-        x, y = self.src_base
-        fx, fy = self.subs[X], self.subs[Y]
-        jac = (fx.derivative(x) * fy.derivative(y)
-               - fx.derivative(y) * fy.derivative(x))
-        return ScalarTwoForm(self.src, self.src_base, self.pull(eta.coeff) * jac)
+        return ScalarTwoForm(self.src, self.src_base,
+                             self.pull(eta.coeff) * self.jacobian)
 
     def compose(self, inner: "RationalMap") -> "RationalMap":
         """``self o inner``: apply ``inner`` first (so substitutions chain)."""

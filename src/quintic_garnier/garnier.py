@@ -172,26 +172,28 @@ def h21_extract(rest: Optional[LineRestriction] = None) -> H21Data:
     """
     if rest is None:
         rest = restrict_to_line(mode="ac")
+    num, leading, S_q, P_q = _lower_left_quadratic(rest)
+    return H21Data(leading, S_q, P_q, num, _residues_sum_to_zero(rest, num),
+                   _assembles(rest, leading, S_q, P_q))
+
+
+def _lower_left_quadratic(rest: LineRestriction) -> tuple:
+    """``(numerator, leading, S_q, P_q)`` of the lower-left coefficient."""
     if rest.mode != "ac":
         raise RestrictionError("extraction needs the rational-pole chart (mode='ac')")
     basis = rest.basis
     num = _clear(rest.matrix[1][0], rest.denominator)
-    if num.max_exponent("y") > 2:
+    if num.max_exponent("y") != 2:
         raise RestrictionError("lower-left numerator degree is not 2")
     coeffs = num.coefficients_in("y")
-    n2 = coeffs.get(2, basis.ctx.zero())
-    n1 = coeffs.get(1, basis.ctx.zero())
-    n0 = coeffs.get(0, basis.ctx.zero())
-    if n2.is_zero():
-        raise RestrictionError("lower-left numerator degree is not 2")
+    n2, n1, n0 = (coeffs.get(k, basis.ctx.zero()) for k in (2, 1, 0))
     n2f = FactoredFraction(basis, n2)
     inv_n2 = n2f.inverse()
     two_a2 = FactoredFraction(basis, 2 * basis.ctx.var("a") ** 2)
     leading = (n2f * two_a2.inverse()).reduce()
     S_q = (-FactoredFraction(basis, n1) * inv_n2).reduce()
     P_q = (FactoredFraction(basis, n0) * inv_n2).reduce()
-    return H21Data(leading, S_q, P_q, num, _residues_sum_to_zero(rest, num),
-                   _assembles(rest, leading, S_q, P_q))
+    return num, leading, S_q, P_q
 
 
 def _residues_sum_to_zero(rest: LineRestriction, num: LaurentPoly) -> bool:
@@ -282,42 +284,34 @@ class GarnierData:
 def garnier_parametrization() -> tuple[GarnierData, dict]:
     """Derived Garnier data plus the field-by-field agreement report.
 
-    ``S_p`` and ``gamma`` have no independent derivation inside this library
-    (the Hamiltonians live elsewhere); they are transcribed and checked for
-    internal consistency only.
+    ``S_q``, ``P_q`` are read off the lower-left numerator as in
+    :func:`h21_extract`, without its residue and assembly checks.  ``S_p``
+    and ``gamma`` have no independent derivation inside this library (the
+    Hamiltonians live elsewhere); they are transcribed and checked for
+    internal consistency only.  Report keys: ``t1``, ``t2`` (``derived``,
+    ``matches_44``, ``matches_45``), ``S_q`` (``derived``, ``matches_45``),
+    ``P_q`` (also ``matches_45_repaired``), ``S_p``, ``gamma``
+    (``transcribed``) and ``separant_nonzero``.
     """
-    rest = restrict_to_line(mode="ac")
-    h = h21_extract(rest)
+    _, _, S_q, P_q = _lower_left_quadratic(restrict_to_line(mode="ac"))
     t1, t2 = pole_positions()
     refs = reference_garnier_fields()
-    data = GarnierData(B_AC.of(t1), B_AC.of(t2), h.S_q, h.P_q,
+    data = GarnierData(B_AC.of(t1), B_AC.of(t2), S_q, P_q,
                        refs["S_p"], refs["gamma"])
-    report = {
-        "t1": {
-            "derived": serialize_frac(data.t1),
-            "matches_44": frac_eq(data.t1, refs["t1_44"]),
-            "matches_45": frac_eq(data.t1, refs["t1_45"]),
-        },
-        "t2": {
-            "derived": serialize_frac(data.t2),
-            "matches_44": frac_eq(data.t2, refs["t2_44"]),
-            "matches_45": frac_eq(data.t2, refs["t2_45"]),
-        },
-        "S_q": {
-            "derived": serialize_frac(data.S_q),
-            "matches_45": frac_eq(data.S_q, refs["S_q"]),
-        },
-        "P_q": {
-            "derived": serialize_frac(data.P_q),
-            "matches_45": frac_eq(data.P_q, refs["P_q"]),
-            "matches_45_repaired": frac_eq(data.P_q, refs["P_q_repaired"]),
-        },
+    report = {name: {"derived": serialize_frac(t),
+                     "matches_44": frac_eq(t, refs[name + "_44"]),
+                     "matches_45": frac_eq(t, refs[name + "_45"])}
+              for name, t in (("t1", data.t1), ("t2", data.t2))}
+    report.update({
+        "S_q": {"derived": serialize_frac(S_q),
+                "matches_45": frac_eq(S_q, refs["S_q"])},
+        "P_q": {"derived": serialize_frac(P_q),
+                "matches_45": frac_eq(P_q, refs["P_q"]),
+                "matches_45_repaired": frac_eq(P_q, refs["P_q_repaired"])},
         "S_p": {"transcribed": serialize_frac(data.S_p)},
         "gamma": {"transcribed": serialize_frac(data.gamma)},
-        "residue_at_infinity_vanishes": h.residue_at_infinity_vanishes,
-        "assembly_verified": h.assembly_verified,
-        "separant_nonzero": not (h.S_q * h.S_q - 4 * h.P_q).is_zero(),
-    }
+        "separant_nonzero": not (S_q * S_q - 4 * P_q).is_zero(),
+    })
     return data, report
 
 

@@ -179,7 +179,10 @@ class Presentation:
 
 
 def word_evaluate(assignment: Mapping[str, Mat2], w: GroupWord) -> Mat2:
-    """Evaluate a word; inverses are exact adjugates (determinant one)."""
+    """Evaluate a word; each matrix it uses is checked to have determinant
+    one once, and its inverse is then the adjugate."""
+    if not assignment:
+        raise ValueError("no generator is assigned")
     mats = {}
     for sym in w.symbols():
         if sym not in assignment:
@@ -196,7 +199,7 @@ def word_evaluate(assignment: Mapping[str, Mat2], w: GroupWord) -> Mat2:
             out = out * mats[sym]
         else:
             if sym not in inv_cache:
-                inv_cache[sym] = mats[sym].inverse()
+                inv_cache[sym] = mats[sym].adjugate()
             out = out * inv_cache[sym]
     return out
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from operator import add, itemgetter
 from typing import Sequence
 
-from .ring import LaurentPoly, VarContext
+from .ring import LaurentPoly, VarContext, _co, _from_acc
 from .sl2 import GroupWord
 
 TRACE_NAMES = ("t1", "t2", "t3", "t4", "t5", "r12", "r13", "r14", "r23", "r24",
@@ -260,7 +260,7 @@ def _evaluate(terms: tuple, values: Sequence[LaurentPoly]) -> LaurentPoly:
                 e = eb if ea is None else tuple(map(add, ea, eb))
                 s = acc.get(e, 0) + ca * cb
                 if s:
-                    acc[e] = s
+                    acc[e] = _co(s)
                 else:
                     del acc[e]
-    return LaurentPoly(ctx, acc)
+    return _from_acc(ctx, acc)

@@ -379,7 +379,7 @@ def count_divisions(run):
     return calls[0]
 
 
-def test_verify_suites_divide_exactly_462_times_cold():
+def test_verify_suites_exact_divide_count_cold():
     """Pinned count of ``exact_divide`` calls over every suite of ``verify
     all`` in a fresh interpreter, where every basis starts with no
     remembered factorization: a change to the divide-out loops or to the
@@ -389,15 +389,15 @@ def test_verify_suites_divide_exactly_462_times_cold():
     code = "import test_cli; print(test_cli.count_divisions(test_cli.run_suites))"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert int(out) == 462
+    assert int(out) == 452
 
 
-def test_verify_suites_divide_exactly_134_times_warm():
+def test_verify_suites_exact_divide_count_warm():
     """Pinned count of ``exact_divide`` calls over a second run of every
     suite: the first run leaves each factorization the suites need
     remembered, so the count does not depend on which tests ran before."""
     run_suites()
-    assert count_divisions(run_suites) == 134
+    assert count_divisions(run_suites) == 124
 
 
 def test_verify_suites_build_one_substitution_per_owner(monkeypatch):
@@ -422,5 +422,5 @@ def test_verify_suites_build_one_substitution_per_owner(monkeypatch):
         suite[0] = name
         run()
     assert dict(kernels) == {"residues": 7, "pullbacks": 8, "restriction": 8,
-                             "garnier": 6}
+                             "garnier": 2}
     assert evaluations[0] == 0

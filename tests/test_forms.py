@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quintic_garnier import fractions as kernel
-from quintic_garnier.connections import B_XY, map_cover
+from quintic_garnier.connections import B_INF, B_XY, map_cover, map_infinity_chart
 from quintic_garnier.forms import (MobiusAction, RationalMap, ScalarOneForm,
                                    ScalarTwoForm, divisor_pullback)
 from quintic_garnier.fractions import (BasisError, DenomBasis, FactoredFraction,
@@ -178,6 +178,63 @@ def test_pullback_functoriality():
     for _ in range(500):
         w = one_form(_random_frac(rng), _random_frac(rng))
         assert BMAP.pull_one_form(PI.pull_one_form(w)) == comp.pull_one_form(w)
+
+
+def _chain_rule_settings():
+    """(map, seeded coefficient generator on its target) for the cover, the
+    elementary transform, their composite and the chart at infinity."""
+    def over_b_xy(rng):
+        f = _random_frac(rng)
+        num = LaurentPoly(B_XY.ctx, {e + (0, 0): c for e, c in f.num.terms.items()})
+        return FactoredFraction(B_XY, num, f.exps)
+    return [(PI, _random_frac), (BMAP, _random_frac_uv),
+            (PI.compose(BMAP), _random_frac),
+            (map_infinity_chart(B_INF, B_XY), over_b_xy)]
+
+
+def test_pullbacks_match_the_written_out_chain_rule():
+    """The oracle for the differentials and the Jacobian a map keeps: the
+    chain rule and ``fx_x fy_y - fx_y fy_x``, written out on the images."""
+    rng = random.Random(37)
+    for phi, coefficient in _chain_rule_settings():
+        (X, Y), (x, y) = phi.dst_base, phi.src_base
+        fx, fy = phi.subs[X], phi.subs[Y]
+        jac = (fx.derivative(x) * fy.derivative(y)
+               - fx.derivative(y) * fy.derivative(x))
+        for _ in range(40):
+            A, B, c = coefficient(rng), coefficient(rng), coefficient(rng)
+            omega = ScalarOneForm(phi.dst, phi.dst_base, A, B)
+            got = phi.pull_one_form(omega)
+            pA, pB = phi.pull(A), phi.pull(B)
+            assert frac_eq(got.A, pA * fx.derivative(x) + pB * fy.derivative(x))
+            assert frac_eq(got.B, pA * fx.derivative(y) + pB * fy.derivative(y))
+            eta = ScalarTwoForm(phi.dst, phi.dst_base, c)
+            assert frac_eq(phi.pull_two_form(eta).coeff, phi.pull(c) * jac)
+
+
+def test_a_map_differentiates_its_images_once(monkeypatch):
+    """Building a map differentiates its two base images along both source
+    variables; pulling forms back through it differentiates nothing.  The
+    forms have constant coefficients, so any call would come from the map."""
+    calls = [0]
+    derivative = FactoredFraction.derivative
+
+    def counted(self, var):
+        calls[0] += 1
+        return derivative(self, var)
+    monkeypatch.setattr(FactoredFraction, "derivative", counted)
+    for phi, _ in _chain_rule_settings():
+        calls[0] = 0
+        phi = RationalMap(phi.name, phi.src, phi.dst, phi.src_base,
+                          phi.dst_base, phi.subs)
+        assert calls[0] == 4
+        calls[0] = 0
+        omega = ScalarOneForm(phi.dst, phi.dst_base, phi.dst.const(2),
+                              phi.dst.const(-3))
+        phi.pull_one_form(omega)
+        phi.pull_two_form(ScalarTwoForm(phi.dst, phi.dst_base,
+                                        phi.dst.const(5)))
+        assert calls[0] == 0
 
 
 def test_pullback_memo_matches_a_fresh_map(monkeypatch):

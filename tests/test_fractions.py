@@ -24,6 +24,14 @@ def test_factorization_identity():
     assert frac_eq(x, y)
 
 
+def test_of_rejects_a_factor_index_outside_the_basis():
+    # a negative index would otherwise count from the end of the basis
+    assert B.of(u, {2: 1}).exps == (0, 0, 1)
+    for index in (-1, 3):
+        with pytest.raises(IndexError):
+            B.of(u, {index: 1})
+
+
 def test_distinct_simple_poles_differ():
     assert not frac_eq(B.over(UV.one(), v - 1), B.over(UV.one(), u - v))
 

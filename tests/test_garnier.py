@@ -1,5 +1,6 @@
 """Line restriction, pole data, and the Garnier parametrization report."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -127,6 +128,17 @@ def test_h21_requires_rational_pole_chart():
         h21_extract(restrict_to_line(mode="ab"))
 
 
+def test_h21_requires_a_quadratic_numerator():
+    # the lower-left coefficient times y^k has a numerator of degree 2 + k
+    rest = restrict_to_line(mode="ac")
+    y = CTX_AC.var("y")
+    for k in (-1, 1):
+        lower_left = rest.matrix[1][0] * B_AC.of(y ** k)
+        matrix = [rest.matrix[0], [lower_left, rest.matrix[1][1]]]
+        with pytest.raises(RestrictionError, match="degree is not 2"):
+            h21_extract(dataclasses.replace(rest, matrix=matrix))
+
+
 def test_garnier_report_agreements():
     data, report = garnier_parametrization()
     # movable poles match exactly one quoted variant
@@ -135,9 +147,12 @@ def test_garnier_report_agreements():
     assert report["S_q"]["matches_45"]
     assert not report["P_q"]["matches_45"]
     assert report["P_q"]["matches_45_repaired"]
-    assert report["residue_at_infinity_vanishes"]
-    assert report["assembly_verified"]
     assert report["separant_nonzero"]
+    # the lower-left checks are reported by h21_extract only
+    assert set(report) == {"t1", "t2", "S_q", "P_q", "S_p", "gamma",
+                           "separant_nonzero"}
+    h = h21_extract()
+    assert frac_eq(data.S_q, h.S_q) and frac_eq(data.P_q, h.P_q)
 
 
 def test_parity_invariance_of_garnier_fields():

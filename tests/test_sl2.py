@@ -59,6 +59,30 @@ def test_word_evaluate_requires_assignment():
         word_evaluate({"a": J}, GroupWord.gen("b"))
 
 
+def test_word_evaluate_rejects_an_empty_assignment():
+    with pytest.raises(ValueError, match="no generator is assigned"):
+        word_evaluate({}, GroupWord())
+
+
+def test_word_evaluate_checks_each_matrix_once(monkeypatch):
+    """One determinant per assigned matrix the word uses, inverted letters
+    included: an inverse is the adjugate of a matrix already checked."""
+    calls = [0]
+    det = Mat2.det
+
+    def counted(self):
+        calls[0] += 1
+        return det(self)
+    b, c = GroupWord.gen("b"), GroupWord.gen("c")
+    w = b * c.inverse() * b.inverse() * c.inverse()
+    assignment = {"b": Mat2.diagonal(v), "c": J}
+    want = (Mat2.diagonal(v) * J.adjugate() * Mat2.diagonal(v).adjugate()
+            * J.adjugate())
+    monkeypatch.setattr(Mat2, "det", counted)
+    assert word_evaluate(assignment, w) == want
+    assert calls[0] == 2
+
+
 @pytest.mark.parametrize("name", [
     "plane_case1", "plane_case2", "plane_case3",
     "b3_nonrigid", "b4_family", "gamma3_finite",
