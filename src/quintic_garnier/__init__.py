@@ -24,7 +24,8 @@ The layers, bottom up:
 """
 
 from .ring import LaurentPoly, VarContext, parse_poly, serialize_poly
-from .fractions import DenomBasis, FactoredFraction, frac_eq, serialize_frac
+from .fractions import (DenomBasis, FactoredFraction, Substitution, frac_eq,
+                        serialize_frac)
 from .forms import (MobiusAction, RationalMap, ScalarOneForm, ScalarTwoForm,
                     divisor_pullback)
 from .sl2 import (GroupWord, Mat2, Presentation, projective_closure,
@@ -36,16 +37,16 @@ from .families import FAMILY_NAMES, builtin_family, restriction_assignment
 from .braids import (BraidWord, OrbitResult, braid_act, center_check,
                      extended_orbit, full_twist, orbit, orbit_compare,
                      pure_generators)
-from .connections import (CONNECTION_NAMES, MatConnection, RiccatiForm,
-                          builtin_connection, flat_representative, is_flat,
-                          mat_curvature, pullback_riccati, residue,
+from .connections import (MatConnection, RiccatiForm, flat_representative,
+                          is_flat, mat_curvature, pullback_riccati, residue,
                           riccati_of_connection)
 from .garnier import (GarnierData, LineRestriction, garnier_parametrization,
                       h21_extract, pole_positions, restrict_to_line)
 
 __all__ = [
     "LaurentPoly", "VarContext", "parse_poly", "serialize_poly",
-    "DenomBasis", "FactoredFraction", "frac_eq", "serialize_frac",
+    "DenomBasis", "FactoredFraction", "Substitution", "frac_eq",
+    "serialize_frac",
     "MobiusAction", "RationalMap", "ScalarOneForm", "ScalarTwoForm",
     "divisor_pullback",
     "GroupWord", "Mat2", "Presentation", "projective_closure",
@@ -56,9 +57,8 @@ __all__ = [
     "BraidWord", "OrbitResult", "braid_act", "center_check",
     "extended_orbit", "full_twist", "orbit", "orbit_compare",
     "pure_generators",
-    "CONNECTION_NAMES", "MatConnection", "RiccatiForm", "builtin_connection",
-    "flat_representative", "is_flat", "mat_curvature", "pullback_riccati",
-    "residue", "riccati_of_connection",
+    "MatConnection", "RiccatiForm", "flat_representative", "is_flat",
+    "mat_curvature", "pullback_riccati", "residue", "riccati_of_connection",
     "GarnierData", "LineRestriction", "garnier_parametrization",
     "h21_extract", "pole_positions", "restrict_to_line",
 ]

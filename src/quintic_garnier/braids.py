@@ -360,8 +360,10 @@ def parse_substitution(text: str, src: VarContext,
         piece = piece.strip()
         if not piece:
             continue
-        name, _, rhs = piece.partition("=")
+        name, sep, rhs = piece.partition("=")
         name = name.strip()
+        if not (sep and rhs.strip()):
+            raise ValueError(f"piece {piece!r} is not name=image")
         if name not in src.index:
             raise ValueError(f"unknown source variable {name!r}")
         if name in sigma:

@@ -22,7 +22,8 @@ from fractions import Fraction
 from . import connections, families, garnier
 from .braids import (extended_orbit, orbit, orbit_compare, parse_substitution,
                      pure_generators)
-from .fractions import serialize_frac
+from .forms import divisor_pullback
+from .fractions import FactoredFraction, serialize_frac
 from .reps import RepTuple, TraceTuple, verify_product_identity
 from .ring import VarContext, parse_poly
 from .sl2 import Mat2, projective_closure, verify_relations
@@ -76,14 +77,18 @@ def _parse_at(text: str) -> dict[str, Fraction]:
         piece = piece.strip()
         if not piece:
             continue
-        name, _, val = piece.partition("=")
+        name, sep, val = piece.partition("=")
         name = name.strip()
+        if not (sep and name and val.strip()):
+            raise ValueError(f"--at piece {piece!r} is not name=value")
         if name in out:
             raise ValueError(f"--at names {name!r} more than once")
         try:
             out[name] = Fraction(val.strip())
         except ZeroDivisionError:
             raise ValueError(f"--at value {piece!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"--at value {piece!r} is not a rational") from None
     return out
 
 
@@ -104,6 +109,9 @@ def _load_rows(path: str, key: str) -> tuple[VarContext, list[list]]:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
+    for k in ("variables", key):
+        if k not in data:
+            raise ValueError(f"{path}: no {k!r} entry")
     names, rows = data["variables"], data[key]
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise ValueError(f"{path}: 'variables' must be a list of names")
@@ -187,7 +195,10 @@ def cmd_compare(args) -> int:
         ctx_b, elems_b = _load_orbit_file(args.orbit_b)
         sigma = None
         if args.subst:
-            sigma = parse_substitution(args.subst, ctx_a, ctx_b)
+            try:
+                sigma = parse_substitution(args.subst, ctx_a, ctx_b)
+            except ValueError as exc:
+                raise ValueError(f"--subst: {exc}") from None
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -287,11 +298,11 @@ def suite_residues() -> list[Check]:
 
 
 def suite_pullbacks() -> list[Check]:
-    from .forms import divisor_pullback
     checks = []
+    cov, elem = connections.map_cover(), connections.map_elementary()
     w0, w1 = connections.build_omega0(), connections.build_omega1()
     checks.append(ok("pullback:elementary:omega1",
-                     connections.map_elementary().pull_one_form(w1) == w0))
+                     elem.pull_one_form(w1) == w0))
     r1 = connections.build_riccati1()
     checks.append(ok("involution:riccati1",
                      connections.pullback_riccati(
@@ -304,7 +315,6 @@ def suite_pullbacks() -> list[Check]:
     ctxXY, ctxUV = connections.CTX_XY, connections.CTX_UV
     x, y = ctxXY.var("x"), ctxXY.var("y")
     u, v = ctxUV.var("u"), ctxUV.var("v")
-    cov, elem = connections.map_cover(), connections.map_elementary()
     cases = [
         ("cover:conic", x ** 2 - y, cov, {"u-v": u - v, "u+v": u + v},
          {"u-v": 1, "u+v": 1}),
@@ -317,29 +327,28 @@ def suite_pullbacks() -> list[Check]:
          {"u+1": 1, "v": 1}),
     ]
     for name, f, phi, declared, want in cases:
-        unit, got = divisor_pullback(f, phi, declared)
+        unit, got = divisor_pullback(phi.pull(f), declared)
         checks.append(ok(f"divisor:{name}", got == want,
                          {"factors": got, "unit": str(unit)}))
-    covh = connections.map_cover_homogeneous()
-    elemh = connections.map_elementary_homogeneous()
-    u1, v1 = covh.src.ctx.var("u1"), covh.src.ctx.var("v1")
-    Z = covh.dst.ctx.var("Z")
-    unit, got = divisor_pullback(Z, covh, {"u1": u1, "v1": v1})
+    u1, v1 = connections.CTX_UVH.var("u1"), connections.CTX_UVH.var("v1")
+    Z = connections.CTX_XYH.var("Z")
+    unit, got = divisor_pullback(connections.cover_homogeneous().poly(Z),
+                                 {"u1": u1, "v1": v1})
     checks.append(ok("divisor:cover:infinity", got == {"u1": 1, "v1": 2},
                      {"factors": got}))
-    unit, got = divisor_pullback(u1, elemh, {"u1": u1, "v1": v1})
+    unit, got = divisor_pullback(connections.elementary_homogeneous().poly(u1),
+                                 {"u1": u1, "v1": v1})
     checks.append(ok("divisor:elementary:infinity",
                      got == {"u1": 1, "v1": 1}, {"factors": got}))
     # symmetric-square cover of the conic-with-tangents quintic
     scov = connections.map_symmetric_cover()
     p, q = connections.CTX_PQ.var("p"), connections.CTX_PQ.var("q")
     dc = (x ** 2 + y ** 2 + 1 - 2 * x * y - 2 * x - 2 * y)
-    unit, got = divisor_pullback(dc, scov, {"p-q": p - q})
+    unit, got = divisor_pullback(scov.pull(dc), {"p-q": p - q})
     checks.append(ok("divisor:sym-cover:conic", got == {"p-q": 2},
                      {"factors": got}))
     eta = connections.build_case1_cover_form()
     cf = connections.flat_case1_connection()
-    from .fractions import FactoredFraction
     half_over = FactoredFraction(connections.B_PQ,
                                  connections.CTX_PQ.const(Fraction(1, 2))) \
         * connections.B_PQ.over(connections.CTX_PQ.one(), p - q)

@@ -505,31 +505,23 @@ def flat_case1_connection() -> MatConnection:
                          ((-theta, Bf), (C, theta)))
 
 
-# homogeneous models for the divisor identities through the line at infinity
+# homogeneous models for the divisor identities through the line at infinity:
+# substitutions of monomials, so their images have no denominator
 CTX_UVH = VarContext(["u0", "u1", "v0", "v1"])
 CTX_XYH = VarContext(["X", "Y", "Z"])
 _u0, _u1, _v0, _v1 = (CTX_UVH.var(n) for n in ("u0", "u1", "v0", "v1"))
-B_UVH = DenomBasis(CTX_UVH, [_u0 * _v1 - _u1 * _v0, _u0 * _v1 + _u1 * _v0,
-                             _v0 - _v1, _v0 + _v1],
-                   names=["u0v1-u1v0", "u0v1+u1v0", "v0-v1", "v0+v1"])
-B_XYH = DenomBasis(CTX_XYH, [CTX_XYH.var("X") ** 2 -
-                             CTX_XYH.var("Y") * CTX_XYH.var("Z")],
-                   names=["conic-h"])
+B_UVH = DenomBasis(CTX_UVH, [])
 
 
-def map_cover_homogeneous() -> RationalMap:
+def cover_homogeneous() -> Substitution:
     """[(u0:u1), (v0:v1)] -> [u0 v1^2 : u1 v0^2 : u1 v1^2]."""
-    return RationalMap("cover-h", B_UVH, B_XYH, ("u0", "v0"), ("X", "Y"),
-                       {"X": B_UVH.of(_u0 * _v1 ** 2),
-                        "Y": B_UVH.of(_u1 * _v0 ** 2),
-                        "Z": B_UVH.of(_u1 * _v1 ** 2)})
+    return Substitution(CTX_XYH, {"X": _u0 * _v1 ** 2, "Y": _u1 * _v0 ** 2,
+                                  "Z": _u1 * _v1 ** 2}, B_UVH)
 
 
-def map_elementary_homogeneous() -> RationalMap:
+def elementary_homogeneous() -> Substitution:
     """[(u0:u1), (v0:v1)] -> [(u0 v0 : u1 v1), (v0 : v1)]."""
-    return RationalMap("elementary-h", B_UVH, B_UVH, ("u0", "v0"), ("u0", "v0"),
-                       {"u0": B_UVH.of(_u0 * _v0), "u1": B_UVH.of(_u1 * _v1),
-                        "v0": B_UVH.of(_v0), "v1": B_UVH.of(_v1)})
+    return Substitution(CTX_UVH, {"u0": _u0 * _v0, "u1": _u1 * _v1}, B_UVH)
 
 
 # ---------------------------------------------------------------------------
@@ -681,31 +673,7 @@ CASE1_DIVISORS: dict[str, DivisorChart] = {
 
 
 # ---------------------------------------------------------------------------
-# builtin registry and the flat representative report
-
-_CONNECTION_BUILDERS = {
-    "case1": case1_connection,
-    "case1_flat": flat_case1_connection,
-    "quintic2_matrix": quintic2_matrix_connection,
-    "quintic2_scaled": quintic2_scaled_connection,
-    "quintic2_flat": flat_quintic2_connection,
-    "omega0": build_omega0,
-    "omega1": build_omega1,
-    "riccati1": build_riccati1,
-    "riccati_plane": riccati_plane_catalog,
-}
-
-CONNECTION_NAMES = tuple(_CONNECTION_BUILDERS)
-
-
-def builtin_connection(name: str):
-    try:
-        builder = _CONNECTION_BUILDERS[name]
-    except KeyError:
-        raise KeyError(f"unknown catalog object {name!r}; "
-                       f"known: {', '.join(CONNECTION_NAMES)}")
-    return builder()
-
+# the flat representative report
 
 def _compare_entry(a: ScalarOneForm, b: ScalarOneForm) -> dict:
     return {"dx": frac_eq(a.A, b.A), "dy": frac_eq(a.B, b.B)}

@@ -207,25 +207,28 @@ class RationalMap:
                            inner.src_base, self.dst_base, subs)
 
 
-def divisor_pullback(f: LaurentPoly, phi: RationalMap,
+def divisor_pullback(pulled: FactoredFraction,
                      declared: Mapping[str, LaurentPoly]
                      ) -> tuple[LaurentPoly, dict[str, int]]:
-    """Pull a divisor polynomial back and factor it over a declared list.
+    """Factor a pulled-back divisor polynomial over a declared list.
 
-    Returns ``(unit, {factor_name: exponent})``; the unit is a signed
-    monomial.  The declared non-monomial factors are divided out by
-    :meth:`DenomBasis.divide_out`, and a declared monomial then counts by
-    its valuation; the order does not matter when, as for an irreducible
-    factor written without a monomial content, each non-monomial factor has
-    order 0 along every coordinate.  Raises :class:`BasisError` with the
-    residual when a factor outside the declared list remains.
+    ``pulled`` is ``phi.pull(f)`` or ``Substitution.poly(f)``; the declared
+    factors are polynomials of ``pulled.ctx``, and each denominator factor
+    of ``pulled.basis`` must be one of them.  Returns ``(unit,
+    {factor_name: exponent})``; the unit is a signed monomial.  The declared
+    non-monomial factors are divided out by :meth:`DenomBasis.divide_out`,
+    and a declared monomial then counts by its valuation; the order does not
+    matter when, as for an irreducible factor written without a monomial
+    content, each non-monomial factor has order 0 along every coordinate.
+    Raises :class:`BasisError` with the residual when a factor outside the
+    declared list remains.
     """
-    pulled = phi.pull(f).reduce()
+    pulled = pulled.reduce()
     polys = {name: g for name, g in declared.items() if not g.is_monomial()}
-    basis = DenomBasis(phi.src.ctx, list(polys.values()), list(polys))
+    basis = DenomBasis(pulled.ctx, list(polys.values()), list(polys))
     # clear declared-basis denominators into the answer with negative signs
     out: dict[str, int] = {}
-    for g, e in zip(phi.src.factors, pulled.exps):
+    for g, e in zip(pulled.basis.factors, pulled.exps):
         if e:
             name = next((n for n, h in polys.items() if h == g), None)
             if name is None:

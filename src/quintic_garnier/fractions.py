@@ -28,8 +28,7 @@ them over their common denominator once, in one more sum.  The owner of a
 set of images keeps one kernel, and its memo of image powers and pulled
 factor inverses, for all it substitutes: ``forms.RationalMap`` for the
 map's life, ``connections.residue`` per chart, ``garnier`` per line,
-parameter point, pole and flip.  :func:`eval_poly` and
-:meth:`FactoredFraction.substitute` are one-call conveniences.
+parameter point, pole and flip.
 """
 
 from __future__ import annotations
@@ -175,11 +174,11 @@ class DenomBasis:
 class FactoredFraction:
     """``num / prod(f_i^e_i)`` over a :class:`DenomBasis`, all ``e_i >= 0``.
 
-    Lowest terms are not kept: arithmetic, :meth:`derivative`,
-    :meth:`substitute` and :func:`eval_poly` may leave a declared factor in
-    both numerator and denominator.  They hold only where the normal form is
-    observed: :meth:`__hash__` and :func:`serialize_frac` reduce first, and
-    a caller that reads ``num`` or ``exps`` calls :meth:`reduce` itself
+    Lowest terms are not kept: arithmetic, :meth:`derivative` and
+    :class:`Substitution` may leave a declared factor in both numerator and
+    denominator.  They hold only where the normal form is observed:
+    :meth:`__hash__` and :func:`serialize_frac` reduce first, and a caller
+    that reads ``num`` or ``exps`` calls :meth:`reduce` itself
     (``garnier._clear``, ``connections._sqrt_fraction``,
     ``connections._residue_side``, ``forms.divisor_pullback``).  Equality is
     cross-multiplication and needs no reduction.
@@ -343,22 +342,6 @@ class FactoredFraction:
         return FactoredFraction(self.basis, LaurentPoly(self.ctx, acc, _normalized=True),
                                 tuple(exps))
 
-    # -- substitution -------------------------------------------------------
-
-    def substitute(self, images: Mapping[str, Union["FactoredFraction",
-                                                    LaurentPoly, Rat]],
-                   target: Optional[DenomBasis] = None) -> "FactoredFraction":
-        """Evaluate at images of the variables: a one-call convenience whose
-        kernel lasts for this call; the owner of images used again keeps one
-        :class:`Substitution` instead.
-
-        Every substituted denominator factor must clear over the target
-        basis (raises :class:`BasisError` otherwise, signalling the caller
-        to extend the basis).
-        """
-        tgt = target if target is not None else self.basis
-        return Substitution(self.ctx, images, tgt).fraction(self)
-
 
 def _add_into(acc: dict[Exponents, Rat], p: LaurentPoly, scale: Rat = 1) -> None:
     """Add ``scale * p`` into an accumulator of nonzero stored coefficients."""
@@ -468,9 +451,9 @@ def _over_common(basis: DenomBasis,
 def eval_poly(p: LaurentPoly,
               images: Mapping[str, Union[FactoredFraction, LaurentPoly, Rat]],
               target: DenomBasis) -> FactoredFraction:
-    """Evaluate a Laurent polynomial at images of its variables: a one-call
-    convenience whose kernel lasts for this call; the owner of images used
-    again keeps one :class:`Substitution` instead."""
+    """Evaluate a Laurent polynomial at images of its variables through a
+    :class:`Substitution` that lasts for this call.  No package code calls
+    it; it stays because ``perfbench/tracer.py`` wraps it by name."""
     return Substitution(p.ctx, images, target).poly(p)
 
 

@@ -16,9 +16,8 @@ from quintic_garnier.braids import (BraidWord, braid_act, center_check,
 from quintic_garnier.connections import (
     QUINTIC2_DIVISORS, build_omega0, build_omega1, build_riccati1, case1_connection,
     diagonal_cover_connection, flat_case1_connection, flat_representative,
-    is_flat, map_cover, map_cover_bar, map_cover_homogeneous,
-    map_elementary, map_elementary_homogeneous, map_involution,
-    pullback_riccati, residue, riccati_of_connection)
+    cover_homogeneous, is_flat, map_cover, map_cover_bar, map_elementary,
+    map_involution, pullback_riccati, residue, riccati_of_connection)
 from quintic_garnier.families import CTX_S, CTX_UV, builtin_family
 from quintic_garnier.forms import (RationalMap, ScalarOneForm, ScalarTwoForm,
                                    divisor_pullback)
@@ -174,19 +173,19 @@ def test_criterion_07_pullback_chain():
     u, v = ctxUV.var("u"), ctxUV.var("v")
     cov, elem = map_cover(), map_elementary()
     ids = [
-        divisor_pullback(x ** 2 - y, cov, {"u-v": u - v, "u+v": u + v})[1]
+        divisor_pullback(cov.pull(x ** 2 - y), {"u-v": u - v, "u+v": u + v})[1]
         == {"u-v": 1, "u+v": 1},
-        divisor_pullback(y - 1, cov, {"v-1": v - 1, "v+1": v + 1})[1]
+        divisor_pullback(cov.pull(y - 1), {"v-1": v - 1, "v+1": v + 1})[1]
         == {"v-1": 1, "v+1": 1},
-        divisor_pullback(y, cov, {"v": v})[1] == {"v": 2},
-        divisor_pullback(u - v, elem, {"u-1": u - 1, "v": v})[1]
+        divisor_pullback(cov.pull(y), {"v": v})[1] == {"v": 2},
+        divisor_pullback(elem.pull(u - v), {"u-1": u - 1, "v": v})[1]
         == {"u-1": 1, "v": 1},
-        divisor_pullback(u + v, elem, {"u+1": u + 1, "v": v})[1]
+        divisor_pullback(elem.pull(u + v), {"u+1": u + 1, "v": v})[1]
         == {"u+1": 1, "v": 1},
     ]
-    covh = map_cover_homogeneous()
-    u1, v1 = covh.src.ctx.var("u1"), covh.src.ctx.var("v1")
-    ids.append(divisor_pullback(covh.dst.ctx.var("Z"), covh,
+    u1, v1 = connections.CTX_UVH.var("u1"), connections.CTX_UVH.var("v1")
+    covh = cover_homogeneous()
+    ids.append(divisor_pullback(covh.poly(covh.ctx.var("Z")),
                                 {"u1": u1, "v1": v1})[1] == {"u1": 1, "v1": 2})
     record("7 pullback chain", chain1 and chain2 and chain3 and all(ids),
            "elementary/involution/cover identities and divisor factorizations")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quintic_garnier import cli, fractions, ring
+from quintic_garnier import cli, forms, fractions, ring
 from quintic_garnier.cli import main
 
 
@@ -118,6 +118,18 @@ def test_compare_substitution_zero_denominator_is_usage_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert rc == 3 and not captured.out
     assert captured.err.startswith("error:") and "1/0" in captured.err
+
+
+@pytest.mark.parametrize("subst,piece", [("u", "u"), ("u=-s,v", "v")])
+def test_compare_substitution_piece_without_image_is_usage_error(capsys, tmp_path,
+                                                                 subst, piece):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run_cli(capsys, "orbit", "rho2", "--pure", "--out", str(a))
+    run_cli(capsys, "orbit", "rho3", "--pure", "--out", str(b))
+    rc = main(["compare", str(a), str(b), "--subst", subst])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err == f"error: --subst: piece {piece!r} is not name=image\n"
 
 
 def test_compare_repeated_substitution_name_is_usage_error(capsys, tmp_path):
@@ -245,6 +257,19 @@ def test_orbit_at_zero_denominator_is_usage_error(capsys):
     assert "u=1/0" in captured.err
 
 
+@pytest.mark.parametrize("at,message", [
+    ("u", "--at piece 'u' is not name=value"),
+    ("u=,v=1", "--at piece 'u=' is not name=value"),
+    ("=3", "--at piece '=3' is not name=value"),
+    ("u=abc", "--at value 'u=abc' is not a rational"),
+])
+def test_orbit_at_malformed_piece_is_usage_error(capsys, at, message):
+    rc = main(["orbit", "rho1", "--pure", "--at", at])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err == f"error: {message}\n"
+
+
 RHO1_FILE = ["1*v^1", "0", "0", "1*v^-1"], ["1*u^1", "0", "0", "1*u^-1"], \
     ["0", "1", "-1", "0"], ["0", "1*u^2", "-1*u^-2", "0"]
 
@@ -268,38 +293,49 @@ def test_rep_file_malformed_matrices_are_usage_errors(capsys, tmp_path, matrices
     assert captured.err.startswith("error:")
 
 
-@pytest.mark.parametrize("doc", [
-    [["u", "v"], list(RHO1_FILE)],
-    {"variables": "uv", "matrices": list(RHO1_FILE)},
-])
-def test_rep_file_malformed_documents_are_usage_errors(capsys, tmp_path, doc):
+@pytest.mark.parametrize("doc,fault", [
+    ([["u", "v"], list(RHO1_FILE)], "expected a JSON object"),
+    ({"variables": "uv", "matrices": list(RHO1_FILE)},
+     "'variables' must be a list of names"),
+    ({"variables": ["u", "v"]}, "no 'matrices' entry"),
+], ids=["doc0", "doc1", "doc2"])
+def test_rep_file_malformed_documents_are_usage_errors(capsys, tmp_path, doc,
+                                                       fault):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(doc))
     rc = main(["orbit", "--rep-file", str(path), "--pure"])
     captured = capsys.readouterr()
     assert rc == 3 and not captured.out
-    assert captured.err.startswith("error:")
+    assert captured.err == f"error: {path}: {fault}\n"
 
 
 @pytest.mark.parametrize("defect", ["number-element", "string-variables",
-                                    "top-level-list", "zero-denominator"])
+                                    "top-level-list", "zero-denominator",
+                                    "missing-elements"])
 def test_compare_malformed_orbit_files_are_usage_errors(capsys, tmp_path, defect):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli(capsys, "orbit", "rho1", "--pure", "--out", str(a))
     data = json.loads(a.read_text())
     if defect == "number-element":
         data["elements"][0][0] = 2
+        message = f"{b}: 'elements' must be a list of rows of polynomial strings"
     elif defect == "string-variables":
         data["variables"] = "uv"
+        message = f"{b}: 'variables' must be a list of names"
     elif defect == "zero-denominator":
         data["elements"][0][0] = "1/0"
+        message = "term '1/0' has a zero denominator"
+    elif defect == "missing-elements":
+        del data["elements"]
+        message = f"{b}: no 'elements' entry"
     else:
         data = [data]
+        message = f"{b}: expected a JSON object"
     b.write_text(json.dumps(data))
     rc = main(["compare", str(a), str(b)])
     captured = capsys.readouterr()
     assert rc == 3 and not captured.out
-    assert captured.err.startswith("error:")
+    assert captured.err == f"error: {message}\n"
 
 
 def test_rep_file_matrix_of_determinant_two_is_usage_error(capsys, tmp_path):
@@ -400,6 +436,33 @@ def test_verify_suites_exact_divide_count_warm():
     assert count_divisions(run_suites) == 124
 
 
+def count_suite_calls(monkeypatch, owner, name):
+    """Calls to the method ``owner.name`` over every suite of ``verify all``."""
+    calls = [0]
+    method = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return method(*args)
+    monkeypatch.setattr(owner, name, counted)
+    run_suites()
+    return calls[0]
+
+
+def test_verify_suites_derivative_count(monkeypatch):
+    """Pinned count of ``FactoredFraction.derivative`` calls: each map
+    derives its differentials once, and a substitution that only pulls
+    functions back derives none."""
+    assert count_suite_calls(monkeypatch, fractions.FactoredFraction,
+                             "derivative") == 70
+
+
+def test_verify_suites_wedge_count(monkeypatch):
+    """Pinned count of ``ScalarOneForm.wedge`` calls: one for the Jacobian
+    of each map built, the rest in ``connections.mat_curvature``."""
+    assert count_suite_calls(monkeypatch, forms.ScalarOneForm, "wedge") == 37
+
+
 def test_verify_suites_build_one_substitution_per_owner(monkeypatch):
     """Pinned count of ``fractions.Substitution`` kernels per suite: each
     residue chart, map, line restriction, parameter point, pole and flip
@@ -421,6 +484,6 @@ def test_verify_suites_build_one_substitution_per_owner(monkeypatch):
     for name, run in cli.SUITES.items():
         suite[0] = name
         run()
-    assert dict(kernels) == {"residues": 7, "pullbacks": 8, "restriction": 8,
+    assert dict(kernels) == {"residues": 7, "pullbacks": 7, "restriction": 8,
                              "garnier": 2}
     assert evaluations[0] == 0

@@ -6,20 +6,18 @@ from fractions import Fraction
 import pytest
 
 from quintic_garnier.connections import (
-    B_CASE1, B_PQ, B_UV, B_XY, CASE1_DIVISORS, CTX_PQ, CTX_UV, CTX_XY,
-    QUINTIC2_DIVISORS, MatConnection, builtin_connection,
-    build_case1_cover_form, build_omega0, build_omega1, build_riccati1,
+    B_CASE1, B_PQ, B_UV, B_XY, CASE1_DIVISORS, CTX_PQ, CTX_UV, CTX_UVH,
+    CTX_XY, CTX_XYH, QUINTIC2_DIVISORS, MatConnection, build_case1_cover_form, build_omega0, build_omega1, build_riccati1,
     case1_connection, conjugate_two_forms, diagonal_cover_connection,
     flat_case1_connection, flat_quintic2_connection, flat_representative,
-    gauge_transform, is_flat, map_cover, map_cover_bar,
-    map_cover_homogeneous, map_elementary, map_elementary_homogeneous,
-    map_involution, map_symmetric_cover, mat_curvature,
+    cover_homogeneous, elementary_homogeneous, gauge_transform, is_flat,
+    map_cover, map_cover_bar, map_elementary, map_involution, map_symmetric_cover, mat_curvature,
     pullback_riccati, quintic2_matrix_connection,
     quintic2_scaled_connection, residue, riccati_of_connection,
     riccati_plane_catalog)
 from quintic_garnier.forms import RationalMap, ScalarOneForm, divisor_pullback
-from quintic_garnier.fractions import (FactoredFraction, eval_poly, frac_eq,
-                                       serialize_frac)
+from quintic_garnier.fractions import (FactoredFraction, Substitution,
+                                       eval_poly, frac_eq, serialize_frac)
 from quintic_garnier.ring import VarContext
 from quintic_garnier.sl2 import Mat2
 
@@ -199,26 +197,27 @@ def test_divisor_pullback_chain_identities():
     x, y = CTX_XY.var("x"), CTX_XY.var("y")
     u, v = CTX_UV.var("u"), CTX_UV.var("v")
     cov, elem = map_cover(), map_elementary()
-    unit, f = divisor_pullback(x ** 2 - y, cov, {"u-v": u - v, "u+v": u + v})
+    unit, f = divisor_pullback(cov.pull(x ** 2 - y),
+                               {"u-v": u - v, "u+v": u + v})
     assert f == {"u-v": 1, "u+v": 1} and unit.is_one()
-    unit, f = divisor_pullback(y - 1, cov, {"v-1": v - 1, "v+1": v + 1})
+    unit, f = divisor_pullback(cov.pull(y - 1), {"v-1": v - 1, "v+1": v + 1})
     assert f == {"v-1": 1, "v+1": 1} and unit.is_one()
-    unit, f = divisor_pullback(y, cov, {"v": v})
+    unit, f = divisor_pullback(cov.pull(y), {"v": v})
     assert f == {"v": 2} and unit.is_one()
-    unit, f = divisor_pullback(u - v, elem, {"u-1": u - 1, "v": v})
+    unit, f = divisor_pullback(elem.pull(u - v), {"u-1": u - 1, "v": v})
     assert f == {"u-1": 1, "v": 1}
-    unit, f = divisor_pullback(u + v, elem, {"u+1": u + 1, "v": v})
+    unit, f = divisor_pullback(elem.pull(u + v), {"u+1": u + 1, "v": v})
     assert f == {"u+1": 1, "v": 1}
 
 
 def test_divisor_pullback_at_infinity_homogeneous():
-    covh, elemh = map_cover_homogeneous(), map_elementary_homogeneous()
-    ctx = covh.src.ctx
-    u1, v1 = ctx.var("u1"), ctx.var("v1")
-    Z = covh.dst.ctx.var("Z")
-    unit, f = divisor_pullback(Z, covh, {"u1": u1, "v1": v1})
+    u1, v1 = CTX_UVH.var("u1"), CTX_UVH.var("v1")
+    Z = CTX_XYH.var("Z")
+    unit, f = divisor_pullback(cover_homogeneous().poly(Z),
+                               {"u1": u1, "v1": v1})
     assert f == {"u1": 1, "v1": 2}
-    unit, f = divisor_pullback(u1, elemh, {"u1": u1, "v1": v1})
+    unit, f = divisor_pullback(elementary_homogeneous().poly(u1),
+                               {"u1": u1, "v1": v1})
     assert f == {"u1": 1, "v1": 1}
 
 
@@ -227,11 +226,11 @@ def test_symmetric_cover_divisors():
     p, q = CTX_PQ.var("p"), CTX_PQ.var("q")
     x, y = CTX_XY.var("x"), CTX_XY.var("y")
     dc = x ** 2 + y ** 2 + 1 - 2 * x * y - 2 * x - 2 * y
-    unit, f = divisor_pullback(dc, cov, {"p-q": p - q})
+    unit, f = divisor_pullback(cov.pull(dc), {"p-q": p - q})
     assert f == {"p-q": 2}
-    unit, f = divisor_pullback(x, cov, {"p+1": p + 1, "q+1": q + 1})
+    unit, f = divisor_pullback(cov.pull(x), {"p+1": p + 1, "q+1": q + 1})
     assert f == {"p+1": 1, "q+1": 1}
-    unit, f = divisor_pullback(y, cov, {"p-1": p - 1, "q-1": q - 1})
+    unit, f = divisor_pullback(cov.pull(y), {"p-1": p - 1, "q-1": q - 1})
     assert f == {"p-1": 1, "q-1": 1}
 
 
@@ -283,14 +282,14 @@ def test_case1_flat_has_a_double_pole_at_infinity():
 
 
 def _one_call_residue_side(coeff, var, chart):
-    """One side of a residue by the one-call conveniences: a new
-    substitution for the entry and another for the derivative."""
+    """One side of a residue with a new substitution for the entry and
+    another for the derivative."""
     f = coeff.ctx.var(chart.var) if chart.poly is None else chart.poly
     df = f.derivative(var)
     if df.is_zero():
         return None
     scaled = (coeff * f).reduce()
-    return (scaled.substitute(chart.subs, chart.target)
+    return (Substitution(scaled.ctx, chart.subs, chart.target).fraction(scaled)
             * eval_poly(df, chart.subs, chart.target).inverse())
 
 
@@ -324,9 +323,3 @@ def test_residue_kernel_matches_the_one_call_path(build, charts):
                 assert frac_eq(rd.matrix[i][j], want), (chart.name, i, j)
                 compared += 1
     assert compared
-
-
-def test_builtin_connection_names():
-    assert builtin_connection("omega0") is not None
-    with pytest.raises(KeyError):
-        builtin_connection("nope")

@@ -1,4 +1,5 @@
-"""The demos print what they printed when their digests were recorded."""
+"""The demos print what they printed when their digests were recorded, and
+the README's library tour runs."""
 
 import hashlib
 import json
@@ -25,3 +26,11 @@ def test_demo_stdout_matches_golden_digest(demo):
     out = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
                          capture_output=True, check=True).stdout
     assert hashlib.sha256(out).hexdigest() == GOLDEN[demo]
+
+
+def test_readme_library_tour_runs():
+    """The python block under the README's "Library tour" heading runs as
+    written."""
+    tour = (ROOT / "README.md").read_text().split("## Library tour\n", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -75,21 +75,21 @@ def test_pullback_log_derivative():
 
 
 def test_pullback_of_divisor_functions():
-    unit, factors = divisor_pullback(x ** 2 - y, PI,
+    unit, factors = divisor_pullback(PI.pull(x ** 2 - y),
                                      {"u-v": u - v, "u+v": u + v, "v": v})
     assert factors == {"u-v": 1, "u+v": 1}
     assert unit.is_one()
-    unit, factors = divisor_pullback(y - 1, PI,
+    unit, factors = divisor_pullback(PI.pull(y - 1),
                                      {"v-1": v - 1, "v+1": v + 1})
     assert factors == {"v-1": 1, "v+1": 1}
-    unit, factors = divisor_pullback(y, PI, {"v": v})
+    unit, factors = divisor_pullback(PI.pull(y), {"v": v})
     assert factors == {"v": 2}
 
 
 def test_divisor_pullback_under_elementary_transform():
     # u -+ v become v*(u -+ 1)
     for s, name in [(1, "u-1"), (-1, "u+1")]:
-        unit, factors = divisor_pullback(u - s * v, BMAP,
+        unit, factors = divisor_pullback(BMAP.pull(u - s * v),
                                          {"u-1": u - 1, "u+1": u + 1, "v": v})
         assert factors == {name: 1, "v": 1}
         assert unit.is_one()
@@ -97,7 +97,7 @@ def test_divisor_pullback_under_elementary_transform():
 
 def test_divisor_pullback_reports_residual():
     with pytest.raises(BasisError):
-        divisor_pullback(x ** 2 - y, PI, {"v": v})
+        divisor_pullback(PI.pull(x ** 2 - y), {"v": v})
 
 
 def test_divisor_pullback_reduces_the_pulled_back_value():
@@ -105,21 +105,22 @@ def test_divisor_pullback_reduces_the_pulled_back_value():
     # declared list that only the reduction cancels
     pulled = eval_poly(x - y, MOVE.subs, BUV)
     assert pulled.exps == (1, 0, 0, 0, 0, 0) and pulled.num == v * (u - 1)
-    unit, factors = divisor_pullback(x - y, MOVE, {"v": v})
+    unit, factors = divisor_pullback(pulled, {"v": v})
     assert factors == {"v": 1} and unit.is_one()
 
 
 def test_unreduced_results_observe_as_reduced():
-    # derivative, substitute and eval_poly return fractions that need not
-    # be in lowest terms; every observation must match the reduced value
+    # derivative, Substitution.fraction and eval_poly return fractions that
+    # need not be in lowest terms; every observation must match the reduced
+    # value
     rng = random.Random(29)
-    unreduced = {"derivative": 0, "substitute": 0, "eval_poly": 0}
+    unreduced = {"derivative": 0, "fraction": 0, "eval_poly": 0}
     for _ in range(300):
         f, g = _random_frac(rng), _random_frac_uv(rng)
         cases = [("derivative", f.derivative("x")),
                  ("derivative", f.derivative("y")),
-                 ("substitute", f.substitute(PI.subs, BUV)),
-                 ("substitute", g.substitute(BMAP.subs, BUV)),
+                 ("fraction", Substitution(XY, PI.subs, BUV).fraction(f)),
+                 ("fraction", Substitution(UV, BMAP.subs, BUV).fraction(g)),
                  ("eval_poly", eval_poly(f.num, PI.subs, BUV)),
                  ("eval_poly", eval_poly(f.num, MOVE.subs, BUV))]
         for op, got in cases:
@@ -135,7 +136,7 @@ def test_unreduced_results_observe_as_reduced():
 def test_divisor_pullback_of_zero_raises():
     # zero divides by every declared factor; the divide-out must not loop
     with pytest.raises(BasisError, match="zero polynomial"):
-        divisor_pullback(XY.zero(), PI, {"u-v": u - v})
+        divisor_pullback(PI.pull(XY.zero()), {"u-v": u - v})
 
 
 def test_d_squared_zero_randomized():

@@ -8,7 +8,7 @@ import pytest
 from quintic_garnier import fractions as kernel
 from quintic_garnier.connections import B_UV
 from quintic_garnier.fractions import (FACTOR_MEMO_CAP, BasisError, DenomBasis,
-                                       FactoredFraction, frac_eq)
+                                       FactoredFraction, Substitution, frac_eq)
 from quintic_garnier.ring import ContextError, LaurentPoly, VarContext
 
 UV = VarContext(["u", "v"])
@@ -95,7 +95,7 @@ def test_substitute_into_fraction():
     tgt = DenomBasis(ctx2, [u2 - 1, u2 + 1])
     f = B.over(UV.one(), u - v)
     img = {"u": tgt.of(u2 * v2), "v": tgt.of(v2)}
-    got = f.substitute(img, tgt)
+    got = Substitution(UV, img, tgt).fraction(f)
     assert frac_eq(got, tgt.over(v2 ** -1, u2 - 1))
 
 

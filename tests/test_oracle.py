@@ -17,7 +17,7 @@ sympy = pytest.importorskip("sympy")
 
 from quintic_garnier.forms import RationalMap  # noqa: E402
 from quintic_garnier.fractions import (DenomBasis, FactoredFraction,  # noqa: E402
-                                       eval_poly)
+                                       Substitution, eval_poly)
 from quintic_garnier.ring import LaurentPoly, VarContext, exact_divide  # noqa: E402
 
 UV = VarContext(["u", "v"])
@@ -170,8 +170,8 @@ def sym_subs(x, images):
 
 
 def test_substitution_matches_sympy():
-    """``eval_poly`` and ``FactoredFraction.substitute`` (a fresh memo per
-    call) and ``RationalMap.pull`` (a memo that 200 earlier pulls filled)
+    """``eval_poly`` and ``Substitution.fraction`` (a fresh memo per call)
+    and ``RationalMap.pull`` (a memo that 200 earlier pulls filled)
     agree with sympy's ``subs`` on Laurent polynomials and fractions."""
     rng = random.Random(18)
 
@@ -187,6 +187,7 @@ def test_substitution_matches_sympy():
             p, x = random_poly(rng, 4), random_frac_m()
             want_p, want_x = sym_subs(p, images), sym_subs(x, images)
             assert sym(eval_poly(p, images, BM)) - want_p == 0, (p, images)
-            assert sym(x.substitute(images, BM)) - want_x == 0, (x, images)
+            got_x = Substitution(BM.ctx, images, BM).fraction(x)
+            assert sym(got_x) - want_x == 0, (x, images)
             assert sym(phi.pull(p)) - want_p == 0, (p, images)
             assert sym(phi.pull(x)) - want_x == 0, (x, images)
