@@ -1,7 +1,9 @@
 """Exact arithmetic for character-variety orbits of the five-punctured sphere
 and logarithmic flat connections on the plane with quintic polar locus.
 
-The layers, bottom up:
+The layers, bottom up; a module imports only the layers beneath it on its
+chain (ring ← fractions ← forms ← connections ← garnier and ring ← sl2 ←
+reps ← families, traces ← braids), and cli sits on both:
 
 - :mod:`~quintic_garnier.ring` / :mod:`~quintic_garnier.fractions`:
   multivariate Laurent polynomials over the rationals and rational functions

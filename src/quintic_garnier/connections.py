@@ -91,9 +91,9 @@ class MatConnection:
     def is_trace_free(self) -> bool:
         return self.trace_form().is_zero()
 
-    def pull_back(self, phi: RationalMap, name: Optional[str] = None) -> "MatConnection":
+    def pull_back(self, phi: RationalMap) -> "MatConnection":
         om = tuple(tuple(phi.pull_one_form(w) for w in row) for row in self.omega)
-        return MatConnection(name or f"{phi.name}*{self.name}", phi.src,
+        return MatConnection(f"{phi.name}*{self.name}", phi.src,
                              phi.src_base, om)
 
     def __repr__(self):
@@ -284,7 +284,7 @@ def residue(conn: MatConnection, chart: DivisorChart) -> ResidueData:
     consistency flag.  One substitution evaluates every entry on the chart.
     """
     if chart.chart is not None:
-        conn = conn.pull_back(chart.chart, name=conn.name + "@inf")
+        conn = conn.pull_back(chart.chart)
     at = Substitution(conn.basis.ctx, chart.subs, chart.target)
     x, y = conn.base_vars
     notes: list[str] = []
@@ -340,8 +340,7 @@ def riccati_of_connection(conn: MatConnection) -> RiccatiForm:
                        -om[0][1], om[1][1] - om[0][0], om[1][0])
 
 
-def pullback_riccati(ric: RiccatiForm, phi: RationalMap,
-                     name: Optional[str] = None) -> RiccatiForm:
+def pullback_riccati(ric: RiccatiForm, phi: RationalMap) -> RiccatiForm:
     """Base substitution plus Moebius fiber change, renormalized to monic dw.
 
     For ``w = (p w' + q)/(r w' + t)`` with base-dependent coefficients the
@@ -353,7 +352,7 @@ def pullback_riccati(ric: RiccatiForm, phi: RationalMap,
     P0 = phi.pull_one_form(ric.P0)
     mob = phi.fiber
     if mob is None:
-        return RiccatiForm(name or f"{phi.name}*{ric.name}", phi.src, base,
+        return RiccatiForm(f"{phi.name}*{ric.name}", phi.src, base,
                            P2, P1, P0)
     p, q, r, t = mob.p, mob.q, mob.r, mob.t
     den = mob.determinant().inverse()
@@ -365,7 +364,7 @@ def pullback_riccati(ric: RiccatiForm, phi: RationalMap,
     new1 = (dq * r + dp * t - dt * p - dr * q
             + P2 * (2 * p * q) + P1 * (p * t + q * r) + P0 * (2 * r * t)) * den
     new0 = (dq * t - dt * q + P2 * (q * q) + P1 * (q * t) + P0 * (t * t)) * den
-    return RiccatiForm(name or f"{phi.name}*{ric.name}", phi.src, base,
+    return RiccatiForm(f"{phi.name}*{ric.name}", phi.src, base,
                        new2, new1, new0)
 
 

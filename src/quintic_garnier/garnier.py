@@ -14,15 +14,18 @@ reference formulas for ``S_q, P_q, S_p, gamma`` (and both quoted variants of
 ``t1, t2``) are transcribed verbatim and compared against the derived values
 field by field; mismatches are reported with the derived correction, never
 silently patched.
+
+Each step takes what it reads: the caller restricts a connection once per
+chart and hands that :class:`LineRestriction` to every report on the chart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
-from .connections import MatConnection, flat_quintic2_connection
+from .connections import MatConnection
 from .forms import ScalarOneForm
 from .fractions import (DenomBasis, FactoredFraction, Substitution, frac_eq,
                         serialize_frac)
@@ -56,12 +59,12 @@ class RestrictionError(ValueError):
 class LineRestriction:
     """Connection and Riccati data of one generic-line restriction.
 
+    ``basis`` is :data:`B_AB` or :data:`B_AC` and names the chart;
     ``matrix`` holds the dy-coefficients of the restricted connection;
     ``P2, P1, P0`` are the Riccati coefficients in the chart whose
     denominators factor as ``2 y (y-1) Q``.
     """
 
-    mode: str                      # "ab" or "ac"
     basis: DenomBasis
     matrix: list[list[FactoredFraction]]
     P2: FactoredFraction
@@ -83,15 +86,12 @@ def _clear(fr: FactoredFraction, denom: LaurentPoly) -> LaurentPoly:
     return cleared.num
 
 
-def restrict_to_line(conn: Optional[MatConnection] = None,
-                     mode: str = "ab") -> LineRestriction:
-    """Substitute ``x = a y + b`` (so ``dx = a dy``) into the connection.
+def restrict_to_line(conn: MatConnection, mode: str) -> LineRestriction:
+    """Substitute ``x = a y + b`` (so ``dx = a dy``) into ``conn``.
 
     With ``mode='ac'`` the parameter ``b`` is eliminated via
     ``b = (1 - c^2)/(4a)``, which makes the two movable poles rational.
     """
-    if conn is None:
-        conn = flat_quintic2_connection()
     if mode == "ab":
         basis, images, q = B_AB, {"x": _a * _yab + _b}, Q_AB
     elif mode == "ac":
@@ -109,7 +109,7 @@ def restrict_to_line(conn: Optional[MatConnection] = None,
     P0 = -matrix[0][1]
     yv = basis.ctx.var("y")
     denominator = 2 * yv * (yv - 1) * q
-    return LineRestriction(mode, basis, matrix, P2, P1, P0, denominator)
+    return LineRestriction(basis, matrix, P2, P1, P0, denominator)
 
 
 def specialize_connection(conn: MatConnection,
@@ -161,17 +161,15 @@ class H21Data:
     assembly_verified: bool
 
 
-def h21_extract(rest: Optional[LineRestriction] = None) -> H21Data:
+def h21_extract(rest: LineRestriction) -> H21Data:
     """Extract the quadratic numerator data of the lower-left coefficient.
 
-    Requires the rational-pole parametrization and a quadratic numerator.
+    ``rest`` needs the rational-pole (a, c) chart and a quadratic numerator.
     The lower-left residue at infinity vanishes when the four finite pole
     residues sum to zero (residue theorem); the assembly is verified by
     rebuilding the lower-left coefficient from ``leading``, ``S_q`` and
     ``P_q`` (:func:`_assembles`).
     """
-    if rest is None:
-        rest = restrict_to_line(mode="ac")
     num, leading, S_q, P_q = _lower_left_quadratic(rest)
     return H21Data(leading, S_q, P_q, num, _residues_sum_to_zero(rest, num),
                    _assembles(rest, leading, S_q, P_q))
@@ -179,7 +177,7 @@ def h21_extract(rest: Optional[LineRestriction] = None) -> H21Data:
 
 def _lower_left_quadratic(rest: LineRestriction) -> tuple:
     """``(numerator, leading, S_q, P_q)`` of the lower-left coefficient."""
-    if rest.mode != "ac":
+    if rest.basis is not B_AC:
         raise RestrictionError("extraction needs the rational-pole chart (mode='ac')")
     basis = rest.basis
     num = _clear(rest.matrix[1][0], rest.denominator)
@@ -281,10 +279,10 @@ class GarnierData:
     gamma: FactoredFraction
 
 
-def garnier_parametrization() -> tuple[GarnierData, dict]:
+def garnier_parametrization(rest: LineRestriction) -> tuple[GarnierData, dict]:
     """Derived Garnier data plus the field-by-field agreement report.
 
-    ``S_q``, ``P_q`` are read off the lower-left numerator as in
+    ``S_q``, ``P_q`` are read off the lower-left numerator of ``rest`` as in
     :func:`h21_extract`, without its residue and assembly checks.  ``S_p``
     and ``gamma`` have no independent derivation inside this library (the
     Hamiltonians live elsewhere); they are transcribed and checked for
@@ -293,7 +291,7 @@ def garnier_parametrization() -> tuple[GarnierData, dict]:
     ``P_q`` (also ``matches_45_repaired``), ``S_p``, ``gamma``
     (``transcribed``) and ``separant_nonzero``.
     """
-    _, _, S_q, P_q = _lower_left_quadratic(restrict_to_line(mode="ac"))
+    _, _, S_q, P_q = _lower_left_quadratic(rest)
     t1, t2 = pole_positions()
     refs = reference_garnier_fields()
     data = GarnierData(B_AC.of(t1), B_AC.of(t2), S_q, P_q,
@@ -315,9 +313,8 @@ def garnier_parametrization() -> tuple[GarnierData, dict]:
     return data, report
 
 
-def alphas_report() -> dict:
-    """Compare the restricted Riccati numerators with the quoted ones."""
-    rest = restrict_to_line(mode="ab")
+def alphas_report(rest: LineRestriction) -> dict:
+    """Compare the Riccati numerators of ``rest`` with the quoted ones."""
     a2, a1, a0 = rest.alphas()
     r2, r1, r0 = reference_alphas()
     delta2 = a2 - r2

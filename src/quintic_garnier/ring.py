@@ -137,8 +137,8 @@ class VarContext:
             return self.zero()
         return LaurentPoly(self, {(0,) * self.nvars(): c}, _normalized=True)
 
-    def var(self, name: str, power: int = 1) -> "LaurentPoly":
-        return self.monomial(1, {name: power})
+    def var(self, name: str) -> "LaurentPoly":
+        return self.monomial(1, {name: 1})
 
     def monomial(self, coeff: Rat, powers: Mapping[str, int]) -> "LaurentPoly":
         coeff = _rat(coeff)
@@ -630,6 +630,8 @@ def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
             elif _INTEGER.fullmatch(fac):
                 coeff *= int(fac)
             else:
+                if fac.isidentifier():
+                    raise ContextError(f"undeclared variable {fac!r}")
                 try:
                     coeff *= Fraction(fac)
                 except ZeroDivisionError:

@@ -207,17 +207,19 @@ def test_criterion_08_residues():
 
 
 def test_criterion_09_restriction_and_garnier():
-    alphas = garnier.alphas_report()
+    quintic = connections.flat_quintic2_connection()
+    line_ac = garnier.restrict_to_line(quintic, "ac")
+    alphas = garnier.alphas_report(garnier.restrict_to_line(quintic, "ab"))
     a_ok = alphas["alpha1"]["matches"] and alphas["alpha0"]["matches"]
     # the quoted alpha2 differs by exactly 2*a*lam0*y; the derived linear
     # coefficient is confirmed by the quoted S_q below
     a2_classified = (not alphas["alpha2"]["matches"]
                      and alphas["alpha2"]["delta_vs_reference"]
                      == "-2*y^1*a^1*lam0^1")
-    h = garnier.h21_extract()
+    h = garnier.h21_extract(line_ac)
     h_ok = (h.numerator.max_exponent("y") == 2
             and h.residue_at_infinity_vanishes and h.assembly_verified)
-    _, report = garnier.garnier_parametrization()
+    _, report = garnier.garnier_parametrization(line_ac)
     sq_ok = report["S_q"]["matches_45"]
     pq_classified = (not report["P_q"]["matches_45"]
                      and report["P_q"]["matches_45_repaired"])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quintic_garnier import cli, forms, fractions, ring
+from quintic_garnier import cli, forms, fractions, garnier, ring
 from quintic_garnier.cli import main
 
 
@@ -132,6 +132,16 @@ def test_compare_substitution_piece_without_image_is_usage_error(capsys, tmp_pat
     assert captured.err == f"error: --subst: piece {piece!r} is not name=image\n"
 
 
+def test_compare_substitution_undeclared_image_variable_is_usage_error(capsys,
+                                                                       tmp_path):
+    a = tmp_path / "a.json"
+    run_cli(capsys, "orbit", "rho1", "--pure", "--out", str(a))
+    rc = main(["compare", str(a), str(a), "--subst", "u=-s"])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err == "error: --subst: undeclared variable 's'\n"
+
+
 def test_compare_repeated_substitution_name_is_usage_error(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli(capsys, "orbit", "rho2", "--pure", "--out", str(a))
@@ -176,6 +186,12 @@ def test_verify_suites(capsys, suite, expect_warn):
     assert rc == 0
     assert doc["results"]["fail"] == 0
     assert (doc["results"]["warning"] > 0) == expect_warn
+
+
+def test_verify_unknown_suite_is_usage_error(capsys):
+    rc = main(["verify", "nosuch"])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
 
 
 def test_report_determinism(capsys):
@@ -298,7 +314,10 @@ def test_rep_file_malformed_matrices_are_usage_errors(capsys, tmp_path, matrices
     ({"variables": "uv", "matrices": list(RHO1_FILE)},
      "'variables' must be a list of names"),
     ({"variables": ["u", "v"]}, "no 'matrices' entry"),
-], ids=["doc0", "doc1", "doc2"])
+    ({"variables": ["u", "v"],
+      "matrices": [RHO1_FILE[0], ["0", "1/0", "-1", "0"]] + list(RHO1_FILE[2:])},
+     "term '1/0' has a zero denominator"),
+], ids=["doc0", "doc1", "doc2", "doc3"])
 def test_rep_file_malformed_documents_are_usage_errors(capsys, tmp_path, doc,
                                                        fault):
     path = tmp_path / "rep.json"
@@ -324,7 +343,7 @@ def test_compare_malformed_orbit_files_are_usage_errors(capsys, tmp_path, defect
         message = f"{b}: 'variables' must be a list of names"
     elif defect == "zero-denominator":
         data["elements"][0][0] = "1/0"
-        message = "term '1/0' has a zero denominator"
+        message = f"{b}: term '1/0' has a zero denominator"
     elif defect == "missing-elements":
         del data["elements"]
         message = f"{b}: no 'elements' entry"
@@ -425,7 +444,7 @@ def test_verify_suites_exact_divide_count_cold():
     code = "import test_cli; print(test_cli.count_divisions(test_cli.run_suites))"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert int(out) == 452
+    assert int(out) == 444
 
 
 def test_verify_suites_exact_divide_count_warm():
@@ -441,9 +460,9 @@ def count_suite_calls(monkeypatch, owner, name):
     calls = [0]
     method = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return method(*args)
+        return method(*args, **kwargs)
     monkeypatch.setattr(owner, name, counted)
     run_suites()
     return calls[0]
@@ -461,6 +480,13 @@ def test_verify_suites_wedge_count(monkeypatch):
     """Pinned count of ``ScalarOneForm.wedge`` calls: one for the Jacobian
     of each map built, the rest in ``connections.mat_curvature``."""
     assert count_suite_calls(monkeypatch, forms.ScalarOneForm, "wedge") == 37
+
+
+def test_verify_suites_restrict_each_chart_once(monkeypatch):
+    """Pinned count of ``garnier.restrict_to_line`` calls: the restriction
+    suite restricts the quintic once to the (a, b) chart and once to the
+    (a, c) chart, and the garnier suite once to the (a, c) chart."""
+    assert count_suite_calls(monkeypatch, garnier, "restrict_to_line") == 3
 
 
 def test_verify_suites_build_one_substitution_per_owner(monkeypatch):
@@ -484,6 +510,6 @@ def test_verify_suites_build_one_substitution_per_owner(monkeypatch):
     for name, run in cli.SUITES.items():
         suite[0] = name
         run()
-    assert dict(kernels) == {"residues": 7, "pullbacks": 7, "restriction": 8,
+    assert dict(kernels) == {"residues": 7, "pullbacks": 7, "restriction": 7,
                              "garnier": 2}
     assert evaluations[0] == 0

@@ -26,8 +26,23 @@ def _substitute(f, images, target):
     return Substitution(f.ctx, images, target).fraction(f)
 
 
-def test_restricted_denominator_divides_declared_shape():
-    rest = restrict_to_line(mode="ab")
+@pytest.fixture(scope="module")
+def quintic():
+    return flat_quintic2_connection()
+
+
+@pytest.fixture(scope="module")
+def line_ab(quintic):
+    return restrict_to_line(quintic, "ab")
+
+
+@pytest.fixture(scope="module")
+def line_ac(quintic):
+    return restrict_to_line(quintic, "ac")
+
+
+def test_restricted_denominator_divides_declared_shape(line_ab):
+    rest = line_ab
     # clearing against 2y(y-1)Q must produce polynomials for all coefficients
     a2, a1, a0 = rest.alphas()
     assert a1.min_exponent("y") >= 0
@@ -62,24 +77,28 @@ def test_restriction_kernel_matches_the_one_call_path(seed):
                 assert frac_eq(got, want), (mode, values)
 
 
-def test_alpha1_and_alpha0_match_reference():
-    rep = alphas_report()
+def test_alpha1_and_alpha0_match_reference(line_ab):
+    rep = alphas_report(line_ab)
     assert rep["alpha1"]["matches"]
     assert rep["alpha0"]["matches"]
 
 
-def test_alpha2_differs_by_known_delta():
-    rep = alphas_report()
+def test_alpha2_differs_by_known_delta(line_ab):
+    rep = alphas_report(line_ab)
     assert not rep["alpha2"]["matches"]
     assert rep["alpha2"]["delta_vs_reference"] == "-2*y^1*a^1*lam0^1"
 
 
-def test_lambda_zero_restriction_is_diagonal():
-    conn = specialize_connection(flat_quintic2_connection(),
-                                 {"lam0": 0, "lam1": 0})
-    rest = restrict_to_line(conn, mode="ab")
+def test_lambda_zero_restriction_is_diagonal(quintic, line_ab):
+    zero = {"lam0": 0, "lam1": 0}
+    rest = restrict_to_line(specialize_connection(quintic, zero), mode="ab")
     assert rest.P2.is_zero() and rest.P0.is_zero()
     assert not rest.P1.is_zero()
+    # the suite's route: the (a, b) restriction, then lam0 = lam1 = 0
+    at_zero = Substitution(CTX_AB, zero, B_AB)
+    for name in ("P2", "P1", "P0"):
+        assert frac_eq(at_zero.fraction(getattr(line_ab, name)),
+                       getattr(rest, name)), name
 
 
 def test_pole_positions_and_vieta():
@@ -98,8 +117,8 @@ def test_pole_positions_and_vieta():
         pole_positions_at(0, 1)
 
 
-def test_h21_quadratic_and_checks():
-    h = h21_extract()
+def test_h21_quadratic_and_checks(line_ac):
+    h = h21_extract(line_ac)
     assert h.numerator.max_exponent("y") == 2
     assert h.residue_at_infinity_vanishes
     assert h.assembly_verified
@@ -110,8 +129,8 @@ def test_h21_quadratic_and_checks():
     assert frac_eq(lhs, FactoredFraction(B_AC, -coeffs[1]))
 
 
-def test_residue_at_infinity_flag_fails_for_a_cubic_numerator():
-    rest = restrict_to_line(mode="ac")
+def test_residue_at_infinity_flag_fails_for_a_cubic_numerator(line_ac):
+    rest = line_ac
     num = h21_extract(rest).numerator
     assert _residues_sum_to_zero(rest, num)
     # the residues of y*num no longer sum to zero: the residue at infinity
@@ -119,8 +138,8 @@ def test_residue_at_infinity_flag_fails_for_a_cubic_numerator():
     assert not _residues_sum_to_zero(rest, CTX_AC.var("y") * num)
 
 
-def test_h21_assembly_fails_for_perturbed_fields():
-    rest = restrict_to_line(mode="ac")
+def test_h21_assembly_fails_for_perturbed_fields(line_ac):
+    rest = line_ac
     h = h21_extract(rest)
     assert _assembles(rest, h.leading, h.S_q, h.P_q)
     assert not _assembles(rest, h.leading, -h.S_q, h.P_q)
@@ -128,14 +147,14 @@ def test_h21_assembly_fails_for_perturbed_fields():
     assert not _assembles(rest, 2 * h.leading, h.S_q, h.P_q)
 
 
-def test_h21_requires_rational_pole_chart():
-    with pytest.raises(RestrictionError):
-        h21_extract(restrict_to_line(mode="ab"))
+def test_h21_requires_rational_pole_chart(line_ab):
+    with pytest.raises(RestrictionError, match="rational-pole chart"):
+        h21_extract(line_ab)
 
 
-def test_h21_requires_a_quadratic_numerator():
+def test_h21_requires_a_quadratic_numerator(line_ac):
     # the lower-left coefficient times y^k has a numerator of degree 2 + k
-    rest = restrict_to_line(mode="ac")
+    rest = line_ac
     y = CTX_AC.var("y")
     for k in (-1, 1):
         lower_left = rest.matrix[1][0] * B_AC.of(y ** k)
@@ -144,8 +163,8 @@ def test_h21_requires_a_quadratic_numerator():
             h21_extract(dataclasses.replace(rest, matrix=matrix))
 
 
-def test_garnier_report_agreements():
-    data, report = garnier_parametrization()
+def test_garnier_report_agreements(line_ac):
+    data, report = garnier_parametrization(line_ac)
     # movable poles match exactly one quoted variant
     assert report["t1"]["matches_44"] and not report["t1"]["matches_45"]
     assert report["t2"]["matches_44"] and not report["t2"]["matches_45"]
@@ -156,21 +175,20 @@ def test_garnier_report_agreements():
     # the lower-left checks are reported by h21_extract only
     assert set(report) == {"t1", "t2", "S_q", "P_q", "S_p", "gamma",
                            "separant_nonzero"}
-    h = h21_extract()
+    h = h21_extract(line_ac)
     assert frac_eq(data.S_q, h.S_q) and frac_eq(data.P_q, h.P_q)
 
 
-def test_parity_invariance_of_garnier_fields():
-    data, _ = garnier_parametrization()
+def test_parity_invariance_of_garnier_fields(line_ac):
+    data, _ = garnier_parametrization(line_ac)
     flags = parity_invariance(data)
     assert all(flags.values()), flags
 
 
-def test_specialization_commutes_with_extraction():
-    conn = specialize_connection(flat_quintic2_connection(),
-                                 {"lam0": 1, "lam1": 0})
+def test_specialization_commutes_with_extraction(quintic, line_ac):
+    conn = specialize_connection(quintic, {"lam0": 1, "lam1": 0})
     h_spec = h21_extract(restrict_to_line(conn, mode="ac"))
-    h_full = h21_extract(restrict_to_line(mode="ac"))
+    h_full = h21_extract(line_ac)
     images = {"lam0": FactoredFraction(B_AC, CTX_AC.one()),
               "lam1": FactoredFraction(B_AC, CTX_AC.zero())}
     assert frac_eq(_substitute(h_full.S_q, images, B_AC), h_spec.S_q)

@@ -317,8 +317,9 @@ def test_grammar_variable_names_ending_in_e():
 
 
 def test_grammar_rejects_undeclared_variable():
-    with pytest.raises(ContextError):
-        parse_poly(UV, "1*w^2")
+    for text in ("1*w^2", "u*w", "w"):
+        with pytest.raises(ContextError, match="undeclared variable 'w'"):
+            parse_poly(UV, text)
 
 
 def test_exact_division():
