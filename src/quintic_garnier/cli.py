@@ -134,13 +134,14 @@ def _load_rep_file(path: str) -> RepTuple:
     mats = []
     for row in rows:
         if len(row) != 4:
-            raise ValueError("each matrix is a row of four entries")
+            raise ValueError(f"{path}: each matrix is a row of four entries")
         mats.append(Mat2(*row))
     if len(mats) == 5:
         if not verify_product_identity(mats)["sl2"]:
-            raise ValueError("the five matrices do not multiply to the identity")
+            raise ValueError(f"{path}: the five matrices do not multiply to "
+                             "the identity")
     elif len(mats) != 4:
-        raise ValueError(f"need 4 matrices, or 5 whose product is the "
+        raise ValueError(f"{path}: need 4 matrices, or 5 whose product is the "
                          f"identity; got {len(mats)}")
     return RepTuple(*mats[:4])
 

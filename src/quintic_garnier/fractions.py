@@ -12,10 +12,14 @@ computed; equality is decided by cross-multiplication.
 Declared factors are divided out in one loop, :meth:`DenomBasis.divide_out`:
 :meth:`DenomBasis.factor_over` runs it unbounded, and
 :meth:`FactoredFraction.reduce` runs it bounded by the denominator exponents.
-Each basis remembers the complete factorizations that :meth:`factor_over`
-found, keyed by the polynomial, so a pullback that inverts the same image of
-a factor again divides nothing.  Only successes are stored (a residual
-raises again on every call), and at most :data:`FACTOR_MEMO_CAP` per basis.
+Each basis keeps three memos.  The complete factorizations that
+:meth:`factor_over` found, keyed by the polynomial, so a pullback that
+inverts the same image of a factor again divides nothing (a residual is not
+stored and raises again on every call), and the products that
+:meth:`DenomBasis.power` built, keyed by the exponent vector: at most
+:data:`FACTOR_MEMO_CAP` of each per basis.  The factors' partial derivatives,
+:meth:`DenomBasis.partials`, keyed by the variable, so bounded by the
+context's variables.
 
 Substitution is one kernel, :class:`Substitution`.  It resolves the images
 once by :func:`ring.resolve_images`, the policy that :func:`ring.evaluate`
@@ -54,9 +58,11 @@ class DenomBasis:
 
     Factors must be non-monomial (units are handled by Laurent exponents)
     and pairwise non-associate; irreducibility is the caller's promise.
+    Memos: ``_factored`` and ``_powers``, at most :data:`FACTOR_MEMO_CAP`
+    entries each, and ``_partials``, one tuple per variable.
     """
 
-    __slots__ = ("ctx", "factors", "names", "_factored")
+    __slots__ = ("ctx", "factors", "names", "_factored", "_powers", "_partials")
 
     def __init__(self, ctx: VarContext, factors: Sequence[LaurentPoly],
                  names: Optional[Sequence[str]] = None):
@@ -70,6 +76,8 @@ class DenomBasis:
         self.names = tuple(names) if names is not None else tuple(
             serialize_poly(f) for f in factors)
         self._factored: dict[LaurentPoly, tuple[LaurentPoly, tuple[int, ...]]] = {}
+        self._powers: dict[tuple[int, ...], LaurentPoly] = {}
+        self._partials: dict[str, tuple[LaurentPoly, ...]] = {}
 
     def __eq__(self, other):
         return self is other or (isinstance(other, DenomBasis)
@@ -161,14 +169,28 @@ class DenomBasis:
             self._factored[p] = unit, exps
         return unit, exps
 
-    def power(self, exps: Sequence[int]) -> LaurentPoly:
+    def power(self, exps: tuple[int, ...]) -> LaurentPoly:
         """``prod(f_i^e_i)``, starting from the first present factor."""
+        hit = self._powers.get(exps)
+        if hit is not None:
+            return hit
         p = None
         for f, e in zip(self.factors, exps):
             if e:
                 q = f ** e
                 p = q if p is None else p * q
-        return self.ctx.one() if p is None else p
+        p = self.ctx.one() if p is None else p
+        if len(self._powers) < FACTOR_MEMO_CAP:
+            self._powers[exps] = p
+        return p
+
+    def partials(self, name: str) -> tuple[LaurentPoly, ...]:
+        """Each factor's partial derivative by ``name``, derived once."""
+        hit = self._partials.get(name)
+        if hit is None:
+            hit = self._partials[name] = tuple(f.derivative(name)
+                                               for f in self.factors)
+        return hit
 
 
 class FactoredFraction:
@@ -254,8 +276,13 @@ class FactoredFraction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # values are immutable, so a zero or unit operand is returned as is
+        if self.is_zero() or (other.num.is_one() and not any(other.exps)):
+            return self
+        if other.is_zero() or (self.num.is_one() and not any(self.exps)):
+            return other
         return FactoredFraction(self.basis, self.num * other.num,
-                                tuple(a + b for a, b in zip(self.exps, other.exps)))
+                                tuple(map(add, self.exps, other.exps)))
 
     __rmul__ = __mul__
 
@@ -281,10 +308,13 @@ class FactoredFraction:
     def _common(self, other: "FactoredFraction"
                 ) -> tuple[LaurentPoly, LaurentPoly, tuple[int, ...]]:
         """Both numerators over the least common denominator ``m``."""
-        m = tuple(max(a, b) for a, b in zip(self.exps, other.exps))
+        a, b = self.exps, other.exps
+        if a == b:
+            return self.num, other.num, a
+        m = tuple(map(max, a, b))
         power = self.basis.power
-        return (self.num * power(tuple(map(sub, m, self.exps))),
-                other.num * power(tuple(map(sub, m, other.exps))),
+        return (self.num if m == a else self.num * power(tuple(map(sub, m, a))),
+                other.num if m == b else other.num * power(tuple(map(sub, m, b))),
                 m)
 
     def reduce(self) -> "FactoredFraction":
@@ -320,12 +350,10 @@ class FactoredFraction:
         if self.is_zero():
             return self
         dn = self.num.derivative(name)
-        present = []
-        for i, (f, e) in enumerate(zip(self.basis.factors, self.exps)):
-            if e:
-                df = f.derivative(name)
-                if df:
-                    present.append((i, f, df))
+        present = [(i, f, df) for i, (f, e, df) in
+                   enumerate(zip(self.basis.factors, self.exps,
+                                 self.basis.partials(name)))
+                   if e and df]
         if not present:
             return FactoredFraction(self.basis, dn, self.exps)
         acc: dict[Exponents, Rat] = {}

@@ -315,6 +315,9 @@ def garnier_parametrization(rest: LineRestriction) -> tuple[GarnierData, dict]:
 
 def alphas_report(rest: LineRestriction) -> dict:
     """Compare the Riccati numerators of ``rest`` with the quoted ones."""
+    if rest.basis is not B_AB:
+        raise RestrictionError("the quoted numerators are in the (a, b) chart "
+                               "(mode='ab')")
     a2, a1, a0 = rest.alphas()
     r2, r1, r0 = reference_alphas()
     delta2 = a2 - r2

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Mapping, Optional, TypeVar, Union
 
 Rat = Union[int, Fraction]
@@ -278,7 +279,7 @@ class LaurentPoly:
         out: dict[Exponents, Rat] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 c = ca * cb
                 s = out.get(e)
                 if s is None:

@@ -317,7 +317,13 @@ def test_rep_file_malformed_matrices_are_usage_errors(capsys, tmp_path, matrices
     ({"variables": ["u", "v"],
       "matrices": [RHO1_FILE[0], ["0", "1/0", "-1", "0"]] + list(RHO1_FILE[2:])},
      "term '1/0' has a zero denominator"),
-], ids=["doc0", "doc1", "doc2", "doc3"])
+    ({"variables": ["u", "v"], "matrices": list(RHO1_FILE[:3]) + [["1", "0", "0"]]},
+     "each matrix is a row of four entries"),
+    ({"variables": ["u", "v"], "matrices": list(RHO1_FILE) + [RHO1_FILE[0]]},
+     "the five matrices do not multiply to the identity"),
+    ({"variables": ["u", "v"], "matrices": list(RHO1_FILE[:3])},
+     "need 4 matrices, or 5 whose product is the identity; got 3"),
+], ids=["doc0", "doc1", "doc2", "doc3", "doc4", "doc5", "doc6"])
 def test_rep_file_malformed_documents_are_usage_errors(capsys, tmp_path, doc,
                                                        fault):
     path = tmp_path / "rep.json"
@@ -434,17 +440,48 @@ def count_divisions(run):
     return calls[0]
 
 
+def count_products(run):
+    """Products ``p * q`` of two Laurent polynomials made by ``run()``; an
+    ``int * p`` goes through ``__rmul__`` and is not counted."""
+    calls = [0]
+    mul = ring.LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+    ring.LaurentPoly.__mul__ = counted
+    try:
+        run()
+    finally:
+        ring.LaurentPoly.__mul__ = mul
+    return calls[0]
+
+
+def count_cold(counter):
+    """``counter(run_suites)`` in a fresh interpreter, where every basis
+    starts with empty memos."""
+    path = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = f"import test_cli; print(test_cli.{counter}(test_cli.run_suites))"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return int(out)
+
+
 def test_verify_suites_exact_divide_count_cold():
     """Pinned count of ``exact_divide`` calls over every suite of ``verify
     all`` in a fresh interpreter, where every basis starts with no
     remembered factorization: a change to the divide-out loops or to the
     factorization memo that adds or drops a division fails here."""
-    path = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = "import test_cli; print(test_cli.count_divisions(test_cli.run_suites))"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert int(out) == 444
+    assert count_cold("count_divisions") == 444
+
+
+def test_verify_suites_product_count_cold():
+    """Pinned count of ``LaurentPoly.__mul__`` calls over every suite of
+    ``verify all`` in a fresh interpreter: a fraction product with a zero or
+    unit operand, a common denominator on equal exponents and a basis power
+    built twice multiply nothing, so one that multiplies again fails here."""
+    assert count_cold("count_products") == 2672
 
 
 def test_verify_suites_exact_divide_count_warm():

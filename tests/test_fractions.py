@@ -1,6 +1,8 @@
 """Factored fractions: arithmetic, equality, reduction, derivatives."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -209,3 +211,65 @@ def test_factor_memo_stops_growing_at_its_cap():
         inv = memo.const(k).inverse()
         assert (inv.num, inv.exps) == (UV.const(Fraction(1, k)), (0, 0, 0))
     assert len(memo._factored) == FACTOR_MEMO_CAP
+
+
+def _written_power(basis, exps):
+    """``prod(f_i^e_i)`` multiplied out here, without the basis memo."""
+    p = basis.ctx.one()
+    for f, e in zip(basis.factors, exps):
+        p = p * f ** e
+    return p
+
+
+def test_derivative_differentiates_each_factor_once_per_variable(monkeypatch):
+    calls = Counter()
+    derivative = LaurentPoly.derivative
+
+    def counted(self, name):
+        calls[(id(self), name)] += 1
+        return derivative(self, name)
+    monkeypatch.setattr(LaurentPoly, "derivative", counted)
+    memo = DenomBasis(UV, B.factors)
+    rng = random.Random(22)
+    for _ in range(12):
+        x = FactoredFraction(memo, _random_frac(rng).num, (1, 2, 1))
+        for name in ("u", "v"):
+            x.derivative(name)
+    factors = set(map(id, B.factors))
+    assert {k: n for k, n in calls.items() if k[0] in factors} == {
+        (id(f), n): 1 for f in B.factors for n in ("u", "v")}
+    assert memo._partials == {n: tuple(derivative(f, n) for f in B.factors)
+                              for n in ("u", "v")}
+
+
+def test_power_memo_stops_growing_at_its_cap(monkeypatch):
+    monkeypatch.setattr(kernel, "FACTOR_MEMO_CAP", 4)
+    memo = DenomBasis(UV, B.factors)
+    for _ in range(2):
+        for exps in itertools.product(range(3), repeat=3):
+            assert memo.power(exps) == _written_power(B, exps)
+    assert len(memo._powers) == 4
+
+
+def test_zero_and_unit_products_return_an_operand():
+    f = B.of(u - 2 * v ** -1, {0: 1, 2: 2})
+    assert f * B.one() is f and B.one() * f is f and f * 1 is f
+    zero = B.zero()
+    assert f * zero is zero and zero * f is zero
+    assert (zero.num, zero.exps) == (UV.zero(), (0, 0, 0))
+    # a one that carries a denominator is multiplied out
+    g = FactoredFraction(B, u - v, (1, 0, 0))
+    assert (f * g).exps == (2, 0, 2) and frac_eq(f * g, f)
+
+
+def test_common_matches_the_written_out_products():
+    rng = random.Random(23)
+    for k in range(40):
+        x = _random_frac(rng)
+        y = _random_frac(rng)
+        if k % 2:  # every other pair shares its exponent vector
+            y = FactoredFraction(B, y.num, x.exps)
+        m = tuple(max(a, b) for a, b in zip(x.exps, y.exps))
+        want = (x.num * _written_power(B, [a - e for a, e in zip(m, x.exps)]),
+                y.num * _written_power(B, [a - e for a, e in zip(m, y.exps)]), m)
+        assert x._common(y) == want

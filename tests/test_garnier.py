@@ -89,6 +89,11 @@ def test_alpha2_differs_by_known_delta(line_ab):
     assert rep["alpha2"]["delta_vs_reference"] == "-2*y^1*a^1*lam0^1"
 
 
+def test_alphas_require_the_ab_chart(line_ac):
+    with pytest.raises(RestrictionError, match=r"\(a, b\) chart"):
+        alphas_report(line_ac)
+
+
 def test_lambda_zero_restriction_is_diagonal(quintic, line_ab):
     zero = {"lam0": 0, "lam1": 0}
     rest = restrict_to_line(specialize_connection(quintic, zero), mode="ab")

@@ -15,9 +15,10 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from quintic_garnier import connections  # noqa: E402
 from quintic_garnier.forms import RationalMap  # noqa: E402
 from quintic_garnier.fractions import (DenomBasis, FactoredFraction,  # noqa: E402
-                                       Substitution, eval_poly)
+                                       Substitution, eval_poly, serialize_frac)
 from quintic_garnier.ring import LaurentPoly, VarContext, exact_divide  # noqa: E402
 
 UV = VarContext(["u", "v"])
@@ -191,3 +192,30 @@ def test_substitution_matches_sympy():
             assert sym(got_x) - want_x == 0, (x, images)
             assert sym(phi.pull(p)) - want_p == 0, (p, images)
             assert sym(phi.pull(x)) - want_x == 0, (x, images)
+
+
+def test_catalog_flatness_matches_sympy():
+    """The curvature F = dx A_y - dy A_x + [A_x, A_y] of each catalog matrix
+    connection, read through ``serialize_frac`` into sympy, cancels to zero
+    exactly when ``connections.is_flat`` says the connection is flat."""
+    flat = set()
+    for build in (connections.flat_quintic2_connection,
+                  connections.flat_case1_connection,
+                  connections.case1_connection,
+                  connections.quintic2_matrix_connection,
+                  connections.quintic2_scaled_connection):
+        conn = build()
+        names = {n: sympy.Symbol(n) for n in conn.basis.ctx.names}
+
+        def entries(side):
+            return sympy.Matrix(2, 2, lambda i, j: sympy.sympify(
+                serialize_frac(getattr(conn.omega[i][j], side)).replace("^", "**"),
+                locals=names))
+        x, y = (names[n] for n in conn.base_vars)
+        Ax, Ay = entries("A"), entries("B")
+        F = Ay.diff(x) - Ax.diff(y) + Ax * Ay - Ay * Ax
+        vanishes = all(sympy.cancel(e) == 0 for e in F)
+        assert vanishes == connections.is_flat(conn), conn.name
+        if vanishes:
+            flat.add(conn.name)
+    assert flat == {"quintic2_flat", "case1_flat"}
