@@ -31,11 +31,14 @@ tuple of fifteen ids.  A coordinate a letter only permutes is a single
 variable of its map and its id is copied: σ1..σ3 change three coordinates
 and σ4 four, each a four-term polynomial of degree two.  A changed
 coordinate is memoized on the letter, the coordinate and the ids of the
-coordinates its polynomial reads; only a new input evaluates the
-polynomial, and its value is interned by its key.  The intermediate values
-of a word go into the same table.  The table and the memo live for one
-orbit.  :class:`OrbitResult` serializes each table value once and builds
-its trace tuples from the shared values.
+coordinates its polynomial reads, and on a miss on the expression it
+evaluates: its terms with each variable replaced by the id it reads.
+Different letters and coordinates meet the same expression, so only a new
+expression evaluates the polynomial, and its value is interned by its key;
+rho1's extended orbit evaluates 48.  The intermediate values of a word go
+into the same table.  The table and its memos live for one orbit.
+:class:`OrbitResult` serializes each table value once and builds its trace
+tuples from the shared values.
 
 Each word is followed by its inverse in the list of moves, and the closure
 computes only one edge of each reverse pair: once ``w`` takes ``t`` to

@@ -276,10 +276,12 @@ class FactoredFraction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # values are immutable, so a zero or unit operand is returned as is
-        if self.is_zero() or (other.num.is_one() and not any(other.exps)):
+        # values are immutable, so a zero or unit operand is returned as is;
+        # the exponents are tested first, as LaurentPoly.__mul__ tests the
+        # numerators for one again
+        if self.is_zero() or (not any(other.exps) and other.num.is_one()):
             return self
-        if other.is_zero() or (self.num.is_one() and not any(self.exps)):
+        if other.is_zero() or (not any(self.exps) and self.num.is_one()):
             return other
         return FactoredFraction(self.basis, self.num * other.num,
                                 tuple(map(add, self.exps, other.exps)))

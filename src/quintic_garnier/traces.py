@@ -25,7 +25,10 @@ can be applied one after another without a matrix.  Of the reductions the
 rewriting finds, the one with the fewest terms is kept.
 
 A map acts on ids into a :class:`ValueTable`, the distinct coordinate
-values of one orbit, and evaluates each entry once per distinct input.
+values of one orbit, and evaluates a changed coordinate once per distinct
+expression: its terms with each variable replaced by the id of its value.
+Different letters and coordinates keep meeting the same expression, so the
+table remembers it across maps.
 
 :mod:`~quintic_garnier.braids` imports this module when it derives its
 first letter map, so importing the package does not load it.
@@ -160,17 +163,25 @@ class ValueTable:
     An element is a tuple of fifteen ids into :attr:`values`.  A value is
     interned by its :meth:`~quintic_garnier.ring.LaurentPoly.key` once, when
     it is first computed; a key carries no variable context, so the values
-    of one table must share one, as those of one orbit do.  The memo
-    remembers the id a map entry gave for the ids of the coordinates it
-    reads, so each entry is evaluated once per distinct input.
+    of one table must share one, as those of one orbit do.
+
+    Two memos remember results by id.  :attr:`memo` maps a map entry and
+    the ids of the coordinates it reads to the id it gave; it is the one a
+    move looks up first.  :attr:`exprs` maps an expression, the entry's
+    terms with each variable replaced by the id it reads, to the id of its
+    value, so an entry is evaluated once per distinct expression, whatever
+    letter and coordinate it came from.  Ids name the interned values of
+    one context, so equal expressions have equal values, and a hit gives
+    the id that evaluating and interning would give.
     """
 
-    __slots__ = ("values", "memo", "_ids")
+    __slots__ = ("values", "memo", "exprs", "_ids")
 
     def __init__(self):
         self.values: list[LaurentPoly] = []
         self._ids: dict[tuple, int] = {}
         self.memo: dict[tuple, int] = {}
+        self.exprs: dict[tuple, int] = {}
 
     def intern(self, value: LaurentPoly) -> int:
         key = value.key()
@@ -190,9 +201,12 @@ class TraceMap:
     :data:`CTX_TRACE`.  Calling the map on an element of a
     :class:`ValueTable`, fifteen ids, gives the ids of its image.  A
     coordinate that is one variable is an id copy.  The others are compiled
-    once into terms for :func:`_evaluate`, which runs on the table's values
-    only when the table's memo has no id for the entry and the ids of the
-    coordinates it reads; its result is interned.
+    once into terms.  When the table's :attr:`~ValueTable.memo` has no id
+    for the entry and the ids of the coordinates it reads, the terms are
+    keyed by those ids, each term's ids sorted and then the terms sorted,
+    and looked up in :attr:`~ValueTable.exprs`; only an expression the
+    table has not met runs :func:`_evaluate` on its values, and the result
+    is interned.
     """
 
     __slots__ = ("polys", "_copy", "_changed")
@@ -217,8 +231,14 @@ class TraceMap:
             key = (self, k, reads(ids))
             i = memo.get(key)
             if i is None:
-                values = table.values
-                i = memo[key] = table.intern(_evaluate(terms, [values[j] for j in ids]))
+                read = ids.__getitem__
+                expr = tuple(sorted([(tuple(sorted(map(read, idx))), c) for c, idx in terms]))
+                i = table.exprs.get(expr)
+                if i is None:
+                    values = table.values
+                    i = table.exprs[expr] = table.intern(
+                        _evaluate(terms, [values[j] for j in ids]))
+                memo[key] = i
             image[k] = i
         return tuple(image)
 

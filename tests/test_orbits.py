@@ -437,6 +437,44 @@ def test_carried_keys_match_recomputed_traces_on_random_walks():
                 ids = rng.choice([move(ids) for _, move in moves])
 
 
+def _assert_expression_memo_exact(rho, words, cutoff):
+    """Close the orbit of ``rho`` under ``words`` on a table of its own, then
+    expand every expression the table memoized, ``sum c * prod values[id]``,
+    with plain ring arithmetic: each must equal the value its id names."""
+    table = ValueTable()
+    start = _intern(table, trace_coordinates(rho))
+    closure(start, _trace_moves(words, table), cutoff)
+    assert table.exprs and set(table.memo.values()) <= set(table.exprs.values())
+    ctx = rho.ctx
+    for expr, i in table.exprs.items():
+        want = ctx.zero()
+        for ids, c in expr:
+            term = ctx.const(c)
+            for j in ids:
+                term = term * table.values[j]
+            want = want + term
+        assert table.values[i] == want, expr
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["catalog", "conjugate"])
+@pytest.mark.parametrize("name", ["rho1", "rho2", "rho3", "rho4"])
+def test_expression_memo_matches_reevaluation_on_orbits(name, conjugated):
+    rho = builtin_family(name).rep
+    if conjugated:
+        rho = rho.conjugate_by(random_unipotent(random.Random(name), rho.ctx))
+    _assert_expression_memo_exact(rho, SPHERICAL, 10000)
+    _assert_expression_memo_exact(rho, pure_generators(), 1000)
+
+
+def test_expression_memo_matches_reevaluation_over_extension():
+    fam = builtin_family("gamma3_finite")
+    a, b = fam.assignment["a"], fam.assignment["b"]
+    rho = RepTuple(a, b, a * b, b * a * b)
+    assert rho.ctx is CTX_ROOT
+    _assert_expression_memo_exact(rho, SPHERICAL, 30)
+    _assert_expression_memo_exact(rho, pure_generators(), 1000)
+
+
 @pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])
 def test_compiled_terms_match_evaluate(ctx):
     """Compiled terms evaluate as :func:`ring.evaluate` does, for polynomials
@@ -547,23 +585,30 @@ def test_orbits_compute_one_edge_of_each_reverse_pair(monkeypatch):
     assert (len(calls), edges) == (2176, 4352)
 
 
-def test_orbit_memo_evaluates_each_entry_once_per_distinct_input(monkeypatch):
-    """An extended orbit evaluates a letter-map entry once per distinct ids
-    of the coordinates it reads, and its elements share the few distinct
-    values of its table."""
+def test_orbit_memo_evaluates_each_entry_once_per_distinct_expression(monkeypatch):
+    """An orbit evaluates a letter-map entry once per distinct expression it
+    reads, its terms in the ids of their values, whatever letter and
+    coordinate it came from; its elements share the few distinct values of
+    its table."""
     calls = []
     evaluate = traces._evaluate
     monkeypatch.setattr(traces, "_evaluate",
                         lambda terms, values: calls.append(terms) or evaluate(terms, values))
     got = {}
     for name in ("rho1", "rho2", "rho3", "rho4"):
+        rho = builtin_family(name).rep
         calls.clear()
-        res = extended_orbit(builtin_family(name).rep)
+        res = extended_orbit(rho)
         assert res.status == "closed"
         values = [v for e in res.elements for v in e.values]
         assert len({id(v) for v in values}) == len(set(values))
         got[name] = (len(calls), len(set(values)))
-    assert got == {"rho1": (1431, 14), "rho2": (854, 9), "rho3": (716, 8), "rho4": (308, 5)}
+        calls.clear()
+        res = orbit(rho, pure_generators())
+        assert res.status == "closed"
+        got[f"pure {name}"] = len(calls)
+    assert got == {"rho1": (48, 14), "rho2": (29, 9), "rho3": (27, 8), "rho4": (13, 5),
+                   "pure rho1": 37, "pure rho2": 27, "pure rho3": 21, "pure rho4": 12}
 
 
 LETTER_NAMES = {x: f"s{abs(x)}" + ("^-1" if x < 0 else "") for x in LETTERS}
