@@ -29,14 +29,14 @@ An orbit fills its slots with few distinct values: rho1's 240 elements hold
 coordinate values numbered as they are first seen, and an element is a
 tuple of fifteen ids.  A coordinate a letter only permutes is a single
 variable of its map and its id is copied: σ1..σ3 change three coordinates
-and σ4 four, each a four-term polynomial of degree two.  A changed
-coordinate is memoized on the letter, the coordinate and the ids of the
-coordinates its polynomial reads, and on a miss on the expression it
-evaluates: its terms with each variable replaced by the id it reads.
-Different letters and coordinates meet the same expression, so only a new
-expression evaluates the polynomial, and its value is interned by its key;
-rho1's extended orbit evaluates 48.  The intermediate values of a word go
-into the same table.  The table and its memos live for one orbit.
+and σ4 four, each the quadratic ``x3 x4 + x5 x6 - x1 x2 - x0`` in seven
+coordinates, its roles.  The table's one memo is keyed by the ids of the
+seven roles in canonical form, each pair ordered and then the two positive
+pairs, so it does not depend on the letter or the coordinate.  Different
+letters and coordinates meet the same key, so only a new key evaluates the
+quadratic, and its value is interned by its key; rho1's extended orbit
+evaluates 48.  The intermediate values of a word go into the same table.
+The table and its memo live for one orbit.
 :class:`OrbitResult` serializes each table value once and builds its trace
 tuples from the shared values.
 

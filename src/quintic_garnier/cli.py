@@ -177,7 +177,11 @@ def cmd_orbit(args) -> int:
         checks.append(ok("expected_size", len(res) == expected,
                          f"size={len(res)}, expected={expected}{note}"))
     if args.out:
-        res.write(args.out)
+        try:
+            res.write(args.out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     rc = emit("orbit", {"family": name, "mode": "extended" if args.extended
                         else "pure", "cutoff": res.cutoff, "at": args.at or None},
               {"size": len(res), "status": res.status}, checks, started,

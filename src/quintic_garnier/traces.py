@@ -24,11 +24,19 @@ a checked tuple to those of its image, which is again unimodular, so maps
 can be applied one after another without a matrix.  Of the reductions the
 rewriting finds, the one with the fewest terms is kept.
 
-A map acts on ids into a :class:`ValueTable`, the distinct coordinate
-values of one orbit, and evaluates a changed coordinate once per distinct
-expression: its terms with each variable replaced by the id of its value.
-Different letters and coordinates keep meeting the same expression, so the
-table remembers it across maps.
+Every coordinate a letter changes reduces to one quadratic,
+
+    x3 x4 + x5 x6 - x1 x2 - x0,
+
+in seven coordinates, its roles: the SL2 identity
+``tr(A B A^-1 C) = tr A tr(ABC) + tr B tr C - tr(AB) tr(AC) - tr(BC)``
+(Goldman, "Trace coordinates on Fricke spaces of some simple hyperbolic
+surfaces", 2009; Magnus, Math. Z. 170, 1980).  A map reads the roles of
+each changed coordinate once, and refuses an entry of any other shape.  It
+acts on ids into a :class:`ValueTable`, the distinct coordinate values of
+one orbit, and evaluates a quadratic once per canonical tuple of the seven
+ids it reads.  Different letters and coordinates keep meeting the same
+tuple, so the table remembers it across maps.
 
 :mod:`~quintic_garnier.braids` imports this module when it derives its
 first letter map, so importing the package does not load it.
@@ -39,7 +47,7 @@ from __future__ import annotations
 from operator import add, itemgetter
 from typing import Sequence
 
-from .ring import LaurentPoly, VarContext, _co, _from_acc
+from .ring import LaurentPoly, VarContext, _co, _from_acc, serialize_poly
 from .sl2 import GroupWord
 
 TRACE_NAMES = ("t1", "t2", "t3", "t4", "t5", "r12", "r13", "r14", "r23", "r24",
@@ -165,23 +173,20 @@ class ValueTable:
     it is first computed; a key carries no variable context, so the values
     of one table must share one, as those of one orbit do.
 
-    Two memos remember results by id.  :attr:`memo` maps a map entry and
-    the ids of the coordinates it reads to the id it gave; it is the one a
-    move looks up first.  :attr:`exprs` maps an expression, the entry's
-    terms with each variable replaced by the id it reads, to the id of its
-    value, so an entry is evaluated once per distinct expression, whatever
-    letter and coordinate it came from.  Ids name the interned values of
-    one context, so equal expressions have equal values, and a hit gives
+    :attr:`memo` maps the ids of the seven roles of a changed coordinate,
+    in the canonical form of :func:`_memo_key`, to the id of its value, so
+    a quadratic is evaluated once per canonical tuple, whatever letter and
+    coordinate it came from.  Ids name the interned values of one context,
+    so tuples with one canonical form have equal values, and a hit gives
     the id that evaluating and interning would give.
     """
 
-    __slots__ = ("values", "memo", "exprs", "_ids")
+    __slots__ = ("values", "memo", "_ids")
 
     def __init__(self):
         self.values: list[LaurentPoly] = []
         self._ids: dict[tuple, int] = {}
         self.memo: dict[tuple, int] = {}
-        self.exprs: dict[tuple, int] = {}
 
     def intern(self, value: LaurentPoly) -> int:
         key = value.key()
@@ -200,12 +205,12 @@ class TraceMap:
     ``images`` (words over d1..d4), reduced to a polynomial over
     :data:`CTX_TRACE`.  Calling the map on an element of a
     :class:`ValueTable`, fifteen ids, gives the ids of its image.  A
-    coordinate that is one variable is an id copy.  The others are compiled
-    once into terms.  When the table's :attr:`~ValueTable.memo` has no id
-    for the entry and the ids of the coordinates it reads, the terms are
-    keyed by those ids, each term's ids sorted and then the terms sorted,
-    and looked up in :attr:`~ValueTable.exprs`; only an expression the
-    table has not met runs :func:`_evaluate` on its values, and the result
+    coordinate that is one variable is an id copy.  Every other one must be
+    ``x3 x4 + x5 x6 - x1 x2 - x0`` in seven coordinates, its roles, or the
+    constructor raises :class:`ValueError`.  A changed coordinate reads the
+    ids of its roles, puts them in canonical form (:func:`_memo_key`) and
+    looks them up in the table's :attr:`~ValueTable.memo`; only a tuple the
+    table has not met runs :func:`_quadratic` on its values, and the result
     is interned.
     """
 
@@ -217,70 +222,78 @@ class TraceMap:
         subst = [tuple(_GENERATORS[sym] * e for sym, e in w.letters) for w in images]
         self.polys = tuple(_trace(tuple(x for i in w for x in subst[i - 1]))
                            for w in _COORDINATE_LETTERS)
-        entries = [_compile(p) for p in self.polys]
+        entries = [_roles(k, p) for k, p in enumerate(self.polys)]
         # every coordinate is copied first, a changed one from t1, then overwritten
         self._copy = itemgetter(*(e if e.__class__ is int else 0 for e in entries))
-        # (coordinate, the ids it reads as a memo key, compiled terms)
-        self._changed = tuple((k, itemgetter(*sorted({i for _, idx in e for i in idx})), e)
-                              for k, e in enumerate(entries) if e.__class__ is not int)
+        # (coordinate, the ids of its seven roles)
+        self._changed = tuple((k, itemgetter(*e)) for k, e in enumerate(entries)
+                              if e.__class__ is not int)
 
     def __call__(self, ids: tuple, table: ValueTable) -> tuple:
         image = list(self._copy(ids))
         memo = table.memo
-        for k, reads, terms in self._changed:
-            key = (self, k, reads(ids))
+        for k, roles in self._changed:
+            key = _memo_key(*roles(ids))
             i = memo.get(key)
             if i is None:
-                read = ids.__getitem__
-                expr = tuple(sorted([(tuple(sorted(map(read, idx))), c) for c, idx in terms]))
-                i = table.exprs.get(expr)
-                if i is None:
-                    values = table.values
-                    i = table.exprs[expr] = table.intern(
-                        _evaluate(terms, [values[j] for j in ids]))
-                memo[key] = i
+                values = table.values
+                i = memo[key] = table.intern(_quadratic([values[j] for j in key]))
             image[k] = i
         return tuple(image)
 
 
-def _compile(p: LaurentPoly):
-    """The index of the variable ``p`` is, or else the terms of ``p`` as
-    ``(coefficient, variable indices)``, each index repeated as often as its
-    exponent (a reduction has no negative exponent)."""
-    terms = tuple((c, tuple(i for i, e in enumerate(exps) for _ in range(e)))
-                  for exps, c in p.key())
-    if len(terms) == 1 and terms[0][0] == 1 and len(terms[0][1]) == 1:
-        return terms[0][1][0]
-    return terms
+def _roles(k: int, p: LaurentPoly):
+    """The index of the variable ``p`` is, or else the indices
+    ``(x0, x1, .., x6)`` with ``p = x3 x4 + x5 x6 - x1 x2 - x0``, read off
+    its terms: the one linear term is x0, the negative product x1 x2, and
+    the positive products the rest.  Any other shape raises, naming
+    coordinate ``k``."""
+    # terms by (coefficient, degree), each as its variable indices repeated
+    # by exponent; a negative exponent has no degree
+    parts: dict[tuple, list] = {}
+    for exps, c in p.terms.items():
+        idx = tuple(i for i, e in enumerate(exps) for _ in range(e))
+        parts.setdefault((c, len(idx) if min(exps) >= 0 else None), []).append(idx)
+    if list(parts) == [(1, 1)] and len(p.terms) == 1:
+        return parts[1, 1][0][0]
+    if {s: len(ts) for s, ts in parts.items()} != {(-1, 1): 1, (-1, 2): 1, (1, 2): 2}:
+        raise ValueError(f"letter-map entry {TRACE_NAMES[k]} = {serialize_poly(p)} "
+                         "is not x3*x4 + x5*x6 - x1*x2 - x0")
+    ((x0,),), ((x1, x2),), ((x3, x4), (x5, x6)) = parts[-1, 1], parts[-1, 2], parts[1, 2]
+    return x0, x1, x2, x3, x4, x5, x6
 
 
-def _evaluate(terms: tuple, values: Sequence[LaurentPoly]) -> LaurentPoly:
-    """Compiled terms at ``values``, summed into one accumulator, not into a
-    new value per partial sum as :func:`~quintic_garnier.ring.evaluate`
-    does.  For a term ``c * x_1 ... x_k`` the first k - 1 factors are
-    multiplied as values, and the terms of the last one are multiplied
-    straight into the accumulator."""
-    ctx = values[0].ctx
+def _memo_key(x0: int, x1: int, x2: int, x3: int, x4: int, x5: int, x6: int) -> tuple:
+    """The ids of the seven roles in canonical form under the sixteen
+    symmetries of the quadratic, which swap the factors of each product and
+    the two positive products: each pair ordered, then the positive pairs
+    ordered."""
+    if x1 > x2:
+        x1, x2 = x2, x1
+    if x3 > x4:
+        x3, x4 = x4, x3
+    if x5 > x6:
+        x5, x6 = x6, x5
+    if (x5, x6) < (x3, x4):
+        return x0, x1, x2, x5, x6, x3, x4
+    return x0, x1, x2, x3, x4, x5, x6
+
+
+def _quadratic(v: Sequence[LaurentPoly]) -> LaurentPoly:
+    """``v3 v4 + v5 v6 - v1 v2 - v0`` for the values ``v`` of the seven
+    roles, summed into one accumulator: the term products go straight into
+    it, and no value is built for a product or a partial sum."""
     acc: dict = {}
-    for c, idx in terms:
-        last = values[idx[-1]] if idx else ctx.one()
-        if not last.terms:
-            continue
-        # c times the first k - 1 factors; None stands for no exponents
-        head = ((None, c),)
-        if len(idx) > 1:
-            p = values[idx[0]]
-            for i in idx[1:-1]:
-                p = p * values[i]
-            if not p.terms:
-                continue
-            head = [(e, c * x) for e, x in p.terms.items()]
-        for ea, ca in head:
-            for eb, cb in last.terms.items():
-                e = eb if ea is None else tuple(map(add, ea, eb))
+    one = v[0].ctx.one()
+    for sign, a, b in ((1, v[3], v[4]), (1, v[5], v[6]), (-1, v[1], v[2]), (-1, v[0], one)):
+        b_terms = b.terms.items()
+        for ea, ca in a.terms.items():
+            ca = sign * ca
+            for eb, cb in b_terms:
+                e = tuple(map(add, ea, eb))
                 s = acc.get(e, 0) + ca * cb
                 if s:
                     acc[e] = _co(s)
                 else:
                     del acc[e]
-    return _from_acc(ctx, acc)
+    return _from_acc(one.ctx, acc)

@@ -58,6 +58,15 @@ def test_orbit_unknown_family_is_usage_error(capsys):
     assert rc == 3
 
 
+def test_orbit_out_to_unwritable_path_is_usage_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    rc = main(["orbit", "rho1", "--extended", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert not out.parent.exists()
+
+
 def test_compare_membership(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     rc, _ = run_cli(capsys, "orbit", "rho2", "--extended", "--out", str(a))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quintic_garnier import braids, ring, traces
+from quintic_garnier import braids, traces
 from quintic_garnier.braids import (BraidWord, OrbitResult, _letter_map,
                                     _trace_moves, braid_act, center_check,
                                     extended_orbit, full_twist, orbit,
@@ -20,9 +20,9 @@ from quintic_garnier.braids import (BraidWord, OrbitResult, _letter_map,
 from quintic_garnier.families import CTX_ROOT, CTX_S, CTX_UV, builtin_family
 from quintic_garnier.reps import RepTuple, TraceTuple, trace_coordinates
 from quintic_garnier.ring import LaurentPoly, VarContext
-from quintic_garnier.sl2 import Mat2, closure
-from quintic_garnier.traces import (CTX_TRACE, TRACE_NAMES, ValueTable, _compile,
-                                      _evaluate)
+from quintic_garnier.sl2 import GroupWord, Mat2, closure
+from quintic_garnier.traces import (CTX_TRACE, TRACE_NAMES, TraceMap, ValueTable,
+                                      _memo_key, _quadratic)
 from listings import EXTENDED_SIZES, LISTINGS, random_rep_tuple, random_unipotent
 
 u, v = CTX_UV.var("u"), CTX_UV.var("v")
@@ -439,21 +439,18 @@ def test_carried_keys_match_recomputed_traces_on_random_walks():
 
 def _assert_expression_memo_exact(rho, words, cutoff):
     """Close the orbit of ``rho`` under ``words`` on a table of its own, then
-    expand every expression the table memoized, ``sum c * prod values[id]``,
-    with plain ring arithmetic: each must equal the value its id names."""
+    expand the quadratic of every key the table memoized,
+    ``v3 v4 + v5 v6 - v1 v2 - v0`` with ``v = values[id]``, with plain ring
+    arithmetic: each must equal the value its id names.  Every key is in
+    canonical form."""
     table = ValueTable()
     start = _intern(table, trace_coordinates(rho))
     closure(start, _trace_moves(words, table), cutoff)
-    assert table.exprs and set(table.memo.values()) <= set(table.exprs.values())
-    ctx = rho.ctx
-    for expr, i in table.exprs.items():
-        want = ctx.zero()
-        for ids, c in expr:
-            term = ctx.const(c)
-            for j in ids:
-                term = term * table.values[j]
-            want = want + term
-        assert table.values[i] == want, expr
+    assert table.memo
+    for key, i in table.memo.items():
+        assert _memo_key(*key) == key
+        v0, v1, v2, v3, v4, v5, v6 = (table.values[j] for j in key)
+        assert table.values[i] == v3 * v4 + v5 * v6 - v1 * v2 - v0, key
 
 
 @pytest.mark.parametrize("conjugated", [False, True], ids=["catalog", "conjugate"])
@@ -475,42 +472,84 @@ def test_expression_memo_matches_reevaluation_over_extension():
     _assert_expression_memo_exact(rho, pure_generators(), 1000)
 
 
+def _random_value(rng, ctx):
+    """A sum of up to three random monomials with fractional coefficients,
+    zero included."""
+    return sum((ctx.monomial(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                             {n: rng.randint(-2, 2) for n in ctx.names})
+                for _ in range(rng.randint(0, 3))), ctx.zero())
+
+
+def _quadratic_by_ring(v):
+    return v[3] * v[4] + v[5] * v[6] - v[1] * v[2] - v[0]
+
+
 @pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])
-def test_compiled_terms_match_evaluate(ctx):
-    """Compiled terms evaluate as :func:`ring.evaluate` does, for polynomials
-    with constant terms, powers up to three and fractional coefficients, at
-    values that include zero and values whose terms cancel."""
+def test_quadratic_matches_ring_arithmetic(ctx):
+    """The one-accumulator quadratic equals ``v3 v4 + v5 v6 - v1 v2 - v0``
+    in ring arithmetic, at values that include zero and values whose terms
+    cancel, and a zero result is zero."""
     rng = random.Random(89)
-    xyz = VarContext(["x", "y", "z"])
-
-    def value():
-        return sum((ctx.monomial(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
-                                 {n: rng.randint(-2, 2) for n in ctx.names})
-                    for _ in range(rng.randint(0, 3))), ctx.zero())
-
-    def lift(c):
-        return c if isinstance(c, LaurentPoly) else ctx.const(c)
     for k in range(150):
-        p = LaurentPoly(xyz, {tuple(rng.randint(0, 3) for _ in range(3)):
-                              Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                              for _ in range(rng.randint(0, 4))})
-        values = [value() for _ in range(3)]
-        if k >= 100:  # z = -x, so that terms cancel
-            values[2] = -values[0]
-        entry = _compile(p)
-        got = values[entry] if isinstance(entry, int) else _evaluate(entry, values)
-        assert got == ring.evaluate(p, dict(zip(xyz.names, values)), ctx, lift)
-    # a zero result, from zero factors or from cancelling terms, is zero
-    x, y, z = (xyz.var(n) for n in xyz.names)
-    one, z1, z2 = ctx.one(), ctx.zero(), ctx.zero()
-    assert _evaluate(_compile(x * y - z), [z1, one, z1]).is_zero()
-    assert _evaluate(_compile(x * y - z), [z1, one, z2]).is_zero()
-    w = value() + 1
-    assert _evaluate(_compile(x - y + z * x), [w, w, z2]).is_zero()
-    assert _evaluate(_compile(x * y - z), [w, w, w * w]).is_zero()
+        v = [_random_value(rng, ctx) for _ in range(7)]
+        if k >= 100:  # v5 v6 = -v3 v4, so that the positive products cancel
+            v[5], v[6] = -v[3], v[4]
+        assert _quadratic(v) == _quadratic_by_ring(v)
+    one, z = ctx.one(), ctx.zero()
+    w = _random_value(rng, ctx) + 1
+    # zero factors
+    assert _quadratic([z, z, one, one, z, z, w]).is_zero()
+    # cancelling terms: w w - w^2, and w w + w w - (2w) w
+    assert _quadratic([w * w, z, z, w, w, z, z]).is_zero()
+    assert _quadratic([z, w + w, w, w, w, w, w]).is_zero()
     if ctx is CTX_ROOT:  # r*r + r + 1 cancels only once r^2 is reduced
         r = ctx.var("r")
-        assert _evaluate(_compile(x * y + x + z + 1), [r, r, z2]).is_zero()
+        assert _quadratic([-one, z, z, r, r, r, one]).is_zero()
+
+
+SYMMETRIES = [(0, *n, *a, *b) for n in ((1, 2), (2, 1))
+              for p, q in (((3, 4), (5, 6)), ((5, 6), (3, 4)))
+              for a in (p, p[::-1]) for b in (q, q[::-1])]
+"""The sixteen role permutations that fix the quadratic: swap the factors of
+each product, and the two positive products."""
+
+
+def test_memo_key_is_canonical_under_the_sixteen_symmetries():
+    """Role ids related by a symmetry of the quadratic have one memo key and
+    one value; the key is itself one of them, so ids related by no symmetry
+    have different keys."""
+    assert len(set(SYMMETRIES)) == 16
+    rng = random.Random(97)
+    values = [_random_value(rng, CTX_UV) for _ in range(6)]
+    for _ in range(200):
+        ids = tuple(rng.randrange(6) for _ in range(7))
+        images = {tuple(ids[j] for j in g) for g in SYMMETRIES}
+        key = _memo_key(*ids)
+        assert key in images
+        assert {_memo_key(*x) for x in images} == {key}
+        want = _quadratic_by_ring([values[j] for j in ids])
+        assert all(_quadratic([values[j] for j in x]) == want for x in images)
+
+
+def test_quadratic_is_the_sl2_trace_identity():
+    """tr(A B A^-1 C) = tr A tr(ABC) + tr B tr C - tr(AB) tr(AC) - tr(BC),
+    exactly, for generic unimodular A, B, C: ``[[a, b], [c, a^-1 (1 + b c)]]``
+    over nine Laurent variables."""
+    ctx = VarContext([f"{x}{i}" for i in (1, 2, 3) for x in "abc"])
+
+    def generic(i):
+        a, b, c = (ctx.var(f"{x}{i}") for x in "abc")
+        return Mat2(a, b, c, ctx.monomial(1, {f"a{i}": -1}) * (1 + b * c))
+    A, B, C = (generic(i) for i in (1, 2, 3))
+    tr = Mat2.trace
+    assert tr(A * B * A.inverse() * C) == (tr(A) * tr(A * B * C) + tr(B) * tr(C)
+                                           - tr(A * B) * tr(A * C) - tr(B * C))
+
+
+def test_trace_map_refuses_an_entry_of_another_shape():
+    d1, d2, d3, d4 = (GroupWord.gen(f"d{i}") for i in (1, 2, 3, 4))
+    with pytest.raises(ValueError, match=r"letter-map entry t1 = .* is not x3\*x4"):
+        TraceMap([d1 * d1, d2, d3, d4])
 
 
 def test_letter_maps_copy_what_a_move_permutes():
@@ -586,14 +625,15 @@ def test_orbits_compute_one_edge_of_each_reverse_pair(monkeypatch):
 
 
 def test_orbit_memo_evaluates_each_entry_once_per_distinct_expression(monkeypatch):
-    """An orbit evaluates a letter-map entry once per distinct expression it
-    reads, its terms in the ids of their values, whatever letter and
-    coordinate it came from; its elements share the few distinct values of
-    its table."""
-    calls = []
-    evaluate = traces._evaluate
-    monkeypatch.setattr(traces, "_evaluate",
-                        lambda terms, values: calls.append(terms) or evaluate(terms, values))
+    """An orbit evaluates a letter-map entry once per canonical tuple of the
+    ids its roles read, whatever letter and coordinate it came from, and its
+    memo holds one key per evaluation; its elements share the few distinct
+    values of its table."""
+    calls, tables = [], []
+    quadratic, trace_moves = traces._quadratic, braids._trace_moves
+    monkeypatch.setattr(traces, "_quadratic", lambda v: calls.append(v) or quadratic(v))
+    monkeypatch.setattr(braids, "_trace_moves",
+                        lambda words, table: tables.append(table) or trace_moves(words, table))
     got = {}
     for name in ("rho1", "rho2", "rho3", "rho4"):
         rho = builtin_family(name).rep
@@ -602,13 +642,14 @@ def test_orbit_memo_evaluates_each_entry_once_per_distinct_expression(monkeypatc
         assert res.status == "closed"
         values = [v for e in res.elements for v in e.values]
         assert len({id(v) for v in values}) == len(set(values))
-        got[name] = (len(calls), len(set(values)))
+        got[name] = (len(calls), len(tables.pop().memo), len(set(values)))
         calls.clear()
         res = orbit(rho, pure_generators())
         assert res.status == "closed"
-        got[f"pure {name}"] = len(calls)
-    assert got == {"rho1": (48, 14), "rho2": (29, 9), "rho3": (27, 8), "rho4": (13, 5),
-                   "pure rho1": 37, "pure rho2": 27, "pure rho3": 21, "pure rho4": 12}
+        got[f"pure {name}"] = (len(calls), len(tables.pop().memo))
+    assert got == {"rho1": (48, 48, 14), "rho2": (29, 29, 9), "rho3": (27, 27, 8),
+                   "rho4": (13, 13, 5), "pure rho1": (37, 37), "pure rho2": (27, 27),
+                   "pure rho3": (21, 21), "pure rho4": (12, 12)}
 
 
 LETTER_NAMES = {x: f"s{abs(x)}" + ("^-1" if x < 0 else "") for x in LETTERS}
