@@ -12,14 +12,15 @@ computed; equality is decided by cross-multiplication.
 Declared factors are divided out in one loop, :meth:`DenomBasis.divide_out`:
 :meth:`DenomBasis.factor_over` runs it unbounded, and
 :meth:`FactoredFraction.reduce` runs it bounded by the denominator exponents.
-Each basis keeps three memos.  The complete factorizations that
+Each basis keeps four memos.  The complete factorizations that
 :meth:`factor_over` found, keyed by the polynomial, so a pullback that
 inverts the same image of a factor again divides nothing (a residual is not
-stored and raises again on every call), and the products that
-:meth:`DenomBasis.power` built, keyed by the exponent vector: at most
-:data:`FACTOR_MEMO_CAP` of each per basis.  The factors' partial derivatives,
-:meth:`DenomBasis.partials`, keyed by the variable, so bounded by the
-context's variables.
+stored and raises again on every call); the products that
+:meth:`DenomBasis.power` built, keyed by the exponent vector; and the basis
+part of the quotient rule, :meth:`DenomBasis.quotient_rule`, keyed by the
+variable and the exponent vector: at most :data:`FACTOR_MEMO_CAP` of each
+per basis.  The factors' partial derivatives, :meth:`DenomBasis.partials`,
+keyed by the variable, so bounded by the context's variables.
 
 Substitution is one kernel, :class:`Substitution`.  It resolves the images
 once by :func:`ring.resolve_images`, the policy that :func:`ring.evaluate`
@@ -58,11 +59,13 @@ class DenomBasis:
 
     Factors must be non-monomial (units are handled by Laurent exponents)
     and pairwise non-associate; irreducibility is the caller's promise.
-    Memos: ``_factored`` and ``_powers``, at most :data:`FACTOR_MEMO_CAP`
-    entries each, and ``_partials``, one tuple per variable.
+    Memos: ``_factored``, ``_powers`` and ``_rules``, at most
+    :data:`FACTOR_MEMO_CAP` entries each, and ``_partials``, one tuple per
+    variable.
     """
 
-    __slots__ = ("ctx", "factors", "names", "_factored", "_powers", "_partials")
+    __slots__ = ("ctx", "factors", "names", "_factored", "_powers", "_partials",
+                 "_rules")
 
     def __init__(self, ctx: VarContext, factors: Sequence[LaurentPoly],
                  names: Optional[Sequence[str]] = None):
@@ -78,6 +81,8 @@ class DenomBasis:
         self._factored: dict[LaurentPoly, tuple[LaurentPoly, tuple[int, ...]]] = {}
         self._powers: dict[tuple[int, ...], LaurentPoly] = {}
         self._partials: dict[str, tuple[LaurentPoly, ...]] = {}
+        self._rules: dict[tuple[str, tuple[int, ...]], Optional[
+            tuple[LaurentPoly, LaurentPoly, tuple[int, ...]]]] = {}
 
     def __eq__(self, other):
         return self is other or (isinstance(other, DenomBasis)
@@ -191,6 +196,37 @@ class DenomBasis:
             hit = self._partials[name] = tuple(f.derivative(name)
                                                for f in self.factors)
         return hit
+
+    def quotient_rule(self, name: str, exps: tuple[int, ...]
+                      ) -> Optional[tuple[LaurentPoly, LaurentPoly, tuple[int, ...]]]:
+        """The part of the quotient rule by ``name`` that the denominator
+        ``prod(f_i^e_i)`` fixes, derived once per ``(name, exps)``.
+
+        With ``P`` the factors that contribute (positive exponent, nonzero
+        partial), returns ``(F, S, bumped)``: ``F = prod_P f_i``, ``S =
+        sum_{i in P} e_i df_i prod_{P - i} f_j`` and ``exps`` with ``+1`` on
+        each factor of ``P``; ``None`` when ``P`` is empty.
+        """
+        key = (name, exps)
+        if key in self._rules:
+            return self._rules[key]
+        partials = self.partials(name)
+        mask = tuple(1 if e and df else 0 for e, df in zip(exps, partials))
+        rule = None
+        if any(mask):
+            present = [i for i, m in enumerate(mask) if m]
+            acc: dict[Exponents, Rat] = {}
+            for i in present:
+                t = partials[i]
+                for j in present:
+                    if j != i:
+                        t = t * self.factors[j]
+                _add_into(acc, t, exps[i])
+            rule = (self.power(mask), LaurentPoly(self.ctx, acc, _normalized=True),
+                    tuple(map(add, exps, mask)))
+        if len(self._rules) < FACTOR_MEMO_CAP:
+            self._rules[key] = rule
+        return rule
 
 
 class FactoredFraction:
@@ -342,35 +378,24 @@ class FactoredFraction:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, name: str) -> "FactoredFraction":
-        """Quotient rule over one denominator.
+        """Quotient rule over one denominator: ``(dn F - n S) / bumped``.
 
-        With ``P`` the factors that contribute a term (positive exponent,
-        nonzero derivative), the result is ``dn * prod_P f_i - sum_{i in P}
-        e_i n df_i prod_{P - i} f_j`` over the denominator with ``e_i + 1``
-        on each factor of ``P``, summed into one accumulator.
+        ``dn`` is the numerator's partial; ``F``, ``S`` and the ``bumped``
+        exponents come from :meth:`DenomBasis.quotient_rule`, so a call
+        makes two products, summed into one accumulator.
         """
         if self.is_zero():
             return self
         dn = self.num.derivative(name)
-        present = [(i, f, df) for i, (f, e, df) in
-                   enumerate(zip(self.basis.factors, self.exps,
-                                 self.basis.partials(name)))
-                   if e and df]
-        if not present:
+        rule = self.basis.quotient_rule(name, self.exps)
+        if rule is None:
             return FactoredFraction(self.basis, dn, self.exps)
+        prod_p, sum_p, bumped = rule
         acc: dict[Exponents, Rat] = {}
-        exps = list(self.exps)
-        for i, f, df in present:
-            exps[i] += 1
-            dn = dn * f
-            t = self.num * df
-            for j, g, _ in present:
-                if j != i:
-                    t = t * g
-            _add_into(acc, t, -self.exps[i])
-        _add_into(acc, dn)
+        _add_into(acc, dn * prod_p)
+        _add_into(acc, self.num * sum_p, -1)
         return FactoredFraction(self.basis, LaurentPoly(self.ctx, acc, _normalized=True),
-                                tuple(exps))
+                                bumped)
 
 
 def _add_into(acc: dict[Exponents, Rat], p: LaurentPoly, scale: Rat = 1) -> None:

@@ -17,6 +17,8 @@ UV = VarContext(["u", "v"])
 u = UV.var("u")
 v = UV.var("v")
 B = DenomBasis(UV, [u - v, u + v, v - 1], names=["u-v", "u+v", "v-1"])
+# six factors, as the connections benchmark's law cases use
+BUV = DenomBasis(UV, [u - 1, u + 1, v - 1, v + 1, u - v, u + v])
 
 
 def test_factorization_identity():
@@ -249,6 +251,90 @@ def test_power_memo_stops_growing_at_its_cap(monkeypatch):
         for exps in itertools.product(range(3), repeat=3):
             assert memo.power(exps) == _written_power(B, exps)
     assert len(memo._powers) == 4
+
+
+def _loop_derivative(x, name):
+    """The quotient rule as one loop over the contributing factors, a frozen
+    copy of ``FactoredFraction.derivative`` before the basis part was
+    remembered per exponent vector, summed by plain ring arithmetic."""
+    if x.is_zero():
+        return x
+    dn = x.num.derivative(name)
+    present = [(i, f, df) for i, (f, e) in enumerate(zip(x.basis.factors, x.exps))
+               for df in [f.derivative(name)] if e and df]
+    exps = list(x.exps)
+    out = x.ctx.zero()
+    for i, f, df in present:
+        exps[i] += 1
+        dn = dn * f
+        t = x.num * df
+        for j, g, _ in present:
+            if j != i:
+                t = t * g
+        out = out - x.exps[i] * t
+    return FactoredFraction(x.basis, out + dn, tuple(exps))
+
+
+def test_derivative_matches_the_loop_it_replaced():
+    rng = random.Random(24)
+    for factors in (B.factors, BUV.factors):
+        memo = DenomBasis(UV, factors)
+        cases = [FactoredFraction(memo, _random_frac(rng).num,
+                                  tuple(rng.randint(0, 3) for _ in factors))
+                 for _ in range(40)]
+        # a constant numerator, and v - 1 (index 2 in both bases) alone,
+        # whose partial by u is zero
+        rest = len(factors) - 2
+        cases += [FactoredFraction(memo, UV.const(Fraction(-3, 2)), (1, 2) + (3,) * rest),
+                  FactoredFraction(memo, u * v, (0, 0, 2) + (0,) * (rest - 1))]
+        for _ in range(2):  # the second round reads the memo
+            for x in cases:
+                for name in ("u", "v"):
+                    got, want = x.derivative(name), _loop_derivative(x, name)
+                    assert (got.num, got.exps) == (want.num, want.exps), (x, name)
+        assert cases[-1].derivative("u").exps == cases[-1].exps
+
+
+def test_quotient_rule_memo_stops_growing_at_its_cap(monkeypatch):
+    monkeypatch.setattr(kernel, "FACTOR_MEMO_CAP", 4)
+    memo = DenomBasis(UV, B.factors)
+    for _ in range(2):
+        for exps in itertools.product(range(3), repeat=3):
+            x = FactoredFraction(memo, u - 2 * v ** -1, exps)
+            for name in ("u", "v"):
+                got, want = x.derivative(name), _loop_derivative(x, name)
+                assert (got.num, got.exps) == (want.num, want.exps)
+    assert len(memo._rules) == 4
+
+
+def test_repeated_exponents_make_two_products(monkeypatch):
+    memo = DenomBasis(UV, BUV.factors)
+    exps = (1, 0, 2, 1, 3, 1)
+    calls = [0]
+    mul = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+    x = FactoredFraction(memo, u - v ** 2, exps)
+    y = FactoredFraction(memo, 3 * u ** 2 * v + v ** -1, exps)
+    for name in ("u", "v"):
+        x.derivative(name)
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        calls[0] = 0
+        y.derivative(name)
+        assert calls[0] == 2, name
+        monkeypatch.undo()
+
+
+def test_derivative_by_the_extension_variable_memoizes_nothing():
+    ctx = VarContext(["r", "s"], extension=("r", [-2, 0]))
+    r, s = ctx.var("r"), ctx.var("s")
+    memo = DenomBasis(ctx, [s - 1, s - r])
+    x = FactoredFraction(memo, r * s, (1, 2))
+    with pytest.raises(ContextError):
+        x.derivative("r")
+    assert memo._rules == {} and memo._partials == {}
 
 
 def test_zero_and_unit_products_return_an_operand():

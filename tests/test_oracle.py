@@ -131,6 +131,29 @@ def test_derivative_matches_sympy_diff():
         x = random_frac(rng)
         for name, s in (("u", KU), ("v", KV)):
             assert sym(x.derivative(name)) == sym(x).diff(s)
+    # second and mixed partials differentiate over the raised denominators;
+    # the second round reads the basis's remembered quotient rules
+    memo = DenomBasis(UV, B.factors)
+    rounds = []
+    for _ in range(2):
+        rng = random.Random(18)
+        got = []
+        for _ in range(8):
+            x = FactoredFraction(memo, random_poly(rng),
+                                 tuple(rng.randint(0, 2) for _ in B.factors))
+            xu, xv = x.derivative("u"), x.derivative("v")
+            got.append((x, [(y.num, y.exps) for y in (
+                xu.derivative("u"), xu.derivative("v"), xv.derivative("u"),
+                xv.derivative("v"))]))
+        rounds.append(got)
+    assert [g for _, g in rounds[0]] == [g for _, g in rounds[1]]
+    for x, (uu, uv, vu, vv) in rounds[0]:
+        sx = sym(x)
+        su, sv = sx.diff(KU), sx.diff(KV)
+        assert sym(FactoredFraction(memo, *uu)) == su.diff(KU)
+        assert sym(FactoredFraction(memo, *vv)) == sv.diff(KV)
+        assert sym(FactoredFraction(memo, *uv)) == sym(FactoredFraction(memo, *vu)) \
+            == su.diff(KV)
 
 
 def test_equal_values_hash_equally():
