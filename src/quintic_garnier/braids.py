@@ -31,14 +31,17 @@ tuple of fifteen ids.  A coordinate a letter only permutes is a single
 variable of its map and its id is copied: σ1..σ3 change three coordinates
 and σ4 four, each the quadratic ``x3 x4 + x5 x6 - x1 x2 - x0`` in seven
 coordinates, its roles.  The table's one memo is keyed by the ids of the
-seven roles in canonical form, each pair ordered and then the two positive
-pairs, so it does not depend on the letter or the coordinate.  Different
-letters and coordinates meet the same key, so only a new key evaluates the
-quadratic, and its value is interned by its key; rho1's extended orbit
-evaluates 48.  The intermediate values of a word go into the same table.
-The table and its memo live for one orbit.
-:class:`OrbitResult` serializes each table value once and builds its trace
-tuples from the shared values.
+seven roles in role order, so it does not depend on the letter or the
+coordinate.  A map looks up the ids as read first; only a miss puts them
+in canonical form, each pair ordered and then the two positive pairs, and
+looks that up.  Different letters and coordinates meet the same canonical
+key, so only a new one evaluates the quadratic, and its value is interned
+by its key; rho1's extended orbit evaluates 48.  The id is stored under
+both keys, so a repeated read finds it at once.  The intermediate values
+of a word go into the same table.  The table and its memo live for one
+orbit.  :class:`OrbitResult` serializes each table value once and builds
+its trace tuples from the shared values; it renumbers and sorts the edges
+when they are first read.
 
 Each word is followed by its inverse in the list of moves, and the closure
 computes only one edge of each reverse pair: once ``w`` takes ``t`` to
@@ -194,7 +197,8 @@ class OrbitResult:
     the distinct coordinate values of the orbit.  Each value is serialized
     once; the elements are ordered by the tuple of their texts, which
     :meth:`to_json` reuses, and handed out as trace tuples that share the
-    values.
+    values.  :attr:`edges` is built on first read, so a caller that reads
+    only the elements never sorts them; it may be assigned.
     """
 
     def __init__(self, seed_name: str, elements: Sequence[tuple[int, ...]],
@@ -203,14 +207,22 @@ class OrbitResult:
         texts = [serialize_poly(v) for v in values]
         rows = [tuple(texts[i] for i in e) for e in elements]
         order = sorted(range(len(elements)), key=rows.__getitem__)
-        rank = {old: new for new, old in enumerate(order)}
         self.seed_name = seed_name
         self.elements = [TraceTuple([values[i] for i in elements[k]]) for k in order]
         self._rows = [rows[k] for k in order]
-        self.edges = sorted((rank[a], g, rank[b]) for a, g, b in edges)
+        self._order, self._closure_edges = order, edges
         self.status = status  # "closed" | "cutoff"
         self.generators = generators
         self.cutoff = cutoff
+
+    @functools.cached_property
+    def edges(self) -> list[tuple[int, str, int]]:
+        """The closure's edges renumbered to the sorted elements, and sorted;
+        built on first read."""
+        rank = [0] * len(self._order)
+        for new, old in enumerate(self._order):
+            rank[old] = new
+        return sorted((rank[a], g, rank[b]) for a, g, b in self._closure_edges)
 
     def __len__(self):
         return len(self.elements)

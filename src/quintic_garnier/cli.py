@@ -25,7 +25,7 @@ from .braids import (extended_orbit, orbit, orbit_compare, parse_substitution,
 from .forms import divisor_pullback
 from .fractions import FactoredFraction, Substitution, serialize_frac
 from .reps import RepTuple, TraceTuple, verify_product_identity
-from .ring import VarContext, parse_poly
+from .ring import VarContext, check_exponent, parse_poly
 from .sl2 import Mat2, projective_closure, verify_relations
 
 EXIT_OK, EXIT_FAIL, EXIT_CUTOFF, EXIT_USAGE = 0, 1, 2, 3
@@ -83,6 +83,7 @@ def _parse_at(text: str) -> dict[str, Fraction]:
             raise ValueError(f"--at piece {piece!r} is not name=value")
         if name in out:
             raise ValueError(f"--at names {name!r} more than once")
+        check_exponent(val, f"--at value {piece!r}")
         try:
             out[name] = Fraction(val.strip())
         except ZeroDivisionError:

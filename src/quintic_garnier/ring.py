@@ -44,6 +44,7 @@ lexicographic exponent order and omits zero exponents.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable, Mapping, Optional, TypeVar, Union
@@ -579,8 +580,28 @@ def serialize_poly(p: LaurentPoly) -> str:
 
 # a numeric literal up to the exponent marker of scientific notation
 _MANTISSA = re.compile(r"(\d+\.?\d*|\.\d+)[eE]")
+# a sign, kept by ``split``
+_SIGN = re.compile(r"([+-])")
 # a coefficient that ``int`` reads exactly as ``Fraction`` would
 _INTEGER = re.compile(r"[0-9]+")
+# the digits of the decimal exponent that ends a literal, as ``Fraction`` reads it
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
+
+def check_exponent(literal: str, label: str) -> None:
+    """Refuse a literal whose decimal exponent exceeds the interpreter's
+    limit on the digits of an integer, ``sys.get_int_max_str_digits()`` (0
+    means no limit), with a :class:`ValueError` that names ``label``.
+    ``Fraction`` would first build ten to that power, which takes seconds
+    at ten million and longer beyond."""
+    limit = sys.get_int_max_str_digits()
+    m = _EXPONENT.search(literal)
+    if m is None or not limit:
+        return
+    digits = m[1].replace("_", "").lstrip("0")
+    if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+        raise ValueError(f"{label} has a decimal exponent above {limit}, the "
+                         "interpreter's limit on the digits of an integer")
 
 
 def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
@@ -595,22 +616,22 @@ def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
         raise ValueError("empty polynomial text")
     if text == "0":
         return ctx.zero()
-    # split into signed terms at top level
+    # split into signed terms at top level: a sign after a blank buffer
+    # signs the term, one after an operator or a mantissa belongs to the
+    # term, and any other ends it
     terms: list[tuple[int, str]] = []
-    sign, buf = 1, []
-    for i, ch in enumerate(text):
-        if ch in "+-":
-            if not "".join(buf).strip():
-                sign *= 1 if ch == "+" else -1
-            elif text[i - 1] in "*^+-" or _MANTISSA.fullmatch(
-                    "".join(buf).rpartition("*")[2].strip()):
-                buf.append(ch)
-            else:
-                terms.append((sign, "".join(buf).strip()))
-                sign, buf = (1 if ch == "+" else -1), []
+    pieces = _SIGN.split(text)
+    sign, buf = 1, pieces[0]
+    for ch, piece in zip(pieces[1::2], pieces[2::2]):
+        if not buf.strip():
+            sign = -sign if ch == "-" else sign
+            buf += piece
+        elif buf[-1] in "*^+-" or _MANTISSA.fullmatch(buf.rpartition("*")[2].strip()):
+            buf += ch + piece
         else:
-            buf.append(ch)
-    terms.append((sign, "".join(buf).strip()))
+            terms.append((sign, buf.strip()))
+            sign, buf = (1 if ch == "+" else -1), piece
+    terms.append((sign, buf.strip()))
     index = ctx.index
     acc: dict[Exponents, Rat] = {}
     for sgn, term in terms:
@@ -633,6 +654,7 @@ def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
             else:
                 if fac.isidentifier():
                     raise ContextError(f"undeclared variable {fac!r}")
+                check_exponent(fac, f"term {term!r}")
                 try:
                     coeff *= Fraction(fac)
                 except ZeroDivisionError:

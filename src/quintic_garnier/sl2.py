@@ -276,7 +276,8 @@ def closure(seed, moves: Sequence[tuple[str, Callable]], cutoff: int,
     gives its reverse ``(j, inverses[m], i)``, which is appended when the
     loop reaches it, without calling the move.  Its target is an element
     already known, so the elements, edges and status are those of the same
-    call without ``inverses``.
+    call without ``inverses``.  The inferred targets are kept per element in
+    a list indexed by move; without ``inverses`` nothing is kept.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
@@ -288,13 +289,16 @@ def closure(seed, moves: Sequence[tuple[str, Callable]], cutoff: int,
     index = {seed: 0}
     elements = [seed]
     edges: list[tuple[int, str, int]] = []
-    reverses: dict[tuple[int, int], int] = {}
+    # reverses[j][n]: the target of move n from element j, when an edge into
+    # j under its inverse was computed first
+    reverses = None if inverses is None else [[None] * len(moves)]
     frontier = [0]
     while frontier:
         nxt = []
         for i in frontier:
+            known = None if reverses is None else reverses[i]
             for m, (name, move) in enumerate(moves):
-                j = reverses.pop((i, m), None)
+                j = None if known is None else known[m]
                 if j is None:
                     image = move(elements[i])
                     j = index.get(image)
@@ -304,8 +308,10 @@ def closure(seed, moves: Sequence[tuple[str, Callable]], cutoff: int,
                         j = index[image] = len(elements)
                         elements.append(image)
                         nxt.append(j)
-                    if inverses is not None:
-                        reverses[j, inverses[m]] = i
+                        if reverses is not None:
+                            reverses.append([None] * len(moves))
+                    if reverses is not None:
+                        reverses[j][inverses[m]] = i
                 edges.append((i, name, j))
         frontier = nxt
     return elements, edges, "closed"

@@ -36,7 +36,8 @@ each changed coordinate once, and refuses an entry of any other shape.  It
 acts on ids into a :class:`ValueTable`, the distinct coordinate values of
 one orbit, and evaluates a quadratic once per canonical tuple of the seven
 ids it reads.  Different letters and coordinates keep meeting the same
-tuple, so the table remembers it across maps.
+tuple, so the table remembers it across maps, under the ids as read too,
+so that a repeated tuple is found without putting it in canonical form.
 
 :mod:`~quintic_garnier.braids` imports this module when it derives its
 first letter map, so importing the package does not load it.
@@ -44,6 +45,7 @@ first letter map, so importing the package does not load it.
 
 from __future__ import annotations
 
+from itertools import count
 from operator import add, itemgetter
 from typing import Sequence
 
@@ -174,11 +176,14 @@ class ValueTable:
     of one table must share one, as those of one orbit do.
 
     :attr:`memo` maps the ids of the seven roles of a changed coordinate,
-    in the canonical form of :func:`_memo_key`, to the id of its value, so
-    a quadratic is evaluated once per canonical tuple, whatever letter and
-    coordinate it came from.  Ids name the interned values of one context,
-    so tuples with one canonical form have equal values, and a hit gives
-    the id that evaluating and interning would give.
+    in role order, to the id of ``x3 x4 + x5 x6 - x1 x2 - x0`` at those
+    ids.  The quadratic is the same for every letter and coordinate, so one
+    memo serves them all.  A map stores each tuple it evaluates in the
+    canonical form of :func:`_memo_key`, and each tuple it reads under its
+    ids as read as well, so a quadratic is evaluated once per canonical
+    tuple.  Ids name the interned values of one context, so tuples with one
+    canonical form have equal values, and a hit gives the id that
+    evaluating and interning would give.
     """
 
     __slots__ = ("values", "memo", "_ids")
@@ -208,13 +213,16 @@ class TraceMap:
     coordinate that is one variable is an id copy.  Every other one must be
     ``x3 x4 + x5 x6 - x1 x2 - x0`` in seven coordinates, its roles, or the
     constructor raises :class:`ValueError`.  A changed coordinate reads the
-    ids of its roles, puts them in canonical form (:func:`_memo_key`) and
-    looks them up in the table's :attr:`~ValueTable.memo`; only a tuple the
+    ids of its roles and looks them up, as read, in the table's
+    :attr:`~ValueTable.memo`.  Only on a miss does it put them in canonical
+    form (:func:`_memo_key`) and look that up; only a canonical tuple the
     table has not met runs :func:`_quadratic` on its values, and the result
-    is interned.
+    is interned.  The id is then stored under both tuples.  The image is
+    read from the fifteen ids followed by the new ones by one
+    :func:`~operator.itemgetter`.
     """
 
-    __slots__ = ("polys", "_copy", "_changed")
+    __slots__ = ("polys", "_image", "_changed")
 
     def __init__(self, images: Sequence[GroupWord]):
         if len(images) != 4:
@@ -223,23 +231,27 @@ class TraceMap:
         self.polys = tuple(_trace(tuple(x for i in w for x in subst[i - 1]))
                            for w in _COORDINATE_LETTERS)
         entries = [_roles(k, p) for k, p in enumerate(self.polys)]
-        # every coordinate is copied first, a changed one from t1, then overwritten
-        self._copy = itemgetter(*(e if e.__class__ is int else 0 for e in entries))
-        # (coordinate, the ids of its seven roles)
-        self._changed = tuple((k, itemgetter(*e)) for k, e in enumerate(entries)
-                              if e.__class__ is not int)
+        # the ids of its seven roles, per changed coordinate in order
+        self._changed = tuple(itemgetter(*e) for e in entries if e.__class__ is not int)
+        # the image reads the fifteen ids followed by the changed coordinates' new ids
+        new = count(len(entries))
+        self._image = itemgetter(*(e if e.__class__ is int else next(new) for e in entries))
 
     def __call__(self, ids: tuple, table: ValueTable) -> tuple:
-        image = list(self._copy(ids))
         memo = table.memo
-        for k, roles in self._changed:
-            key = _memo_key(*roles(ids))
-            i = memo.get(key)
+        row = list(ids)
+        for roles in self._changed:
+            raw = roles(ids)
+            i = memo.get(raw)
             if i is None:
-                values = table.values
-                i = memo[key] = table.intern(_quadratic([values[j] for j in key]))
-            image[k] = i
-        return tuple(image)
+                key = _memo_key(*raw)
+                i = memo.get(key)
+                if i is None:
+                    values = table.values
+                    i = memo[key] = table.intern(_quadratic([values[j] for j in key]))
+                memo[raw] = i
+            row.append(i)
+        return self._image(row)
 
 
 def _roles(k: int, p: LaurentPoly):

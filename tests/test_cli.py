@@ -282,11 +282,18 @@ def test_orbit_at_zero_denominator_is_usage_error(capsys):
     assert "u=1/0" in captured.err
 
 
+DIGITS = sys.get_int_max_str_digits()
+
+
 @pytest.mark.parametrize("at,message", [
     ("u", "--at piece 'u' is not name=value"),
     ("u=,v=1", "--at piece 'u=' is not name=value"),
     ("=3", "--at piece '=3' is not name=value"),
     ("u=abc", "--at value 'u=abc' is not a rational"),
+    # refused before Fraction builds ten to the power
+    *((f"u={x}", f"--at value 'u={x}' has a decimal exponent above {DIGITS}, "
+       "the interpreter's limit on the digits of an integer")
+      for x in ("1e999999", "1E-9_999_999", f"1e{DIGITS + 1}")),
 ])
 def test_orbit_at_malformed_piece_is_usage_error(capsys, at, message):
     rc = main(["orbit", "rho1", "--pure", "--at", at])

@@ -441,14 +441,15 @@ def _assert_expression_memo_exact(rho, words, cutoff):
     """Close the orbit of ``rho`` under ``words`` on a table of its own, then
     expand the quadratic of every key the table memoized,
     ``v3 v4 + v5 v6 - v1 v2 - v0`` with ``v = values[id]``, with plain ring
-    arithmetic: each must equal the value its id names.  Every key is in
-    canonical form."""
+    arithmetic: each must equal the value its id names.  A key may be the
+    role ids as read; its canonical form is then a key too, with the same
+    id."""
     table = ValueTable()
     start = _intern(table, trace_coordinates(rho))
     closure(start, _trace_moves(words, table), cutoff)
     assert table.memo
     for key, i in table.memo.items():
-        assert _memo_key(*key) == key
+        assert table.memo.get(_memo_key(*key)) == i, key
         v0, v1, v2, v3, v4, v5, v6 = (table.values[j] for j in key)
         assert table.values[i] == v3 * v4 + v5 * v6 - v1 * v2 - v0, key
 
@@ -624,11 +625,33 @@ def test_orbits_compute_one_edge_of_each_reverse_pair(monkeypatch):
     assert (len(calls), edges) == (2176, 4352)
 
 
+@pytest.mark.parametrize("cutoff", [10000, 7], ids=["closed", "cutoff"])
+@pytest.mark.parametrize("words", [SPHERICAL, pure_generators()], ids=["extended", "pure"])
+@pytest.mark.parametrize("name", ["rho1", "rho2", "rho3", "rho4"])
+def test_closure_with_inverses_matches_closure_without(name, words, cutoff):
+    """On the trace moves of a real orbit, the closure that infers reverse
+    edges gives the elements, edges and status of the one that computes
+    every move.  Each runs on a table of its own, so elements are compared
+    by their values."""
+    rho = builtin_family(name).rep
+    got = []
+    for inverses in (None, [m ^ 1 for m in range(2 * len(words))]):
+        table = ValueTable()
+        start = _intern(table, trace_coordinates(rho))
+        elements, edges, status = closure(start, _trace_moves(words, table), cutoff,
+                                          inverses)
+        got.append(([_decode(table, e) for e in elements], edges, status))
+    assert got[0] == got[1]
+    size = EXTENDED_SIZES[name] if words is SPHERICAL else 4
+    assert got[0][2] == ("closed" if size <= cutoff else "cutoff")
+
+
 def test_orbit_memo_evaluates_each_entry_once_per_distinct_expression(monkeypatch):
     """An orbit evaluates a letter-map entry once per canonical tuple of the
     ids its roles read, whatever letter and coordinate it came from, and its
-    memo holds one key per evaluation; its elements share the few distinct
-    values of its table."""
+    memo holds one canonical key per evaluation, next to the role ids as
+    read that found it; its elements share the few distinct values of its
+    table."""
     calls, tables = [], []
     quadratic, trace_moves = traces._quadratic, braids._trace_moves
     monkeypatch.setattr(traces, "_quadratic", lambda v: calls.append(v) or quadratic(v))
@@ -642,14 +665,20 @@ def test_orbit_memo_evaluates_each_entry_once_per_distinct_expression(monkeypatc
         assert res.status == "closed"
         values = [v for e in res.elements for v in e.values]
         assert len({id(v) for v in values}) == len(set(values))
-        got[name] = (len(calls), len(tables.pop().memo), len(set(values)))
+        got[name] = (len(calls), *_memo_sizes(tables.pop()), len(set(values)))
         calls.clear()
         res = orbit(rho, pure_generators())
         assert res.status == "closed"
-        got[f"pure {name}"] = (len(calls), len(tables.pop().memo))
-    assert got == {"rho1": (48, 48, 14), "rho2": (29, 29, 9), "rho3": (27, 27, 8),
-                   "rho4": (13, 13, 5), "pure rho1": (37, 37), "pure rho2": (27, 27),
-                   "pure rho3": (21, 21), "pure rho4": (12, 12)}
+        got[f"pure {name}"] = (len(calls), *_memo_sizes(tables.pop()))
+    assert got == {"rho1": (48, 48, 236, 14), "rho2": (29, 29, 138, 9),
+                   "rho3": (27, 27, 118, 8), "rho4": (13, 13, 48, 5),
+                   "pure rho1": (37, 37, 67), "pure rho2": (27, 27, 60),
+                   "pure rho3": (21, 21, 41), "pure rho4": (12, 12, 21)}
+
+
+def _memo_sizes(table):
+    """(canonical keys, all keys) of a table's memo."""
+    return sum(_memo_key(*k) == k for k in table.memo), len(table.memo)
 
 
 LETTER_NAMES = {x: f"s{abs(x)}" + ("^-1" if x < 0 else "") for x in LETTERS}

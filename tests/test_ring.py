@@ -1,6 +1,8 @@
 """Laurent polynomial kernel: arithmetic, substitution, grammar, division."""
 
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,8 @@ from quintic_garnier.families import CTX_ROOT, CTX_UV
 from quintic_garnier.fractions import DenomBasis, eval_poly
 from quintic_garnier.garnier import pole_positions_at, specialize_connection
 from quintic_garnier.ring import (ContextError, LaurentPoly, UnitError, VarContext,
-                                  evaluate, exact_divide, parse_poly, serialize_poly)
+                                  _co, _from_acc, evaluate, exact_divide, parse_poly,
+                                  serialize_poly)
 
 UV = VarContext(["u", "v"])
 u = UV.var("u")
@@ -320,6 +323,135 @@ def test_grammar_rejects_undeclared_variable():
     for text in ("1*w^2", "u*w", "w"):
         with pytest.raises(ContextError, match="undeclared variable 'w'"):
             parse_poly(UV, text)
+
+
+def test_grammar_refuses_an_exponent_above_the_digit_limit():
+    """A decimal exponent above ``sys.get_int_max_str_digits()`` is refused,
+    naming its term, before ``Fraction`` builds the power of ten; one at the
+    limit is read, and a limit of 0 refuses none."""
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        for text, term in (("1e4301", "1e4301"), ("1e9999999", "1e9999999"),
+                           ("2*1E-9_999_999*u", "2*1E-9_999_999*u"),
+                           ("u + 1e+4301*v", "1e+4301*v"), ("1e00000000000000000004301", None)):
+            term = re.escape(repr(term or text))
+            with pytest.raises(ValueError, match=f"^term {term} has a decimal exponent "
+                                                 "above 4300, the interpreter's limit"):
+                parse_poly(UV, text)
+        assert parse_poly(UV, "1e-4300*u") == Fraction(1, 10 ** 4300) * u
+        assert parse_poly(UV, "1.5e4300") == 15 * 10 ** 4299
+        sys.set_int_max_str_digits(0)
+        assert parse_poly(UV, "1e5000*v") == 10 ** 5000 * v
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+_FROZEN_MANTISSA = re.compile(r"(\d+\.?\d*|\.\d+)[eE]")
+_FROZEN_INTEGER = re.compile(r"[0-9]+")
+
+
+def _frozen_parse_poly(ctx, text):
+    """``parse_poly`` as it was before it split at signs with ``re.split``:
+    one character at a time.  The differential test's oracle."""
+    text = text.strip()
+    if not text:
+        raise ValueError("empty polynomial text")
+    if text == "0":
+        return ctx.zero()
+    terms = []
+    sign, buf = 1, []
+    for i, ch in enumerate(text):
+        if ch in "+-":
+            if not "".join(buf).strip():
+                sign *= 1 if ch == "+" else -1
+            elif text[i - 1] in "*^+-" or _FROZEN_MANTISSA.fullmatch(
+                    "".join(buf).rpartition("*")[2].strip()):
+                buf.append(ch)
+            else:
+                terms.append((sign, "".join(buf).strip()))
+                sign, buf = (1 if ch == "+" else -1), []
+        else:
+            buf.append(ch)
+    terms.append((sign, "".join(buf).strip()))
+    index = ctx.index
+    acc = {}
+    for sgn, term in terms:
+        if not term:
+            raise ValueError("malformed polynomial text")
+        factors = [f.strip() for f in term.split("*")]
+        coeff = sgn
+        exps = [0] * len(index)
+        for fac in factors:
+            if "^" in fac:
+                var, _, exp = fac.partition("^")
+                var = var.strip()
+                if var not in index:
+                    raise ContextError(f"undeclared variable {var!r}")
+                exps[index[var]] += int(exp)
+            elif fac in index:
+                exps[index[fac]] += 1
+            elif _FROZEN_INTEGER.fullmatch(fac):
+                coeff *= int(fac)
+            else:
+                if fac.isidentifier():
+                    raise ContextError(f"undeclared variable {fac!r}")
+                try:
+                    coeff *= Fraction(fac)
+                except ZeroDivisionError:
+                    raise ValueError(f"term {term!r} has a zero denominator") from None
+        e = tuple(exps)
+        s = acc.get(e, 0) + coeff
+        if s:
+            acc[e] = _co(s)
+        else:
+            acc.pop(e, None)
+    return _from_acc(ctx, acc)
+
+
+def _outcome(parse, ctx, text):
+    try:
+        p = parse(ctx, text)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return p, type(next(iter(p.terms.values()), 0)), serialize_poly(p)
+
+
+def _random_text(rng):
+    """Either a string of random tokens, or terms of random factors joined
+    by random signs and spaces, with now and then a token dropped in."""
+    if rng.random() < 0.5:
+        tokens = ["u", "e", "E", "1", "2", "0", "3/4", "1/0", ".5", "1.", "7", "+", "-",
+                  "+", "-", "*", "^", " ", ".", "/", "_", "w", "e-", "1e", "2.5E+1", "^-"]
+        return "".join(rng.choice(tokens) for _ in range(rng.randint(1, 9)))
+    factors = ["u", "e", "u^2", "e^-1", "u ^ -2", "3", "0", "3/4", "1.5", ".5e-2",
+               "2E+1", "1e3", "e^+2", " u "]
+    odd = ["7e", "u^-", "+u", "-2", "", "w", "1_0", "1e-", "e-", "*", "^"]
+    signs = ["+", "-", " + ", " - ", "+-", "--", "-+"]
+    text = rng.choice(["", "-", "+", " -"])
+    for k in range(rng.randint(1, 4)):
+        if k:
+            text += rng.choice(signs)
+        text += "*".join(rng.choice(odd if rng.random() < 0.05 else factors)
+                         for _ in range(rng.randint(1, 3)))
+    return text
+
+
+def test_grammar_splits_at_signs_as_the_frozen_parser_did():
+    """On 20,000 seeded random strings, ``parse_poly`` gives the frozen
+    parser's value, stored coefficient type and text, or raises its
+    exception type with its message.  Runs of four or more digits are left
+    out, so that no exponent reaches the digit limit only the current
+    parser checks."""
+    EU = VarContext(["e", "u"])
+    rng = random.Random(2718)
+    seen = 0
+    while seen < 20000:
+        text = _random_text(rng)
+        if re.search(r"[0-9_]{4}", text):
+            continue
+        seen += 1
+        assert _outcome(parse_poly, EU, text) == _outcome(_frozen_parse_poly, EU, text), text
 
 
 def test_exact_division():
