@@ -19,7 +19,7 @@ from quintic_garnier.braids import (BraidWord, OrbitResult, _letter_map,
                                     pure_generators)
 from quintic_garnier.families import CTX_ROOT, CTX_S, CTX_UV, builtin_family
 from quintic_garnier.reps import RepTuple, TraceTuple, trace_coordinates
-from quintic_garnier.ring import LaurentPoly, VarContext
+from quintic_garnier.ring import LaurentPoly, VarContext, serialize_poly
 from quintic_garnier.sl2 import GroupWord, Mat2, closure
 from quintic_garnier.traces import (CTX_TRACE, TRACE_NAMES, TraceMap, ValueTable,
                                       _memo_key, _quadratic)
@@ -551,6 +551,24 @@ def test_trace_map_refuses_an_entry_of_another_shape():
     d1, d2, d3, d4 = (GroupWord.gen(f"d{i}") for i in (1, 2, 3, 4))
     with pytest.raises(ValueError, match=r"letter-map entry t1 = .* is not x3\*x4"):
         TraceMap([d1 * d1, d2, d3, d4])
+
+
+LETTER_MAPS = json.loads((Path(__file__).parent / "golden" / "letter_maps.json").read_text())
+
+
+@pytest.mark.parametrize("x", LETTERS)
+def test_letter_map_matches_frozen_copy(x):
+    """Each entry of the letter map equals a frozen copy of the maps as the
+    trace-rewriting search first derived them: the polynomial's text, and
+    for each changed entry the indices of its seven roles in role order.
+    The roles are read through the map's own getters, applied to the
+    indices 0..14, and the changed entries through its image getter."""
+    m, want = _letter_map(x), LETTER_MAPS[str(x)]
+    assert [serialize_poly(p) for p in m.polys] == want["polys"]
+    image = m._image(range(15 + len(m._changed)))
+    roles = {TRACE_NAMES[k]: list(m._changed[j - 15](range(15)))
+             for k, j in enumerate(image) if j >= 15}
+    assert roles == want["roles"]
 
 
 def test_letter_maps_copy_what_a_move_permutes():
