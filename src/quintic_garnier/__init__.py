@@ -15,9 +15,10 @@ reps ← families, traces ← braids), and cli sits on both:
   :mod:`~quintic_garnier.families`: unimodular 2x2 matrices, word and
   relation checking, trace coordinates, and the catalog of representation
   families.
-- :mod:`~quintic_garnier.traces` / :mod:`~quintic_garnier.braids`: SL2
-  trace reduction into polynomial letter maps, braid moves and finite orbit
-  enumeration on the character variety of the five-punctured sphere.
+- :mod:`~quintic_garnier.traces` / :mod:`~quintic_garnier.braids`:
+  polynomial letter maps read off one SL2 trace identity, braid moves and
+  finite orbit enumeration on the character variety of the five-punctured
+  sphere.
 - :mod:`~quintic_garnier.connections` / :mod:`~quintic_garnier.garnier`:
   logarithmic flat connections (curvature, residues, Riccati pullbacks,
   divisor factorization) and the generic-line restriction with its Garnier

@@ -261,8 +261,8 @@ class OrbitResult:
 def _letter_map(x: int) -> TraceMap:
     """The trace map of letter ``x``, derived on first use: the letter acts on
     d1..d4 and ``d5 = (d1 d2 d3 d4)^-1``, so σ1..σ3 move the first four
-    matrices alone and σ4 the fourth and fifth.  The reduction module
-    is imported here, not with the package: it costs nothing to a process
+    matrices alone and σ4 the fourth and fifth.  The letter-map module is
+    imported here, not with the package: it costs nothing to a process
     that closes no orbit."""
     from .traces import TraceMap
 

@@ -44,6 +44,7 @@ lexicographic exponent order and omits zero exponents.
 from __future__ import annotations
 
 import re
+import reprlib
 import sys
 from fractions import Fraction
 from operator import add
@@ -586,6 +587,8 @@ _SIGN = re.compile(r"([+-])")
 _INTEGER = re.compile(r"[0-9]+")
 # the digits of the decimal exponent that ends a literal, as ``Fraction`` reads it
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+# a run of digits as ``int`` reads it, underscores between them
+_DIGITS = re.compile(r"[0-9][0-9_]*")
 
 
 def check_exponent(literal: str, label: str) -> None:
@@ -604,6 +607,21 @@ def check_exponent(literal: str, label: str) -> None:
                          "interpreter's limit on the digits of an integer")
 
 
+def _check_digits(term: str, limit: int) -> None:
+    """Refuse a number in ``term`` of more than ``limit`` digits, the
+    interpreter's limit, with a :class:`ValueError` that names the term,
+    shortened; ``int`` and ``Fraction`` would refuse it naming nothing.  The
+    numbers are the digit runs of each exponent and of each factor that is
+    not a variable name."""
+    for fac in term.split("*"):
+        num = fac.rpartition("^")[2].strip()
+        if not num.isidentifier() and any(len(run.replace("_", "")) > limit
+                                          for run in _DIGITS.findall(num)):
+            raise ValueError(f"term {reprlib.repr(term)} has a number of more than "
+                             f"{limit} digits, the interpreter's limit on the digits "
+                             "of an integer")
+
+
 def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
     """Parse the polynomial grammar; variables must be declared in ``ctx``.
 
@@ -617,8 +635,8 @@ def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
     if text == "0":
         return ctx.zero()
     # split into signed terms at top level: a sign after a blank buffer
-    # signs the term, one after an operator or a mantissa belongs to the
-    # term, and any other ends it
+    # signs the term, one after an operator or a mantissa, blanks aside,
+    # belongs to the term, and any other ends it
     terms: list[tuple[int, str]] = []
     pieces = _SIGN.split(text)
     sign, buf = 1, pieces[0]
@@ -626,17 +644,20 @@ def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
         if not buf.strip():
             sign = -sign if ch == "-" else sign
             buf += piece
-        elif buf[-1] in "*^+-" or _MANTISSA.fullmatch(buf.rpartition("*")[2].strip()):
+        elif buf.rstrip()[-1] in "*^+-" or _MANTISSA.fullmatch(buf.rpartition("*")[2].strip()):
             buf += ch + piece
         else:
             terms.append((sign, buf.strip()))
             sign, buf = (1 if ch == "+" else -1), piece
     terms.append((sign, buf.strip()))
     index = ctx.index
+    limit = sys.get_int_max_str_digits()
     acc: dict[Exponents, Rat] = {}
     for sgn, term in terms:
         if not term:
             raise ValueError("malformed polynomial text")
+        if 0 < limit < len(term):
+            _check_digits(term, limit)
         factors = [f.strip() for f in term.split("*")]
         coeff: Rat = sgn
         exps = [0] * len(index)

@@ -1,43 +1,39 @@
-"""Trace reduction: the fifteen trace coordinates after a substitution of the
+"""Letter maps: the fifteen trace coordinates after a substitution of the
 free generators, as polynomials in the fifteen before it.
 
 The coordinates are those of :class:`~quintic_garnier.reps.TraceTuple`,
 here the variables of :data:`CTX_TRACE` named by :data:`TRACE_NAMES`.  A
 :class:`TraceMap` holds, for images of d1..d4 given as words, the trace of
-each coordinate word with d1..d4 replaced: a word in d1..d4 that SL2 trace
-reduction rewrites as a polynomial in the coordinates.  The rewriting uses
-three identities, all consequences of ``A + A^-1 = tr(A) I`` at
-determinant one:
+each coordinate word with d1..d4 replaced.  Reduced freely and cyclically,
+that word is either a coordinate word again, up to rotation and inversion,
+and its trace that coordinate, or it is read as ``A B A^-1 C`` and its
+trace is given by the SL2 identity
 
-    tr(X W) = tr X tr W - tr(X^-1 W),
-    tr(gX gY) = tr(gX) tr(gY) - tr(X Y^-1),
-    C B = -B C + tr B C + tr C B + (tr(BC) - tr B tr C) I,
+    tr(A B A^-1 C) = tr A tr(ABC) + tr B tr C - tr(AB) tr(AC) - tr(BC)
 
-with the trace a class function and ``tr(W^-1) = tr W``.  Each is a
-polynomial identity in the matrix entries modulo ``det - 1``, so it holds
-exactly over any commutative ring, ``Q[r]/(m)`` included, for matrices of
-determinant one.  That is checked where matrices enter: the
+(Goldman, "Trace coordinates on Fricke spaces of some simple hyperbolic
+surfaces", 2009; Magnus, Math. Z. 170, 1980): the quadratic
+
+    x3 x4 + x5 x6 - x1 x2 - x0
+
+in the traces ``(x0, .., x6) = (tr BC, tr AB, tr AC, tr A, tr ABC, tr B,
+tr C)``, its roles, which must be coordinates too.  An entry of any other
+shape is refused.  The identity follows from ``A + A^-1 = tr(A) I`` at
+determinant one, with the trace a class function and ``tr(W^-1) = tr W``,
+so it holds exactly over any commutative ring, ``Q[r]/(m)`` included, for
+matrices of determinant one.  That is checked where matrices enter: the
 :class:`~quintic_garnier.reps.RepTuple` constructor,
 :meth:`~quintic_garnier.sl2.Mat2.inverse` (and so ``RepTuple.five``) and
 :func:`~quintic_garnier.sl2.word_evaluate`.  A map sends the coordinates of
 a checked tuple to those of its image, which is again unimodular, so maps
-can be applied one after another without a matrix.  Of the reductions the
-rewriting finds, the one with the fewest terms is kept.
+can be applied one after another without a matrix.
 
-Every coordinate a letter changes reduces to one quadratic,
-
-    x3 x4 + x5 x6 - x1 x2 - x0,
-
-in seven coordinates, its roles: the SL2 identity
-``tr(A B A^-1 C) = tr A tr(ABC) + tr B tr C - tr(AB) tr(AC) - tr(BC)``
-(Goldman, "Trace coordinates on Fricke spaces of some simple hyperbolic
-surfaces", 2009; Magnus, Math. Z. 170, 1980).  A map reads the roles of
-each changed coordinate once, and refuses an entry of any other shape.  It
-acts on ids into a :class:`ValueTable`, the distinct coordinate values of
-one orbit, and evaluates a quadratic once per canonical tuple of the seven
-ids it reads.  Different letters and coordinates keep meeting the same
-tuple, so the table remembers it across maps, under the ids as read too,
-so that a repeated tuple is found without putting it in canonical form.
+A map reads the roles of each changed coordinate once.  It acts on ids
+into a :class:`ValueTable`, the distinct coordinate values of one orbit,
+and evaluates a quadratic once per canonical tuple of the seven ids it
+reads.  Different letters and coordinates keep meeting the same tuple, so
+the table remembers it across maps, under the ids as read too, so that a
+repeated tuple is found without putting it in canonical form.
 
 :mod:`~quintic_garnier.braids` imports this module when it derives its
 first letter map, so importing the package does not load it.
@@ -49,7 +45,7 @@ from itertools import count
 from operator import add, itemgetter
 from typing import Sequence
 
-from .ring import LaurentPoly, VarContext, _co, _from_acc, serialize_poly
+from .ring import LaurentPoly, VarContext, _co, _from_acc
 from .sl2 import GroupWord
 
 TRACE_NAMES = ("t1", "t2", "t3", "t4", "t5", "r12", "r13", "r14", "r23", "r24",
@@ -63,9 +59,8 @@ _COORDINATE_LETTERS = ((1,), (2,), (3,), (4,), (1, 2, 3, 4), (1, 2), (1, 3), (1,
 :class:`~quintic_garnier.reps.TraceTuple` order."""
 
 
-# -- trace reduction ---------------------------------------------------------
+# -- words ---------------------------------------------------------------------
 # A word is a tuple of signed generator indices: i for d_i, -i for d_i^-1.
-# Reductions are derived on first use and remembered in _TRACES.
 
 def _inv(w: tuple) -> tuple:
     return tuple(-x for x in reversed(w))
@@ -92,75 +87,30 @@ def _canon(w: tuple) -> tuple:
     return min((v[i:] + v[:i] for v in (w, _inv(w)) for i in range(len(v))), default=())
 
 
-def _measure(w: tuple) -> tuple[int, int, int]:
-    """(length, inverse letters, disorder): every rewrite of :func:`_rewrites`
-    leaves only words of smaller measure, so the reduction terminates.  The
-    disorder of a word of distinct positive letters is its number of
-    inversions read from its least letter; other words have none."""
-    neg = sum(x < 0 for x in w)
-    if neg or len(set(w)) < len(w):
-        return len(w), neg, 0
-    k = w.index(min(w))
-    r = w[k:] + w[:k]
-    return len(w), 0, sum(a > b for i, a in enumerate(r) for b in r[i + 1:])
-
-
 _COORDINATE_CLASSES = {_canon(w): k for k, w in enumerate(_COORDINATE_LETTERS)}
-_TRACES: dict[tuple, LaurentPoly] = {}
 
 
-def _trace(w: tuple) -> LaurentPoly:
-    """tr(w) over :data:`CTX_TRACE`: of the rewrites, the one with the fewest
-    terms, then the least total degree; remembered per canonical form."""
-    word = _canon(w)
-    p = _TRACES.get(word)
-    if p is None:
-        if not word:
-            p = CTX_TRACE.const(2)
-        elif word in _COORDINATE_CLASSES:
-            p = CTX_TRACE.var(TRACE_NAMES[_COORDINATE_CLASSES[word]])
-        else:
-            p = min(_rewrites(word), key=lambda q: (len(q.terms), sum(map(sum, q.terms))))
-        _TRACES[word] = p
-    return p
-
-
-def _rewrites(word: tuple):
-    """Every expansion of tr(word) by one of the three identities, applied to
-    the orientations of ``word`` of least measure:
-
-    * ``tr(X W) = tr X tr W - tr(X^-1 W)`` for an arc X of more than half
-      inverse letters;
-    * ``tr(g X g Y) = tr(gX) tr(gY) - tr(X Y^-1)`` for a repeated letter g;
-    * ``tr(U C B V) = -tr(U B C V) + tr B tr(U C V) + tr C tr(U B V)
-      + (tr(BC) - tr B tr C) tr(UV)`` for distinct positive letters C > B.
-    """
-    least = min(_measure(word), _measure(_inv(word)))
-    for o in dict.fromkeys((word, _inv(word))):
-        m = _measure(o)
-        if m != least:
-            continue
-        n = len(o)
-        if m[2]:
-            k = o.index(min(o))
-            o = o[k:] + o[:k]
-            for i in range(1, n - 1):
-                if o[i] > o[i + 1]:
-                    u, c, b, v = o[:i], o[i:i + 1], o[i + 1:i + 2], o[i + 2:]
-                    yield (_trace(b) * _trace(u + c + v) + _trace(c) * _trace(u + b + v)
-                           + (_trace(b + c) - _trace(b) * _trace(c)) * _trace(u + v)
-                           - _trace(u + b + c + v))
-            continue
-        for r in range(n):
-            w = o[r:] + o[:r]
-            for k in range(1, n):
-                x, rest = w[:k], w[k:]
-                if 2 * sum(y < 0 for y in x) > k:
-                    yield _trace(x) * _trace(rest) - _trace(_inv(x) + rest)
-            for j in range(1, n):
-                if w[j] == w[0]:
-                    x, y = w[1:j], w[j + 1:]
-                    yield _trace(w[:j]) * _trace(w[j:]) - _trace(x + _inv(y))
+def _conjugation_roles(k: int, word: tuple) -> tuple:
+    """The roles ``(x0, .., x6)`` of entry ``k``, whose reduced ``word`` is no
+    coordinate: the first rotation of ``word`` or its inverse that reads
+    ``A B A^-1 C``, with B and C not empty, and ``(BC, AB, AC, A, ABC, B,
+    C)`` all coordinates gives those coordinates, each pair in ascending
+    order.  Raises, naming the entry, if there is none."""
+    n = len(word)
+    splits = ((r[:a], r[a:j], r[j + a:])
+              for v in (word, _inv(word)) for i in range(n) for r in (v[i:] + v[:i],)
+              for a in range(1, n // 2) for j in range(a + 1, n - a)
+              if r[j:j + a] == _inv(r[:a]))
+    for a, b, c in splits:
+        roles = [_COORDINATE_CLASSES.get(_canon(w))
+                 for w in (b + c, a + b, a + c, a, a + b + c, b, c)]
+        if None not in roles:
+            x0, x1, x2, x3, x4, x5, x6 = roles
+            return (x0, min(x1, x2), max(x1, x2), min(x3, x4), max(x3, x4),
+                    min(x5, x6), max(x5, x6))
+    text = GroupWord((f"d{abs(x)}", 1 if x > 0 else -1) for x in word)
+    raise ValueError(f"letter-map entry {TRACE_NAMES[k]} = tr({text!r}) "
+                     "is not x3*x4 + x5*x6 - x1*x2 - x0")
 
 
 _GENERATORS = {f"d{i}": i for i in (1, 2, 3, 4)}
@@ -207,12 +157,14 @@ class TraceMap:
     in the fifteen before it.
 
     ``polys[k]`` is the trace of coordinate word k with d1..d4 replaced by
-    ``images`` (words over d1..d4), reduced to a polynomial over
-    :data:`CTX_TRACE`.  Calling the map on an element of a
-    :class:`ValueTable`, fifteen ids, gives the ids of its image.  A
-    coordinate that is one variable is an id copy.  Every other one must be
-    ``x3 x4 + x5 x6 - x1 x2 - x0`` in seven coordinates, its roles, or the
-    constructor raises :class:`ValueError`.  A changed coordinate reads the
+    ``images`` (words over d1..d4), a polynomial over :data:`CTX_TRACE`:
+    one variable where the reduced word is a coordinate word again, and
+    otherwise ``x3 x4 + x5 x6 - x1 x2 - x0`` in the seven coordinates, its
+    roles, that :func:`_conjugation_roles` reads off the word; an entry of
+    any other shape makes the constructor raise :class:`ValueError`.
+    Calling the map on an element of a :class:`ValueTable`, fifteen ids,
+    gives the ids of its image.  A coordinate that is one variable is an id
+    copy.  A changed coordinate reads the
     ids of its roles and looks them up, as read, in the table's
     :attr:`~ValueTable.memo`.  Only on a miss does it put them in canonical
     form (:func:`_memo_key`) and look that up; only a canonical tuple the
@@ -228,9 +180,14 @@ class TraceMap:
         if len(images) != 4:
             raise ValueError("need the images of d1..d4")
         subst = [tuple(_GENERATORS[sym] * e for sym, e in w.letters) for w in images]
-        self.polys = tuple(_trace(tuple(x for i in w for x in subst[i - 1]))
-                           for w in _COORDINATE_LETTERS)
-        entries = [_roles(k, p) for k, p in enumerate(self.polys)]
+        entries = []
+        for k, w in enumerate(_COORDINATE_LETTERS):
+            word = _cyclic(tuple(x for i in w for x in subst[i - 1]))
+            c = _COORDINATE_CLASSES.get(_canon(word))
+            entries.append(_conjugation_roles(k, word) if c is None else c)
+        xs = [CTX_TRACE.var(name) for name in TRACE_NAMES]
+        self.polys = tuple(xs[e] if e.__class__ is int else _quadratic([xs[j] for j in e])
+                           for e in entries)
         # the ids of its seven roles, per changed coordinate in order
         self._changed = tuple(itemgetter(*e) for e in entries if e.__class__ is not int)
         # the image reads the fifteen ids followed by the changed coordinates' new ids
@@ -252,27 +209,6 @@ class TraceMap:
                 memo[raw] = i
             row.append(i)
         return self._image(row)
-
-
-def _roles(k: int, p: LaurentPoly):
-    """The index of the variable ``p`` is, or else the indices
-    ``(x0, x1, .., x6)`` with ``p = x3 x4 + x5 x6 - x1 x2 - x0``, read off
-    its terms: the one linear term is x0, the negative product x1 x2, and
-    the positive products the rest.  Any other shape raises, naming
-    coordinate ``k``."""
-    # terms by (coefficient, degree), each as its variable indices repeated
-    # by exponent; a negative exponent has no degree
-    parts: dict[tuple, list] = {}
-    for exps, c in p.terms.items():
-        idx = tuple(i for i, e in enumerate(exps) for _ in range(e))
-        parts.setdefault((c, len(idx) if min(exps) >= 0 else None), []).append(idx)
-    if list(parts) == [(1, 1)] and len(p.terms) == 1:
-        return parts[1, 1][0][0]
-    if {s: len(ts) for s, ts in parts.items()} != {(-1, 1): 1, (-1, 2): 1, (1, 2): 2}:
-        raise ValueError(f"letter-map entry {TRACE_NAMES[k]} = {serialize_poly(p)} "
-                         "is not x3*x4 + x5*x6 - x1*x2 - x0")
-    ((x0,),), ((x1, x2),), ((x3, x4), (x5, x6)) = parts[-1, 1], parts[-1, 2], parts[1, 2]
-    return x0, x1, x2, x3, x4, x5, x6
 
 
 def _memo_key(x0: int, x1: int, x2: int, x3: int, x4: int, x5: int, x6: int) -> tuple:

@@ -551,6 +551,10 @@ def test_trace_map_refuses_an_entry_of_another_shape():
     d1, d2, d3, d4 = (GroupWord.gen(f"d{i}") for i in (1, 2, 3, 4))
     with pytest.raises(ValueError, match=r"letter-map entry t1 = .* is not x3\*x4"):
         TraceMap([d1 * d1, d2, d3, d4])
+    # t5 reads d1 d3 d1^-1 C, but tr(d3 C) = tr(d3 d2 d3 d4) is no coordinate
+    with pytest.raises(ValueError, match=r"letter-map entry t5 = tr\(d1d3d1\^-1d2d3d4\) "
+                                         r"is not x3\*x4"):
+        TraceMap([d1 * d3 * d1.inverse(), d2, d3, d4])
 
 
 LETTER_MAPS = json.loads((Path(__file__).parent / "golden" / "letter_maps.json").read_text())
@@ -774,14 +778,14 @@ def test_braid_action_check_fails_on_redirected_edges():
 
 
 def test_letter_maps_are_derived_on_first_use():
-    """Importing the package loads no trace reduction and derives no letter
-    map; the first orbit derives the maps it needs."""
+    """Importing the package loads no letter-map module and derives no letter
+    map; the first orbit loads it and derives the maps it needs."""
     code = ("import sys, quintic_garnier as q; from quintic_garnier import braids\n"
             "print('quintic_garnier.traces' in sys.modules, "
             "braids._letter_map.cache_info().currsize)\n"
             "q.orbit(q.builtin_family('rho1').rep, q.pure_generators())\n"
-            "from quintic_garnier import traces\n"
-            "print(braids._letter_map.cache_info().currsize, len(traces._TRACES) > 0)\n")
+            "print(braids._letter_map.cache_info().currsize, "
+            "'quintic_garnier.traces' in sys.modules)\n")
     src = str(Path(braids.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env,

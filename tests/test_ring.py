@@ -2,6 +2,7 @@
 
 import random
 import re
+import reprlib
 import sys
 from fractions import Fraction
 
@@ -285,6 +286,9 @@ def test_grammar_roundtrip():
     assert serialize_poly(UV.zero()) == "0"
     assert parse_poly(UV, "0").is_zero()
     assert parse_poly(UV, "3/2*u^1*v^-1 - 1") == Fraction(3, 2) * u * v ** -1 - 1
+    # a sign after ``^`` belongs to the exponent with blanks between them too
+    assert parse_poly(UV, "u ^ -2") == parse_poly(UV, "u^ -2") == u ** -2
+    assert parse_poly(UV, "v - 3*u ^ +2") == v - 3 * u ** 2
 
 
 @pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])
@@ -347,13 +351,40 @@ def test_grammar_refuses_an_exponent_above_the_digit_limit():
         sys.set_int_max_str_digits(old)
 
 
+def test_grammar_refuses_a_number_above_the_digit_limit():
+    """An integer coefficient, a fraction's part or an exponent of more
+    digits than ``sys.get_int_max_str_digits()`` is refused with a
+    ``ValueError`` that names its term, shortened, where ``int`` would name
+    none; one at the limit is read, and a limit of 0 refuses none."""
+    old = sys.get_int_max_str_digits()
+    big, top = "1" * 4301, "1" * 4300
+    try:
+        sys.set_int_max_str_digits(4300)
+        for text, term in ((big, big), (f"u*{big}", f"u*{big}"), (f"u^{big}", f"u^{big}"),
+                           (f"u ^ -{big}", f"u ^ -{big}"), (f"2 + {big}*v", f"{big}*v"),
+                           (f"1/{big}", f"1/{big}"), (f"0.{big}*u", f"0.{big}*u")):
+            with pytest.raises(ValueError, match=f"^term {re.escape(reprlib.repr(term))} has "
+                                                 "a number of more than 4300 digits"):
+                parse_poly(UV, text)
+        assert len(reprlib.repr(big)) < 40
+        assert parse_poly(UV, f"{top}*u") == int(top) * u
+        assert parse_poly(UV, f"u^{top}*u^-{top}") == u ** 0
+        assert parse_poly(UV, f"{top}.{top}") == int(top) + Fraction(int(top), 10 ** 4300)
+        sys.set_int_max_str_digits(0)
+        assert parse_poly(UV, f"{big}*v") == int(big) * v
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 _FROZEN_MANTISSA = re.compile(r"(\d+\.?\d*|\.\d+)[eE]")
 _FROZEN_INTEGER = re.compile(r"[0-9]+")
 
 
 def _frozen_parse_poly(ctx, text):
     """``parse_poly`` as it was before it split at signs with ``re.split``:
-    one character at a time.  The differential test's oracle."""
+    one character at a time, a sign belonging to the term after an operator
+    as the last character of the buffer but blanks.  The differential
+    test's oracle."""
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
@@ -365,7 +396,7 @@ def _frozen_parse_poly(ctx, text):
         if ch in "+-":
             if not "".join(buf).strip():
                 sign *= 1 if ch == "+" else -1
-            elif text[i - 1] in "*^+-" or _FROZEN_MANTISSA.fullmatch(
+            elif "".join(buf).rstrip()[-1] in "*^+-" or _FROZEN_MANTISSA.fullmatch(
                     "".join(buf).rpartition("*")[2].strip()):
                 buf.append(ch)
             else:
