@@ -30,18 +30,24 @@ coordinate values numbered as they are first seen, and an element is a
 tuple of fifteen ids.  A coordinate a letter only permutes is a single
 variable of its map and its id is copied: σ1..σ3 change three coordinates
 and σ4 four, each the quadratic ``x3 x4 + x5 x6 - x1 x2 - x0`` in seven
-coordinates, its roles.  The table's one memo is keyed by the ids of the
-seven roles in role order, so it does not depend on the letter or the
-coordinate.  A map looks up the ids as read first; only a miss puts them
-in canonical form, each pair ordered and then the two positive pairs, and
-looks that up.  Different letters and coordinates meet the same canonical
-key, so only a new one evaluates the quadratic, and its value is interned
-by its key; rho1's extended orbit evaluates 48.  The id is stored under
-both keys, so a repeated read finds it at once.  The intermediate values
-of a word go into the same table.  The table and its memo live for one
-orbit.  :class:`OrbitResult` serializes each table value once and builds
-its trace tuples from the shared values; it renumbers and sorts the edges
-when they are first read.
+coordinates, its roles.  Each letter's map is bound to the table
+(:meth:`~quintic_garnier.traces.TraceMap.bind`): the bound map is the move
+of a one-letter word, and a longer word applies its letters' bound maps in
+turn.  The table's one memo is keyed by the ids of the seven roles in role
+order, so it does not depend on the letter or the coordinate.  A map looks
+up the ids as read first; only a miss puts them in canonical form, each
+pair ordered and then the two positive pairs, and looks that up.  Different
+letters and coordinates meet the same canonical key, so only a new one
+evaluates the quadratic, and its value is interned by its key; rho1's
+extended orbit evaluates 48.  Where the seven values are rational
+constants, as in every orbit at a rational point, the table evaluates in
+integer arithmetic, and otherwise multiplies the polynomials; the path
+follows from the values, and both intern the same value.  The id is stored
+under both keys, so a repeated read finds it at once.  The intermediate
+values of a word go into the same table.  The table and its memo live for
+one orbit.  :class:`OrbitResult` serializes each table value once and
+builds its trace tuples from the shared values; it renumbers and sorts the
+edges when they are first read.
 
 Each word is followed by its inverse in the list of moves, and the closure
 computes only one edge of each reverse pair: once ``w`` takes ``t`` to
@@ -274,14 +280,20 @@ def _letter_map(x: int) -> TraceMap:
 
 def _trace_moves(words: Iterable[BraidWord], table: ValueTable) -> list:
     """Each word, then its inverse, as named closure moves on the elements of
-    ``table``, acting letter by letter through :func:`_letter_map`."""
+    ``table``: the map of each letter (:func:`_letter_map`) bound to the
+    table, a one-letter word's bound map as its move, and a longer word's
+    bound maps applied letter by letter."""
     moves = []
     for g in words:
         for w in (g, g.inverse()):
-            def move(ids, maps=[_letter_map(x) for x in w.letters]):
-                for m in maps:
-                    ids = m(ids, table)
-                return ids
+            maps = [_letter_map(x).bind(table) for x in w.letters]
+            if len(maps) == 1:
+                move = maps[0]
+            else:
+                def move(ids, maps=maps):
+                    for m in maps:
+                        ids = m(ids)
+                    return ids
             moves.append((w.name, move))
     return moves
 

@@ -150,6 +150,7 @@ def _load_rep_file(path: str) -> RepTuple:
 def cmd_orbit(args) -> int:
     started = time.perf_counter()
     limit = {} if args.cutoff is None else {"cutoff": args.cutoff}
+    point = ""  # names the point in an error raised once the tuple is specialized
     try:
         if args.rep_file:
             rep = _load_rep_file(args.rep_file)
@@ -162,6 +163,7 @@ def cmd_orbit(args) -> int:
             name = args.family
         if args.at:
             rep = _specialize_rep(rep, _parse_at(args.at))
+            point = f"--at {args.at}: "
         if args.extended:
             res = extended_orbit(rep, seed_name=name, **limit)
             expected = EXPECTED_EXTENDED.get(name)
@@ -169,7 +171,7 @@ def cmd_orbit(args) -> int:
             res = orbit(rep, pure_generators(), seed_name=name, **limit)
             expected = EXPECTED_PURE.get(name)
     except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {point}{exc}", file=sys.stderr)
         return EXIT_USAGE
     checks = [ok("closed", res.status == "closed",
                  f"status={res.status}, size={len(res)}")]

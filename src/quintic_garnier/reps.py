@@ -95,10 +95,6 @@ class TraceTuple:
     def serialize(self) -> tuple[str, ...]:
         return tuple(serialize_poly(v) for v in self.values)
 
-    def substitute(self, sigma: Mapping[str, LaurentPoly],
-                   target: Optional[VarContext] = None) -> "TraceTuple":
-        return TraceTuple([v.substitute(sigma, target) for v in self.values])
-
     def __repr__(self):
         return "(" + ", ".join(self.serialize()) + ")"
 

@@ -566,12 +566,22 @@ def evaluate(p: LaurentPoly, images: Mapping[str, object], target: VarContext,
 
 def serialize_poly(p: LaurentPoly) -> str:
     """Canonical emission: terms by descending lex exponent order, the
-    order of the cached :meth:`LaurentPoly.key`."""
+    order of the cached :meth:`LaurentPoly.key`.
+
+    A coefficient with a number of more digits than the interpreter's
+    limit, ``sys.get_int_max_str_digits()``, has no text: that raises a
+    :class:`ValueError` naming its monomial and the limit."""
     if p.is_zero():
         return "0"
     parts = []
     for exps, coeff in p.key():
-        factors = [str(coeff)]
+        try:
+            factors = [str(coeff)]
+        except ValueError:
+            monomial = "*".join(f"{name}^{e}" for name, e in zip(p.ctx.names, exps) if e)
+            raise ValueError(f"the coefficient of the monomial {monomial or '1'} has a "
+                             f"number of more than {sys.get_int_max_str_digits()} digits, "
+                             "the interpreter's limit on the digits of an integer") from None
         for name, e in zip(p.ctx.names, exps):
             if e:
                 factors.append(f"{name}^{e}")
@@ -667,7 +677,11 @@ def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
                 var = var.strip()
                 if var not in index:
                     raise ContextError(f"undeclared variable {var!r}")
-                exps[index[var]] += int(exp)
+                try:
+                    exps[index[var]] += int(exp)
+                except ValueError:
+                    raise ValueError(f"term {term!r} has exponent {exp.strip()!r}, "
+                                     "which is not an integer") from None
             elif fac in index:
                 exps[index[fac]] += 1
             elif _INTEGER.fullmatch(fac):

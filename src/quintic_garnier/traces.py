@@ -28,12 +28,17 @@ matrices of determinant one.  That is checked where matrices enter: the
 a checked tuple to those of its image, which is again unimodular, so maps
 can be applied one after another without a matrix.
 
-A map reads the roles of each changed coordinate once.  It acts on ids
-into a :class:`ValueTable`, the distinct coordinate values of one orbit,
-and evaluates a quadratic once per canonical tuple of the seven ids it
-reads.  Different letters and coordinates keep meeting the same tuple, so
-the table remembers it across maps, under the ids as read too, so that a
-repeated tuple is found without putting it in canonical form.
+A map reads the roles of each changed coordinate once.  Bound to a
+:class:`ValueTable`, the distinct coordinate values of one orbit, it acts
+on ids into the table and evaluates a quadratic once per canonical tuple
+of the seven ids it reads.  Different letters and coordinates keep meeting
+the same tuple, so the table remembers it across maps, under the ids as
+read too, so that a repeated tuple is found without putting it in
+canonical form.  The table evaluates the quadratic from the values
+themselves: at seven rational constants, as at a rational point, in
+integer arithmetic on numerator and denominator pairs, reduced by one gcd
+(Knuth, TAOCP vol. 2, 4.5.1); otherwise by :func:`_quadratic` on the
+polynomials.
 
 :mod:`~quintic_garnier.braids` imports this module when it derives its
 first letter map, so importing the package does not load it.
@@ -41,9 +46,11 @@ first letter map, so importing the package does not load it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import count
+from math import gcd
 from operator import add, itemgetter
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from .ring import LaurentPoly, VarContext, _co, _from_acc
 from .sl2 import GroupWord
@@ -123,7 +130,10 @@ class ValueTable:
     An element is a tuple of fifteen ids into :attr:`values`.  A value is
     interned by its :meth:`~quintic_garnier.ring.LaurentPoly.key` once, when
     it is first computed; a key carries no variable context, so the values
-    of one table must share one, as those of one orbit do.
+    of one table must share one, as those of one orbit do.  Beside each
+    value, :attr:`rationals` holds its rational value as a ``(numerator,
+    denominator)`` pair in lowest terms, the denominator positive, when it
+    is a constant, and ``None`` otherwise.
 
     :attr:`memo` maps the ids of the seven roles of a changed coordinate,
     in role order, to the id of ``x3 x4 + x5 x6 - x1 x2 - x0`` at those
@@ -134,12 +144,19 @@ class ValueTable:
     tuple.  Ids name the interned values of one context, so tuples with one
     canonical form have equal values, and a hit gives the id that
     evaluating and interning would give.
+
+    :meth:`quadratic` evaluates the quadratic at seven ids.  Where all
+    seven values are constants, as at a rational point, it works on their
+    pairs in integer arithmetic; otherwise it runs :func:`_quadratic` on
+    the polynomials.  Both give the same value, so the ids do not depend on
+    the path.
     """
 
-    __slots__ = ("values", "memo", "_ids")
+    __slots__ = ("values", "rationals", "memo", "_ids")
 
     def __init__(self):
         self.values: list[LaurentPoly] = []
+        self.rationals: list[Optional[tuple[int, int]]] = []
         self._ids: dict[tuple, int] = {}
         self.memo: dict[tuple, int] = {}
 
@@ -149,7 +166,42 @@ class ValueTable:
         if i is None:
             i = self._ids[key] = len(self.values)
             self.values.append(value)
+            self.rationals.append(_rational(key))
         return i
+
+    def quadratic(self, key: tuple) -> int:
+        """The id of ``x3 x4 + x5 x6 - x1 x2 - x0`` at the seven ids ``key``.
+
+        When all seven values are rational, the four products are
+        cross-multiplied over the product of their denominators, the result
+        is reduced by one :func:`math.gcd` (Knuth, TAOCP vol. 2, 4.5.1) and
+        interned as a constant.  Otherwise :func:`_quadratic`, looked up in
+        this module when called, evaluates the polynomials.
+        """
+        rationals = self.rationals
+        pairs = [rationals[j] for j in key]
+        if None in pairs:
+            values = self.values
+            return self.intern(_quadratic([values[j] for j in key]))
+        (n0, d0), (n1, d1), (n2, d2), (n3, d3), (n4, d4), (n5, d5), (n6, d6) = pairs
+        da, db, dc = d3 * d4, d5 * d6, d1 * d2
+        dab = da * db
+        num = ((n3 * n4 * db + n5 * n6 * da) * dc - n1 * n2 * dab) * d0 - n0 * dab * dc
+        den = dab * dc * d0
+        g = gcd(num, den)
+        c = num // g if g == den else Fraction(num // g, den // g)
+        return self.intern(self.values[key[0]].ctx.const(c))
+
+
+def _rational(key: tuple) -> Optional[tuple[int, int]]:
+    """The ``(numerator, denominator)`` pair of the value with ``key``, or
+    ``None`` when it is not a constant."""
+    if not key:
+        return 0, 1
+    if len(key) > 1 or any(key[0][0]):
+        return None
+    c = key[0][1]
+    return c.numerator, c.denominator
 
 
 class TraceMap:
@@ -162,16 +214,16 @@ class TraceMap:
     otherwise ``x3 x4 + x5 x6 - x1 x2 - x0`` in the seven coordinates, its
     roles, that :func:`_conjugation_roles` reads off the word; an entry of
     any other shape makes the constructor raise :class:`ValueError`.
-    Calling the map on an element of a :class:`ValueTable`, fifteen ids,
-    gives the ids of its image.  A coordinate that is one variable is an id
-    copy.  A changed coordinate reads the
-    ids of its roles and looks them up, as read, in the table's
+
+    :meth:`bind` gives the map's move on the elements of one
+    :class:`ValueTable`: fifteen ids to the ids of the image.  A coordinate
+    that is one variable is an id copy.  A changed coordinate reads the ids
+    of its roles and looks them up, as read, in the table's
     :attr:`~ValueTable.memo`.  Only on a miss does it put them in canonical
     form (:func:`_memo_key`) and look that up; only a canonical tuple the
-    table has not met runs :func:`_quadratic` on its values, and the result
-    is interned.  The id is then stored under both tuples.  The image is
-    read from the fifteen ids followed by the new ones by one
-    :func:`~operator.itemgetter`.
+    table has not met is evaluated, by :meth:`ValueTable.quadratic`.  The id
+    is then stored under both tuples.  The image is read from the fifteen
+    ids followed by the new ones by one :func:`~operator.itemgetter`.
     """
 
     __slots__ = ("polys", "_image", "_changed")
@@ -194,21 +246,27 @@ class TraceMap:
         new = count(len(entries))
         self._image = itemgetter(*(e if e.__class__ is int else next(new) for e in entries))
 
-    def __call__(self, ids: tuple, table: ValueTable) -> tuple:
+    def bind(self, table: ValueTable) -> Callable[[tuple], tuple]:
+        """The map's move on the elements of ``table``, with the table's memo
+        and evaluator and the map's getters bound once, for one orbit."""
         memo = table.memo
-        row = list(ids)
-        for roles in self._changed:
-            raw = roles(ids)
-            i = memo.get(raw)
-            if i is None:
-                key = _memo_key(*raw)
-                i = memo.get(key)
+        get, evaluate = memo.get, table.quadratic
+        changed, image = self._changed, self._image
+
+        def move(ids: tuple) -> tuple:
+            row = list(ids)
+            for roles in changed:
+                raw = roles(ids)
+                i = get(raw)
                 if i is None:
-                    values = table.values
-                    i = memo[key] = table.intern(_quadratic([values[j] for j in key]))
-                memo[raw] = i
-            row.append(i)
-        return self._image(row)
+                    key = _memo_key(*raw)
+                    i = get(key)
+                    if i is None:
+                        i = memo[key] = evaluate(key)
+                    memo[raw] = i
+                row.append(i)
+            return image(row)
+        return move
 
 
 def _memo_key(x0: int, x1: int, x2: int, x3: int, x4: int, x5: int, x6: int) -> tuple:

@@ -282,6 +282,23 @@ def test_orbit_at_zero_denominator_is_usage_error(capsys):
     assert "u=1/0" in captured.err
 
 
+def test_orbit_at_a_point_beyond_the_digit_limit_is_usage_error(capsys):
+    """A point the parser accepts, at the limit, can still give coordinates
+    of more digits than the limit: their serialization is refused with one
+    error line that names the point, and no traceback."""
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        rc = main(["orbit", "rho4", "--extended", "--at", "s=1e4300"])
+    finally:
+        sys.set_int_max_str_digits(old)
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err == ("error: --at s=1e4300: the coefficient of the monomial 1 has a "
+                            "number of more than 4300 digits, the interpreter's limit on the "
+                            "digits of an integer\n")
+
+
 DIGITS = sys.get_int_max_str_digits()
 
 

@@ -3,7 +3,7 @@
 from quintic_garnier.braids import extended_orbit
 from quintic_garnier.families import (CTX_T, CTX_UV, RESTRICTION_WORDS,
                                       builtin_family, restriction_assignment)
-from quintic_garnier.reps import (RepTuple, induced_representation,
+from quintic_garnier.reps import (RepTuple, TraceTuple, induced_representation,
                                   trace_coordinates)
 from quintic_garnier.sl2 import GroupWord, Mat2
 
@@ -30,7 +30,8 @@ def test_case3a_words_match_line_row_at_trace_level():
     # line_case3a lives in the u variable; the plane family in t
     row = builtin_family("line_case3a").rep
     t = CTX_T.var("t")
-    row_in_t = trace_coordinates(row).substitute({"u": t}, CTX_T)
+    row_in_t = TraceTuple([c.substitute({"u": t}, CTX_T)
+                           for c in trace_coordinates(row).values])
     assert trace_coordinates(rep) == row_in_t
 
 
@@ -39,7 +40,8 @@ def test_case3b_words_match_line_row_at_trace_level():
                                  restriction_assignment("case3b"))
     row = builtin_family("line_case3b").rep
     t = CTX_T.var("t")
-    row_in_t = trace_coordinates(row).substitute({"u": t}, CTX_T)
+    row_in_t = TraceTuple([c.substitute({"u": t}, CTX_T)
+                           for c in trace_coordinates(row).values])
     assert trace_coordinates(rep) == row_in_t
 
 

@@ -382,28 +382,41 @@ def _assert_orbits_match_oracle(rho, spherical_cutoff=10000):
                                  orbit(rho, pure_generators(), 1000))
 
 
-def _random_unimodular(rng, ctx):
-    """``[[1, a], [0, 1]] [[1, 0], [b, 1]]`` for random signed monomials a
-    and b: unimodular by construction, with entries of up to two terms."""
-    a, b = (ctx.monomial(rng.choice((1, -1, 2, -2)),
-                         {n: rng.randint(-1, 1) for n in ctx.names}) for _ in range(2))
+def _random_monomial(rng, ctx):
+    return ctx.monomial(rng.choice((1, -1, 2, -2)), {n: rng.randint(-1, 1) for n in ctx.names})
+
+
+def _random_rational(rng, ctx):
+    return ctx.const(Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9)))
+
+
+def _random_unimodular(rng, ctx, entry=_random_monomial):
+    """``[[1, a], [0, 1]] [[1, 0], [b, 1]]`` for random nonzero entries a and
+    b, signed monomials by default: unimodular by construction."""
+    a, b = entry(rng, ctx), entry(rng, ctx)
     one, zero = ctx.one(), ctx.zero()
     return Mat2(one, a, zero, one) * Mat2(one, zero, b, one)
 
 
-@pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])
-def test_letter_maps_match_matrix_oracle_on_random_tuples(ctx):
+@pytest.mark.parametrize("ctx,entry", [(CTX_UV, _random_monomial), (CTX_ROOT, _random_monomial),
+                                       (CTX_UV, _random_rational)],
+                         ids=["uv", "root", "rational"])
+def test_letter_maps_match_matrix_oracle_on_random_tuples(ctx, entry):
     """Every letter map, coordinate for coordinate, against ``braid_act``
-    and ``trace_coordinates`` on 200 seeded random unimodular tuples."""
+    and ``trace_coordinates`` on 200 seeded random unimodular tuples.  At
+    rational entries every value is a constant, so each evaluation runs in
+    integer arithmetic."""
     rng = random.Random(73)
     for _ in range(200):
-        rho = RepTuple(*(_random_unimodular(rng, ctx) for _ in range(4)))
+        rho = RepTuple(*(_random_unimodular(rng, ctx, entry) for _ in range(4)))
         table = ValueTable()
         five, ids = rho.five(), _intern(table, trace_coordinates(rho))
         for x in LETTERS:
             image = braid_act(BraidWord([x]), five)
-            _assert_same_coordinates(_decode(table, _letter_map(x)(ids, table)),
+            _assert_same_coordinates(_decode(table, _letter_map(x).bind(table)(ids)),
                                      _oracle_traces(image), x)
+        if entry is _random_rational:
+            assert None not in table.rationals
 
 
 @pytest.mark.parametrize("conjugated", [False, True], ids=["catalog", "conjugate"])
@@ -506,6 +519,76 @@ def test_quadratic_matches_ring_arithmetic(ctx):
     if ctx is CTX_ROOT:  # r*r + r + 1 cancels only once r^2 is reduced
         r = ctx.var("r")
         assert _quadratic([-one, z, z, r, r, r, one]).is_zero()
+
+
+RATIONALS = [Fraction(n, d) for n in (0, 1, -1, 3, -4, 7, 12) for d in (1, 2, 6, 35, 36)]
+"""Zero, signed integers, and fractions whose denominators share factors
+(2, 6, 36) or none (35, 36)."""
+
+
+def test_table_quadratic_matches_polynomial_quadratic(monkeypatch):
+    """At seven rational constants, the table evaluates the quadratic in
+    integer arithmetic, without ``_quadratic``, to the value, stored
+    coefficient type and rational pair that ``_quadratic`` gives; a tuple
+    with a role that is not a constant goes to ``_quadratic``."""
+    quadratic, calls = traces._quadratic, []
+    monkeypatch.setattr(traces, "_quadratic", lambda v: calls.append(v) or quadratic(v))
+    rng = random.Random(103)
+    draws = [[rng.choice(RATIONALS) for _ in range(7)] for _ in range(500)]
+    draws += [[Fraction(0)] * 7, [Fraction(1, 2)] * 7, [Fraction(-4)] * 7]
+    for cs in draws:
+        table = ValueTable()
+        key = tuple(table.intern(CTX_UV.const(c)) for c in cs)
+        i = table.quadratic(key)
+        got, want = table.values[i], quadratic([table.values[j] for j in key])
+        assert got.key() == want.key(), cs
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+        value = want.constant_value()
+        assert table.rationals[i] == (value.numerator, value.denominator), cs
+    assert calls == []
+    table = ValueTable()
+    values = [CTX_UV.const(c) for c in draws[0][:6]] + [u]
+    key = tuple(map(table.intern, values))
+    assert table.rationals[key[6]] is None
+    assert table.values[table.quadratic(key)] == quadratic(values)
+    assert len(calls) == 1
+
+
+def _draw_point(rng):
+    """u, v = +-p/q, +-p'/q' with p, q, p', q' distinct in 1, 2, 3, 5, 7."""
+    p, q, p2, q2 = rng.sample((1, 2, 3, 5, 7), 4)
+    return {"u": Fraction(rng.choice((1, -1)) * p, q),
+            "v": Fraction(rng.choice((1, -1)) * p2, q2)}
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_orbits_at_a_point_are_the_symbolic_orbits_specialized(monkeypatch, seed):
+    """At a rational point the extended orbit has exactly the elements of
+    the symbolic extended orbit with the point substituted.  It is closed
+    in integer arithmetic: ``_quadratic`` is never called, and the table
+    evaluates once per canonical memo key."""
+    point = _draw_point(random.Random(seed))
+    quadratic, evaluate, trace_moves = traces._quadratic, ValueTable.quadratic, \
+        braids._trace_moves
+    symbolic, calls, evaluations, tables = {}, [], [], []
+    for name in ("rho1", "rho2", "rho3", "rho4"):
+        symbolic[name] = extended_orbit(builtin_family(name).rep)
+    monkeypatch.setattr(traces, "_quadratic", lambda v: calls.append(v) or quadratic(v))
+    monkeypatch.setattr(ValueTable, "quadratic",
+                        lambda table, key: evaluations.append(key) or evaluate(table, key))
+    monkeypatch.setattr(braids, "_trace_moves",
+                        lambda words, table: tables.append(table) or trace_moves(words, table))
+    for name, res in symbolic.items():
+        rho = builtin_family(name).rep
+        values = {n: point.get(n, point["u"]) for n in rho.ctx.names}
+        at = RepTuple(*(Mat2(*(e.substitute(values) for e in m.entries())) for m in rho.mats))
+        evaluations.clear()
+        got = extended_orbit(at)
+        assert got.status == "closed"
+        assert got.element_set() == res.substituted_set(values), name
+        assert None not in tables[-1].rationals
+        assert len(evaluations) == _memo_sizes(tables.pop())[0] > 0
+    assert calls == []
 
 
 SYMMETRIES = [(0, *n, *a, *b) for n in ((1, 2), (2, 1))

@@ -376,6 +376,40 @@ def test_grammar_refuses_a_number_above_the_digit_limit():
         sys.set_int_max_str_digits(old)
 
 
+def test_grammar_refuses_an_exponent_that_is_not_an_integer():
+    """A malformed exponent is refused with a ``ValueError`` that names the
+    term and the exponent, where ``int`` would name neither; an exponent
+    that ``int`` reads, underscores and blanks included, still parses."""
+    for text, exp in (("u^x", "x"), ("u^1.5", "1.5"), ("2*u^", ""), ("u ^ - 2", "- 2"),
+                      ("u^^2", "^2")):
+        with pytest.raises(ValueError, match=f"^term {re.escape(repr(text))} has exponent "
+                                             f"{re.escape(repr(exp))}, which is not an "
+                                             "integer$"):
+            parse_poly(UV, text)
+    assert parse_poly(UV, "u^2_0") == u ** 20
+    assert parse_poly(UV, "u^ -2") == u ** -2
+
+
+def test_serialization_refuses_a_number_above_the_digit_limit():
+    """A coefficient with a number of more digits than
+    ``sys.get_int_max_str_digits()`` has no text: the refusal names its
+    monomial and the limit, where ``str`` would name neither.  One at the
+    limit is written."""
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        for p, monomial in ((10 ** 4300 * u ** 2 * v ** -1, "u^2*v^-1"),
+                            (u + Fraction(1, 10 ** 4300), "1")):
+            with pytest.raises(ValueError, match=f"^the coefficient of the monomial "
+                                                 f"{re.escape(monomial)} has a number of "
+                                                 "more than 4300 digits, the interpreter's "
+                                                 "limit on the digits of an integer$"):
+                serialize_poly(p)
+        assert serialize_poly(10 ** 4299 * u) == f"1{'0' * 4299}*u^1"
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 _FROZEN_MANTISSA = re.compile(r"(\d+\.?\d*|\.\d+)[eE]")
 _FROZEN_INTEGER = re.compile(r"[0-9]+")
 
@@ -471,7 +505,9 @@ def _random_text(rng):
 def test_grammar_splits_at_signs_as_the_frozen_parser_did():
     """On 20,000 seeded random strings, ``parse_poly`` gives the frozen
     parser's value, stored coefficient type and text, or raises its
-    exception type with its message.  Runs of four or more digits are left
+    exception type with its message.  Where the frozen parser passed a
+    malformed exponent to ``int``, ``parse_poly`` refuses the same text with
+    a message that names the term.  Runs of four or more digits are left
     out, so that no exponent reaches the digit limit only the current
     parser checks."""
     EU = VarContext(["e", "u"])
@@ -482,7 +518,11 @@ def test_grammar_splits_at_signs_as_the_frozen_parser_did():
         if re.search(r"[0-9_]{4}", text):
             continue
         seen += 1
-        assert _outcome(parse_poly, EU, text) == _outcome(_frozen_parse_poly, EU, text), text
+        got, want = _outcome(parse_poly, EU, text), _outcome(_frozen_parse_poly, EU, text)
+        if want[0] is ValueError and want[1].startswith("invalid literal for int()"):
+            assert got[0] is ValueError and got[1].startswith("term "), text
+        else:
+            assert got == want, text
 
 
 def test_exact_division():
