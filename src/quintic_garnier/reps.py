@@ -11,7 +11,8 @@ trace functions
     r123, r124, r134, r234 = traces of the triple products,
 
 in this fixed order.  :func:`trace_coordinates` computes them from matrices
-as traces of products, with ``M1 M2`` and ``M3 M4`` built once;
+as traces of products, with ``M1 M2`` and ``M3 M4`` the only matrices it
+builds and the other nine products read for their traces alone;
 :mod:`~quintic_garnier.traces` computes them after a braid move without any
 matrix.
 """
@@ -100,15 +101,23 @@ class TraceTuple:
 
 
 def trace_coordinates(rho: RepTuple) -> TraceTuple:
-    """All fifteen coordinates of ``rho``, as traces of products."""
+    """All fifteen coordinates of ``rho``, as traces of products; only
+    ``M1 M2`` and ``M3 M4`` are built as matrices, and every other product
+    is read for its trace alone (:func:`_product_trace`)."""
     m1, m2, m3, m4 = rho.mats
     p12, p34 = m1 * m2, m3 * m4
     return TraceTuple([m1.trace(), m2.trace(), m3.trace(), m4.trace(),
-                       (p12 * p34).trace(), p12.trace(),
-                       (m1 * m3).trace(), (m1 * m4).trace(),
-                       (m2 * m3).trace(), (m2 * m4).trace(), p34.trace(),
-                       (p12 * m3).trace(), (p12 * m4).trace(),
-                       (m1 * p34).trace(), (m2 * p34).trace()])
+                       _product_trace(p12, p34), p12.trace(),
+                       _product_trace(m1, m3), _product_trace(m1, m4),
+                       _product_trace(m2, m3), _product_trace(m2, m4), p34.trace(),
+                       _product_trace(p12, m3), _product_trace(p12, m4),
+                       _product_trace(m1, p34), _product_trace(m2, p34)])
+
+
+def _product_trace(x: Mat2, y: Mat2) -> LaurentPoly:
+    """tr(XY) = x11 y11 + x12 y21 + x21 y12 + x22 y22: four products, where
+    building XY takes eight."""
+    return x.a * y.a + x.b * y.c + x.c * y.b + x.d * y.d
 
 
 def induced_representation(words: Sequence[GroupWord],

@@ -8,6 +8,9 @@ sometimes only projectively faithful to their presentations.
 
 :func:`closure` is the one breadth-first closure engine of the package: it
 closes matrix sets here and braid orbits in :mod:`~quintic_garnier.braids`.
+It keeps one successor table, element by move, and for a group action
+fills entries without calling a move: the reverse of each computed edge,
+and each edge that two commuting moves fix from edges already known.
 """
 
 from __future__ import annotations
@@ -258,63 +261,96 @@ class ClosureResult:
 
 
 def closure(seed, moves: Sequence[tuple[str, Callable]], cutoff: int,
-            inverses: Optional[Sequence[int]] = None
-            ) -> tuple[list, list[tuple[int, str, int]], str]:
+            inverses: Optional[Sequence[int]] = None,
+            commuting: Optional[Sequence[Sequence[int]]] = None
+            ) -> tuple[list, list[list[Optional[int]]], str]:
     """Breadth-first closure of ``seed`` under ``moves``.
 
     The elements must be hashable; two are the same element when they are
     equal.  ``moves`` is a list of ``(name, fn)`` pairs, applied in order to
     every element of a level before the next level starts.  Returns
-    ``(elements, edges, status)``: the elements in discovery order (the
-    seed first), one edge ``(i, name, j)`` per move applied, and a status
-    that is ``"closed"``, or ``"cutoff"`` as soon as a new element would go
-    past ``cutoff``, which must be at least 1.
+    ``(elements, table, status)``: the elements in discovery order (the
+    seed first), the successor table, and a status that is ``"closed"``, or
+    ``"cutoff"`` as soon as a new element would go past ``cutoff``, which
+    must be at least 1.  ``table[i][m]`` is the index of the element that
+    move ``m`` takes element ``i`` to.  The elements are scanned in index
+    order, so the filled entries read row by row are the edges ``(i, m,
+    j)`` in the order the loop reaches them; at a cutoff every entry past
+    the point the scan stopped at is ``None``.
 
     ``inverses[m]``, when given, is the index of the move inverse to move
     ``m``, an involution of ``range(len(moves))``.  The moves must then be
-    a group action on the elements: an edge ``(i, m, j)`` that is computed
-    gives its reverse ``(j, inverses[m], i)``, which is appended when the
-    loop reaches it, without calling the move.  Its target is an element
-    already known, so the elements, edges and status are those of the same
-    call without ``inverses``.  The inferred targets are kept per element in
-    a list indexed by move; without ``inverses`` nothing is kept.
+    a group action on the elements: an entry ``table[i][m] = j`` gives
+    ``table[j][inverses[m]] = i`` without calling the move.
+
+    ``commuting[m]``, when given, lists the moves that commute with move
+    ``m`` as maps of the elements; it needs ``inverses`` and must be
+    symmetric, irreflexive and closed under ``inverses``.  Before move
+    ``m`` (a) is called on element ``i``, each commuting move ``n`` (b) is
+    tried: when ``p = table[i][inverses[n]]``, ``q = table[p][m]`` and
+    ``r = table[q][n]`` are all known, then ``i a = p b a = p a b = r``, the
+    deduction step of coset enumeration (Holt, Eick and O'Brien, *Handbook
+    of Computational Group Theory*, ch. 5).
+
+    Both inferences give an element already found, so the elements, the
+    table and the status are those of the same call without them; only the
+    number of moves called differs.  A malformed ``inverses`` or
+    ``commuting`` raises :class:`ValueError` before any move is called.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
+    k = len(moves)
     if inverses is not None and (
-            len(inverses) != len(moves)
-            or any(not 0 <= n < len(moves) or inverses[n] != m
-                   for m, n in enumerate(inverses))):
+            len(inverses) != k
+            or any(not 0 <= n < k or inverses[n] != m for m, n in enumerate(inverses))):
         raise ValueError("inverses must be an involution of the move indices")
+    if commuting is not None:
+        if inverses is None:
+            raise ValueError("commuting needs inverses")
+        if len(commuting) != k or any(not 0 <= n < k for ns in commuting for n in ns):
+            raise ValueError("commuting must list move indices for each move")
+        pairs = {(m, n) for m, ns in enumerate(commuting) for n in ns}
+        if any(m == n or (n, m) not in pairs or (m, inverses[n]) not in pairs
+               for m, n in pairs):
+            raise ValueError("commuting must be symmetric, irreflexive and "
+                             "closed under inverses")
+    # per move: its index, function, inverse, and (inverses[n], n) for each
+    # move n that commutes with it
+    steps = [(m, fn, None if inverses is None else inverses[m],
+              () if commuting is None else [(inverses[n], n) for n in commuting[m]])
+             for m, (_, fn) in enumerate(moves)]
     index = {seed: 0}
     elements = [seed]
-    edges: list[tuple[int, str, int]] = []
-    # reverses[j][n]: the target of move n from element j, when an edge into
-    # j under its inverse was computed first
-    reverses = None if inverses is None else [[None] * len(moves)]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            known = None if reverses is None else reverses[i]
-            for m, (name, move) in enumerate(moves):
-                j = None if known is None else known[m]
+    table: list[list[Optional[int]]] = [[None] * k]
+    for i, element in enumerate(elements):  # the loop appends new elements
+        row = table[i]
+        for m, move, back, deductions in steps:
+            if row[m] is not None:
+                continue
+            for back_n, n in deductions:
+                p = row[back_n]
+                if p is not None:
+                    q = table[p][m]
+                    if q is not None:
+                        j = table[q][n]
+                        if j is not None:
+                            break
+            else:  # no deduction: call the move
+                image = move(element)
+                j = index.get(image)
                 if j is None:
-                    image = move(elements[i])
-                    j = index.get(image)
-                    if j is None:
-                        if len(elements) >= cutoff:
-                            return elements, edges, "cutoff"
-                        j = index[image] = len(elements)
-                        elements.append(image)
-                        nxt.append(j)
-                        if reverses is not None:
-                            reverses.append([None] * len(moves))
-                    if reverses is not None:
-                        reverses[j][inverses[m]] = i
-                edges.append((i, name, j))
-        frontier = nxt
-    return elements, edges, "closed"
+                    if len(elements) >= cutoff:
+                        row[m:] = [None] * (k - m)
+                        for later in table[i + 1:]:
+                            later[:] = [None] * k
+                        return elements, table, "cutoff"
+                    j = index[image] = len(elements)
+                    elements.append(image)
+                    table.append([None] * k)
+            row[m] = j
+            if back is not None:
+                table[j][back] = i
+    return elements, table, "closed"
 
 
 def projective_closure(generators: Sequence[Mat2], cutoff: int = 1000) -> ClosureResult:

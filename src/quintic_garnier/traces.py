@@ -37,7 +37,8 @@ read too, so that a repeated tuple is found without putting it in
 canonical form.  The table evaluates the quadratic from the values
 themselves: at seven rational constants, as at a rational point, in
 integer arithmetic on numerator and denominator pairs, reduced by one gcd
-(Knuth, TAOCP vol. 2, 4.5.1); otherwise by :func:`_quadratic` on the
+(Knuth, TAOCP vol. 2, 4.5.1), and a value is built only when the table
+does not hold the reduced pair yet; otherwise by :func:`_quadratic` on the
 polynomials.
 
 :mod:`~quintic_garnier.braids` imports this module when it derives its
@@ -133,7 +134,8 @@ class ValueTable:
     of one table must share one, as those of one orbit do.  Beside each
     value, :attr:`rationals` holds its rational value as a ``(numerator,
     denominator)`` pair in lowest terms, the denominator positive, when it
-    is a constant, and ``None`` otherwise.
+    is a constant, and ``None`` otherwise; :attr:`constants` maps each such
+    pair back to its id.
 
     :attr:`memo` maps the ids of the seven roles of a changed coordinate,
     in role order, to the id of ``x3 x4 + x5 x6 - x1 x2 - x0`` at those
@@ -147,16 +149,18 @@ class ValueTable:
 
     :meth:`quadratic` evaluates the quadratic at seven ids.  Where all
     seven values are constants, as at a rational point, it works on their
-    pairs in integer arithmetic; otherwise it runs :func:`_quadratic` on
-    the polynomials.  Both give the same value, so the ids do not depend on
-    the path.
+    pairs in integer arithmetic and looks the reduced pair up in
+    :attr:`constants`, so only a value the table does not hold yet is
+    built; otherwise it runs :func:`_quadratic` on the polynomials.  Both
+    give the same value, so the ids do not depend on the path.
     """
 
-    __slots__ = ("values", "rationals", "memo", "_ids")
+    __slots__ = ("values", "rationals", "constants", "memo", "_ids")
 
     def __init__(self):
         self.values: list[LaurentPoly] = []
         self.rationals: list[Optional[tuple[int, int]]] = []
+        self.constants: dict[tuple[int, int], int] = {}
         self._ids: dict[tuple, int] = {}
         self.memo: dict[tuple, int] = {}
 
@@ -166,16 +170,20 @@ class ValueTable:
         if i is None:
             i = self._ids[key] = len(self.values)
             self.values.append(value)
-            self.rationals.append(_rational(key))
+            pair = _rational(key)
+            self.rationals.append(pair)
+            if pair is not None:
+                self.constants[pair] = i
         return i
 
     def quadratic(self, key: tuple) -> int:
         """The id of ``x3 x4 + x5 x6 - x1 x2 - x0`` at the seven ids ``key``.
 
         When all seven values are rational, the four products are
-        cross-multiplied over the product of their denominators, the result
-        is reduced by one :func:`math.gcd` (Knuth, TAOCP vol. 2, 4.5.1) and
-        interned as a constant.  Otherwise :func:`_quadratic`, looked up in
+        cross-multiplied over the product of their denominators and the
+        result is reduced by one :func:`math.gcd` (Knuth, TAOCP vol. 2,
+        4.5.1); a pair the table holds gives its id, and only a new one is
+        built and interned as a constant.  Otherwise :func:`_quadratic`, looked up in
         this module when called, evaluates the polynomials.
         """
         rationals = self.rationals
@@ -189,8 +197,12 @@ class ValueTable:
         num = ((n3 * n4 * db + n5 * n6 * da) * dc - n1 * n2 * dab) * d0 - n0 * dab * dc
         den = dab * dc * d0
         g = gcd(num, den)
-        c = num // g if g == den else Fraction(num // g, den // g)
-        return self.intern(self.values[key[0]].ctx.const(c))
+        num, den = num // g, den // g
+        i = self.constants.get((num, den))
+        if i is None:
+            c = num if den == 1 else Fraction(num, den)
+            i = self.intern(self.values[key[0]].ctx.const(c))
+        return i
 
 
 def _rational(key: tuple) -> Optional[tuple[int, int]]:

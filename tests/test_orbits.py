@@ -368,10 +368,10 @@ def _assert_orbit_matches_oracle(rho, words, cutoff, run):
     table = ValueTable()
     start = _intern(table, trace_coordinates(rho))
     mats_of = {start: rho.five() if words is SPHERICAL else rho.mats}
-    elements, edges, status = closure(start, _oracle_moves(words, table, mats_of),
-                                      cutoff)
-    want = OrbitResult("seed", elements, table.values, edges, status,
-                       [g.name for g in words], cutoff)
+    moves = _oracle_moves(words, table, mats_of)
+    elements, successors, status = closure(start, moves, cutoff)
+    want = OrbitResult("seed", elements, table.values, successors,
+                       [name for name, _ in moves], status, [g.name for g in words], cutoff)
     assert run.to_json() == want.to_json()
 
 
@@ -565,12 +565,16 @@ def _draw_point(rng):
 def test_orbits_at_a_point_are_the_symbolic_orbits_specialized(monkeypatch, seed):
     """At a rational point the extended orbit has exactly the elements of
     the symbolic extended orbit with the point substituted.  It is closed
-    in integer arithmetic: ``_quadratic`` is never called, and the table
-    evaluates once per canonical memo key."""
+    in integer arithmetic: ``_quadratic`` is never called, the table
+    evaluates once per canonical memo key, and after the seed it interns
+    only values it does not hold yet."""
     point = _draw_point(random.Random(seed))
     quadratic, evaluate, trace_moves = traces._quadratic, ValueTable.quadratic, \
         braids._trace_moves
-    symbolic, calls, evaluations, tables = {}, [], [], []
+    symbolic, calls, evaluations, tables, interns = {}, [], [], [], []
+    intern = ValueTable.intern
+    monkeypatch.setattr(ValueTable, "intern", lambda table, value: interns.append(
+        (len(table.values), intern(table, value))) or interns[-1][1])
     for name in ("rho1", "rho2", "rho3", "rho4"):
         symbolic[name] = extended_orbit(builtin_family(name).rep)
     monkeypatch.setattr(traces, "_quadratic", lambda v: calls.append(v) or quadratic(v))
@@ -583,10 +587,12 @@ def test_orbits_at_a_point_are_the_symbolic_orbits_specialized(monkeypatch, seed
         values = {n: point.get(n, point["u"]) for n in rho.ctx.names}
         at = RepTuple(*(Mat2(*(e.substitute(values) for e in m.entries())) for m in rho.mats))
         evaluations.clear()
+        interns.clear()
         got = extended_orbit(at)
         assert got.status == "closed"
         assert got.element_set() == res.substituted_set(values), name
         assert None not in tables[-1].rationals
+        assert len(interns) > 15 and all(new == i for new, i in interns[15:]), name
         assert len(evaluations) == _memo_sizes(tables.pop())[0] > 0
     assert calls == []
 
@@ -713,7 +719,9 @@ def test_orbits_build_no_matrix_after_the_seed(monkeypatch):
 
 def test_orbits_compute_one_edge_of_each_reverse_pair(monkeypatch):
     """A word and its inverse cancel on trace tuples, so the closure
-    evaluates one move per pair of reverse edges and infers the other."""
+    evaluates at most one move per pair of reverse edges and infers the
+    other; far commutation fixes 839 of those 2,176 moves from edges
+    already known, so 1,337 are evaluated."""
     calls = []
     trace_moves = braids._trace_moves
 
@@ -727,28 +735,49 @@ def test_orbits_compute_one_edge_of_each_reverse_pair(monkeypatch):
         for res in (extended_orbit(rho), orbit(rho, pure_generators())):
             assert res.status == "closed"
             edges += len(res.edges)
-    assert (len(calls), edges) == (2176, 4352)
+    assert (len(calls), edges) == (1337, 4352)
 
 
-@pytest.mark.parametrize("cutoff", [10000, 7], ids=["closed", "cutoff"])
+def _rational_point_rep(name):
+    """The catalog tuple ``name`` with its parameters at u = 3/2, v = -7
+    (and s = u): every coordinate is a rational constant."""
+    rho = builtin_family(name).rep
+    values = {n: {"v": Fraction(-7)}.get(n, Fraction(3, 2)) for n in rho.ctx.names}
+    return RepTuple(*(Mat2(*(e.substitute(values) for e in m.entries())) for m in rho.mats))
+
+
+@pytest.mark.parametrize("cutoff", [10000, 7, 100], ids=["closed", "cutoff", "cutoff100"])
 @pytest.mark.parametrize("words", [SPHERICAL, pure_generators()], ids=["extended", "pure"])
-@pytest.mark.parametrize("name", ["rho1", "rho2", "rho3", "rho4"])
+@pytest.mark.parametrize("name", ["rho1", "rho2", "rho3", "rho4", "rho1_at_point"])
 def test_closure_with_inverses_matches_closure_without(name, words, cutoff):
     """On the trace moves of a real orbit, the closure that infers reverse
-    edges gives the elements, edges and status of the one that computes
-    every move.  Each runs on a table of its own, so elements are compared
-    by their values."""
-    rho = builtin_family(name).rep
+    edges, and the one that also deduces far-commuting edges, give the
+    elements, successor table and status of the one that computes every
+    move.  Each runs on a table of its own, so elements are compared by
+    their values."""
+    rho = _rational_point_rep("rho1") if name == "rho1_at_point" else builtin_family(name).rep
+    inverses = [m ^ 1 for m in range(2 * len(words))]
     got = []
-    for inverses in (None, [m ^ 1 for m in range(2 * len(words))]):
+    for extra in ((), (inverses,), (inverses, braids._commuting(words))):
         table = ValueTable()
         start = _intern(table, trace_coordinates(rho))
-        elements, edges, status = closure(start, _trace_moves(words, table), cutoff,
-                                          inverses)
-        got.append(([_decode(table, e) for e in elements], edges, status))
-    assert got[0] == got[1]
-    size = EXTENDED_SIZES[name] if words is SPHERICAL else 4
+        elements, successors, status = closure(start, _trace_moves(words, table), cutoff,
+                                               *extra)
+        got.append(([_decode(table, e) for e in elements], successors, status))
+    assert got[0] == got[1] == got[2]
+    size = EXTENDED_SIZES[name[:4]] if words is SPHERICAL else 4
     assert got[0][2] == ("closed" if size <= cutoff else "cutoff")
+
+
+def test_commuting_moves_are_the_far_apart_words():
+    """sigma_i and sigma_j commute for |i - j| >= 2: sigma_1 with sigma_3 and
+    sigma_4, sigma_2 with sigma_4, each with its inverse too; of the pure
+    generators only A12 and A34, whose letters 1 and 3 are two strands
+    apart."""
+    assert braids._commuting(SPHERICAL) == [[4, 5, 6, 7], [4, 5, 6, 7], [6, 7], [6, 7],
+                                            [0, 1], [0, 1], [0, 1, 2, 3], [0, 1, 2, 3]]
+    pure = braids._commuting(pure_generators())
+    assert {(m // 2, n // 2) for m, ns in enumerate(pure) for n in ns} == {(0, 5), (5, 0)}
 
 
 def test_orbit_memo_evaluates_each_entry_once_per_distinct_expression(monkeypatch):
@@ -775,8 +804,8 @@ def test_orbit_memo_evaluates_each_entry_once_per_distinct_expression(monkeypatc
         res = orbit(rho, pure_generators())
         assert res.status == "closed"
         got[f"pure {name}"] = (len(calls), *_memo_sizes(tables.pop()))
-    assert got == {"rho1": (48, 48, 236, 14), "rho2": (29, 29, 138, 9),
-                   "rho3": (27, 27, 118, 8), "rho4": (13, 13, 48, 5),
+    assert got == {"rho1": (48, 48, 227, 14), "rho2": (29, 29, 129, 9),
+                   "rho3": (27, 27, 113, 8), "rho4": (13, 13, 48, 5),
                    "pure rho1": (37, 37, 67), "pure rho2": (27, 27, 60),
                    "pure rho3": (21, 21, 41), "pure rho4": (12, 12, 21)}
 
@@ -823,17 +852,32 @@ def _action_verdicts(res) -> dict[str, bool]:
     return verdicts
 
 
+def _orbit_computing_every_edge(rho, words):
+    """The orbit of ``rho`` under ``words`` closed without ``inverses`` or
+    ``commuting``: every edge is a computed move, none inferred from a
+    relation that the edges are then checked against."""
+    table = ValueTable()
+    moves = _trace_moves(words, table)
+    elements, successors, status = closure(_intern(table, trace_coordinates(rho)),
+                                           moves, 10000)
+    return OrbitResult("seed", elements, table.values, successors,
+                       [name for name, _ in moves], status, [g.name for g in words], 10000)
+
+
 @pytest.mark.parametrize("conjugated", [False, True], ids=["catalog", "conjugate"])
 @pytest.mark.parametrize("name", ["rho1", "rho2", "rho3", "rho4"])
 def test_extended_orbit_edges_define_a_braid_action(name, conjugated):
     """The moves of a closed extended orbit, read from its edges, are
     permutations that satisfy the relations of the spherical braid action.
-    A memo keyed on the wrong inputs could still close, but not this."""
+    A memo keyed on the wrong inputs could still close, but not this.  The
+    edges are all computed, so s1 s3 = s3 s1 is not checked against edges
+    deduced from it; the orbit is the one ``extended_orbit`` gives."""
     rho = builtin_family(name).rep
     if conjugated:
         rho = rho.conjugate_by(random_unipotent(random.Random(name), rho.ctx))
-    res = extended_orbit(rho)
+    res = _orbit_computing_every_edge(rho, SPHERICAL)
     assert res.status == "closed"
+    assert res.to_json() == extended_orbit(rho).to_json()
     verdicts = _action_verdicts(res)
     assert len(verdicts) == len(LETTER_NAMES) + len(ACTION_RELATIONS)
     assert [k for k, ok in verdicts.items() if not ok] == []
@@ -858,6 +902,41 @@ def test_braid_action_check_fails_on_redirected_edges():
     failed = [k for k, ok in _action_verdicts(res).items() if not ok]
     assert not any(k.endswith("permutes") or k.endswith("^-1 = 1") for k in failed)
     assert failed and set(failed) <= set(ACTION_RELATIONS)
+
+
+def _assert_permutations_agree_with_edges(res):
+    perms = res.permutations()
+    assert list(perms) == [n for g in res.generators for n in (g, g + "^-1")]
+    assert sorted((i, name, j) for name, images in perms.items()
+                  for i, j in enumerate(images) if j is not None) == res.edges
+    return perms
+
+
+@pytest.mark.parametrize("name", ["rho1", "rho2", "rho3", "rho4"])
+def test_orbit_permutations_of_closed_orbits(name):
+    """On a closed orbit each move's list is a permutation of the elements,
+    a move and its inverse are mutually inverse, and the lists hold the
+    edges."""
+    rho = builtin_family(name).rep
+    for res in (extended_orbit(rho), orbit(rho, pure_generators())):
+        assert res.status == "closed"
+        n = len(res)
+        perms = _assert_permutations_agree_with_edges(res)
+        for g in res.generators:
+            p, q = perms[g], perms[g + "^-1"]
+            assert sorted(p) == sorted(q) == list(range(n))
+            assert [q[p[i]] for i in range(n)] == [p[q[i]] for i in range(n)] == list(range(n))
+
+
+@pytest.mark.parametrize("cutoff", [1, 7, 119])
+def test_orbit_permutations_of_a_cutoff_orbit_are_not_completed(cutoff):
+    """A cutoff orbit's lists hold exactly its edges and ``None`` where it
+    has none."""
+    res = extended_orbit(builtin_family("rho1").rep, cutoff=cutoff)
+    assert res.status == "cutoff" and len(res) == cutoff
+    perms = _assert_permutations_agree_with_edges(res)
+    assert sum(j is None for images in perms.values() for j in images) \
+        == 8 * cutoff - len(res.edges) > 0
 
 
 def test_letter_maps_are_derived_on_first_use():

@@ -101,16 +101,24 @@ def test_relation_report_shape():
     assert all({"relator", "sl2", "psl2"} <= set(r) for r in d["relators"])
 
 
+def _entries(table, moves):
+    """The filled entries of a successor table, row by row, as edges
+    ``(i, name, j)``."""
+    return [(i, moves[m][0], j) for i, row in enumerate(table)
+            for m, j in enumerate(row) if j is not None]
+
+
 def test_closure_levels_edges_and_cutoff():
     # residues mod 6 from 0 under +2 and +3: level 1 is {2, 3}, level 2 {4, 5}
     moves = [("+2", lambda k: (k + 2) % 6), ("+3", lambda k: (k + 3) % 6)]
-    keys, edges, status = closure(0, moves, cutoff=6)
+    keys, table, status = closure(0, moves, cutoff=6)
     assert status == "closed" and keys == [0, 2, 3, 4, 5, 1]
+    edges = _entries(table, moves)
     assert edges[:4] == [(0, "+2", 1), (0, "+3", 2), (1, "+2", 3), (1, "+3", 4)]
-    assert len(edges) == 2 * len(keys)
-    keys, edges, status = closure(0, moves, cutoff=3)
+    assert len(edges) == 2 * len(keys) and len(table) == len(keys)
+    keys, table, status = closure(0, moves, cutoff=3)
     assert status == "cutoff" and keys == [0, 2, 3]
-    assert edges == [(0, "+2", 1), (0, "+3", 2)]
+    assert table == [[1, 2], [None, None], [None, None]]
 
 
 def _counted_moves(calls):
@@ -129,13 +137,15 @@ def test_closure_infers_reverse_edges(cutoff):
     plain = closure(0, _counted_moves(plain_calls), cutoff)
     got = closure(0, _counted_moves(calls), cutoff, [1, 0, 3, 2])
     assert got == plain
-    keys, edges, status = got
+    keys, table, status = got
+    edges = _entries(table, _counted_moves([]))
     if cutoff == 6:
         assert status == "closed" and len(keys) == 6 and len(edges) == 24
         # each computed edge names its reverse, so half the edges cost a call
         assert len(plain_calls) == len(edges) and len(calls) == len(edges) // 2
     else:
-        # the cutoff falls on the third move, before any reverse is reached
+        # the cutoff falls on the third move, before any reverse is reached;
+        # the reverses already inferred into rows 1 and 2 are blanked
         assert status == "cutoff" and keys == [0, 2, 4]
         assert edges == [(0, "+2", 1), (0, "-2", 2)] and calls == plain_calls
 
@@ -147,6 +157,60 @@ def test_closure_rejects_malformed_inverses(inverses):
     calls = []
     with pytest.raises(ValueError, match="inverses"):
         closure(0, _counted_moves(calls), 6, inverses)
+    assert calls == []
+
+
+def _grid_moves(n, calls):
+    """+x, -x, +y, -y on pairs mod ``n``, each call counted in ``calls``: a
+    commuting action of Z^2, with moves 0/1 commuting with moves 2/3."""
+    def step(dx, dy):
+        def move(p):
+            calls.append((dx, dy))
+            return (p[0] + dx) % n, (p[1] + dy) % n
+        return move
+    return [(name, step(dx, dy)) for name, dx, dy in
+            (("+x", 1, 0), ("-x", -1, 0), ("+y", 0, 1), ("-y", 0, -1))]
+
+
+GRID_INVERSES = [1, 0, 3, 2]
+GRID_COMMUTING = [[2, 3], [2, 3], [0, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("cutoff,counts", [(100, (25, 100, 50, 26)), (20, (20, 44, 29, 21))],
+                         ids=["closed", "cutoff"])
+def test_closure_deduces_commuting_edges(cutoff, counts):
+    """On the 5 x 5 grid, the inverses leave 50 of the 100 moves to call,
+    and far commutation fixes all but 26 of those from edges already known:
+    the 24 that find new elements and one wrap of each cycle.  The
+    elements, table and status are those of the call that computes every
+    move, closed and at a cutoff."""
+    plain_calls, inverse_calls, calls = [], [], []
+    plain = closure((0, 0), _grid_moves(5, plain_calls), cutoff)
+    with_inverses = closure((0, 0), _grid_moves(5, inverse_calls), cutoff, GRID_INVERSES)
+    got = closure((0, 0), _grid_moves(5, calls), cutoff, GRID_INVERSES, GRID_COMMUTING)
+    assert got == with_inverses == plain
+    keys, table, status = got
+    assert status == ("closed" if cutoff == 100 else "cutoff")
+    assert (len(keys), len(plain_calls), len(inverse_calls), len(calls)) == counts
+    # every call but the one that met the cutoff gave a filled entry
+    assert len(_entries(table, _grid_moves(5, []))) == len(plain_calls) - (status == "cutoff")
+
+
+@pytest.mark.parametrize("inverses,commuting", [
+    (GRID_INVERSES, [[2, 3], [2, 3], [0, 1]]),
+    (GRID_INVERSES, [[2, 3], [2, 3], [0, 1], [0, 1], []]),
+    (GRID_INVERSES, [[2, 4], [2, 3], [0, 1], [0, 1]]),
+    (GRID_INVERSES, [[2, 3], [2, 3], [0, 1], [0, -1]]),
+    (GRID_INVERSES, [[2, 3], [2, 3], [0, 1], [1]]),
+    (GRID_INVERSES, [[0, 2, 3], [2, 3], [0, 1, 0], [0, 1]]),
+    (GRID_INVERSES, [[2], [2], [0, 1], []]),
+    (None, GRID_COMMUTING),
+], ids=["short", "long", "out_of_range", "negative", "not_symmetric", "self",
+        "not_closed_under_inverses", "without_inverses"])
+def test_closure_rejects_malformed_commuting(inverses, commuting):
+    calls = []
+    with pytest.raises(ValueError, match="commuting"):
+        closure((0, 0), _grid_moves(5, calls), 100, inverses, commuting)
     assert calls == []
 
 
@@ -263,6 +327,29 @@ def test_trace_coordinates_match_full_product_reference():
         for i, (g, w) in enumerate(zip(got, want)):
             assert g == w, (rho, i)
         assert len(got) == len(want) == 15
+
+
+def _random_rational_unimodular(rng, ctx):
+    """``[[1, a], [0, 1]] [[1, 0], [b, 1]] [[1, c], [0, 1]]`` for random
+    nonzero ``Fraction`` constants: unimodular, every entry a constant."""
+    def const():
+        return ctx.const(Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9)))
+    one, zero = ctx.one(), ctx.zero()
+    return (Mat2(one, const(), zero, one) * Mat2(one, zero, const(), one)
+            * Mat2(one, const(), zero, one))
+
+
+@pytest.mark.parametrize("ctx,entry", [(CTX_UV, _random_unimodular),
+                                       (CTX_UV, _random_rational_unimodular),
+                                       (CTX_ROOT, _random_unimodular)],
+                         ids=["polynomial", "fraction", "root"])
+def test_trace_coordinates_match_full_product_traces_on_random_tuples(ctx, entry):
+    """The coordinates read for their trace alone equal the traces of the
+    full matrix products, on 60 seeded random unimodular tuples."""
+    rng = random.Random(71)
+    for _ in range(60):
+        rho = RepTuple(*(entry(rng, ctx) for _ in range(4)))
+        assert list(trace_coordinates(rho).values) == _full_product_coordinates(rho)
 
 
 def test_rep_tuple_product_and_determinants():
