@@ -84,7 +84,7 @@ import json
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 from .reps import RepTuple, TraceTuple, trace_coordinates
-from .ring import LaurentPoly, VarContext, parse_poly, serialize_poly
+from .ring import LaurentPoly, VarContext, parse_poly, serialize_poly, split_assignments
 from .sl2 import GroupWord, Mat2, closure
 
 if TYPE_CHECKING:
@@ -426,24 +426,15 @@ def _substituted(elements: Iterable[TraceTuple], sigma: Mapping[str, LaurentPoly
 
 def parse_substitution(text: str, src: VarContext,
                        target: VarContext) -> dict[str, LaurentPoly]:
-    """Parse ``u=-s,v=s`` into a signed-monomial substitution map; a source
-    variable named twice is an error, and one without an image must be a
-    target variable, which it maps to."""
+    """Parse ``u=-s,v=s`` (split by :func:`ring.split_assignments`) into a map
+    whose images are signed monomials, one term of coefficient 1 or -1; a source
+    variable without an image must be a target variable, which it maps to."""
     sigma: dict[str, LaurentPoly] = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        name, sep, rhs = piece.partition("=")
-        name = name.strip()
-        if not (sep and rhs.strip()):
-            raise ValueError(f"piece {piece!r} is not name=image")
+    for _, name, rhs in split_assignments(text, "", "image"):
         if name not in src.index:
             raise ValueError(f"unknown source variable {name!r}")
-        if name in sigma:
-            raise ValueError(f"substitution names {name!r} more than once")
-        image = parse_poly(target, rhs.strip())
-        if not image.is_monomial():
+        image = parse_poly(target, rhs)
+        if not (image.is_monomial() and abs(*image.terms.values()) == 1):
             raise ValueError(f"image of {name!r} is not a signed monomial")
         sigma[name] = image
     for name in src.names:

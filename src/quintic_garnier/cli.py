@@ -5,8 +5,9 @@ Reports are JSON documents with a stable schema::
     {"command": ..., "inputs": ..., "results": ..., "checks": [
         {"name": ..., "status": "pass" | "fail" | "warning", "details": ...}]}
 
-Checks with status ``warning`` record known transcription defects of catalog
-objects together with the derived correction; they do not fail the run.
+A quoted formula passes when it matches the derived value; when only its
+stated correction does, it is a ``warning`` that records the known defect and
+does not fail the run; otherwise it fails (:func:`quoted`).
 Exit codes: 0 success, 1 check failure, 2 cutoff reached, 3 usage or parse
 error.
 """
@@ -25,7 +26,7 @@ from .braids import (extended_orbit, orbit, orbit_compare, parse_substitution,
 from .forms import divisor_pullback
 from .fractions import FactoredFraction, Substitution, serialize_frac
 from .reps import RepTuple, TraceTuple, verify_product_identity
-from .ring import VarContext, check_exponent, parse_poly
+from .ring import VarContext, check_exponent, parse_poly, split_assignments
 from .sl2 import Mat2, projective_closure, verify_relations
 
 EXIT_OK, EXIT_FAIL, EXIT_CUTOFF, EXIT_USAGE = 0, 1, 2, 3
@@ -54,6 +55,15 @@ def warn(name, details=""):
     return Check(name, "warning", details)
 
 
+def quoted(name, matches, corrected, known, beyond=""):
+    """The verdict on a quoted formula: pass when it ``matches`` the derived
+    value, a warning with the ``known`` defect when only its stated
+    correction holds, and a fail with ``beyond`` when neither does."""
+    if matches:
+        return ok(name, True)
+    return warn(name, known) if corrected else ok(name, False, beyond)
+
+
 def emit(command: str, inputs: dict, results: dict, checks: list[Check],
          started: float, timing: bool) -> int:
     doc = {
@@ -73,19 +83,10 @@ def emit(command: str, inputs: dict, results: dict, checks: list[Check],
 
 def _parse_at(text: str) -> dict[str, Fraction]:
     out = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        name, sep, val = piece.partition("=")
-        name = name.strip()
-        if not (sep and name and val.strip()):
-            raise ValueError(f"--at piece {piece!r} is not name=value")
-        if name in out:
-            raise ValueError(f"--at names {name!r} more than once")
+    for piece, name, val in split_assignments(text, "--at ", "value"):
         check_exponent(val, f"--at value {piece!r}")
         try:
-            out[name] = Fraction(val.strip())
+            out[name] = Fraction(val)
         except ZeroDivisionError:
             raise ValueError(f"--at value {piece!r} has a zero denominator") from None
         except ValueError:
@@ -210,11 +211,11 @@ def cmd_compare(args) -> int:
                 sigma = parse_substitution(args.subst, ctx_a, ctx_b)
             except ValueError as exc:
                 raise ValueError(f"--subst: {exc}") from None
+        result = orbit_compare(elems_a, elems_b, sigma=sigma,
+                               target=ctx_b if sigma else None)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = orbit_compare(elems_a, elems_b, sigma=sigma,
-                           target=ctx_b if sigma else None)
     checks = [Check("relation", "pass", result["relation"])]
     return emit("compare", {"orbit_a": args.orbit_a, "orbit_b": args.orbit_b,
                             "subst": args.subst or None},
@@ -238,14 +239,11 @@ def suite_relations() -> list[Check]:
         checks.append(ok(f"product_identity:{name}",
                          verify_product_identity(fam.five)["sl2"]))
     fam = families.builtin_family("line_case3a")
-    raw = verify_product_identity(fam.five)
-    fixed = verify_product_identity(fam.corrected_five)
-    if not raw["sl2"] and fixed["sl2"]:
-        checks.append(warn("product_identity:line_case3a",
-                           "transcribed fifth matrix is the inverse of the "
-                           "required one; corrected matrix passes"))
-    else:
-        checks.append(ok("product_identity:line_case3a", raw["sl2"]))
+    checks.append(quoted("product_identity:line_case3a",
+                         verify_product_identity(fam.five)["sl2"],
+                         verify_product_identity(fam.corrected_five)["sl2"],
+                         "transcribed fifth matrix is the inverse of the "
+                         "required one; corrected matrix passes"))
     g3 = families.builtin_family("gamma3_finite")
     res = projective_closure([g3.assignment["a"], g3.assignment["b"]],
                              cutoff=100)
@@ -272,17 +270,15 @@ def suite_flatness() -> list[Check]:
     checks.append(warn("discrepancy:riccati_plane",
                        {k: v for k, v in report["riccati_plane"].items()
                         if k != "matches"}))
-    checks.append(ok("flat:case1_flat",
-                     connections.is_flat(connections.flat_case1_connection())))
-    c1_flat_raw = connections.is_flat(connections.case1_connection())
-    if not c1_flat_raw:
-        checks.append(warn("flat:case1",
-                           "transcribed display is not flat (multi-site "
-                           "transcription defect); the derived representative "
-                           "case1_flat is flat and carries the same polar "
-                           "locus and local exponents"))
-    else:
-        checks.append(ok("flat:case1", True))
+    derived_flat = connections.is_flat(connections.flat_case1_connection())
+    checks.append(ok("flat:case1_flat", derived_flat))
+    checks.append(quoted("flat:case1",
+                         connections.is_flat(connections.case1_connection()),
+                         derived_flat,
+                         "transcribed display is not flat (multi-site "
+                         "transcription defect); the derived representative "
+                         "case1_flat is flat and carries the same polar "
+                         "locus and local exponents"))
     return checks
 
 
@@ -354,8 +350,8 @@ def suite_pullbacks() -> list[Check]:
     # symmetric-square cover of the conic-with-tangents quintic
     scov = connections.map_symmetric_cover()
     p, q = connections.CTX_PQ.var("p"), connections.CTX_PQ.var("q")
-    dc = (x ** 2 + y ** 2 + 1 - 2 * x * y - 2 * x - 2 * y)
-    unit, got = divisor_pullback(scov.pull(dc), {"p-q": p - q})
+    unit, got = divisor_pullback(scov.pull(connections.B_CASE1.factors[0]),
+                                 {"p-q": p - q})
     checks.append(ok("divisor:sym-cover:conic", got == {"p-q": 2},
                      {"factors": got}))
     eta = connections.build_case1_cover_form()
@@ -375,15 +371,12 @@ def suite_restriction() -> list[Check]:
     rep = garnier.alphas_report(line)
     checks.append(ok("alpha1", rep["alpha1"]["matches"]))
     checks.append(ok("alpha0", rep["alpha0"]["matches"]))
-    if rep["alpha2"]["matches"]:
-        checks.append(ok("alpha2", True))
-    else:
-        checks.append(warn("alpha2", {
-            "difference_vs_reference": rep["alpha2"]["delta_vs_reference"],
-            "derived": rep["alpha2"]["derived"],
-            "note": "reference linear coefficient is (a-b)lam0; the derived "
-                    "value -(a+b)lam0 is confirmed by the reference S_q",
-        }))
+    a2 = rep["alpha2"]
+    found = {"difference_vs_reference": a2["delta_vs_reference"],
+             "derived": a2["derived"]}
+    checks.append(quoted("alpha2", a2["matches"], a2["matches_repaired"], dict(
+        found, note="reference linear coefficient is (a-b)lam0; the derived "
+                    "value -(a+b)lam0 is confirmed by the reference S_q"), found))
     at_zero = Substitution(line.basis.ctx, {"lam0": 0, "lam1": 0}, line.basis)
     checks.append(ok("diagonal_at_zero_parameters", all(
         at_zero.fraction(p).is_zero() for p in (line.P2, line.P0))))
@@ -419,16 +412,13 @@ def suite_garnier() -> list[Check]:
                            "matches only when a^2 = 1"))
     checks.append(ok("S_q", report["S_q"]["matches_45"],
                      report["S_q"]["derived"]))
-    if report["P_q"]["matches_45"]:
-        checks.append(ok("P_q", True))
-    else:
-        checks.append(warn("P_q", {
-            "derived": report["P_q"]["derived"],
-            "note": "quoted numerator omits the lam1 factor on (1-c^2); "
-                    "the repaired formula matches"
-                    if report["P_q"]["matches_45_repaired"] else
-                    "derived value disagrees beyond the known repair",
-        }))
+    P_q = report["P_q"]
+    checks.append(quoted("P_q", P_q["matches_45"], P_q["matches_45_repaired"],
+                         {"derived": P_q["derived"],
+                          "note": "quoted numerator omits the lam1 factor on "
+                                  "(1-c^2); the repaired formula matches"},
+                         {"derived": P_q["derived"],
+                          "note": "derived value disagrees beyond the known repair"}))
     checks.append(ok("separant_nonzero", report["separant_nonzero"]))
     parity = garnier.parity_invariance(data)
     checks.append(ok("parity_invariance", all(parity.values()), parity))

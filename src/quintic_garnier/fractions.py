@@ -12,15 +12,14 @@ computed; equality is decided by cross-multiplication.
 Declared factors are divided out in one loop, :meth:`DenomBasis.divide_out`:
 :meth:`DenomBasis.factor_over` runs it unbounded, and
 :meth:`FactoredFraction.reduce` runs it bounded by the denominator exponents.
-Each basis keeps four memos.  The complete factorizations that
+Each basis keeps three memos.  The complete factorizations that
 :meth:`factor_over` found, keyed by the polynomial, so a pullback that
 inverts the same image of a factor again divides nothing (a residual is not
 stored and raises again on every call); the products that
 :meth:`DenomBasis.power` built, keyed by the exponent vector; and the basis
 part of the quotient rule, :meth:`DenomBasis.quotient_rule`, keyed by the
 variable and the exponent vector: at most :data:`FACTOR_MEMO_CAP` of each
-per basis.  The factors' partial derivatives, :meth:`DenomBasis.partials`,
-keyed by the variable, so bounded by the context's variables.
+per basis.
 
 Substitution is one kernel, :class:`Substitution`.  It resolves the images
 once by :func:`ring.resolve_images`, the policy that :func:`ring.evaluate`
@@ -60,12 +59,10 @@ class DenomBasis:
     Factors must be non-monomial (units are handled by Laurent exponents)
     and pairwise non-associate; irreducibility is the caller's promise.
     Memos: ``_factored``, ``_powers`` and ``_rules``, at most
-    :data:`FACTOR_MEMO_CAP` entries each, and ``_partials``, one tuple per
-    variable.
+    :data:`FACTOR_MEMO_CAP` entries each.
     """
 
-    __slots__ = ("ctx", "factors", "names", "_factored", "_powers", "_partials",
-                 "_rules")
+    __slots__ = ("ctx", "factors", "names", "_factored", "_powers", "_rules")
 
     def __init__(self, ctx: VarContext, factors: Sequence[LaurentPoly],
                  names: Optional[Sequence[str]] = None):
@@ -80,7 +77,6 @@ class DenomBasis:
             serialize_poly(f) for f in factors)
         self._factored: dict[LaurentPoly, tuple[LaurentPoly, tuple[int, ...]]] = {}
         self._powers: dict[tuple[int, ...], LaurentPoly] = {}
-        self._partials: dict[str, tuple[LaurentPoly, ...]] = {}
         self._rules: dict[tuple[str, tuple[int, ...]], Optional[
             tuple[LaurentPoly, LaurentPoly, tuple[int, ...]]]] = {}
 
@@ -189,14 +185,6 @@ class DenomBasis:
             self._powers[exps] = p
         return p
 
-    def partials(self, name: str) -> tuple[LaurentPoly, ...]:
-        """Each factor's partial derivative by ``name``, derived once."""
-        hit = self._partials.get(name)
-        if hit is None:
-            hit = self._partials[name] = tuple(f.derivative(name)
-                                               for f in self.factors)
-        return hit
-
     def quotient_rule(self, name: str, exps: tuple[int, ...]
                       ) -> Optional[tuple[LaurentPoly, LaurentPoly, tuple[int, ...]]]:
         """The part of the quotient rule by ``name`` that the denominator
@@ -210,7 +198,7 @@ class DenomBasis:
         key = (name, exps)
         if key in self._rules:
             return self._rules[key]
-        partials = self.partials(name)
+        partials = [f.derivative(name) for f in self.factors]
         mask = tuple(1 if e and df else 0 for e, df in zip(exps, partials))
         rule = None
         if any(mask):

@@ -36,6 +36,8 @@ CTX_AB = VarContext(["y", "a", "b", "lam0", "lam1"])
 _yab, _a, _b = CTX_AB.var("y"), CTX_AB.var("a"), CTX_AB.var("b")
 Q_AB = _a ** 2 * _yab ** 2 + (2 * _a * _b - 1) * _yab + _b ** 2
 B_AB = DenomBasis(CTX_AB, [_yab - 1, Q_AB], names=["y-1", "Q"])
+# derived minus quoted alpha2: the linear coefficient is -(a+b)lam0, not (a-b)lam0
+ALPHA2_REPAIR = -2 * _a * CTX_AB.var("lam0") * _yab
 
 CTX_AC = VarContext(["y", "a", "c", "lam0", "lam1"])
 _yac, _aa, _c = CTX_AC.var("y"), CTX_AC.var("a"), CTX_AC.var("c")
@@ -314,7 +316,8 @@ def garnier_parametrization(rest: LineRestriction) -> tuple[GarnierData, dict]:
 
 
 def alphas_report(rest: LineRestriction) -> dict:
-    """Compare the Riccati numerators of ``rest`` with the quoted ones."""
+    """Compare the Riccati numerators of ``rest`` with the quoted ones; the
+    ``alpha2`` difference is also compared with :data:`ALPHA2_REPAIR`."""
     if rest.basis is not B_AB:
         raise RestrictionError("the quoted numerators are in the (a, b) chart "
                                "(mode='ab')")
@@ -322,7 +325,7 @@ def alphas_report(rest: LineRestriction) -> dict:
     r2, r1, r0 = reference_alphas()
     delta2 = a2 - r2
     return {
-        "alpha2": {"matches": a2 == r2,
+        "alpha2": {"matches": a2 == r2, "matches_repaired": delta2 == ALPHA2_REPAIR,
                    "derived": serialize_poly(a2),
                    "delta_vs_reference": serialize_poly(delta2)},
         "alpha1": {"matches": a1 == r1, "derived": serialize_poly(a1)},

@@ -48,7 +48,7 @@ import reprlib
 import sys
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterable, Mapping, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 Rat = Union[int, Fraction]
 Exponents = tuple[int, ...]
@@ -615,6 +615,27 @@ def check_exponent(literal: str, label: str) -> None:
     if len(digits) > len(str(limit)) or int(digits or "0") > limit:
         raise ValueError(f"{label} has a decimal exponent above {limit}, the "
                          "interpreter's limit on the digits of an integer")
+
+
+def split_assignments(text: str, label: str, word: str
+                      ) -> Iterator[tuple[str, str, str]]:
+    """``(piece, name, value)`` for each piece of ``name=value,...`` in order,
+    blanks stripped and empty pieces skipped; a piece with no name or value
+    (``<label>piece 'u' is not name=<word>``) or a name given again
+    (``<label>names 'u' more than once``) raises ``ValueError`` when reached."""
+    seen = set()
+    for piece in text.split(","):
+        piece = piece.strip()
+        if not piece:
+            continue
+        name, sep, value = piece.partition("=")
+        name, value = name.strip(), value.strip()
+        if not (sep and name and value):
+            raise ValueError(f"{label}piece {piece!r} is not name={word}")
+        if name in seen:
+            raise ValueError(f"{label}names {name!r} more than once")
+        seen.add(name)
+        yield piece, name, value
 
 
 def _check_digits(term: str, limit: int) -> None:

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quintic_garnier import cli, forms, fractions, garnier, ring
+from quintic_garnier import cli, connections, families, forms, fractions, garnier, ring
 from quintic_garnier.cli import main
 
 
@@ -161,6 +162,46 @@ def test_compare_repeated_substitution_name_is_usage_error(capsys, tmp_path):
     assert captured.err.startswith("error:") and "'u'" in captured.err
 
 
+@pytest.mark.parametrize("subst,message", [
+    ("u=2*s,v=s", "image of 'u' is not a signed monomial"),
+    ("u=-s,v=1/2*s", "image of 'v' is not a signed monomial"),
+    ("=s", "piece '=s' is not name=image"),
+    ("u=-s,u=s,v=s", "names 'u' more than once"),
+], ids=["coefficient-2", "coefficient-half", "no-name", "repeated-name"])
+def test_compare_substitution_refusals_name_the_piece(capsys, tmp_path, subst,
+                                                      message):
+    """An image must be one term of coefficient 1 or -1, a piece must have a
+    name, and a name may be given once."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run_cli(capsys, "orbit", "rho2", "--pure", "--out", str(a))
+    run_cli(capsys, "orbit", "rho3", "--pure", "--out", str(b))
+    rc = main(["compare", str(a), str(b), "--subst", subst])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err == f"error: --subst: {message}\n"
+
+
+def test_compare_of_a_coefficient_beyond_the_digit_limit_is_usage_error(capsys,
+                                                                        tmp_path):
+    """``1e4300`` parses, its exponent being at the limit, but the number
+    has 4,301 digits: writing the comparison's witnesses is refused with
+    one error line and no traceback."""
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"variables": ["u"],
+                               "elements": [["1e4300"] + ["0"] * 14]}))
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        rc = main(["compare", str(big), str(big)])
+    finally:
+        sys.set_int_max_str_digits(old)
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err == ("error: the coefficient of the monomial 1 has a number of "
+                            "more than 4300 digits, the interpreter's limit on the "
+                            "digits of an integer\n")
+
+
 def test_compare_parses_each_distinct_coordinate_string_once(capsys, tmp_path,
                                                              monkeypatch):
     """rho2's extended orbit file holds 1,800 coordinate strings, 9 of them
@@ -195,6 +236,58 @@ def test_verify_suites(capsys, suite, expect_warn):
     assert rc == 0
     assert doc["results"]["fail"] == 0
     assert (doc["results"]["warning"] > 0) == expect_warn
+
+
+def _wrong_p_q_repair(monkeypatch):
+    fields = garnier.reference_garnier_fields
+
+    def wrong():
+        refs = fields()
+        refs["P_q_repaired"] = refs["P_q_repaired"] + garnier.B_AC.one()
+        return refs
+    monkeypatch.setattr(garnier, "reference_garnier_fields", wrong)
+
+
+def _wrong_alpha2_reference(monkeypatch):
+    alphas = garnier.reference_alphas
+
+    def wrong():
+        r2, r1, r0 = alphas()
+        return r2 + garnier.CTX_AB.var("lam1"), r1, r0
+    monkeypatch.setattr(garnier, "reference_alphas", wrong)
+
+
+def _wrong_corrected_fifth_matrix(monkeypatch):
+    build = families._BUILDERS["line_case3a"]
+
+    def wrong():
+        fam = build()
+        return dataclasses.replace(fam, corrected_five=fam.five)
+    monkeypatch.setitem(families._BUILDERS, "line_case3a", wrong)
+
+
+@pytest.mark.parametrize("suite,name,perturb", [
+    ("garnier", "P_q", _wrong_p_q_repair),
+    ("restriction", "alpha2", _wrong_alpha2_reference),
+    ("flatness", "flat:case1", lambda mp: mp.setattr(
+        connections, "flat_case1_connection", connections.case1_connection)),
+    ("relations", "product_identity:line_case3a", _wrong_corrected_fifth_matrix),
+], ids=["P_q", "alpha2", "flat_case1", "line_case3a"])
+def test_quoted_formula_beyond_its_correction_fails(capsys, monkeypatch, suite,
+                                                    name, perturb):
+    """A quoted formula that differs from the derived value is a warning
+    only while its stated correction holds; with the correction broken the
+    row fails, and so does the run."""
+    rc, doc = run_cli(capsys, "verify", suite)
+    assert rc == 0
+    assert {c["name"]: c["status"] for c in doc["checks"]}[name] == "warning"
+    perturb(monkeypatch)
+    rc, doc = run_cli(capsys, "verify", suite)
+    assert rc == 1
+    row = next(c for c in doc["checks"] if c["name"] == name)
+    assert row["status"] == "fail"
+    if name == "P_q":
+        assert row["details"]["note"] == "derived value disagrees beyond the known repair"
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -514,7 +607,7 @@ def test_verify_suites_product_count_cold():
     ``verify all`` in a fresh interpreter: a fraction product with a zero or
     unit operand, a common denominator on equal exponents and a basis power
     built twice multiply nothing, so one that multiplies again fails here."""
-    assert count_cold("count_products") == 2672
+    assert count_cold("count_products") == 2669
 
 
 def test_verify_suites_exact_divide_count_warm():
