@@ -55,7 +55,7 @@ computes only one edge of each reverse pair: once ``w`` takes ``t`` to
 evaluating the letter maps.  Two words whose letters are all at least two
 strands apart commute (σi σj = σj σi for |i - j| >= 2 in Artin's
 presentation: σ1/σ3, σ1/σ4, σ2/σ4, and of the pure generators A12/A34), and
-:func:`_commuting` lists them once per word list.  Before it evaluates
+:func:`_commuting` lists them once per list of letters.  Before it evaluates
 ``a`` at ``t``, the closure tries each commuting ``b``: when ``p = t b^-1``,
 ``p a`` and ``p a b`` are known, ``t a = p b a = p a b``, read off without
 evaluating; rho1..rho4 evaluate 1,337 of the 4,352 moves of their extended
@@ -309,15 +309,17 @@ def _letter_map(x: int) -> TraceMap:
     return TraceMap(gens[:4])
 
 
-def _trace_moves(words: Iterable[BraidWord], table: ValueTable) -> list:
+def _trace_moves(words: Sequence[BraidWord], table: ValueTable) -> list:
     """Each word, then its inverse, as named closure moves on the elements of
     ``table``: the map of each letter (:func:`_letter_map`) bound to the
-    table, a one-letter word's bound map as its move, and a longer word's
-    bound maps applied letter by letter."""
+    table once, a one-letter word's bound map as its move, and a longer
+    word's bound maps applied letter by letter."""
+    letters = {y for g in words for x in g.letters for y in (x, -x)}
+    bound = {x: _letter_map(x).bind(table) for x in letters}
     moves = []
     for g in words:
         for w in (g, g.inverse()):
-            maps = [_letter_map(x).bind(table) for x in w.letters]
+            maps = [bound[x] for x in w.letters]
             if len(maps) == 1:
                 move = maps[0]
             else:
@@ -343,22 +345,24 @@ def _orbit(seed: RepTuple, words: Sequence[BraidWord], cutoff: int,
     start = tuple(map(table.intern, trace_coordinates(seed).values))
     elements, successors, status = closure(start, moves, cutoff,
                                            [m ^ 1 for m in range(len(moves))],
-                                           _commuting(words))
+                                           _commuting(tuple(g.letters for g in words)))
     return OrbitResult(seed_name, elements, table.values, successors,
                        [name for name, _ in moves], status,
                        [g.name for g in words], cutoff)
 
 
-def _commuting(words: Sequence[BraidWord]) -> list[list[int]]:
-    """For each closure move of ``words`` (each word, then its inverse), the
-    other moves that commute with it because every letter of one is at
-    least two strands from every letter of the other: σi σj = σj σi for
-    |i - j| >= 2 in Artin's presentation, a sufficient condition, so no
-    relation is guessed."""
-    supports = [{abs(x) for x in g.letters} for g in words for _ in (0, 1)]
-    return [[n for n, b in enumerate(supports)
-             if n != m and all(abs(x - y) >= 2 for x in a for y in b)]
-            for m, a in enumerate(supports)]
+@functools.lru_cache(maxsize=None)
+def _commuting(words: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """For each closure move of the words given by their letters (each word,
+    then its inverse), the other moves that commute with it because every
+    letter of one is at least two strands from every letter of the other:
+    σi σj = σj σi for |i - j| >= 2 in Artin's presentation, a sufficient
+    condition, so no relation is guessed.  Derived once per list of
+    letters, as :func:`_letter_map` is once per letter."""
+    supports = [{abs(x) for x in letters} for letters in words for _ in (0, 1)]
+    return tuple(tuple(n for n, b in enumerate(supports)
+                       if n != m and all(abs(x - y) >= 2 for x in a for y in b))
+                 for m, a in enumerate(supports))
 
 
 def orbit(seed: RepTuple, generators: Sequence[BraidWord], cutoff: int = 1000,

@@ -10,6 +10,10 @@ stated correction does, it is a ``warning`` that records the known defect and
 does not fail the run; otherwise it fails (:func:`quoted`).
 Exit codes: 0 success, 1 check failure, 2 cutoff reached, 3 usage or parse
 error.
+
+The connection stack (``fractions``, ``forms``, ``connections``,
+``garnier``) is imported inside the verification suites that read it, so
+``orbit`` and ``compare`` never load it.
 """
 
 from __future__ import annotations
@@ -20,11 +24,9 @@ import sys
 import time
 from fractions import Fraction
 
-from . import connections, families, garnier
+from . import families
 from .braids import (extended_orbit, orbit, orbit_compare, parse_substitution,
                      pure_generators)
-from .forms import divisor_pullback
-from .fractions import FactoredFraction, Substitution, serialize_frac
 from .reps import RepTuple, TraceTuple, verify_product_identity
 from .ring import VarContext, check_exponent, parse_poly, split_assignments
 from .sl2 import Mat2, projective_closure, verify_relations
@@ -98,7 +100,7 @@ def _specialize_rep(rep: RepTuple, values: dict[str, Fraction]) -> RepTuple:
     ctx = rep.ctx
     for name in values:
         if name not in ctx.index:
-            raise ValueError(f"--at names {name!r}, which is not a variable "
+            raise ValueError(f"names {name!r}, which is not a variable "
                              f"of the tuple ({', '.join(ctx.names)})")
     return RepTuple(*(Mat2(*(e.substitute(values) for e in m.entries()))
                       for m in rep.mats))
@@ -151,7 +153,7 @@ def _load_rep_file(path: str) -> RepTuple:
 def cmd_orbit(args) -> int:
     started = time.perf_counter()
     limit = {} if args.cutoff is None else {"cutoff": args.cutoff}
-    point = ""  # names the point in an error raised once the tuple is specialized
+    point = ""  # names the point in an error raised once it is parsed
     try:
         if args.rep_file:
             rep = _load_rep_file(args.rep_file)
@@ -163,8 +165,9 @@ def cmd_orbit(args) -> int:
             rep = fam.rep
             name = args.family
         if args.at:
-            rep = _specialize_rep(rep, _parse_at(args.at))
+            values = _parse_at(args.at)
             point = f"--at {args.at}: "
+            rep = _specialize_rep(rep, values)
         if args.extended:
             res = extended_orbit(rep, seed_name=name, **limit)
             expected = EXPECTED_EXTENDED.get(name)
@@ -197,7 +200,10 @@ def cmd_orbit(args) -> int:
 
 def _load_orbit_file(path: str) -> tuple[VarContext, list[TraceTuple]]:
     ctx, rows = _load_rows(path, "elements")
-    return ctx, [TraceTuple(row) for row in rows]
+    try:
+        return ctx, [TraceTuple(row) for row in rows]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_compare(args) -> int:
@@ -254,6 +260,8 @@ def suite_relations() -> list[Check]:
 
 
 def suite_flatness() -> list[Check]:
+    from . import connections
+
     checks = []
     checks.append(ok("closed:omega0",
                      connections.build_omega0().d().is_zero()))
@@ -283,6 +291,9 @@ def suite_flatness() -> list[Check]:
 
 
 def suite_residues() -> list[Check]:
+    from . import connections
+    from .fractions import serialize_frac
+
     checks = []
     rep = connections.flat_quintic2_connection()
     tables = [
@@ -305,6 +316,10 @@ def suite_residues() -> list[Check]:
 
 
 def suite_pullbacks() -> list[Check]:
+    from . import connections
+    from .forms import divisor_pullback
+    from .fractions import FactoredFraction
+
     checks = []
     cov, elem = connections.map_cover(), connections.map_elementary()
     w0, w1 = connections.build_omega0(), connections.build_omega1()
@@ -365,6 +380,9 @@ def suite_pullbacks() -> list[Check]:
 
 
 def suite_restriction() -> list[Check]:
+    from . import connections, garnier
+    from .fractions import Substitution
+
     checks = []
     quintic = connections.flat_quintic2_connection()
     line = garnier.restrict_to_line(quintic, "ab")
@@ -390,6 +408,8 @@ def suite_restriction() -> list[Check]:
 
 
 def suite_garnier() -> list[Check]:
+    from . import connections, garnier
+
     checks = []
     data, report = garnier.garnier_parametrization(garnier.restrict_to_line(
         connections.flat_quintic2_connection(), "ac"))

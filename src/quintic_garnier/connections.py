@@ -32,10 +32,11 @@ this catalog closes exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .forms import MobiusAction, RationalMap, ScalarOneForm, ScalarTwoForm
 from .fractions import (BasisError, DenomBasis, FactoredFraction,
@@ -194,8 +195,9 @@ class DivisorChart:
     """A polar divisor with a rational chart of the divisor itself.
 
     ``subs`` substitutes the cut variable (solving ``poly = 0``), carrying
-    fractions into ``target``; ``chart`` optionally transforms the whole
-    connection first (used for the line at infinity).
+    fractions into ``target``; :attr:`chart` optionally transforms the whole
+    connection first (used for the line at infinity).  It is built by
+    ``build_chart`` on first read, so importing the catalog builds no map.
     """
 
     name: str
@@ -203,7 +205,11 @@ class DivisorChart:
     var: str                         # variable with nonzero partial, solved
     subs: dict
     target: DenomBasis
-    chart: Optional[RationalMap] = None
+    build_chart: Optional[Callable[[], RationalMap]] = None
+
+    @functools.cached_property
+    def chart(self) -> Optional[RationalMap]:
+        return None if self.build_chart is None else self.build_chart()
 
 
 @dataclass
@@ -651,7 +657,7 @@ QUINTIC2_DIVISORS: dict[str, DivisorChart] = {
     "conic": DivisorChart("conic", _x ** 2 - _y, "y", {"y": _xc ** 2}, _B_XC),
     "infinity": DivisorChart("infinity", None, "xt", {"xt": CTX_YT.zero()},
                              DenomBasis(CTX_YT, []),
-                             chart=map_infinity_chart(B_INF, B_XY)),
+                             functools.partial(map_infinity_chart, B_INF, B_XY)),
 }
 
 CASE1_DIVISORS: dict[str, DivisorChart] = {
@@ -667,7 +673,7 @@ CASE1_DIVISORS: dict[str, DivisorChart] = {
         DenomBasis(CTX_T, [_tc - 1, _tc + 1], names=["t-1", "t+1"])),
     "infinity": DivisorChart("infinity", None, "xt", {"xt": CTX_YT.zero()},
                              DenomBasis(CTX_YT, [_ytc - 1], names=["yt-1"]),
-                             chart=map_infinity_chart(B_C1INF, B_CASE1)),
+                             functools.partial(map_infinity_chart, B_C1INF, B_CASE1)),
 }
 
 

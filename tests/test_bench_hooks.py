@@ -6,14 +6,19 @@ the ``connections`` workload compares the ``verify all`` verdicts with
 otherwise surface only in a benchmark run.  Both files are only read.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
 
@@ -52,3 +57,44 @@ def test_verify_verdicts_match_the_benchmark_reference():
     statuses = [status for _, _, status in rows]
     summary = {k: statuses.count(k) for k in ("pass", "warning", "fail")}
     assert summary == want["summary"] == {"pass": 48, "warning": 8, "fail": 0}
+
+
+def _unused_on_orbits() -> tuple:
+    """``UNUSED["orbits"]`` of ``perfbench/run.py``, read off its source."""
+    for node in ast.parse((PERFBENCH / "run.py").read_text()).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "UNUSED":
+            return ast.literal_eval(node.value)["orbits"]
+    raise AssertionError("run.py has no UNUSED table")
+
+
+def test_traced_orbit_enters_no_span_the_benchmark_rules_out():
+    """In a fresh interpreter that imports what ``perfbench/workloads.py``
+    imports, a traced orbit closure records no call of a span that
+    ``run.py`` gates as unused on the orbit workloads, though installing
+    the tracer loads the connection stack under it."""
+    imports = [ast.unparse(node) for node in
+               ast.parse((PERFBENCH / "workloads.py").read_text()).body
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").startswith("quintic_garnier")]
+    code = "\n".join([
+        "import importlib.util, json, quintic_garnier",
+        *imports,
+        f"spec = importlib.util.spec_from_file_location('tracer', {str(TRACER)!r})",
+        "tracer_module = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(tracer_module)",
+        "tracer = tracer_module.Tracer()",
+        "tracer.install(quintic_garnier)",
+        "res = quintic_garnier.braids.extended_orbit(",
+        "    quintic_garnier.families.builtin_family('rho1').rep)",
+        "tracer.uninstall()",
+        "print(len(res), json.dumps({k: c for k, (c, _, _) in tracer.per_name().items()}))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    size, calls = out.split(" ", 1)
+    calls = json.loads(calls)
+    unused = _unused_on_orbits()
+    assert "fractions.derivative" in unused
+    assert (size, calls["braids.closure"]) == ("240", 1)
+    assert {name: calls.get(name, 0) for name in unused} == dict.fromkeys(unused, 0)

@@ -202,6 +202,21 @@ def test_compare_of_a_coefficient_beyond_the_digit_limit_is_usage_error(capsys,
                             "digits of an integer\n")
 
 
+def test_compare_of_a_short_row_names_the_file(capsys, tmp_path):
+    """A row of an orbit file that is not fifteen coordinates long is
+    refused with the file's path, as every other malformed file is."""
+    a, short = tmp_path / "a.json", tmp_path / "short.json"
+    assert main(["orbit", "rho1", "--pure", "--out", str(a)]) == 0
+    doc = json.loads(a.read_text())
+    doc["elements"][1] = doc["elements"][1][:14]
+    short.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["compare", str(a), str(short)])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err == f"error: {short}: a trace tuple has fifteen coordinates\n"
+
+
 def test_compare_parses_each_distinct_coordinate_string_once(capsys, tmp_path,
                                                              monkeypatch):
     """rho2's extended orbit file holds 1,800 coordinate strings, 9 of them
@@ -390,6 +405,20 @@ def test_orbit_at_a_point_beyond_the_digit_limit_is_usage_error(capsys):
     assert captured.err == ("error: --at s=1e4300: the coefficient of the monomial 1 has a "
                             "number of more than 4300 digits, the interpreter's limit on the "
                             "digits of an integer\n")
+
+
+@pytest.mark.parametrize("at,message", [
+    ("u=0", "negative power of 'u' needs a unit image"),
+    ("w=1", "names 'w', which is not a variable of the tuple (u, v)"),
+])
+def test_orbit_at_a_point_that_cannot_specialize_names_it(capsys, at, message):
+    """A point that parses but does not specialize the tuple (a zero for a
+    variable with negative powers, a name the tuple lacks) is refused with
+    one error line that names the point."""
+    rc = main(["orbit", "rho1", "--pure", "--at", at])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err == f"error: --at {at}: {message}\n"
 
 
 DIGITS = sys.get_int_max_str_digits()
@@ -606,8 +635,10 @@ def test_verify_suites_product_count_cold():
     """Pinned count of ``LaurentPoly.__mul__`` calls over every suite of
     ``verify all`` in a fresh interpreter: a fraction product with a zero or
     unit operand, a common denominator on equal exponents and a basis power
-    built twice multiply nothing, so one that multiplies again fails here."""
-    assert count_cold("count_products") == 2669
+    built twice multiply nothing, so one that multiplies again fails here.
+    The residue chart at infinity that the suites read is built here, on
+    first read."""
+    assert count_cold("count_products") == 2671
 
 
 def test_verify_suites_exact_divide_count_warm():
@@ -619,7 +650,11 @@ def test_verify_suites_exact_divide_count_warm():
 
 
 def count_suite_calls(monkeypatch, owner, name):
-    """Calls to the method ``owner.name`` over every suite of ``verify all``."""
+    """Calls to the method ``owner.name`` over a second run of every suite of
+    ``verify all``: the first builds the residue chart at infinity that the
+    suites read, once per process, so the count does not depend on which
+    tests ran before."""
+    run_suites()
     calls = [0]
     method = getattr(owner, name)
 

@@ -2,8 +2,12 @@
 module imports only the layers beneath it."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quintic_garnier"
 
@@ -80,3 +84,97 @@ def test_modules_import_only_the_layers_beneath_them():
     assert above == {name: [] for name in paths}
     # garnier restricts the connection its caller passes and builds none
     assert package_imports(paths["garnier"])["connections"] == {"MatConnection"}
+
+
+# the modules only the verification suites read
+CONNECTION_STACK = ("connections", "forms", "fractions", "garnier")
+
+
+def fresh(code):
+    """Standard output of ``code`` run in a fresh interpreter on the sources."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def loaded_by(*argv):
+    """The exit code of one ``quintic-garnier`` command run in a fresh
+    interpreter, and the package modules it loaded."""
+    code = ("import contextlib, io, sys\n"
+            "from quintic_garnier.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = main({list(argv)!r})\n"
+            "print(rc, *sorted(m.partition('.')[2] for m in sys.modules\n"
+            "                  if m.startswith('quintic_garnier.')))\n")
+    rc, *modules = fresh(code).split()
+    return int(rc), set(modules)
+
+
+def test_importing_the_package_loads_no_module():
+    assert fresh("import sys, quintic_garnier\n"
+                 "print([m for m in sys.modules if m.startswith('quintic_garnier.')])\n"
+                 ) == "[]\n"
+
+
+def test_orbit_and_compare_load_no_connection_stack(tmp_path):
+    """``orbit`` (symbolic, at a point, written to a file) and ``compare``
+    (with a substitution) close orbits without loading the connection
+    stack; ``verify all`` loads all of it."""
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    for argv in (["orbit", "rho2", "--extended", "--out", a],
+                 ["orbit", "rho3", "--pure", "--out", b],
+                 ["orbit", "rho1", "--pure", "--at", "u=3/2,v=-7"],
+                 ["compare", a, b, "--subst", "u=-s,v=s"]):
+        rc, modules = loaded_by(*argv)
+        assert rc == 0 and "braids" in modules
+        assert modules.isdisjoint(CONNECTION_STACK), argv
+    rc, modules = loaded_by("verify", "all")
+    assert rc == 0 and set(CONNECTION_STACK) <= modules
+
+
+def test_every_exported_name_resolves_to_its_module():
+    """Each name of ``__all__``, read through ``getattr`` or taken by
+    ``import *`` in a fresh interpreter, is the object its module defines
+    and is kept in the package namespace, and each submodule name is the
+    submodule; ``dir`` lists them all."""
+    code = (
+        "import importlib, sys, quintic_garnier as q\n"
+        "star = {}\n"
+        "exec('from quintic_garnier import *', star)\n"
+        "bad = []\n"
+        "for name in q.__all__:\n"
+        "    home = 'quintic_garnier.' + q._HOME[name]\n"
+        "    value = getattr(importlib.import_module(home), name)\n"
+        "    if not (getattr(q, name) is value is star[name] is vars(q)[name]\n"
+        "            and getattr(value, '__module__', home) == home):\n"
+        "        bad.append(name)\n"
+        "for name in q._SUBMODULES:\n"
+        "    if getattr(q, name) is not sys.modules['quintic_garnier.' + name]:\n"
+        "        bad.append(name)\n"
+        "missing = {*q.__all__, *q._SUBMODULES} - set(dir(q))\n"
+        "print(len(q.__all__), len(q._SUBMODULES), bad, sorted(missing))\n")
+    assert fresh(code) == "52 11 [] []\n"
+
+
+def test_unknown_attributes_are_refused():
+    import quintic_garnier
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        quintic_garnier.no_such_name
+    with pytest.raises(ImportError):
+        from quintic_garnier import no_such_name  # noqa: F401
+    assert not hasattr(quintic_garnier, "__wrapped__")
+
+
+def test_importing_connections_differentiates_nothing():
+    """The residue charts at infinity build their maps, whose differentials
+    take four derivatives each, on first read, not at import."""
+    code = ("from quintic_garnier.fractions import FactoredFraction\n"
+            "calls, derivative = [], FactoredFraction.derivative\n"
+            "FactoredFraction.derivative = lambda *a: calls.append(a) or derivative(*a)\n"
+            "from quintic_garnier import connections, garnier\n"
+            "print(len(calls))\n"
+            "for table in (connections.QUINTIC2_DIVISORS, connections.CASE1_DIVISORS):\n"
+            "    assert table['infinity'].chart is table['infinity'].chart\n"
+            "print(len(calls))\n")
+    assert fresh(code).split() == ["0", "8"]
