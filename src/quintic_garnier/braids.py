@@ -210,9 +210,9 @@ class OrbitResult:
     whose column ``m`` is the move named ``moves[m]``.  Each value is
     serialized once; the elements are ordered by the tuple of their texts,
     which :meth:`to_json` reuses, and handed out as trace tuples that share
-    the values.  :attr:`edges` is read off the table on first read, so a
-    caller that reads only the elements never sorts them; it may be
-    assigned.
+    the values.  :attr:`edges` is read off :meth:`permutations` on first
+    read, so a caller that reads only the elements never sorts them; it may
+    be assigned.
     """
 
     def __init__(self, seed_name: str, elements: Sequence[tuple[int, ...]],
@@ -229,20 +229,12 @@ class OrbitResult:
         self.generators = generators
         self.cutoff = cutoff
 
-    def _rank(self) -> list[int]:
-        """The position in :attr:`elements` of each closure element."""
-        rank = [0] * len(self._order)
-        for new, old in enumerate(self._order):
-            rank[old] = new
-        return rank
-
     @functools.cached_property
     def edges(self) -> list[tuple[int, str, int]]:
-        """One edge ``(i, move, j)`` per filled table entry, renumbered to the
-        sorted elements, and sorted; built on first read."""
-        rank, names = self._rank(), self._moves
-        return sorted((rank[a], names[m], rank[b]) for a, row in enumerate(self._table)
-                      for m, b in enumerate(row) if b is not None)
+        """One edge ``(i, move, j)`` per filled table entry, read off
+        :meth:`permutations` and sorted; built on first read."""
+        return sorted((i, name, j) for name, images in self.permutations().items()
+                      for i, j in enumerate(images) if j is not None)
 
     def permutations(self) -> dict[str, list[Optional[int]]]:
         """Per move name, the image of each element under the move, in the
@@ -250,7 +242,10 @@ class OrbitResult:
         each list is a permutation; a cutoff orbit has ``None`` where the
         closure stopped before it reached the entry, and nothing is
         completed."""
-        rank = self._rank()
+        # rank[k] is the position in self.elements of closure element k
+        rank = [0] * len(self._order)
+        for new, old in enumerate(self._order):
+            rank[old] = new
         out = {}
         for m, name in enumerate(self._moves):
             images: list[Optional[int]] = [None] * len(rank)

@@ -249,7 +249,7 @@ def divisor_pullback(pulled: FactoredFraction,
         k = None
         for i, a in enumerate(gexps):
             if a > 0:
-                cand = min(e[i] for e in p.terms) // a
+                cand = p.min_exponent(p.ctx.names[i]) // a
                 k = cand if k is None else min(k, cand)
         if k:
             p = p * (g ** k).inverse()

@@ -41,8 +41,8 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Mapping, Optional, Sequence, Union
 
-from .ring import (ContextError, Exponents, LaurentPoly, Rat, VarContext, _co,
-                   exact_divide, image_power, resolve_images, serialize_poly)
+from .ring import (ContextError, Exponents, LaurentPoly, Rat, VarContext, add_into,
+                   exact_divide, from_terms, image_power, resolve_images, serialize_poly)
 
 
 #: Most factorizations one basis remembers; once full it stores no more.
@@ -209,9 +209,8 @@ class DenomBasis:
                 for j in present:
                     if j != i:
                         t = t * self.factors[j]
-                _add_into(acc, t, exps[i])
-            rule = (self.power(mask), LaurentPoly(self.ctx, acc, _normalized=True),
-                    tuple(map(add, exps, mask)))
+                add_into(acc, t, exps[i])
+            rule = (self.power(mask), from_terms(self.ctx, acc), tuple(map(add, exps, mask)))
         if len(self._rules) < FACTOR_MEMO_CAP:
             self._rules[key] = rule
         return rule
@@ -380,20 +379,9 @@ class FactoredFraction:
             return FactoredFraction(self.basis, dn, self.exps)
         prod_p, sum_p, bumped = rule
         acc: dict[Exponents, Rat] = {}
-        _add_into(acc, dn * prod_p)
-        _add_into(acc, self.num * sum_p, -1)
-        return FactoredFraction(self.basis, LaurentPoly(self.ctx, acc, _normalized=True),
-                                bumped)
-
-
-def _add_into(acc: dict[Exponents, Rat], p: LaurentPoly, scale: Rat = 1) -> None:
-    """Add ``scale * p`` into an accumulator of nonzero stored coefficients."""
-    for e, c in p.terms.items():
-        s = acc.get(e, 0) + c * scale
-        if s:
-            acc[e] = _co(s)
-        else:
-            del acc[e]
+        add_into(acc, dn * prod_p)
+        add_into(acc, self.num * sum_p, -1)
+        return FactoredFraction(self.basis, from_terms(self.ctx, acc), bumped)
 
 
 class Substitution:
@@ -453,10 +441,7 @@ class Substitution:
                     num = pw.num if num is None else num * pw.num
                     if pw.exps != nothing:
                         den = tuple(map(add, den, pw.exps))
-            acc = groups.get(den)
-            if acc is None:
-                acc = groups[den] = {}
-            _add_into(acc, one if num is None else num, coeff)
+            add_into(groups.setdefault(den, {}), one if num is None else num, coeff)
         return _over_common(self.target, groups)
 
     def fraction(self, fr: FactoredFraction) -> FactoredFraction:
@@ -476,9 +461,7 @@ def _over_common(basis: DenomBasis,
                  ) -> FactoredFraction:
     """The sum of numerator accumulators keyed by their denominator
     exponents, over the least common denominator of the nonzero ones."""
-    ctx = basis.ctx
-    nums = {den: LaurentPoly(ctx, acc, _normalized=True)
-            for den, acc in groups.items() if acc}
+    nums = {den: from_terms(basis.ctx, acc) for den, acc in groups.items() if acc}
     if not nums:
         return basis.zero()
     if len(nums) == 1:
@@ -487,8 +470,8 @@ def _over_common(basis: DenomBasis,
     m = tuple(map(max, *nums))
     out: dict[Exponents, Rat] = {}
     for den, num in nums.items():
-        _add_into(out, num if den == m else num * basis.power(tuple(map(sub, m, den))))
-    return FactoredFraction(basis, LaurentPoly(ctx, out, _normalized=True), m)
+        add_into(out, num if den == m else num * basis.power(tuple(map(sub, m, den))))
+    return FactoredFraction(basis, from_terms(basis.ctx, out), m)
 
 
 def eval_poly(p: LaurentPoly,

@@ -29,7 +29,7 @@ from .connections import MatConnection
 from .forms import ScalarOneForm
 from .fractions import (DenomBasis, FactoredFraction, Substitution, frac_eq,
                         serialize_frac)
-from .ring import LaurentPoly, Rat, VarContext, _rat, serialize_poly
+from .ring import LaurentPoly, Rat, VarContext, serialize_poly
 
 # line context with both parametrizations
 CTX_AB = VarContext(["y", "a", "b", "lam0", "lam1"])
@@ -134,7 +134,8 @@ def pole_positions() -> tuple[LaurentPoly, LaurentPoly]:
 
 def pole_positions_at(a_val: Rat, c_val: Rat) -> tuple[Fraction, Fraction, list[str]]:
     """:func:`pole_positions` at rational ``(a, c)``, with a degeneracy note."""
-    point = {"a": _rat(a_val), "c": _rat(c_val)}
+    point = {"a": CTX_AC.const(a_val).constant_value(),
+             "c": CTX_AC.const(c_val).constant_value()}
     if point["a"] == 0:
         raise RestrictionError("a = 0 does not define a generic line")
     t1, t2 = (t.substitute(point).constant_value() for t in pole_positions())

@@ -16,6 +16,12 @@ Every division goes through ``Fraction`` (``int / int`` would be a float),
 constructors raise ``TypeError`` for a float, and :meth:`constant_value`
 returns a ``Fraction``.
 
+Outside this module a term dict is written only through the accumulator:
+:func:`add_into` adds ``scale * p`` and :func:`add_product` ``scale * a * b``,
+one term product at a time, keeping no zero, and :func:`from_terms` makes
+the value, re-reducing exponents only in an extension context.
+``LaurentPoly.__add__`` and ``__mul__`` run on the same two.
+
 The context may declare one algebraic extension: a designated variable ``r``
 together with a monic minimal polynomial over Q.  Arithmetic then happens in
 ``Q[r]/(m(r))`` tensored with the Laurent ring on the remaining variables;
@@ -239,16 +245,7 @@ class LaurentPoly:
         if other.is_zero():
             return self
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            if s is None:
-                terms[e] = c
-            else:
-                s = s + c
-                if s:
-                    terms[e] = _co(s)
-                else:
-                    del terms[e]
+        add_into(terms, other)
         return LaurentPoly(self.ctx, terms, _normalized=True)
 
     __radd__ = __add__
@@ -276,23 +273,9 @@ class LaurentPoly:
             return self
         if not b or (len(a) == 1 and self.is_one()):
             return other
-        if len(a) > len(b):
-            a, b = b, a
         out: dict[Exponents, Rat] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(add, ea, eb))
-                c = ca * cb
-                s = out.get(e)
-                if s is None:
-                    out[e] = _co(c)
-                else:
-                    s = s + c
-                    if s:
-                        out[e] = _co(s)
-                    else:
-                        del out[e]
-        return _from_acc(self.ctx, out)
+        add_product(out, self, other)
+        return from_terms(self.ctx, out)
 
     __rmul__ = __mul__
 
@@ -403,7 +386,50 @@ class LaurentPoly:
                 for d, t in sorted(buckets.items())}
 
 
-def _from_acc(ctx: VarContext, acc: dict[Exponents, Rat]) -> LaurentPoly:
+# -- the accumulator ---------------------------------------------------------
+
+def add_into(acc: dict[Exponents, Rat], p: LaurentPoly, scale: Rat = 1) -> None:
+    """Add ``scale * p`` into an accumulator of nonzero stored coefficients."""
+    for e, c in p.terms.items():
+        if scale != 1:
+            c = c * scale
+        s = acc.get(e)
+        if s is None:
+            acc[e] = _co(c)
+        else:
+            s = s + c
+            if s:
+                acc[e] = _co(s)
+            else:
+                del acc[e]
+
+
+def add_product(acc: dict[Exponents, Rat], a: LaurentPoly, b: LaurentPoly,
+                scale: Rat = 1) -> None:
+    """Add ``scale * a * b`` into an accumulator of nonzero stored coefficients
+    term product by term product, the shorter operand outside."""
+    a, b = a.terms, b.terms
+    if len(a) > len(b):
+        a, b = b, a
+    b_terms = b.items()
+    for ea, ca in a.items():
+        if scale != 1:
+            ca = ca * scale
+        for eb, cb in b_terms:
+            e = tuple(map(add, ea, eb))
+            c = ca * cb
+            s = acc.get(e)
+            if s is None:
+                acc[e] = _co(c)
+            else:
+                s = s + c
+                if s:
+                    acc[e] = _co(s)
+                else:
+                    del acc[e]
+
+
+def from_terms(ctx: VarContext, acc: dict[Exponents, Rat]) -> LaurentPoly:
     """The value of an accumulator of nonzero stored coefficients: only an
     extension context has exponents left to reduce."""
     if ctx.ext_var is not None:
@@ -715,10 +741,13 @@ def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
                     coeff *= Fraction(fac)
                 except ZeroDivisionError:
                     raise ValueError(f"term {term!r} has a zero denominator") from None
+                except ValueError:
+                    raise ValueError(f"term {term!r} has factor {fac!r}, which is neither "
+                                     "a variable nor a number") from None
         e = tuple(exps)
         s = acc.get(e, 0) + coeff
         if s:
             acc[e] = _co(s)
         else:
             acc.pop(e, None)
-    return _from_acc(ctx, acc)
+    return from_terms(ctx, acc)

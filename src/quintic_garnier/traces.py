@@ -50,10 +50,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from math import gcd
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .ring import LaurentPoly, VarContext, _co, _from_acc
+from .ring import LaurentPoly, VarContext, add_into, add_product, from_terms
 from .sl2 import GroupWord
 
 TRACE_NAMES = ("t1", "t2", "t3", "t4", "t5", "r12", "r13", "r14", "r23", "r24",
@@ -302,16 +302,8 @@ def _quadratic(v: Sequence[LaurentPoly]) -> LaurentPoly:
     roles, summed into one accumulator: the term products go straight into
     it, and no value is built for a product or a partial sum."""
     acc: dict = {}
-    one = v[0].ctx.one()
-    for sign, a, b in ((1, v[3], v[4]), (1, v[5], v[6]), (-1, v[1], v[2]), (-1, v[0], one)):
-        b_terms = b.terms.items()
-        for ea, ca in a.terms.items():
-            ca = sign * ca
-            for eb, cb in b_terms:
-                e = tuple(map(add, ea, eb))
-                s = acc.get(e, 0) + ca * cb
-                if s:
-                    acc[e] = _co(s)
-                else:
-                    del acc[e]
-    return _from_acc(one.ctx, acc)
+    add_product(acc, v[3], v[4])
+    add_product(acc, v[5], v[6])
+    add_product(acc, v[1], v[2], -1)
+    add_into(acc, v[0], -1)
+    return from_terms(v[0].ctx, acc)

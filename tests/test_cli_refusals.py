@@ -96,3 +96,11 @@ def test_at_and_subst_refuse_a_piece_alike(orbit_file, text):
     assert (rc_at == 3) == (rc_subst == 3)
     assert (err_at.replace("error: --at ", "", 1).replace("name=value", "name=_")
             == err_subst.replace("error: --subst: ", "", 1).replace("name=image", "name=_"))
+
+
+def test_subst_names_a_factor_that_is_neither_variable_nor_number(orbit_file):
+    rc, err = run("compare", orbit_file, orbit_file, "--subst", "u==-u")
+    assert_refusal_contract(rc, err)
+    assert rc == 3
+    assert err == ("error: --subst: term '=' has factor '=', which is neither "
+                   "a variable nor a number\n")

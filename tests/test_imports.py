@@ -86,6 +86,25 @@ def test_modules_import_only_the_layers_beneath_them():
     assert package_imports(paths["garnier"])["connections"] == {"MatConnection"}
 
 
+
+def test_no_module_takes_a_private_name_from_another():
+    paths = sorted(PACKAGE.glob("*.py"))
+    private = {path.stem: sorted(name for names in package_imports(path).values()
+                                 for name in names if name.startswith("_"))
+               for path in paths}
+    assert private == {path.stem: [] for path in paths}
+
+
+def test_only_ring_writes_the_stored_form():
+    """Only ``ring``, the owner of the stored form of a term dict, builds a
+    value from a dict it vouches for with ``_normalized=``; every other
+    module sums terms through its accumulator."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    vouching = [path.name for path in paths
+                if any(isinstance(node, ast.keyword) and node.arg == "_normalized"
+                       for node in ast.walk(ast.parse(path.read_text(), str(path))))]
+    assert vouching == ["ring.py"]
+
 # the modules only the verification suites read
 CONNECTION_STACK = ("connections", "forms", "fractions", "garnier")
 

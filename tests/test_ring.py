@@ -13,8 +13,8 @@ from quintic_garnier.families import CTX_ROOT, CTX_UV
 from quintic_garnier.fractions import DenomBasis, eval_poly
 from quintic_garnier.garnier import pole_positions_at, specialize_connection
 from quintic_garnier.ring import (ContextError, LaurentPoly, UnitError, VarContext,
-                                  _co, _from_acc, evaluate, exact_divide, parse_poly,
-                                  serialize_poly)
+                                  _co, add_into, add_product, evaluate, exact_divide,
+                                  from_terms, parse_poly, serialize_poly)
 
 UV = VarContext(["u", "v"])
 u = UV.var("u")
@@ -471,7 +471,7 @@ def _frozen_parse_poly(ctx, text):
             acc[e] = _co(s)
         else:
             acc.pop(e, None)
-    return _from_acc(ctx, acc)
+    return from_terms(ctx, acc)
 
 
 def _outcome(parse, ctx, text):
@@ -506,7 +506,8 @@ def test_grammar_splits_at_signs_as_the_frozen_parser_did():
     """On 20,000 seeded random strings, ``parse_poly`` gives the frozen
     parser's value, stored coefficient type and text, or raises its
     exception type with its message.  Where the frozen parser passed a
-    malformed exponent to ``int``, ``parse_poly`` refuses the same text with
+    malformed exponent to ``int``, or a factor that is neither a variable
+    nor a number to ``Fraction``, ``parse_poly`` refuses the same text with
     a message that names the term.  Runs of four or more digits are left
     out, so that no exponent reaches the digit limit only the current
     parser checks."""
@@ -519,7 +520,8 @@ def test_grammar_splits_at_signs_as_the_frozen_parser_did():
             continue
         seen += 1
         got, want = _outcome(parse_poly, EU, text), _outcome(_frozen_parse_poly, EU, text)
-        if want[0] is ValueError and want[1].startswith("invalid literal for int()"):
+        if want[0] is ValueError and want[1].startswith(("invalid literal for int()",
+                                                          "Invalid literal for Fraction")):
             assert got[0] is ValueError and got[1].startswith("term "), text
         else:
             assert got == want, text
@@ -585,9 +587,13 @@ def _assert_stored(p):
     """Every stored coefficient is an ``int`` when integral, else a
     ``Fraction`` with a denominator other than 1; never a float."""
     assert isinstance(p, LaurentPoly)
-    for c in p.terms.values():
+    _assert_stored_terms(p.terms)
+
+
+def _assert_stored_terms(terms):
+    for c in terms.values():
         assert (type(c) is int
-                or (type(c) is Fraction and c.denominator != 1)), (p, c)
+                or (type(c) is Fraction and c.denominator != 1)), (terms, c)
 
 
 @pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])
@@ -633,6 +639,38 @@ def test_stored_coefficients_are_int_when_integral(ctx):
             _assert_stored(r)
         if p.is_constant():
             assert type(p.constant_value()) is Fraction
+
+
+@pytest.mark.parametrize("ctx", [CTX_UV, CTX_ROOT], ids=["uv", "root"])
+def test_accumulators_sum_what_the_operators_give(ctx):
+    """``add_into`` and ``add_product`` into one accumulator, made a value
+    by ``from_terms``, give what ``+`` and ``*`` give at every scale; the
+    accumulator keeps no zero coefficient and stores each as an ``int``
+    when integral, and a sum that cancels leaves it empty."""
+    rng = random.Random(36)
+    for _ in range(200):
+        p, q, w = (_random_poly(rng, ctx) for _ in range(3))
+        for scale in (-1, Fraction(1, 2), 3):
+            acc = {}
+            add_into(acc, p)
+            add_product(acc, q, w, scale)
+            add_into(acc, q, scale)
+            assert 0 not in acc.values()
+            _assert_stored_terms(acc)
+            got = from_terms(ctx, acc)
+            _assert_stored(got)
+            assert got == p + scale * q * w + scale * q
+            add_product(acc, q, w, -scale)
+            add_into(acc, q, -scale)
+            add_into(acc, p, -1)
+            assert acc == {}
+    # the exponents of a product sum past the minimal polynomial's degree
+    # in the accumulator, and from_terms reduces them: r^2 = -r - 1
+    r = CTX_ROOT.var("r")
+    acc = {}
+    add_product(acc, r, r)
+    assert acc == {(2,): 1}
+    assert from_terms(CTX_ROOT, acc).terms == {(1,): -1, (0,): -1}
 
 
 def _random_poly(rng, ctx, max_terms=3, max_exp=3):
