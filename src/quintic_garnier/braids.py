@@ -433,7 +433,7 @@ def parse_substitution(text: str, src: VarContext,
         if name not in src.index:
             raise ValueError(f"unknown source variable {name!r}")
         image = parse_poly(target, rhs)
-        if not (image.is_monomial() and abs(*image.terms.values()) == 1):
+        if not (image.is_monomial() and abs(image.monomial_term()[1]) == 1):
             raise ValueError(f"image of {name!r} is not a signed monomial")
         sigma[name] = image
     for name in src.names:

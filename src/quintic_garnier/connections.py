@@ -242,7 +242,7 @@ def _sqrt_fraction(f: FactoredFraction) -> Optional[FactoredFraction]:
         return r
     if not r.num.is_monomial():
         return None
-    (exps, coeff), = r.num.terms.items()
+    exps, coeff = r.num.monomial_term()
     if any(e % 2 for e in exps) or any(e % 2 for e in r.exps):
         return None
     num_c, den_c = coeff.numerator, coeff.denominator

@@ -95,7 +95,8 @@ class ScalarOneForm:
 
 
 class ScalarTwoForm:
-    """``c dX ^ dY``; antisymmetry is structural."""
+    """``c dX ^ dY``; antisymmetry is structural, so forms over the other
+    order of the base variables neither compare nor add."""
 
     __slots__ = ("basis", "base_vars", "coeff")
 
@@ -108,10 +109,14 @@ class ScalarTwoForm:
     def is_zero(self) -> bool:
         return self.coeff.is_zero()
 
+    _check = ScalarOneForm._check
+
     def __add__(self, other: "ScalarTwoForm") -> "ScalarTwoForm":
+        self._check(other)
         return ScalarTwoForm(self.basis, self.base_vars, self.coeff + other.coeff)
 
     def __sub__(self, other: "ScalarTwoForm") -> "ScalarTwoForm":
+        self._check(other)
         return ScalarTwoForm(self.basis, self.base_vars, self.coeff - other.coeff)
 
     def __neg__(self) -> "ScalarTwoForm":
@@ -120,6 +125,7 @@ class ScalarTwoForm:
     def __eq__(self, other):
         if not isinstance(other, ScalarTwoForm):
             return NotImplemented
+        self._check(other)
         return frac_eq(self.coeff, other.coeff)
 
     def __repr__(self):
@@ -215,7 +221,7 @@ def divisor_pullback(pulled: FactoredFraction,
     ``pulled`` is ``phi.pull(f)`` or ``Substitution.poly(f)``; the declared
     factors are polynomials of ``pulled.ctx``, and each denominator factor
     of ``pulled.basis`` must be one of them.  Returns ``(unit,
-    {factor_name: exponent})``; the unit is a signed monomial.  The declared
+    {factor_name: exponent})``; the unit is one term.  The declared
     non-monomial factors are divided out by :meth:`DenomBasis.divide_out`,
     and a declared monomial then counts by its valuation; the order does not
     matter when, as for an irreducible factor written without a monomial
@@ -243,7 +249,7 @@ def divisor_pullback(pulled: FactoredFraction,
         if name in polys:
             continue
         # valuation along a coordinate divisor (may be negative)
-        (gexps, _), = g.terms.items()
+        gexps, _ = g.monomial_term()
         if any(a < 0 for a in gexps):
             raise BasisError(f"declared monomial divisor {name!r} has a pole")
         k = None

@@ -22,11 +22,12 @@ variable and the exponent vector: at most :data:`FACTOR_MEMO_CAP` of each
 per basis.
 
 Substitution is one kernel, :class:`Substitution`.  It resolves the images
-once by :func:`ring.resolve_images`, the policy that :func:`ring.evaluate`
-shares: images are rationals, polynomials or fractions, an unmapped variable
-maps to the same-named target variable, ``ContextError`` is raised when a
-variable that occurs has no image, and the image of an extension variable
-must be a root of its minimal polynomial.  It sums the terms of a
+once by :func:`ring.resolve_images`, the policy that
+:meth:`ring.LaurentPoly.substitute` shares: images are rationals,
+polynomials or fractions, an unmapped variable maps to the same-named
+target variable, ``ContextError`` is raised when a variable that occurs has
+no image, and the image of an extension variable must be a root of its
+minimal polynomial.  It sums the terms of a
 polynomial into one accumulator per denominator exponent vector and puts
 them over their common denominator once, in one more sum.  The owner of a
 set of images keeps one kernel, and its memo of image powers and pulled
@@ -424,7 +425,8 @@ class Substitution:
         self._inverses: dict[tuple[LaurentPoly, int], FactoredFraction] = {}
 
     def poly(self, p: LaurentPoly) -> FactoredFraction:
-        """The image of a polynomial of ``ctx``, over one common denominator."""
+        """The image of a polynomial of ``ctx``, over one common denominator;
+        the one reader of ``terms`` outside ``ring``."""
         if p.ctx is not self.ctx and p.ctx != self.ctx:
             raise ContextError("context mismatch")
         powers = self._powers

@@ -22,6 +22,10 @@ one term product at a time, keeping no zero, and :func:`from_terms` makes
 the value, re-reducing exponents only in an extension context.
 ``LaurentPoly.__add__`` and ``__mul__`` run on the same two.
 
+A value answers for its terms too (``is_constant``, ``monomial_term``,
+``key``, ``min_exponent``, ``coefficients_in``): outside this module only
+the kernel ``fractions.Substitution.poly`` reads ``terms`` itself.
+
 The context may declare one algebraic extension: a designated variable ``r``
 together with a monic minimal polynomial over Q.  Arithmetic then happens in
 ``Q[r]/(m(r))`` tensored with the Laurent ring on the remaining variables;
@@ -34,10 +38,10 @@ image maps to the target variable of the same name; ``ContextError`` is
 raised when a variable that occurs has no image, when an image is a
 polynomial of another context, or when the image of an extension variable
 is not a root of its minimal polynomial, and ``UnitError`` for a negative
-power of a polynomial image that is not a signed monomial.  :func:`evaluate`, the generic loop over any ring
-with ``+``, ``*`` and ``**``, carries it out for
-:meth:`LaurentPoly.substitute`; ``fractions.Substitution`` carries it out
-for fractions, summing over one common denominator.
+power of a polynomial image that is not a unit (one term).  Two kernels
+carry it out, each summing its terms on the accumulator:
+:meth:`LaurentPoly.substitute` for polynomials, and
+``fractions.Substitution`` for fractions, over one common denominator.
 
 The text grammar used for serialization is::
 
@@ -192,6 +196,14 @@ class LaurentPoly:
         return not self.terms or (len(self.terms) == 1
                                   and not any(next(iter(self.terms))))
 
+    def monomial_term(self) -> tuple[Exponents, Rat]:
+        """``(exponents, coefficient)`` of a one-term value, the coefficient
+        as stored; :class:`UnitError` for zero or more than one term."""
+        if len(self.terms) != 1:
+            raise UnitError("not a one-term value")
+        term, = self.terms.items()
+        return term
+
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
@@ -300,7 +312,7 @@ class LaurentPoly:
         return result
 
     def inverse(self) -> "LaurentPoly":
-        """Inverse of a unit (signed monomial, also in the extension variable)."""
+        """Inverse of a unit: a one-term value, also in the extension variable."""
         if not self.is_monomial():
             raise UnitError("only monomials are invertible in the Laurent ring")
         (exps, coeff), = self.terms.items()
@@ -341,10 +353,9 @@ class LaurentPoly:
                    target: Optional[VarContext] = None) -> "LaurentPoly":
         """Ring-homomorphism image in ``target`` (default: this context).
 
-        Follows the substitution policy of :func:`resolve_images` and is
-        computed by :func:`evaluate`; an image is an ``int``, a ``Fraction``
-        or a polynomial of ``target``, and the image of an extension
-        variable is a root of its minimal polynomial.
+        Follows the policy of :func:`resolve_images` and :func:`image_power`:
+        an image is an ``int``, a ``Fraction`` or a polynomial of ``target``.
+        Each power of an image is taken once; the terms sum on the accumulator.
         """
         tgt = target if target is not None else self.ctx
         if tgt is self.ctx and not images:
@@ -357,7 +368,20 @@ class LaurentPoly:
                 raise ContextError("image context mismatch")
             return value
 
-        return evaluate(self, images, tgt, lift)
+        img = resolve_images(self.ctx, images, tgt, lift)
+        one = tgt.one()
+        powers: dict[tuple[int, int], LaurentPoly] = {}
+        acc: dict[Exponents, Rat] = {}
+        for exps, coeff in self.terms.items():
+            term = one
+            for i, e in enumerate(exps):
+                if e:
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = powers[(i, e)] = image_power(self.ctx, img, i, e)
+                    term = term * pw
+            add_into(acc, term, coeff)
+        return from_terms(tgt, acc)
 
     # -- structure helpers -------------------------------------------------
 
@@ -495,8 +519,9 @@ def exact_divide(p: LaurentPoly, f: LaurentPoly) -> Optional[LaurentPoly]:
         diff = tuple(a - b for a, b in zip(lp, lf))
         if any(d < 0 for d in diff):
             return None
+        # the leading exponent falls at each step, so each diff comes once
         c = _co(Fraction(P[lp]) / cf)
-        quot[diff] = quot.get(diff, 0) + c
+        quot[diff] = c
         for e, fc in F.items():
             t = tuple(a + b for a, b in zip(diff, e))
             s = P.get(t, 0) - c * fc
@@ -505,11 +530,11 @@ def exact_divide(p: LaurentPoly, f: LaurentPoly) -> Optional[LaurentPoly]:
             else:
                 P.pop(t, None)
     shift = tuple(a - b for a, b in zip(pmin, fmin))
-    return LaurentPoly(p.ctx, {tuple(a + b for a, b in zip(e, shift)): c
-                               for e, c in quot.items() if c})
+    return from_terms(p.ctx, {tuple(a + b for a, b in zip(e, shift)): c
+                              for e, c in quot.items()})
 
 
-# -- evaluation --------------------------------------------------------------
+# -- the substitution policy -------------------------------------------------
 
 def resolve_images(ctx: VarContext, images: Mapping[str, object],
                    target: VarContext, lift: Callable[[object], V]
@@ -560,32 +585,6 @@ def image_power(ctx: VarContext, img: list[Optional[V]], i: int, e: int) -> V:
         return img[i] ** e
     except UnitError:
         raise UnitError(f"negative power of {name!r} needs a unit image") from None
-
-
-def evaluate(p: LaurentPoly, images: Mapping[str, object], target: VarContext,
-             lift: Callable[[object], V]) -> V:
-    """Evaluate ``p`` at images of its variables in any ring with ``+``, ``*``
-    and ``**``: the generic loop behind :meth:`LaurentPoly.substitute`.
-
-    ``lift`` carries a rational, an image or a polynomial of ``target`` into
-    the value ring; the images are resolved by :func:`resolve_images`, and
-    each power is taken by :func:`image_power`, so a missing image raises
-    :class:`ContextError` only when its variable occurs in ``p``.
-    """
-    img = resolve_images(p.ctx, images, target, lift)
-    out = lift(0)
-    pow_cache: dict[tuple[int, int], V] = {}
-    for exps, coeff in p.terms.items():
-        term = lift(coeff)
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            pc = pow_cache.get((i, e))
-            if pc is None:
-                pc = pow_cache[(i, e)] = image_power(p.ctx, img, i, e)
-            term = term * pc
-        out = out + term
-    return out
 
 
 # -- text grammar -----------------------------------------------------------

@@ -170,10 +170,12 @@ class ValueTable:
         if i is None:
             i = self._ids[key] = len(self.values)
             self.values.append(value)
-            pair = _rational(key)
-            self.rationals.append(pair)
-            if pair is not None:
+            pair = None
+            if value.is_constant():
+                c = value.monomial_term()[1] if value else 0
+                pair = c.numerator, c.denominator
                 self.constants[pair] = i
+            self.rationals.append(pair)
         return i
 
     def quadratic(self, key: tuple) -> int:
@@ -200,20 +202,8 @@ class ValueTable:
         num, den = num // g, den // g
         i = self.constants.get((num, den))
         if i is None:
-            c = num if den == 1 else Fraction(num, den)
-            i = self.intern(self.values[key[0]].ctx.const(c))
+            i = self.intern(self.values[key[0]].ctx.const(Fraction(num, den)))
         return i
-
-
-def _rational(key: tuple) -> Optional[tuple[int, int]]:
-    """The ``(numerator, denominator)`` pair of the value with ``key``, or
-    ``None`` when it is not a constant."""
-    if not key:
-        return 0, 1
-    if len(key) > 1 or any(key[0][0]):
-        return None
-    c = key[0][1]
-    return c.numerator, c.denominator
 
 
 class TraceMap:

@@ -59,6 +59,13 @@ def test_orbit_unknown_family_is_usage_error(capsys):
     assert rc == 3
 
 
+def test_orbit_of_a_family_without_a_tuple_is_usage_error(capsys):
+    rc = main(["orbit", "plane_case1", "--extended"])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out
+    assert captured.err == "error: family 'plane_case1' is not a representation tuple\n"
+
+
 def test_orbit_out_to_unwritable_path_is_usage_error(capsys, tmp_path):
     out = tmp_path / "missing" / "x.json"
     rc = main(["orbit", "rho1", "--extended", "--out", str(out)])
@@ -690,24 +697,17 @@ def test_verify_suites_restrict_each_chart_once(monkeypatch):
 def test_verify_suites_build_one_substitution_per_owner(monkeypatch):
     """Pinned count of ``fractions.Substitution`` kernels per suite: each
     residue chart, map, line restriction, parameter point, pole and flip
-    builds one for all the values it substitutes, and no suite falls back on
-    the generic ``ring.evaluate`` loop.  A kernel per entry again fails
-    here."""
-    suite, kernels, evaluations = [None], Counter(), [0]
-    init, evaluate = fractions.Substitution.__init__, ring.evaluate
+    builds one for all the values it substitutes.  A kernel per entry again
+    fails here."""
+    suite, kernels = [None], Counter()
+    init = fractions.Substitution.__init__
 
     def counted_init(self, *args):
         kernels[suite[0]] += 1
         init(self, *args)
-
-    def counted_evaluate(*args):
-        evaluations[0] += 1
-        return evaluate(*args)
     monkeypatch.setattr(fractions.Substitution, "__init__", counted_init)
-    monkeypatch.setattr(ring, "evaluate", counted_evaluate)
     for name, run in cli.SUITES.items():
         suite[0] = name
         run()
     assert dict(kernels) == {"residues": 7, "pullbacks": 7, "restriction": 7,
                              "garnier": 2}
-    assert evaluations[0] == 0

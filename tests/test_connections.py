@@ -6,17 +6,17 @@ from fractions import Fraction
 import pytest
 
 from quintic_garnier.connections import (
-    B_CASE1, B_PQ, B_UV, B_XY, CASE1_DIVISORS, CTX_PQ, CTX_UV, CTX_UVH,
-    CTX_XY, CTX_XYH, QUINTIC2_DIVISORS, MatConnection, build_case1_cover_form, build_omega0, build_omega1, build_riccati1,
+    B_CASE1, B_PQ, B_UV, B_XY, CASE1_DIVISORS, CTX_PQ, CTX_UV, CTX_UVH, CTX_X,
+    CTX_XY, CTX_XYH, QUINTIC2_DIVISORS, DivisorChart, MatConnection, build_case1_cover_form, build_omega0, build_omega1, build_riccati1,
     case1_connection, conjugate_two_forms, diagonal_cover_connection,
     flat_case1_connection, flat_quintic2_connection, flat_representative,
     cover_homogeneous, elementary_homogeneous, gauge_transform, is_flat,
     map_cover, map_cover_bar, map_elementary, map_involution, map_symmetric_cover, mat_curvature,
     pullback_riccati, quintic2_matrix_connection,
     quintic2_scaled_connection, residue, riccati_of_connection,
-    riccati_plane_catalog)
+    riccati_plane_catalog, _sqrt_fraction)
 from quintic_garnier.forms import RationalMap, ScalarOneForm, divisor_pullback
-from quintic_garnier.fractions import (FactoredFraction, Substitution,
+from quintic_garnier.fractions import (DenomBasis, FactoredFraction, Substitution,
                                        eval_poly, frac_eq, serialize_frac)
 from quintic_garnier.ring import VarContext
 from quintic_garnier.sl2 import Mat2
@@ -182,6 +182,40 @@ def test_double_pole_is_flagged():
     rd = residue(quintic2_scaled_connection(), QUINTIC2_DIVISORS["y"])
     assert not rd.consistent
     assert any("order > 1" in n for n in rd.notes)
+
+
+def test_sqrt_fraction_takes_roots_of_monomial_squares_only():
+    x, y = CTX_XY.var("x"), CTX_XY.var("y")
+    assert _sqrt_fraction(B_XY.zero()).is_zero()
+    root = _sqrt_fraction(B_XY.over(Fraction(4, 9) * x ** 2, y - 1, y - 1))
+    assert frac_eq(root, B_XY.over(Fraction(2, 3) * x, y - 1))
+    for value in (B_XY.of(x ** 3),                    # odd exponent
+                  B_XY.over(x ** 2, y - 1),           # odd denominator exponent
+                  B_XY.of(-(x ** 2)),                 # negative coefficient
+                  B_XY.of(2 * x ** 2),                # no rational root
+                  B_XY.of(x ** 2 + 1)):               # more than one term
+        assert _sqrt_fraction(value) is None, value
+
+
+def test_residue_notes_a_double_pole_along_a_basis_factor_and_a_failed_restriction():
+    """Along y = 1, a declared factor of the basis, dy/(y-1)^2 has a pole of
+    order two; dy/((y-1)(x^2-y)) restricts to 1/(x^2-1), which a chart with
+    no denominator factors cannot hold."""
+    x, y = CTX_XY.var("x"), CTX_XY.var("y")
+    z = ScalarOneForm.zero(B_XY, ("x", "y"))
+
+    def notes(B, chart):
+        w = ScalarOneForm(B_XY, ("x", "y"), B_XY.zero(), B)
+        rd = residue(MatConnection("probe", B_XY, ("x", "y"), ((w, z), (z, z))), chart)
+        assert not rd.consistent
+        return rd.notes
+    one = CTX_XY.one()
+    assert notes(B_XY.over(one, y - 1, y - 1), QUINTIC2_DIVISORS["y-1"]) == [
+        "entry (1,1): pole of order > 1 along y-1"]
+    bare = DivisorChart("y-1", y - 1, "y", {"y": CTX_X.one()}, DenomBasis(CTX_X, []))
+    assert notes(B_XY.over(one, y - 1, x ** 2 - y), bare) == [
+        "entry (1,1): restriction failed along y-1: residual factor outside basis: "
+        "1*x^2 + -1"]
 
 
 def test_trace_free_residues_pair_up():

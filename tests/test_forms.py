@@ -13,7 +13,7 @@ from quintic_garnier.forms import (MobiusAction, RationalMap, ScalarOneForm,
 from quintic_garnier.fractions import (BasisError, DenomBasis, FactoredFraction,
                                        Substitution, eval_poly, frac_eq,
                                        serialize_frac)
-from quintic_garnier.ring import LaurentPoly, VarContext
+from quintic_garnier.ring import ContextError, LaurentPoly, VarContext
 
 XY = VarContext(["x", "y"])
 x, y = XY.var("x"), XY.var("y")
@@ -137,6 +137,45 @@ def test_divisor_pullback_of_zero_raises():
     # zero divides by every declared factor; the divide-out must not loop
     with pytest.raises(BasisError, match="zero polynomial"):
         divisor_pullback(PI.pull(XY.zero()), {"u-v": u - v})
+
+
+def test_divisor_pullback_clears_a_pulled_denominator():
+    """1/(y-1) pulls back under (u, v) -> (u, v^2) to 1/((v-1)(v+1)): each
+    declared denominator factor counts with a negative exponent, and one
+    outside the declared list is refused by name."""
+    cover, y_xy = map_cover(), B_XY.ctx.var("y")
+    v_c = cover.src.ctx.var("v")
+    pulled = cover.pull(B_XY.over(B_XY.ctx.one(), y_xy - 1))
+    unit, factors = divisor_pullback(pulled, {"v-1": v_c - 1, "v+1": v_c + 1})
+    assert factors == {"v-1": -1, "v+1": -1} and unit.is_one()
+    with pytest.raises(BasisError, match=r"outside declared list: <1\*v\^1 \+ 1>"):
+        divisor_pullback(pulled, {"v-1": v_c - 1})
+    with pytest.raises(BasisError, match="declared monomial divisor 'v' has a pole"):
+        divisor_pullback(cover.pull(y_xy), {"v": v_c ** -1})
+
+
+def test_two_forms_refuse_the_other_base_order():
+    """c dx^dy = -c dy^dx, so two-forms over the two orders of one basis
+    neither compare nor add, as one-forms over different bases do not."""
+    c = BXY.of(x)
+    xy, yx = ScalarTwoForm(BXY, ("x", "y"), c), ScalarTwoForm(BXY, ("y", "x"), c)
+    assert xy == ScalarTwoForm(BXY, ("x", "y"), c)
+    for op in (lambda a, b: a == b, lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ContextError, match="forms live on different bases"):
+            op(xy, yx)
+
+
+def test_rational_map_refusals():
+    """A map needs an image of each target base variable and an invertible
+    fiber action, and composes only with a map into its source."""
+    with pytest.raises(ContextError, match="missing substitution for target variable 'y'"):
+        RationalMap("pi", BUV, BXY, ("u", "v"), ("x", "y"), {"x": BUV.of(u)})
+    flat = MobiusAction(BUV.one(), BUV.one(), BUV.one(), BUV.one())
+    with pytest.raises(ValueError, match="degenerate Moebius fiber action"):
+        RationalMap("pi", BUV, BXY, ("u", "v"), ("x", "y"), PI.subs, fiber=flat)
+    with pytest.raises(ContextError, match="maps do not compose"):
+        PI.compose(PI)
+    assert BMAP.compose(BMAP).dst is BUV
 
 
 def test_d_squared_zero_randomized():

@@ -105,6 +105,30 @@ def test_only_ring_writes_the_stored_form():
                        for node in ast.walk(ast.parse(path.read_text(), str(path))))]
     assert vouching == ["ring.py"]
 
+
+def readers_of_terms(tree, scope=()):
+    """The dotted name of each class or function, outermost first, that
+    reads an attribute ``terms`` in its own body, once per read."""
+    out = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += readers_of_terms(node, scope + (node.name,))
+        else:
+            if isinstance(node, ast.Attribute) and node.attr == "terms":
+                out.append(".".join(scope) or "<module>")
+            out += readers_of_terms(node, scope)
+    return out
+
+
+def test_only_ring_reads_the_stored_form():
+    """Outside ``ring``, the owner of a term dict, only the fraction
+    substitution kernel reads ``.terms``: every other module asks the value."""
+    readers = {path.name: sorted(set(readers_of_terms(ast.parse(path.read_text()))))
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "ring.py"}
+    assert {name: found for name, found in readers.items() if found} == {
+        "fractions.py": ["Substitution.poly"]}
+
+
 # the modules only the verification suites read
 CONNECTION_STACK = ("connections", "forms", "fractions", "garnier")
 

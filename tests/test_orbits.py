@@ -242,6 +242,17 @@ def test_orbit_compare_equal_and_overlap():
     assert orbit_compare(o1, o1)["relation"] == "equal"
 
 
+def test_orbit_compare_reports_containment_both_ways_and_overlap():
+    elements = sorted(orbit(builtin_family("rho1").rep, pure_generators(), 100).elements,
+                      key=TraceTuple.serialize)
+    assert len(elements) == 4
+    assert orbit_compare(elements, elements[:2])["relation"] == "a_contains_b"
+    assert orbit_compare(elements[:2], elements)["relation"] == "b_contains_a"
+    got = orbit_compare(elements[:3], elements[1:])
+    assert (got["relation"], got["common"], got["size_a"], got["size_b"]) == \
+        ("overlap", 2, 3, 3)
+
+
 def test_orbit_json_roundtrip(tmp_path):
     fam = builtin_family("rho3")
     res = orbit(fam.rep, pure_generators(), cutoff=100, seed_name="rho3")
