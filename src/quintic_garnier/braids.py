@@ -108,14 +108,6 @@ class BraidWord:
         return BraidWord([-x for x in reversed(self.letters)],
                          name=self.name + "^-1")
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return BraidWord(self.letters + other.letters)
-
-    def __pow__(self, n: int) -> "BraidWord":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return BraidWord(self.letters * n)
-
     def permutation(self, strands: int) -> tuple[int, ...]:
         """Underlying strand permutation (image of each position)."""
         perm = list(range(strands))

@@ -41,7 +41,8 @@ from typing import Callable, Optional
 from .forms import MobiusAction, RationalMap, ScalarOneForm, ScalarTwoForm
 from .fractions import (BasisError, DenomBasis, FactoredFraction,
                         Substitution, frac_eq, serialize_frac)
-from .ring import ContextError, LaurentPoly, UnitError, VarContext
+from .ring import (ContextError, LaurentPoly, UnitError, VarContext,
+                   serialize_poly)
 
 # ---------------------------------------------------------------------------
 # contexts and denominator bases
@@ -192,16 +193,18 @@ def conjugate_two_forms(curv, g, basis) -> tuple:
 
 @dataclass
 class DivisorChart:
-    """A polar divisor with a rational chart of the divisor itself.
+    """A polar divisor ``poly = 0`` with a rational chart of the divisor itself.
 
-    ``subs`` substitutes the cut variable (solving ``poly = 0``), carrying
-    fractions into ``target``; :attr:`chart` optionally transforms the whole
-    connection first (used for the line at infinity).  It is built by
-    ``build_chart`` on first read, so importing the catalog builds no map.
+    ``poly`` is a coordinate variable (``var`` itself) or a factor of the
+    basis of the connections read along it.  ``subs`` substitutes the cut
+    variable (solving ``poly = 0``), carrying fractions into ``target``;
+    :attr:`chart` optionally transforms the whole connection first (used for
+    the line at infinity).  It is built by ``build_chart`` on first read, so
+    importing the catalog builds no map.
     """
 
     name: str
-    poly: Optional[LaurentPoly]      # None: monomial divisor `var`
+    poly: LaurentPoly
     var: str                         # variable with nonzero partial, solved
     subs: dict
     target: DenomBasis
@@ -257,65 +260,58 @@ def _sqrt_fraction(f: FactoredFraction) -> Optional[FactoredFraction]:
     return FactoredFraction(r.basis, half, tuple(e // 2 for e in r.exps))
 
 
-def _residue_side(coeff: FactoredFraction, var: str, chart: DivisorChart,
-                  at: Substitution
-                  ) -> tuple[Optional[FactoredFraction], Optional[str]]:
-    """Residue via the ``d var`` coefficient of one entry, evaluated along
-    the chart by its kernel ``at``; returns (value, error-note)."""
-    basis = coeff.basis
-    f_poly = basis.ctx.var(chart.var) if chart.poly is None else chart.poly
-    df = f_poly.derivative(var)
-    if df.is_zero():
-        return None, None  # side undefined
-    scaled = (coeff * f_poly).reduce()
-    # pole order check: no remaining power of the divisor may survive
-    if chart.poly is None:
-        if not scaled.is_zero() and scaled.num.min_exponent(chart.var) < 0:
-            return None, f"pole of order > 1 along {chart.name}"
-    else:
-        idx = [i for i, g in enumerate(basis.factors) if g == chart.poly]
-        if idx and scaled.exps[idx[0]] > 0:
-            return None, f"pole of order > 1 along {chart.name}"
-    try:
-        return at.fraction(scaled) * at.poly(df).inverse(), None
-    except (BasisError, ContextError, UnitError) as exc:
-        return None, f"restriction failed along {chart.name}: {exc}"
-
-
 def residue(conn: MatConnection, chart: DivisorChart) -> ResidueData:
-    """Residue matrix along a divisor, from both components where defined.
+    """Residue matrix along a divisor ``f = 0``, in one pass over the chart.
 
+    Each side ``v`` of an entry is its ``dv`` coefficient times ``f`` over
+    ``df/dv``, evaluated by the chart's one substitution; a side with a zero
+    partial is dropped.  The pole of a coordinate ``f`` survives as a negative
+    power of ``chart.var``, that of a basis factor as the factor's exponent.
     The dx- and dy-derived values must agree wherever both are defined
-    (logarithmicity); disagreement or a higher-order pole clears the
-    consistency flag.  One substitution evaluates every entry on the chart.
+    (logarithmicity); the residue is consistent when nothing is noted.
     """
     if chart.chart is not None:
         conn = conn.pull_back(chart.chart)
+    f = chart.poly
+    if f.is_monomial():
+        def pole_survives(scaled: FactoredFraction) -> bool:
+            return not scaled.is_zero() and scaled.num.min_exponent(chart.var) < 0
+    else:
+        try:
+            k = conn.basis.factors.index(f)
+        except ValueError:
+            raise BasisError(f"divisor {chart.name} ({serialize_poly(f)}) is "
+                             "neither a coordinate nor a basis factor") from None
+
+        def pole_survives(scaled: FactoredFraction) -> bool:
+            return scaled.exps[k] > 0
     at = Substitution(conn.basis.ctx, chart.subs, chart.target)
-    x, y = conn.base_vars
+    inverse = functools.cache(lambda df: at.poly(df).inverse())
+    sides = [(side, df) for side, v in enumerate(conn.base_vars)
+             if not (df := f.derivative(v)).is_zero()]
     notes: list[str] = []
-    consistent = True
     matrix: list[list[FactoredFraction]] = []
     for i in (0, 1):
         row = []
         for j in (0, 1):
-            vx, ex = _residue_side(conn.omega[i][j].A, x, chart, at)
-            vy, ey = _residue_side(conn.omega[i][j].B, y, chart, at)
-            for err in (ex, ey):
-                if err:
-                    notes.append(f"entry ({i + 1},{j + 1}): {err}")
-                    consistent = False
-            if vx is not None and vy is not None:
-                if not frac_eq(vx, vy):
-                    notes.append(f"entry ({i + 1},{j + 1}): dx/dy residues disagree")
-                    consistent = False
-            val = vy if vy is not None else vx
-            if val is None:
-                val = chart.target.zero()
-            row.append(val)
+            entry, w = f"entry ({i + 1},{j + 1})", conn.omega[i][j]
+            values = []
+            for side, df in sides:
+                scaled = ((w.A, w.B)[side] * f).reduce()
+                if pole_survives(scaled):
+                    notes.append(f"{entry}: pole of order > 1 along {chart.name}")
+                    continue
+                try:
+                    values.append(at.fraction(scaled) * inverse(df))
+                except (BasisError, ContextError, UnitError) as exc:
+                    notes.append(f"{entry}: restriction failed along "
+                                 f"{chart.name}: {exc}")
+            if len(values) == 2 and not frac_eq(*values):
+                notes.append(f"{entry}: dx/dy residues disagree")
+            row.append(values[-1] if values else chart.target.zero())
         matrix.append(row)
     eig, charpoly = _eigenvalues(matrix)
-    return ResidueData(chart.name, matrix, eig, charpoly, consistent, notes)
+    return ResidueData(chart.name, matrix, eig, charpoly, not notes, notes)
 
 
 def _eigenvalues(m):
@@ -323,10 +319,6 @@ def _eigenvalues(m):
     c, d = m[1][0], m[1][1]
     if b.is_zero() or c.is_zero():
         return (a, d), None
-    if a.is_zero() and d.is_zero():
-        root = _sqrt_fraction(b * c)
-        if root is not None:
-            return (root, -root), None
     trace = a + d
     det = a * d - b * c
     if trace.is_zero():
@@ -652,18 +644,18 @@ _tc, _ytc = CTX_T.var("t"), CTX_YT.var("yt")
 _B_XC = DenomBasis(CTX_X, [_xc - 1, _xc + 1], names=["x-1", "x+1"])
 
 QUINTIC2_DIVISORS: dict[str, DivisorChart] = {
-    "y": DivisorChart("y", None, "y", {"y": CTX_X.zero()}, _B_XC),
+    "y": DivisorChart("y", _y, "y", {"y": CTX_X.zero()}, _B_XC),
     "y-1": DivisorChart("y-1", _y - 1, "y", {"y": CTX_X.one()}, _B_XC),
     "conic": DivisorChart("conic", _x ** 2 - _y, "y", {"y": _xc ** 2}, _B_XC),
-    "infinity": DivisorChart("infinity", None, "xt", {"xt": CTX_YT.zero()},
+    "infinity": DivisorChart("infinity", _xt, "xt", {"xt": CTX_YT.zero()},
                              DenomBasis(CTX_YT, []),
                              functools.partial(map_infinity_chart, B_INF, B_XY)),
 }
 
 CASE1_DIVISORS: dict[str, DivisorChart] = {
-    "x": DivisorChart("x", None, "x", {"x": CTX_Y.zero()},
+    "x": DivisorChart("x", _x, "x", {"x": CTX_Y.zero()},
                       DenomBasis(CTX_Y, [_yc - 1], names=["y-1"])),
-    "y": DivisorChart("y", None, "y", {"y": CTX_X.zero()},
+    "y": DivisorChart("y", _y, "y", {"y": CTX_X.zero()},
                       DenomBasis(CTX_X, [_xc - 1], names=["x-1"])),
     # rational parametrization of the tangent conic
     "tangent-conic": DivisorChart(
@@ -671,7 +663,7 @@ CASE1_DIVISORS: dict[str, DivisorChart] = {
         {"x": Fraction(1, 4) * (_tc + 1) ** 2,
          "y": Fraction(1, 4) * (_tc - 1) ** 2},
         DenomBasis(CTX_T, [_tc - 1, _tc + 1], names=["t-1", "t+1"])),
-    "infinity": DivisorChart("infinity", None, "xt", {"xt": CTX_YT.zero()},
+    "infinity": DivisorChart("infinity", _xt, "xt", {"xt": CTX_YT.zero()},
                              DenomBasis(CTX_YT, [_ytc - 1], names=["yt-1"]),
                              functools.partial(map_infinity_chart, B_C1INF, B_CASE1)),
 }

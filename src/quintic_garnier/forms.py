@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Union
 
 from .fractions import (BasisError, DenomBasis, FactoredFraction, Substitution,
                         frac_eq, serialize_frac)
-from .ring import ContextError, LaurentPoly
+from .ring import ContextError, LaurentPoly, serialize_poly
 
 
 class ScalarOneForm:
@@ -238,7 +238,8 @@ def divisor_pullback(pulled: FactoredFraction,
         if e:
             name = next((n for n, h in polys.items() if h == g), None)
             if name is None:
-                err = BasisError(f"denominator factor outside declared list: {g!r}")
+                err = BasisError("denominator factor outside declared list: "
+                                 f"{serialize_poly(g)}")
                 err.residual = g  # type: ignore[attr-defined]
                 raise err
             out[name] = out.get(name, 0) - e

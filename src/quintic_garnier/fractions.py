@@ -72,7 +72,8 @@ class DenomBasis:
             if f.ctx != ctx:
                 raise ContextError("factor context mismatch")
             if f.is_monomial():
-                raise BasisError(f"monomial factor {f!r} belongs in the numerator")
+                raise BasisError(f"monomial factor {serialize_poly(f)} belongs "
+                                 "in the numerator")
         self.factors = tuple(factors)
         self.names = tuple(names) if names is not None else tuple(
             serialize_poly(f) for f in factors)
@@ -124,7 +125,7 @@ class DenomBasis:
                     exps[i] += 1
                     break
             else:
-                raise BasisError(f"factor {f!r} not in basis")
+                raise BasisError(f"factor {serialize_poly(f)} not in basis")
         if isinstance(num, (int, Fraction)):
             num = self.ctx.const(num)
         return FactoredFraction(self, num, tuple(exps))
@@ -226,7 +227,7 @@ class FactoredFraction:
     :meth:`__hash__` and :func:`serialize_frac` reduce first, and a caller
     that reads ``num`` or ``exps`` calls :meth:`reduce` itself
     (``garnier._clear``, ``connections._sqrt_fraction``,
-    ``connections._residue_side``, ``forms.divisor_pullback``).  Equality is
+    ``connections.residue``, ``forms.divisor_pullback``).  Equality is
     cross-multiplication and needs no reduction.
     """
 

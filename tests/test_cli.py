@@ -711,3 +711,25 @@ def test_verify_suites_build_one_substitution_per_owner(monkeypatch):
         run()
     assert dict(kernels) == {"residues": 7, "pullbacks": 7, "restriction": 7,
                              "garnier": 2}
+
+
+def test_verify_residues_derives_and_inverts_each_partial_once(monkeypatch):
+    """Pinned counts of ``LaurentPoly.derivative`` and
+    ``FactoredFraction.inverse`` calls over a second run of the residues
+    suite: each of its seven charts derives its divisor once by each base
+    variable (14 derivatives; ``flat_case1_connection`` takes the other 2)
+    and inverts the image of each nonzero partial once (9 inverses; the
+    other 12 are the substitutions' pulled factor inverses and negative
+    image powers).  A partial derived or inverted per entry again fails
+    here."""
+    run = cli.SUITES["residues"]
+    run()
+    calls = Counter()
+    for owner, name in ((ring.LaurentPoly, "derivative"),
+                        (fractions.FactoredFraction, "inverse")):
+        def counted(*args, _method=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _method(*args)
+        monkeypatch.setattr(owner, name, counted)
+    run()
+    assert dict(calls) == {"derivative": 16, "inverse": 21}

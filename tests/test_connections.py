@@ -16,8 +16,9 @@ from quintic_garnier.connections import (
     quintic2_scaled_connection, residue, riccati_of_connection,
     riccati_plane_catalog, _sqrt_fraction)
 from quintic_garnier.forms import RationalMap, ScalarOneForm, divisor_pullback
-from quintic_garnier.fractions import (DenomBasis, FactoredFraction, Substitution,
-                                       eval_poly, frac_eq, serialize_frac)
+from quintic_garnier.fractions import (BasisError, DenomBasis, FactoredFraction,
+                                       Substitution, eval_poly, frac_eq,
+                                       serialize_frac)
 from quintic_garnier.ring import VarContext
 from quintic_garnier.sl2 import Mat2
 
@@ -357,3 +358,40 @@ def test_residue_kernel_matches_the_one_call_path(build, charts):
                 assert frac_eq(rd.matrix[i][j], want), (chart.name, i, j)
                 compared += 1
     assert compared
+
+
+def test_residue_is_consistent_exactly_when_nothing_is_noted():
+    """Every catalog connection on every chart of its quintic: the notes are
+    the verdict."""
+    for build, charts in ((flat_quintic2_connection, QUINTIC2_DIVISORS),
+                          (quintic2_matrix_connection, QUINTIC2_DIVISORS),
+                          (quintic2_scaled_connection, QUINTIC2_DIVISORS),
+                          (flat_case1_connection, CASE1_DIVISORS),
+                          (case1_connection, CASE1_DIVISORS)):
+        conn = build()
+        for chart in charts.values():
+            rd = residue(conn, chart)
+            assert rd.consistent == (not rd.notes), (conn.name, chart.name)
+
+
+def test_every_chart_names_its_divisor():
+    """A chart's divisor is a coordinate variable or a factor of the basis
+    of the connection read along it (after the chart map, if any)."""
+    for conn, charts in ((flat_quintic2_connection(), QUINTIC2_DIVISORS),
+                         (flat_case1_connection(), CASE1_DIVISORS)):
+        for chart in charts.values():
+            pulled = conn if chart.chart is None else conn.pull_back(chart.chart)
+            basis = pulled.basis
+            assert (chart.poly == basis.ctx.var(chart.var)
+                    or chart.poly in basis.factors), chart.name
+
+
+def test_residue_refuses_a_divisor_that_is_neither_a_coordinate_nor_a_factor():
+    """Along x + y = 0 a surviving pole shows neither as a negative power of
+    a variable nor as a basis exponent, so no residue is read there."""
+    x, y = CTX_XY.var("x"), CTX_XY.var("y")
+    chart = DivisorChart("x+y", x + y, "y", {"y": -CTX_X.var("x")},
+                         DenomBasis(CTX_X, []))
+    with pytest.raises(BasisError, match=r"^divisor x\+y \(1\*x\^1 \+ 1\*y\^1\) "
+                                         r"is neither a coordinate nor a basis factor$"):
+        residue(flat_quintic2_connection(), chart)

@@ -148,7 +148,7 @@ def test_divisor_pullback_clears_a_pulled_denominator():
     pulled = cover.pull(B_XY.over(B_XY.ctx.one(), y_xy - 1))
     unit, factors = divisor_pullback(pulled, {"v-1": v_c - 1, "v+1": v_c + 1})
     assert factors == {"v-1": -1, "v+1": -1} and unit.is_one()
-    with pytest.raises(BasisError, match=r"outside declared list: <1\*v\^1 \+ 1>"):
+    with pytest.raises(BasisError, match=r"outside declared list: 1\*v\^1 \+ 1$"):
         divisor_pullback(pulled, {"v-1": v_c - 1})
     with pytest.raises(BasisError, match="declared monomial divisor 'v' has a pole"):
         divisor_pullback(cover.pull(y_xy), {"v": v_c ** -1})

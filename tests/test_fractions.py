@@ -357,3 +357,14 @@ def test_common_matches_the_written_out_products():
         want = (x.num * _written_power(B, [a - e for a, e in zip(m, x.exps)]),
                 y.num * _written_power(B, [a - e for a, e in zip(m, y.exps)]), m)
         assert x._common(y) == want
+
+
+def test_basis_refusals_name_the_factor_as_serialized():
+    """A monomial factor and a factor outside the basis are named by
+    ``serialize_poly``, as :meth:`DenomBasis.factor_over` names its
+    residual."""
+    with pytest.raises(BasisError,
+                       match=r"^monomial factor 2\*u\^1 belongs in the numerator$"):
+        DenomBasis(UV, [u - v, 2 * u])
+    with pytest.raises(BasisError, match=r"^factor 1\*u\^1 \+ 1 not in basis$"):
+        B.over(1, u - v, u + 1)
