@@ -76,16 +76,16 @@ FormMatrix = tuple[tuple[ScalarOneForm, ScalarOneForm],
 
 
 class MatConnection:
-    """``d + omega`` with a 2x2 matrix of one-forms."""
+    """``d + omega`` with a 2x2 matrix of one-forms; its ``basis`` and
+    ``base_vars`` are read off the forms, which must share them."""
 
     __slots__ = ("name", "basis", "base_vars", "omega")
 
-    def __init__(self, name: str, basis: DenomBasis, base_vars: tuple[str, str],
-                 omega: FormMatrix):
-        self.name = name
-        self.basis = basis
-        self.base_vars = base_vars
-        self.omega = omega
+    def __init__(self, name: str, omega: FormMatrix):
+        for w in omega[0] + omega[1]:
+            omega[0][0]._check(w)         # ContextError for two charts
+        self.name, self.omega = name, omega
+        self.basis, self.base_vars = omega[0][0].basis, omega[0][0].base_vars
 
     def trace_form(self) -> ScalarOneForm:
         return self.omega[0][0] + self.omega[1][1]
@@ -95,23 +95,21 @@ class MatConnection:
 
     def pull_back(self, phi: RationalMap) -> "MatConnection":
         om = tuple(tuple(phi.pull_one_form(w) for w in row) for row in self.omega)
-        return MatConnection(f"{phi.name}*{self.name}", phi.src,
-                             phi.src_base, om)
+        return MatConnection(f"{phi.name}*{self.name}", om)
 
     def __repr__(self):
         return f"MatConnection({self.name})"
 
 
 class RiccatiForm:
-    """``dw + P2 w^2 + P1 w + P0`` in the fiber coordinate ``w``."""
+    """``dw + P2 w^2 + P1 w + P0`` in the fiber coordinate ``w``; its chart
+    is that of its coefficient forms."""
 
-    __slots__ = ("name", "basis", "base_vars", "P2", "P1", "P0")
+    __slots__ = ("name", "P2", "P1", "P0")
 
-    def __init__(self, name: str, basis: DenomBasis, base_vars: tuple[str, str],
-                 P2: ScalarOneForm, P1: ScalarOneForm, P0: ScalarOneForm):
+    def __init__(self, name: str, P2: ScalarOneForm, P1: ScalarOneForm,
+                 P0: ScalarOneForm):
         self.name = name
-        self.basis = basis
-        self.base_vars = base_vars
         self.P2, self.P1, self.P0 = P2, P1, P0
 
     def __eq__(self, other):
@@ -169,11 +167,12 @@ def gauge_transform(conn: MatConnection, g) -> MatConnection:
                 val = val + dg[k][j] * gi[i][k]
             row.append(val)
         out.append(tuple(row))
-    return MatConnection(conn.name + "-gauge", basis, bv, tuple(out))
+    return MatConnection(conn.name + "-gauge", tuple(out))
 
 
-def conjugate_two_forms(curv, g, basis) -> tuple:
+def conjugate_two_forms(curv, g) -> tuple:
     """``g^-1 F g`` for a curvature matrix (two-form entries)."""
+    basis, base = curv[0][0].basis, curv[0][0].base_vars
     ge, gi = _fraction_entries(g, basis)
     out = []
     for i in (0, 1):
@@ -183,7 +182,7 @@ def conjugate_two_forms(curv, g, basis) -> tuple:
             for k in (0, 1):
                 for l in (0, 1):
                     coeff = coeff + gi[i][k] * curv[k][l].coeff * ge[l][j]
-            row.append(ScalarTwoForm(basis, curv[0][0].base_vars, coeff))
+            row.append(ScalarTwoForm(basis, base, coeff))
         out.append(tuple(row))
     return tuple(out)
 
@@ -195,17 +194,16 @@ def conjugate_two_forms(curv, g, basis) -> tuple:
 class DivisorChart:
     """A polar divisor ``poly = 0`` with a rational chart of the divisor itself.
 
-    ``poly`` is a coordinate variable (``var`` itself) or a factor of the
-    basis of the connections read along it.  ``subs`` substitutes the cut
-    variable (solving ``poly = 0``), carrying fractions into ``target``;
-    :attr:`chart` optionally transforms the whole connection first (used for
-    the line at infinity).  It is built by ``build_chart`` on first read, so
-    importing the catalog builds no map.
+    ``poly`` is a coordinate variable or a factor of the basis of the
+    connections read along it, in their context.  ``subs`` solves ``poly = 0``
+    for the cut variable, carrying fractions into ``target``; :attr:`chart`
+    optionally transforms the whole connection first (used for the line at
+    infinity).  It is built by ``build_chart`` on first read, so importing the
+    catalog builds no map.
     """
 
     name: str
     poly: LaurentPoly
-    var: str                         # variable with nonzero partial, solved
     subs: dict
     target: DenomBasis
     build_chart: Optional[Callable[[], RationalMap]] = None
@@ -221,8 +219,8 @@ class ResidueData:
     matrix: list[list[FactoredFraction]]
     eigenvalues: Optional[tuple[FactoredFraction, FactoredFraction]]
     charpoly: Optional[dict]
-    consistent: bool
     notes: list[str] = field(default_factory=list)
+    consistent = property(lambda self: not self.notes)
 
     def as_dict(self) -> dict:
         out = {
@@ -265,26 +263,27 @@ def residue(conn: MatConnection, chart: DivisorChart) -> ResidueData:
 
     Each side ``v`` of an entry is its ``dv`` coefficient times ``f`` over
     ``df/dv``, evaluated by the chart's one substitution; a side with a zero
-    partial is dropped.  The pole of a coordinate ``f`` survives as a negative
-    power of ``chart.var``, that of a basis factor as the factor's exponent.
-    The dx- and dy-derived values must agree wherever both are defined
-    (logarithmicity); the residue is consistent when nothing is noted.
+    partial is dropped.  The pole of ``f`` survives as a negative power when
+    ``f`` is a variable, as an exponent when it is a basis factor; any other
+    ``f`` raises ``BasisError``.  The dx- and dy-derived values must agree
+    wherever both are defined (logarithmicity); the residue is consistent
+    when nothing is noted.
     """
     if chart.chart is not None:
         conn = conn.pull_back(chart.chart)
     f = chart.poly
-    if f.is_monomial():
+    var = next((v for v in f.ctx.names if f == f.ctx.var(v)), None)
+    if var is not None:
         def pole_survives(scaled: FactoredFraction) -> bool:
-            return not scaled.is_zero() and scaled.num.min_exponent(chart.var) < 0
-    else:
-        try:
-            k = conn.basis.factors.index(f)
-        except ValueError:
-            raise BasisError(f"divisor {chart.name} ({serialize_poly(f)}) is "
-                             "neither a coordinate nor a basis factor") from None
+            return not scaled.is_zero() and scaled.num.min_exponent(var) < 0
+    elif f in conn.basis.factors:
+        k = conn.basis.factors.index(f)
 
         def pole_survives(scaled: FactoredFraction) -> bool:
             return scaled.exps[k] > 0
+    else:
+        raise BasisError(f"divisor {chart.name} ({serialize_poly(f)}) is "
+                         "neither a coordinate nor a basis factor")
     at = Substitution(conn.basis.ctx, chart.subs, chart.target)
     inverse = functools.cache(lambda df: at.poly(df).inverse())
     sides = [(side, df) for side, v in enumerate(conn.base_vars)
@@ -311,7 +310,7 @@ def residue(conn: MatConnection, chart: DivisorChart) -> ResidueData:
             row.append(values[-1] if values else chart.target.zero())
         matrix.append(row)
     eig, charpoly = _eigenvalues(matrix)
-    return ResidueData(chart.name, matrix, eig, charpoly, not notes, notes)
+    return ResidueData(chart.name, matrix, eig, charpoly, notes)
 
 
 def _eigenvalues(m):
@@ -334,8 +333,8 @@ def _eigenvalues(m):
 def riccati_of_connection(conn: MatConnection) -> RiccatiForm:
     """Fiber chart on flat sections: P2 = -w12, P1 = w22 - w11, P0 = w21."""
     om = conn.omega
-    return RiccatiForm("P(" + conn.name + ")", conn.basis, conn.base_vars,
-                       -om[0][1], om[1][1] - om[0][0], om[1][0])
+    return RiccatiForm("P(" + conn.name + ")", -om[0][1], om[1][1] - om[0][0],
+                       om[1][0])
 
 
 def pullback_riccati(ric: RiccatiForm, phi: RationalMap) -> RiccatiForm:
@@ -350,8 +349,7 @@ def pullback_riccati(ric: RiccatiForm, phi: RationalMap) -> RiccatiForm:
     P0 = phi.pull_one_form(ric.P0)
     mob = phi.fiber
     if mob is None:
-        return RiccatiForm(f"{phi.name}*{ric.name}", phi.src, base,
-                           P2, P1, P0)
+        return RiccatiForm(f"{phi.name}*{ric.name}", P2, P1, P0)
     p, q, r, t = mob.p, mob.q, mob.r, mob.t
     den = mob.determinant().inverse()
     dp = ScalarOneForm.d_of(p, base)
@@ -362,8 +360,7 @@ def pullback_riccati(ric: RiccatiForm, phi: RationalMap) -> RiccatiForm:
     new1 = (dq * r + dp * t - dt * p - dr * q
             + P2 * (2 * p * q) + P1 * (p * t + q * r) + P0 * (2 * r * t)) * den
     new0 = (dq * t - dt * q + P2 * (q * q) + P1 * (q * t) + P0 * (t * t)) * den
-    return RiccatiForm(f"{phi.name}*{ric.name}", phi.src, base,
-                       new2, new1, new0)
+    return RiccatiForm(f"{phi.name}*{ric.name}", new2, new1, new0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +389,7 @@ def build_omega1() -> ScalarOneForm:
 def build_riccati1() -> RiccatiForm:
     w1 = build_omega1()
     z = _one(B_UV, ("u", "v"))
-    return RiccatiForm("riccati1", B_UV, ("u", "v"), z, -w1, z)
+    return RiccatiForm("riccati1", z, -w1, z)
 
 
 def diagonal_cover_connection() -> MatConnection:
@@ -400,8 +397,7 @@ def diagonal_cover_connection() -> MatConnection:
     w0 = build_omega0()
     half = B_UV.const(Fraction(1, 2))
     z = _one(B_UV, ("u", "v"))
-    return MatConnection("cover-diagonal", B_UV, ("u", "v"),
-                         ((w0 * half, z), (z, w0 * (-half))))
+    return MatConnection("cover-diagonal", ((w0 * half, z), (z, w0 * (-half))))
 
 
 def map_cover() -> RationalMap:
@@ -498,8 +494,7 @@ def flat_case1_connection() -> MatConnection:
     theta_A = B_CASE1.of(Fraction(1, 4) * _dc.derivative("x"), {0: 1})
     theta_B = B_CASE1.of(Fraction(1, 4) * _dc.derivative("y"), {0: 1})
     theta = ScalarOneForm(B_CASE1, ("x", "y"), theta_A, theta_B)
-    return MatConnection("case1_flat", B_CASE1, ("x", "y"),
-                         ((-theta, Bf), (C, theta)))
+    return MatConnection("case1_flat", ((-theta, Bf), (C, theta)))
 
 
 # homogeneous models for the divisor identities through the line at infinity:
@@ -540,8 +535,7 @@ def flat_quintic2_connection() -> MatConnection:
     quarter = B_XY.of(-Fraction(1, 4) * _y ** -1)
     w11 = _one(B_XY, ("x", "y"), None, quarter)
     w22 = _one(B_XY, ("x", "y"), None, -quarter)
-    return MatConnection("quintic2_flat", B_XY, ("x", "y"),
-                         ((w11, yC), (C, w22)))
+    return MatConnection("quintic2_flat", ((w11, yC), (C, w22)))
 
 
 def quintic2_matrix_connection() -> MatConnection:
@@ -556,8 +550,7 @@ def quintic2_matrix_connection() -> MatConnection:
                B_XY.of(_l0, {1: 1}),
                B_XY.of(_l0 * _x * _y ** -1, {1: 1})
                - B_XY.of(Fraction(1, 2) * _l1 * _y ** -1, {0: 1}))
-    return MatConnection("quintic2_matrix", B_XY, ("x", "y"),
-                         ((w11, w12), (w21, w22)))
+    return MatConnection("quintic2_matrix", ((w11, w12), (w21, w22)))
 
 
 def quintic2_scaled_connection() -> MatConnection:
@@ -576,8 +569,7 @@ def quintic2_scaled_connection() -> MatConnection:
                   Fraction(1, 2) * (_l0 * _x * (1 - _y) + _l1 * (_x ** 2 - _y)))
     om22 = over_q(CTX_XY.zero(),
                   -Fraction(1, 4) * (_y - 1) * (_x ** 2 - _y) * _y ** -1)
-    return MatConnection("quintic2_scaled", B_XY, ("x", "y"),
-                         ((om11, om12), (om21, om22)))
+    return MatConnection("quintic2_scaled", ((om11, om12), (om21, om22)))
 
 
 def riccati_plane_catalog() -> RiccatiForm:
@@ -591,7 +583,7 @@ def riccati_plane_catalog() -> RiccatiForm:
               B_XY.of(-_l0 * _y, {1: 1}),
               B_XY.of(Fraction(1, 2) * _l0 * _x * _y ** -1, {1: 1})
               - B_XY.of(Fraction(1, 2) * _l1, {0: 1}))
-    return RiccatiForm("riccati_plane", B_XY, ("x", "y"), P2, P1, P0)
+    return RiccatiForm("riccati_plane", P2, P1, P0)
 
 
 def case1_connection() -> MatConnection:
@@ -627,44 +619,37 @@ def case1_connection() -> MatConnection:
     w12 = entry(a0_12, a1_12, a2_12)
     w21 = entry(a0_21, a1_21, a2_21)
     w22 = -w11
-    return MatConnection("case1", B_CASE1, ("x", "y"),
-                         ((w11, w12), (w21, w22)))
+    return MatConnection("case1", ((w11, w12), (w21, w22)))
 
 
 # ---------------------------------------------------------------------------
 # residue charts: each polar component of the catalog connections with a
-# rational parametrization, over one context per curve coordinate
+# rational parametrization in the connection's own coordinates (CTX_XY, or
+# CTX_INF after the chart at infinity); the tangent conic's ``t`` is new
 
-CTX_X = VarContext(["x", "lam0", "lam1"])
-CTX_Y = VarContext(["y", "lam0", "lam1"])
 CTX_T = VarContext(["t", "lam0", "lam1"])
-CTX_YT = VarContext(["yt", "lam0", "lam1"])
-_xc, _yc = CTX_X.var("x"), CTX_Y.var("y")
-_tc, _ytc = CTX_T.var("t"), CTX_YT.var("yt")
-_B_XC = DenomBasis(CTX_X, [_xc - 1, _xc + 1], names=["x-1", "x+1"])
+_tc = CTX_T.var("t")
+_B_X = DenomBasis(CTX_XY, [_x - 1, _x + 1], names=["x-1", "x+1"])
 
 QUINTIC2_DIVISORS: dict[str, DivisorChart] = {
-    "y": DivisorChart("y", _y, "y", {"y": CTX_X.zero()}, _B_XC),
-    "y-1": DivisorChart("y-1", _y - 1, "y", {"y": CTX_X.one()}, _B_XC),
-    "conic": DivisorChart("conic", _x ** 2 - _y, "y", {"y": _xc ** 2}, _B_XC),
-    "infinity": DivisorChart("infinity", _xt, "xt", {"xt": CTX_YT.zero()},
-                             DenomBasis(CTX_YT, []),
+    "y": DivisorChart("y", _y, {"y": 0}, _B_X),
+    "y-1": DivisorChart("y-1", _y - 1, {"y": 1}, _B_X),
+    "conic": DivisorChart("conic", _x ** 2 - _y, {"y": _x ** 2}, _B_X),
+    "infinity": DivisorChart("infinity", _xt, {"xt": 0}, DenomBasis(CTX_INF, []),
                              functools.partial(map_infinity_chart, B_INF, B_XY)),
 }
 
 CASE1_DIVISORS: dict[str, DivisorChart] = {
-    "x": DivisorChart("x", _x, "x", {"x": CTX_Y.zero()},
-                      DenomBasis(CTX_Y, [_yc - 1], names=["y-1"])),
-    "y": DivisorChart("y", _y, "y", {"y": CTX_X.zero()},
-                      DenomBasis(CTX_X, [_xc - 1], names=["x-1"])),
+    "x": DivisorChart("x", _x, {"x": 0}, DenomBasis(CTX_XY, [_y - 1], names=["y-1"])),
+    "y": DivisorChart("y", _y, {"y": 0}, DenomBasis(CTX_XY, [_x - 1], names=["x-1"])),
     # rational parametrization of the tangent conic
     "tangent-conic": DivisorChart(
-        "tangent-conic", _dc, "y",
+        "tangent-conic", _dc,
         {"x": Fraction(1, 4) * (_tc + 1) ** 2,
          "y": Fraction(1, 4) * (_tc - 1) ** 2},
         DenomBasis(CTX_T, [_tc - 1, _tc + 1], names=["t-1", "t+1"])),
-    "infinity": DivisorChart("infinity", _xt, "xt", {"xt": CTX_YT.zero()},
-                             DenomBasis(CTX_YT, [_ytc - 1], names=["yt-1"]),
+    "infinity": DivisorChart("infinity", _xt, {"xt": 0},
+                             DenomBasis(CTX_INF, [_yt - 1], names=["yt-1"]),
                              functools.partial(map_infinity_chart, B_C1INF, B_CASE1)),
 }
 

@@ -153,7 +153,8 @@ class RationalMap:
     ``subs`` sends each target variable to a fraction in source variables;
     pullback therefore carries objects on the target to the source.  The
     optional ``fiber`` Moebius action transforms a projective fiber
-    coordinate, for Riccati pullbacks.
+    coordinate, for Riccati pullbacks.  A form is pulled back only from the
+    target chart ``(dst, dst_base)``; ``ContextError`` otherwise.
 
     Every pullback of a function goes through :meth:`pull`, one
     :class:`fractions.Substitution` whose memo lives as long as the map: each
@@ -195,19 +196,28 @@ class RationalMap:
             return self._pullback.poly(f)
         return self._pullback.fraction(f)
 
+    def _check_target(self, form: Union[ScalarOneForm, ScalarTwoForm]):
+        if form.basis != self.dst or form.base_vars != self.dst_base:
+            raise ContextError(f"form is not over the target chart of {self.name}")
+
     def pull_one_form(self, omega: ScalarOneForm) -> ScalarOneForm:
         """Chain rule: ``phi^*(A dX + B dY) = (A o phi) dX + (B o phi) dY``."""
+        self._check_target(omega)
         return self.dX * self.pull(omega.A) + self.dY * self.pull(omega.B)
 
     def pull_two_form(self, eta: ScalarTwoForm) -> ScalarTwoForm:
         """Pullback of ``c dX^dY`` is ``(c o phi) * Jacobian * dx^dy``."""
+        self._check_target(eta)
         return ScalarTwoForm(self.src, self.src_base,
                              self.pull(eta.coeff) * self.jacobian)
 
     def compose(self, inner: "RationalMap") -> "RationalMap":
-        """``self o inner``: apply ``inner`` first (so substitutions chain)."""
+        """``self o inner``: apply ``inner`` first (so substitutions chain);
+        ``ValueError`` for a map with a fiber action: the composite would drop it."""
         if inner.dst != self.src:
             raise ContextError("maps do not compose")
+        if self.fiber is not None or inner.fiber is not None:
+            raise ValueError("maps with a fiber action do not compose")
         subs = {v: inner.pull(f) for v, f in self.subs.items()}
         return RationalMap(f"{self.name}*{inner.name}", inner.src, self.dst,
                            inner.src_base, self.dst_base, subs)

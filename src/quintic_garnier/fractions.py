@@ -110,8 +110,8 @@ class DenomBasis:
             num = self.ctx.const(num)
         exps = [0] * self.nfactors()
         for i, e in (denom or {}).items():
-            if i < 0:
-                raise IndexError(f"factor index {i} is negative")
+            if not 0 <= i < len(exps):
+                raise IndexError(f"factor index {i} not in range({len(exps)})")
             exps[i] = e
         return FactoredFraction(self, num, tuple(exps))
 

@@ -93,7 +93,10 @@ def restrict_to_line(conn: MatConnection, mode: str) -> LineRestriction:
 
     With ``mode='ac'`` the parameter ``b`` is eliminated via
     ``b = (1 - c^2)/(4a)``, which makes the two movable poles rational.
+    ``conn`` must be over ``(x, y)``; ``RestrictionError`` otherwise.
     """
+    if conn.base_vars != ("x", "y"):
+        raise RestrictionError(f"{conn.name} is over {conn.base_vars}, not ('x', 'y')")
     if mode == "ab":
         basis, images, q = B_AB, {"x": _a * _yab + _b}, Q_AB
     elif mode == "ac":
@@ -122,7 +125,7 @@ def specialize_connection(conn: MatConnection,
     om = tuple(tuple(
         ScalarOneForm(basis, conn.base_vars, at.fraction(w.A),
                       at.fraction(w.B)) for w in row) for row in conn.omega)
-    return MatConnection(conn.name + "@", basis, conn.base_vars, om)
+    return MatConnection(conn.name + "@", om)
 
 
 def pole_positions() -> tuple[LaurentPoly, LaurentPoly]:

@@ -89,7 +89,7 @@ def test_traced_orbit_enters_no_span_the_benchmark_rules_out():
         "tracer.uninstall()",
         "print(len(res), json.dumps({k: c for k, (c, _, _) in tracer.per_name().items()}))",
     ])
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     size, calls = out.split(" ", 1)

@@ -623,7 +623,7 @@ def count_cold(counter):
     """``counter(run_suites)`` in a fresh interpreter, where every basis
     starts with empty memos."""
     path = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONWARNINGS="error")
     code = f"import test_cli; print(test_cli.{counter}(test_cli.run_suites))"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quintic_garnier.connections import (
-    B_CASE1, B_PQ, B_UV, B_XY, CASE1_DIVISORS, CTX_PQ, CTX_UV, CTX_UVH, CTX_X,
+    B_CASE1, B_PQ, B_UV, B_XY, CASE1_DIVISORS, CTX_PQ, CTX_UV, CTX_UVH,
     CTX_XY, CTX_XYH, QUINTIC2_DIVISORS, DivisorChart, MatConnection, build_case1_cover_form, build_omega0, build_omega1, build_riccati1,
     case1_connection, conjugate_two_forms, diagonal_cover_connection,
     flat_case1_connection, flat_quintic2_connection, flat_representative,
@@ -19,7 +19,7 @@ from quintic_garnier.forms import RationalMap, ScalarOneForm, divisor_pullback
 from quintic_garnier.fractions import (BasisError, DenomBasis, FactoredFraction,
                                        Substitution, eval_poly, frac_eq,
                                        serialize_frac)
-from quintic_garnier.ring import VarContext
+from quintic_garnier.ring import ContextError, VarContext
 from quintic_garnier.sl2 import Mat2
 
 
@@ -84,7 +84,7 @@ def test_riccati_of_diagonal_connection():
 
 def test_riccati_of_zero_connection():
     z = ScalarOneForm.zero(B_XY, ("x", "y"))
-    conn = MatConnection("zero", B_XY, ("x", "y"), ((z, z), (z, z)))
+    conn = MatConnection("zero", ((z, z), (z, z)))
     ric = riccati_of_connection(conn)
     assert ric.P2.is_zero() and ric.P1.is_zero() and ric.P0.is_zero()
 
@@ -102,7 +102,7 @@ def test_curvature_nonzero_witness():
     x = CTX_XY.var("x")
     z = ScalarOneForm.zero(B_XY, ("x", "y"))
     xdy = ScalarOneForm(B_XY, ("x", "y"), B_XY.zero(), B_XY.of(x))
-    conn = MatConnection("witness", B_XY, ("x", "y"), ((z, xdy), (z, z)))
+    conn = MatConnection("witness", ((z, xdy), (z, z)))
     F = mat_curvature(conn)
     assert not F[0][1].is_zero()
     assert frac_eq(F[0][1].coeff, B_XY.one())
@@ -126,13 +126,13 @@ def test_curvature_conjugates_under_gauge():
     z = ScalarOneForm.zero(B_XY, ("x", "y"))
     xdy = ScalarOneForm(B_XY, ("x", "y"), B_XY.zero(), B_XY.of(x))
     ydx = ScalarOneForm(B_XY, ("x", "y"), B_XY.of(ctx.var("y")), B_XY.zero())
-    conn = MatConnection("witness", B_XY, ("x", "y"), ((z, xdy), (ydx, z)))
+    conn = MatConnection("witness", ((z, xdy), (ydx, z)))
     for _ in range(10):
         m = ctx.monomial(rng.choice([1, -1, 3]),
                          {"x": rng.randint(-1, 1), "y": rng.randint(-1, 1)})
         g = Mat2.diagonal(m)
         lhs = mat_curvature(gauge_transform(conn, g))
-        rhs = conjugate_two_forms(mat_curvature(conn), g, B_XY)
+        rhs = conjugate_two_forms(mat_curvature(conn), g)
         for i in (0, 1):
             for j in (0, 1):
                 assert frac_eq(lhs[i][j].coeff, rhs[i][j].coeff)
@@ -161,6 +161,35 @@ def test_residue_table_of_flat_representative():
         assert vals == want, (name, vals)
 
 
+def _over_yx(conn):
+    """``conn`` with every form rewritten over the base order (y, x)."""
+    return MatConnection(conn.name, tuple(tuple(
+        ScalarOneForm(w.basis, ("y", "x"), w.B, w.A) for w in row)
+        for row in conn.omega))
+
+
+def test_a_connection_is_read_in_the_chart_of_its_forms():
+    """The residue table of the flat representative is the same whichever
+    order its forms name the base variables in."""
+    rep = flat_quintic2_connection()
+    swapped = _over_yx(rep)
+    assert swapped.base_vars == ("y", "x") and swapped.basis is B_XY
+    for name in ("y", "y-1", "conic"):
+        chart = QUINTIC2_DIVISORS[name]
+        assert (residue(swapped, chart).as_dict()
+                == residue(rep, chart).as_dict()), name
+    with pytest.raises(ContextError, match="not over the target chart of inf-chart"):
+        residue(swapped, QUINTIC2_DIVISORS["infinity"])
+
+
+def test_a_connection_refuses_forms_over_two_charts():
+    rep = flat_quintic2_connection()
+    om = rep.omega
+    mixed = ((om[0][0], _over_yx(rep).omega[0][1]), om[1])
+    with pytest.raises(ContextError, match="forms live on different bases"):
+        MatConnection("mixed", mixed)
+
+
 def test_residue_entries_along_the_conic():
     rep, _ = flat_representative()
     rd = residue(rep, QUINTIC2_DIVISORS["conic"])
@@ -174,7 +203,7 @@ def test_scalar_residue_example():
     lam = ctx.var("lam0")
     w = ScalarOneForm(B_XY, ("x", "y"), B_XY.zero(), B_XY.of(lam * ctx.var("y") ** -1))
     z = ScalarOneForm.zero(B_XY, ("x", "y"))
-    conn = MatConnection("scalar", B_XY, ("x", "y"), ((w, z), (z, z)))
+    conn = MatConnection("scalar", ((w, z), (z, z)))
     rd = residue(conn, QUINTIC2_DIVISORS["y"])
     assert serialize_frac(rd.matrix[0][0]) == "1*lam0^1"
 
@@ -207,13 +236,13 @@ def test_residue_notes_a_double_pole_along_a_basis_factor_and_a_failed_restricti
 
     def notes(B, chart):
         w = ScalarOneForm(B_XY, ("x", "y"), B_XY.zero(), B)
-        rd = residue(MatConnection("probe", B_XY, ("x", "y"), ((w, z), (z, z))), chart)
+        rd = residue(MatConnection("probe", ((w, z), (z, z))), chart)
         assert not rd.consistent
         return rd.notes
     one = CTX_XY.one()
     assert notes(B_XY.over(one, y - 1, y - 1), QUINTIC2_DIVISORS["y-1"]) == [
         "entry (1,1): pole of order > 1 along y-1"]
-    bare = DivisorChart("y-1", y - 1, "y", {"y": CTX_X.one()}, DenomBasis(CTX_X, []))
+    bare = DivisorChart("y-1", y - 1, {"y": 1}, DenomBasis(CTX_XY, []))
     assert notes(B_XY.over(one, y - 1, x ** 2 - y), bare) == [
         "entry (1,1): restriction failed along y-1: residual factor outside basis: "
         "1*x^2 + -1"]
@@ -319,7 +348,7 @@ def test_case1_flat_has_a_double_pole_at_infinity():
 def _one_call_residue_side(coeff, var, chart):
     """One side of a residue with a new substitution for the entry and
     another for the derivative."""
-    f = coeff.ctx.var(chart.var) if chart.poly is None else chart.poly
+    f = chart.poly
     df = f.derivative(var)
     if df.is_zero():
         return None
@@ -382,7 +411,7 @@ def test_every_chart_names_its_divisor():
         for chart in charts.values():
             pulled = conn if chart.chart is None else conn.pull_back(chart.chart)
             basis = pulled.basis
-            assert (chart.poly == basis.ctx.var(chart.var)
+            assert (chart.poly in [basis.ctx.var(n) for n in basis.ctx.names]
                     or chart.poly in basis.factors), chart.name
 
 
@@ -390,8 +419,18 @@ def test_residue_refuses_a_divisor_that_is_neither_a_coordinate_nor_a_factor():
     """Along x + y = 0 a surviving pole shows neither as a negative power of
     a variable nor as a basis exponent, so no residue is read there."""
     x, y = CTX_XY.var("x"), CTX_XY.var("y")
-    chart = DivisorChart("x+y", x + y, "y", {"y": -CTX_X.var("x")},
-                         DenomBasis(CTX_X, []))
+    chart = DivisorChart("x+y", x + y, {"y": -x}, DenomBasis(CTX_XY, []))
     with pytest.raises(BasisError, match=r"^divisor x\+y \(1\*x\^1 \+ 1\*y\^1\) "
                                          r"is neither a coordinate nor a basis factor$"):
         residue(flat_quintic2_connection(), chart)
+
+
+def test_residue_refuses_a_one_term_divisor_that_is_not_a_variable():
+    """A one-term divisor is a coordinate only when it is a single variable:
+    the pole of ``x y`` or ``2 y`` is not read as a power of one variable."""
+    x, y = CTX_XY.var("x"), CTX_XY.var("y")
+    for name, f, text in (("xy", x * y, r"1\*x\^1\*y\^1"), ("2y", 2 * y, r"2\*y\^1")):
+        chart = DivisorChart(name, f, {"y": 0}, DenomBasis(CTX_XY, []))
+        with pytest.raises(BasisError, match=rf"^divisor {name} \({text}\) is neither "
+                                             "a coordinate nor a basis factor$"):
+            residue(flat_quintic2_connection(), chart)

@@ -22,7 +22,8 @@ def test_every_demo_has_a_digest():
 
 @pytest.mark.parametrize("demo", sorted(GOLDEN))
 def test_demo_stdout_matches_golden_digest(demo):
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               PYTHONWARNINGS="error")
     out = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
                          capture_output=True, check=True).stdout
     assert hashlib.sha256(out).hexdigest() == GOLDEN[demo]

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from quintic_garnier import fractions as kernel
-from quintic_garnier.connections import B_INF, B_XY, map_cover, map_infinity_chart
+from quintic_garnier.connections import (B_INF, B_XY, lower_left_form, map_cover,
+                                         map_cover_bar, map_infinity_chart,
+                                         map_involution)
 from quintic_garnier.forms import (MobiusAction, RationalMap, ScalarOneForm,
                                    ScalarTwoForm, divisor_pullback)
 from quintic_garnier.fractions import (BasisError, DenomBasis, FactoredFraction,
@@ -176,6 +178,30 @@ def test_rational_map_refusals():
     with pytest.raises(ContextError, match="maps do not compose"):
         PI.compose(PI)
     assert BMAP.compose(BMAP).dst is BUV
+
+
+def test_compose_refuses_a_fiber_action():
+    """The composite of maps with a Moebius fiber action would need the
+    composed action; it is refused rather than built without one."""
+    for outer, inner in ((map_cover_bar(), map_involution()),
+                         (map_cover(), map_involution())):
+        with pytest.raises(ValueError, match="maps with a fiber action do not compose"):
+            outer.compose(inner)
+
+
+def test_pullbacks_refuse_a_form_over_another_chart():
+    """A pullback reads ``A`` as the coefficient of the first target base
+    variable, so a form over the other order or another basis is refused."""
+    cover, w = map_cover(), lower_left_form()
+    swapped = ScalarOneForm(w.basis, ("y", "x"), w.B, w.A)
+    elsewhere = ScalarOneForm.zero(B_INF, ("xt", "yt"))
+    refused = "form is not over the target chart of cover"
+    for form in (swapped, elsewhere):
+        with pytest.raises(ContextError, match=refused):
+            cover.pull_one_form(form)
+        with pytest.raises(ContextError, match=refused):
+            cover.pull_two_form(ScalarTwoForm(form.basis, form.base_vars, form.A))
+    assert cover.pull_one_form(w).base_vars == ("u", "v")
 
 
 def test_d_squared_zero_randomized():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from quintic_garnier.connections import flat_quintic2_connection
+from quintic_garnier.connections import MatConnection, flat_quintic2_connection
+from quintic_garnier.forms import ScalarOneForm
 from quintic_garnier.fractions import FactoredFraction, Substitution, frac_eq
 from quintic_garnier.garnier import (B_AB, B_AC, CTX_AB, CTX_AC,
                                      RestrictionError,
@@ -75,6 +76,16 @@ def test_restriction_kernel_matches_the_one_call_path(seed):
                 want = (_substitute(w.A, images, basis) * avar
                         + _substitute(w.B, images, basis))
                 assert frac_eq(got, want), (mode, values)
+
+
+def test_restriction_refuses_a_connection_over_another_chart(quintic):
+    """``x = a y + b`` reads each ``A`` as the dx coefficient, so a
+    connection over (y, x) is refused, not restricted with dx and dy swapped."""
+    swapped = MatConnection("swapped", tuple(tuple(
+        ScalarOneForm(w.basis, ("y", "x"), w.B, w.A) for w in row)
+        for row in quintic.omega))
+    with pytest.raises(RestrictionError, match=r"swapped is over \('y', 'x'\)"):
+        restrict_to_line(swapped, "ab")
 
 
 def test_alpha1_and_alpha0_match_reference(line_ab):

@@ -135,7 +135,7 @@ CONNECTION_STACK = ("connections", "forms", "fractions", "garnier")
 
 def fresh(code):
     """Standard output of ``code`` run in a fresh interpreter on the sources."""
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), PYTHONWARNINGS="error")
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True).stdout
 

@@ -961,7 +961,7 @@ def test_letter_maps_are_derived_on_first_use():
             "print(braids._letter_map.cache_info().currsize, "
             "'quintic_garnier.traces' in sys.modules)\n")
     src = str(Path(braids.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False", "0", "6", "True"]

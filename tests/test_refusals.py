@@ -62,6 +62,8 @@ REFUSALS = [
     # fractions
     ("basis factor context", lambda: DenomBasis(UV, [y - 1]),
      ContextError, "factor context mismatch"),
+    ("factor index past the basis", lambda: B_DIFF.of(u, {1: 1}),
+     IndexError, "factor index 1 not in range(1)"),
     ("sum over two bases", lambda: B_DIFF.one() + B_SUM.one(),
      ContextError, "denominator basis mismatch"),
     ("image over another basis", lambda: Substitution(UV, {"u": B_SUM.one()}, B_DIFF),
