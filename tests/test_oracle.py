@@ -19,7 +19,8 @@ from quintic_garnier import connections  # noqa: E402
 from quintic_garnier.forms import RationalMap  # noqa: E402
 from quintic_garnier.fractions import (DenomBasis, FactoredFraction,  # noqa: E402
                                        Substitution, eval_poly, serialize_frac)
-from quintic_garnier.ring import LaurentPoly, VarContext, exact_divide  # noqa: E402
+from quintic_garnier.ring import (LaurentPoly, VarContext, exact_divide,  # noqa: E402
+                                  serialize_poly)
 
 UV = VarContext(["u", "v"])
 u, v = UV.var("u"), UV.var("v")
@@ -242,3 +243,102 @@ def test_catalog_flatness_matches_sympy():
         if vanishes:
             flat.add(conn.name)
     assert flat == {"quintic2_flat", "case1_flat"}
+
+
+def sym_expr(fr, names):
+    """A fraction or polynomial read through its text into a sympy expression."""
+    text = serialize_frac(fr) if isinstance(fr, FactoredFraction) else serialize_poly(fr)
+    return sympy.sympify(text.replace("^", "**"), locals=names)
+
+
+def sym_residue_matrix(conn, chart, names):
+    """The residue of ``d + conn.omega`` along ``chart``, computed in sympy
+    from the entries' text alone: the chart at infinity x = 1/xt, y = yt/xt
+    is pulled back by hand, each side's ``f * coefficient / df`` is cancelled
+    and then restricted by the chart's substitution.  ``None`` for an entry
+    whose ``f * coefficient`` keeps a pole along the divisor."""
+    x, y = (names[n] for n in conn.base_vars)
+    omega = [[(sym_expr(w.A, names), sym_expr(w.B, names)) for w in row]
+             for row in conn.omega]
+    if chart.chart is not None:
+        xt, yt = names["xt"], names["yt"]
+        at_inf = {x: 1 / xt, y: yt / xt}
+        omega = [[(sympy.cancel((-A - B * yt).subs(at_inf, simultaneous=True) / xt ** 2),
+                   sympy.cancel(B.subs(at_inf, simultaneous=True) / xt))
+                  for A, B in row] for row in omega]
+        x, y = xt, yt
+    f = sym_expr(chart.poly, names)
+    point = {names[n]: sym_expr(v, names) if not isinstance(v, (int, Fraction))
+             else sympy.Rational(v.numerator, v.denominator)
+             for n, v in chart.subs.items()}
+    matrix = []
+    for row in omega:
+        out = []
+        for sides in row:
+            values = set()
+            for var, coeff in zip((x, y), sides):
+                df = sympy.diff(f, var)
+                if df == 0:
+                    continue
+                scaled = sympy.cancel(coeff * f)
+                den = sympy.fraction(scaled)[1]
+                if sympy.cancel(den.subs(point, simultaneous=True)) == 0:
+                    return None
+                values.add(sympy.cancel((scaled / df).subs(point, simultaneous=True)))
+            assert len(values) == 1, (chart.name, values)
+            out.append(values.pop())
+        matrix.append(out)
+    return sympy.Matrix(matrix)
+
+
+@pytest.mark.parametrize("label", ["quintic2", "case1_flat"])
+def test_residue_eigenvalues_match_sympy(label):
+    """On every chart of the quintic's table that ``residue`` reads as
+    logarithmic, the eigenvalues it reports have the trace and determinant
+    of sympy's residue matrix; on every other chart sympy finds a pole of
+    higher order too."""
+    conn, charts = {"quintic2": (connections.flat_quintic2_connection(),
+                                 connections.QUINTIC2_DIVISORS),
+                    "case1_flat": (connections.flat_case1_connection(),
+                                   connections.CASE1_DIVISORS)}[label]
+    names = {n: sympy.Symbol(n) for ctx in (connections.CTX_XY, connections.CTX_INF,
+                                            connections.CTX_T) for n in ctx.names}
+    logarithmic = []
+    for name, chart in charts.items():
+        rd = connections.residue(conn, chart)
+        want = sym_residue_matrix(conn, chart, names)
+        assert rd.consistent == (want is not None), name
+        if want is None:
+            continue
+        logarithmic.append(name)
+        e1, e2 = (sym_expr(e, names) for e in rd.eigenvalues)
+        assert sympy.cancel(e1 + e2 - want.trace()) == 0, name
+        assert sympy.cancel(e1 * e2 - want.det()) == 0, name
+    assert logarithmic == {"quintic2": ["y", "y-1", "conic", "infinity"],
+                           "case1_flat": ["x", "y", "tangent-conic"]}[label]
+
+
+def test_restricted_lower_left_matches_sympy():
+    """The lower-left numerator, ``S_q`` and ``P_q`` of the flat quintic
+    restricted to x = a y + b with b = (1 - c^2)/(4a) are those of sympy's
+    restriction of the entry's text: ``m21 = a A21 + B21`` at that line,
+    cleared by 2 y (y-1) Q, and its y-coefficients' ratios."""
+    from quintic_garnier import garnier
+
+    conn = connections.flat_quintic2_connection()
+    names = {n: sympy.Symbol(n) for ctx in (connections.CTX_XY, garnier.CTX_AC)
+             for n in ctx.names}
+    x, y, a, c = (names[n] for n in ("x", "y", "a", "c"))
+    line = {x: a * y + (1 - c ** 2) / (4 * a)}
+    w = conn.omega[1][0]
+    m21 = (a * sym_expr(w.A, names) + sym_expr(w.B, names)).subs(line)
+    rest = garnier.restrict_to_line(conn, "ac")
+    numerator = sympy.expand(sympy.cancel(m21 * sym_expr(rest.denominator, names)))
+    # a Laurent polynomial: a is a unit of the line's ring, and y is not
+    assert sympy.fraction(sympy.together(numerator))[1].free_symbols <= {a}
+    h = garnier.h21_extract(rest)
+    assert sympy.cancel(numerator - sym_expr(h.numerator, names)) == 0
+    n2, n1, n0 = (numerator.coeff(y, k) for k in (2, 1, 0))
+    assert n2 != 0 and sympy.cancel(numerator - n2 * y ** 2 - n1 * y - n0) == 0
+    assert sympy.cancel(sym_expr(h.S_q, names) + n1 / n2) == 0
+    assert sympy.cancel(sym_expr(h.P_q, names) - n0 / n2) == 0
