@@ -9,7 +9,9 @@ A quoted formula passes when it matches the derived value; when only its
 stated correction does, it is a ``warning`` that records the known defect and
 does not fail the run; otherwise it fails (:func:`quoted`).
 Exit codes: 0 success, 1 check failure, 2 cutoff reached, 3 usage or parse
-error.
+error, 141 (128 + SIGPIPE, as a shell reports a writer that the signal
+ended) when the reader of standard output closed it early; that exit
+prints nothing more.
 
 The connection stack (``fractions``, ``forms``, ``connections``,
 ``garnier``) is imported inside the verification suites that read it, so
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -31,7 +34,7 @@ from .reps import RepTuple, TraceTuple, verify_product_identity
 from .ring import VarContext, check_exponent, parse_poly, split_assignments
 from .sl2 import Mat2, projective_closure, verify_relations
 
-EXIT_OK, EXIT_FAIL, EXIT_CUTOFF, EXIT_USAGE = 0, 1, 2, 3
+EXIT_OK, EXIT_FAIL, EXIT_CUTOFF, EXIT_USAGE, EXIT_PIPE = 0, 1, 2, 3, 141
 
 EXPECTED_PURE = {"rho1": 4, "rho2": 4, "rho3": 4, "rho4": 4, "identity": 1}
 EXPECTED_EXTENDED = {"rho1": 240, "rho2": 120, "rho3": 120, "rho4": 40,
@@ -78,6 +81,8 @@ def emit(command: str, inputs: dict, results: dict, checks: list[Check],
         doc["timing"] = round(time.perf_counter() - started, 3)
     json.dump(doc, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
+    # a closed pipe raises here, inside main, not at the exit's flush
+    sys.stdout.flush()
     if any(c.status == "fail" for c in checks):
         return EXIT_FAIL
     return EXIT_OK
@@ -518,7 +523,15 @@ def main(argv=None) -> int:
     if args.command == "orbit" and not args.family and not args.rep_file:
         print("error: need a family name or --rep-file", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # the reader closed standard output: point it at devnull so that the
+        # flush at exit does not raise again (the recipe of the Python docs,
+        # "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ Substitution is one kernel, :class:`Substitution`.  It resolves the images
 once by :func:`ring.resolve_images`, the policy that
 :meth:`ring.LaurentPoly.substitute` shares: images are rationals,
 polynomials or fractions, an unmapped variable maps to the same-named
-target variable, ``ContextError`` is raised when a variable that occurs has
-no image, and the image of an extension variable must be a root of its
+target variable, ``ContextError`` is raised when an image names no variable
+of the source context or a variable that occurs has no image, and the image of an extension variable must be a root of its
 minimal polynomial.  It sums the terms of a
 polynomial into one accumulator per denominator exponent vector and puts
 them over their common denominator once, in one more sum.  The owner of a

@@ -35,8 +35,9 @@ Substitution has one policy, :func:`resolve_images` with
 :func:`image_power`.  Images are rationals, polynomials or (in
 ``fractions``) fractions, never floats (``TypeError``); a variable with no
 image maps to the target variable of the same name; ``ContextError`` is
-raised when a variable that occurs has no image, when an image is a
-polynomial of another context, or when the image of an extension variable
+raised when an image names a variable the source context does not have,
+when a variable that occurs has no image, when an image is a polynomial of
+another context, or when the image of an extension variable
 is not a root of its minimal polynomial, and ``UnitError`` for a negative
 power of a polynomial image that is not a unit (one term).  Two kernels
 carry it out, each summing its terms on the accumulator:
@@ -545,11 +546,17 @@ def resolve_images(ctx: VarContext, images: Mapping[str, object],
     A variable with no image maps to the ``target`` variable of the same
     name, and to ``None`` when ``target`` has none; a float image raises
     ``TypeError``, and ``lift`` raises for another image it cannot carry.
-    When ``ctx`` has an algebraic extension, the image of its variable must
-    be a root of the minimal polynomial in the value ring (one evaluation of
-    it, tested by truth value), since only then is the substitution a ring
-    map; :class:`ContextError` otherwise.
+    An image keyed by a name that is not a variable of ``ctx`` raises
+    :class:`ContextError` naming it, so a mistyped key never substitutes
+    nothing.  When ``ctx`` has an algebraic extension, the image of its
+    variable must be a root of the minimal polynomial in the value ring (one
+    evaluation of it, tested by truth value), since only then is the
+    substitution a ring map; :class:`ContextError` otherwise.
     """
+    for name in images:
+        if name not in ctx.index:
+            raise ContextError(f"image of {name!r}, which is not a variable of "
+                               f"the source context ({', '.join(ctx.names)})")
     img: list[Optional[V]] = []
     for name in ctx.names:
         if name in images:

@@ -733,3 +733,20 @@ def test_verify_residues_derives_and_inverts_each_partial_once(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     run()
     assert dict(calls) == {"derivative": 16, "inverse": 21}
+
+
+@pytest.mark.parametrize("argv", [["verify", "residues"], ["verify", "all"]])
+def test_a_closed_pipe_ends_the_report_quietly(argv):
+    """A reader that closes standard output before the report is written
+    (``verify residues | head -0``) ends the command with ``EXIT_PIPE`` and
+    nothing on standard error, not with a ``BrokenPipeError`` traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = f"import sys; from quintic_garnier.cli import main; sys.exit(main({argv!r}))"
+    read_end, write_end = os.pipe()
+    with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=write_end,
+                          stderr=subprocess.PIPE, text=True) as child:
+        # the child holds the only write end, and no process the read end
+        os.close(write_end)
+        os.close(read_end)
+        _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (cli.EXIT_PIPE, "")

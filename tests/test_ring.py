@@ -185,6 +185,24 @@ def test_substitution_errors_match_evaluate():
         assert str(via_substitute.value) == message
 
 
+def test_an_image_of_an_unknown_name_is_refused():
+    """A key that is not a variable of the source context substitutes
+    nothing, so every substitution refuses it, naming it, instead of
+    leaving the value as it was."""
+    p = parse_poly(UV, "u+v")
+    message = r"image of 'z', which is not a variable of the source context \(u, v\)"
+    with pytest.raises(ContextError, match=message):
+        p.substitute({"z": 0})
+    with pytest.raises(ContextError, match=message):
+        p.substitute({"u": 1, "z": 0}, UV)
+    basis = DenomBasis(UV, [])
+    with pytest.raises(ContextError, match=message):
+        Substitution(UV, {"z": 0}, basis)
+    with pytest.raises(ContextError, match=message):
+        eval_poly(p, {"u": 1, "v": 2, "z": 0}, basis)
+    assert p.substitute({"v": 0}) == u
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(11)
     for _ in range(1000):
