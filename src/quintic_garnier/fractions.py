@@ -26,10 +26,11 @@ once by :func:`ring.resolve_images`, the policy that
 :meth:`ring.LaurentPoly.substitute` shares: images are rationals,
 polynomials or fractions, an unmapped variable maps to the same-named
 target variable, ``ContextError`` is raised when an image names no variable
-of the source context or a variable that occurs has no image, and the image of an extension variable must be a root of its
-minimal polynomial.  It sums the terms of a
-polynomial into one accumulator per denominator exponent vector and puts
-them over their common denominator once, in one more sum.  The owner of a
+of the source context or a variable that occurs has no image, and the image
+of an extension variable must be a root of its minimal polynomial.  It sums
+the integer numerators of a polynomial into one accumulator per denominator
+exponent vector, divides each by the polynomial's denominator, and puts them
+over their common denominator once, in one more sum.  The owner of a
 set of images keeps one kernel, and its memo of image powers and pulled
 factor inverses, for all it substitutes: ``forms.RationalMap`` for the
 map's life, ``connections.residue`` per chart, ``garnier`` per line,
@@ -42,8 +43,9 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Mapping, Optional, Sequence, Union
 
-from .ring import (ContextError, Exponents, LaurentPoly, Rat, VarContext, add_into,
-                   exact_divide, from_terms, image_power, resolve_images, serialize_poly)
+from .ring import (Accumulator, ContextError, LaurentPoly, Rat, VarContext, add_into,
+                   exact_divide, from_terms, image_power, resolve_images, serialize_poly,
+                   stored_form)
 
 
 #: Most factorizations one basis remembers; once full it stores no more.
@@ -205,7 +207,7 @@ class DenomBasis:
         rule = None
         if any(mask):
             present = [i for i, m in enumerate(mask) if m]
-            acc: dict[Exponents, Rat] = {}
+            acc = Accumulator()
             for i in present:
                 t = partials[i]
                 for j in present:
@@ -380,7 +382,7 @@ class FactoredFraction:
         if rule is None:
             return FactoredFraction(self.basis, dn, self.exps)
         prod_p, sum_p, bumped = rule
-        acc: dict[Exponents, Rat] = {}
+        acc = Accumulator()
         add_into(acc, dn * prod_p)
         add_into(acc, self.num * sum_p, -1)
         return FactoredFraction(self.basis, from_terms(self.ctx, acc), bumped)
@@ -427,14 +429,17 @@ class Substitution:
 
     def poly(self, p: LaurentPoly) -> FactoredFraction:
         """The image of a polynomial of ``ctx``, over one common denominator;
-        the one reader of ``terms`` outside ``ring``."""
+        the one reader of the stored form (:func:`ring.stored_form`) outside
+        ``ring``: each group sums integer numerators times the images, and
+        is divided by the polynomial's denominator once."""
         if p.ctx is not self.ctx and p.ctx != self.ctx:
             raise ContextError("context mismatch")
         powers = self._powers
         nothing = (0,) * self.target.nfactors()
         one = self.target.ctx.one()
-        groups: dict[tuple[int, ...], dict[Exponents, Rat]] = {}
-        for exps, coeff in p.terms.items():
+        groups: dict[tuple[int, ...], Accumulator] = {}
+        numerators, divisor = stored_form(p)
+        for exps, coeff in numerators.items():
             num, den = None, nothing
             for i, e in enumerate(exps):
                 if e:
@@ -444,8 +449,11 @@ class Substitution:
                     num = pw.num if num is None else num * pw.num
                     if pw.exps != nothing:
                         den = tuple(map(add, den, pw.exps))
-            add_into(groups.setdefault(den, {}), one if num is None else num, coeff)
-        return _over_common(self.target, groups)
+            acc = groups.get(den)
+            if acc is None:
+                acc = groups[den] = Accumulator()
+            add_into(acc, one if num is None else num, coeff)
+        return _over_common(self.target, groups, divisor)
 
     def fraction(self, fr: FactoredFraction) -> FactoredFraction:
         """The image of a fraction over a basis of ``ctx``."""
@@ -459,19 +467,20 @@ class Substitution:
         return out
 
 
-def _over_common(basis: DenomBasis,
-                 groups: Mapping[tuple[int, ...], dict[Exponents, Rat]]
-                 ) -> FactoredFraction:
+def _over_common(basis: DenomBasis, groups: Mapping[tuple[int, ...], Accumulator],
+                 divisor: int) -> FactoredFraction:
     """The sum of numerator accumulators keyed by their denominator
-    exponents, over the least common denominator of the nonzero ones."""
-    nums = {den: from_terms(basis.ctx, acc) for den, acc in groups.items() if acc}
+    exponents, each divided by the integer ``divisor``, over the least
+    common denominator of the nonzero ones."""
+    nums = {den: num for den, acc in groups.items()
+            if (num := from_terms(basis.ctx, acc, divisor))}
     if not nums:
         return basis.zero()
     if len(nums) == 1:
         (den, num), = nums.items()
         return FactoredFraction(basis, num, den)
     m = tuple(map(max, *nums))
-    out: dict[Exponents, Rat] = {}
+    out = Accumulator()
     for den, num in nums.items():
         add_into(out, num if den == m else num * basis.power(tuple(map(sub, m, den))))
     return FactoredFraction(basis, from_terms(basis.ctx, out), m)

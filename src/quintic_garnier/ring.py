@@ -3,28 +3,37 @@
 A :class:`LaurentPoly` is a finite sum of terms ``c * x1^e1 * ... * xn^en``
 with nonzero rational ``c`` and integer (possibly negative) exponents.  The
 variable universe is fixed by a :class:`VarContext`; two values interoperate
-only when they share a context.  Terms are stored sparsely as a dict mapping
-exponent vectors to coefficients, and every value is normalized on
-construction (no zero coefficients, exponents of an algebraic-extension
-variable reduced into ``[0, deg-1]``).
+only when they share a context.  Every value is normalized on construction
+(no zero coefficients, exponents of an algebraic-extension variable reduced
+into ``[0, deg-1]``).
 
-A stored coefficient is a :data:`Rat`: an ``int`` when it is integral and a
-``Fraction`` otherwise, so integer polynomials multiply with ``int``
-arithmetic and never build a ``Fraction``.  ``int`` and ``Fraction`` compare and hash alike and
-print the same, so keys and text do not depend on which one is stored.
-Every division goes through ``Fraction`` (``int / int`` would be a float),
-constructors raise ``TypeError`` for a float, and :meth:`constant_value`
-returns a ``Fraction``.
+The stored form is denominator-cleared (content and primitive part: Knuth,
+TAOCP vol. 2, 4.6.1): a dict mapping exponent vectors to nonzero ``int``
+numerators, and one positive ``int`` denominator, with the gcd of the
+denominator and all numerators 1.  That normal form is unique, so equal
+values have equal stored forms and equal hashes, and coefficient arithmetic
+is ``int`` arithmetic: a sum or product is reduced by one :func:`math.gcd`
+when its value is made, never a ``Fraction`` per term.  Integer polynomials
+have denominator 1.
 
-Outside this module a term dict is written only through the accumulator:
+The public view is :attr:`LaurentPoly.terms`, the coefficients as
+:data:`Rat`: an ``int`` when integral and a ``Fraction`` otherwise; it is
+the stored dict itself when the denominator is 1.  ``int`` and ``Fraction``
+compare and hash alike and print the same, so keys and text do not depend
+on which one a coefficient is.  ``LaurentPoly(ctx, terms)`` takes such a
+dict, constructors raise ``TypeError`` for a float, and
+:meth:`constant_value` returns a ``Fraction``.
+
+Only this module writes or reads the stored form.  Outside it, a value is
+summed only on an :class:`Accumulator`, which carries its own denominator:
 :func:`add_into` adds ``scale * p`` and :func:`add_product` ``scale * a * b``,
 one term product at a time, keeping no zero, and :func:`from_terms` makes
-the value, re-reducing exponents only in an extension context.
-``LaurentPoly.__add__`` and ``__mul__`` run on the same two.
-
-A value answers for its terms too (``is_constant``, ``monomial_term``,
-``key``, ``min_exponent``, ``coefficients_in``): outside this module only
-the kernel ``fractions.Substitution.poly`` reads ``terms`` itself.
+the value, reduced once, re-reducing exponents only in an extension
+context.  ``LaurentPoly.__add__`` and ``__mul__`` run on the same two.  A
+value answers for its terms (``is_constant``, ``monomial_term``, ``key``,
+``min_exponent``, ``coefficients_in``); the one kernel that sums terms
+itself, ``fractions.Substitution.poly``, reads the numerators and the
+denominator through :func:`stored_form`.
 
 The context may declare one algebraic extension: a designated variable ``r``
 together with a monic minimal polynomial over Q.  Arithmetic then happens in
@@ -58,6 +67,7 @@ import re
 import reprlib
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
@@ -140,7 +150,7 @@ class VarContext:
     # -- element constructors ------------------------------------------
 
     def zero(self) -> "LaurentPoly":
-        return LaurentPoly(self, {}, _normalized=True)
+        return LaurentPoly(self, {}, _den=1)
 
     def one(self) -> "LaurentPoly":
         return self.const(1)
@@ -149,7 +159,7 @@ class VarContext:
         c = _rat(c)
         if c == 0:
             return self.zero()
-        return LaurentPoly(self, {(0,) * self.nvars(): c}, _normalized=True)
+        return LaurentPoly(self, {(0,) * self.nvars(): c.numerator}, _den=c.denominator)
 
     def var(self, name: str) -> "LaurentPoly":
         return self.monomial(1, {name: 1})
@@ -167,42 +177,60 @@ class VarContext:
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial; immutable by convention."""
+    """Sparse Laurent polynomial; immutable by convention.
 
-    __slots__ = ("ctx", "terms", "_key")
+    Stored as integer numerators ``_num`` over one positive denominator
+    ``_den``, in lowest terms (see the module docstring); :attr:`terms` is
+    the rational view."""
 
-    def __init__(self, ctx: VarContext, terms: dict[Exponents, Rat],
-                 _normalized: bool = False):
+    __slots__ = ("ctx", "_num", "_den", "_key")
+
+    def __init__(self, ctx: VarContext, terms: Mapping[Exponents, Rat],
+                 _den: Optional[int] = None):
         self.ctx = ctx
-        if not _normalized:
-            terms = _normalize(ctx, terms)
-        self.terms = terms
+        if _den is None:
+            terms, _den = _normalize(ctx, terms)
+        self._num = terms
+        self._den = _den
         self._key: Optional[tuple] = None
+
+    @property
+    def terms(self) -> dict[Exponents, Rat]:
+        """The coefficients as :data:`Rat`, keyed by exponent vector: the
+        stored dict itself when the denominator is 1, else a new dict."""
+        den = self._den
+        if den == 1:
+            return self._num
+        return {e: _co(Fraction(n, den)) for e, n in self._num.items()}
 
     # -- basics ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_one(self) -> bool:
-        if len(self.terms) != 1:
+        if len(self._num) != 1 or self._den != 1:
             return False
-        (exps, coeff), = self.terms.items()
+        (exps, coeff), = self._num.items()
         return coeff == 1 and not any(exps)
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._num) == 1
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1
-                                  and not any(next(iter(self.terms))))
+        return not self._num or (len(self._num) == 1
+                                 and not any(next(iter(self._num))))
 
     def monomial_term(self) -> tuple[Exponents, Rat]:
         """``(exponents, coefficient)`` of a one-term value, the coefficient
-        as stored; :class:`UnitError` for zero or more than one term."""
-        if len(self.terms) != 1:
+        an ``int`` when integral; :class:`UnitError` for zero or more than
+        one term."""
+        if len(self._num) != 1:
             raise UnitError("not a one-term value")
-        term, = self.terms.items()
+        if self._den != 1:
+            # the cached key holds the term with its Fraction built once
+            return self.key()[0]
+        (term,) = self._num.items()
         return term
 
     def constant_value(self) -> Fraction:
@@ -210,10 +238,11 @@ class LaurentPoly:
             return Fraction(0)
         if not self.is_constant():
             raise UnitError("not a constant")
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(self.monomial_term()[1])
 
     def key(self) -> tuple:
-        """Canonical hashable form (terms sorted by descending exponents)."""
+        """Canonical hashable form: the :attr:`terms` sorted by descending
+        exponents."""
         if self._key is None:
             self._key = tuple(sorted(self.terms.items(), reverse=True))
         return self._key
@@ -226,7 +255,8 @@ class LaurentPoly:
                 raise TypeError("a Laurent polynomial does not compare with a float")
             else:
                 return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return (self.ctx == other.ctx and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
         return hash((self.ctx.names, self.key()))
@@ -257,15 +287,15 @@ class LaurentPoly:
             return other
         if other.is_zero():
             return self
-        terms = dict(self.terms)
-        add_into(terms, other)
-        return LaurentPoly(self.ctx, terms, _normalized=True)
+        acc = Accumulator(self)
+        add_into(acc, other)
+        return from_terms(self.ctx, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.ctx, {e: -c for e, c in self.terms.items()},
-                           _normalized=True)
+        return LaurentPoly(self.ctx, {e: -n for e, n in self._num.items()},
+                           _den=self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -281,14 +311,14 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         # values are immutable, so a zero or unit operand is returned as is
-        a, b = self.terms, other.terms
+        a, b = self._num, other._num
         if not a or (len(b) == 1 and other.is_one()):
             return self
         if not b or (len(a) == 1 and self.is_one()):
             return other
-        out: dict[Exponents, Rat] = {}
-        add_product(out, self, other)
-        return from_terms(self.ctx, out)
+        acc = Accumulator()
+        add_product(acc, self, other)
+        return from_terms(self.ctx, acc)
 
     __rmul__ = __mul__
 
@@ -316,22 +346,23 @@ class LaurentPoly:
         """Inverse of a unit: a one-term value, also in the extension variable."""
         if not self.is_monomial():
             raise UnitError("only monomials are invertible in the Laurent ring")
-        (exps, coeff), = self.terms.items()
+        (exps, n), = self._num.items()
         ev = self.ctx.ext_var
         if ev is not None and exps[ev]:
             # fold the extension variable back via its inverse polynomial
             e = list(exps)
             k = e[ev]
             e[ev] = 0
-            rest = LaurentPoly(self.ctx, {tuple(e): coeff}).inverse()
+            rest = LaurentPoly(self.ctx, {tuple(e): n}, _den=self._den).inverse()
             rinv = LaurentPoly(
                 self.ctx,
                 {tuple(0 if i != ev else d for i in range(self.ctx.nvars())): c
                  for d, c in self.ctx._ext_inv.items()})
             return rest * rinv ** k
+        # 1 / (n / den) = den / n, in lowest terms as n / den is
         inv = tuple(-e for e in exps)
-        return LaurentPoly(self.ctx, {inv: _co(Fraction(1) / coeff)},
-                           _normalized=True)
+        return LaurentPoly(self.ctx, {inv: self._den if n > 0 else -self._den},
+                           _den=abs(n))
 
     # -- calculus and substitution ---------------------------------------
 
@@ -341,14 +372,14 @@ class LaurentPoly:
         i = self.ctx.index[name]
         if i == self.ctx.ext_var:
             raise ContextError(f"cannot differentiate by the extension variable {name!r}")
-        out: dict[Exponents, Rat] = {}
-        for e, c in self.terms.items():
+        out: dict[Exponents, int] = {}
+        for e, n in self._num.items():
             if e[i] == 0:
                 continue
             ne = list(e)
             ne[i] -= 1
-            out[tuple(ne)] = _co(c * e[i])
-        return LaurentPoly(self.ctx, out, _normalized=True)
+            out[tuple(ne)] = n * e[i]
+        return _value(self.ctx, out, self._den)
 
     def substitute(self, images: Mapping[str, Union["LaurentPoly", Rat]],
                    target: Optional[VarContext] = None) -> "LaurentPoly":
@@ -372,8 +403,8 @@ class LaurentPoly:
         img = resolve_images(self.ctx, images, tgt, lift)
         one = tgt.one()
         powers: dict[tuple[int, int], LaurentPoly] = {}
-        acc: dict[Exponents, Rat] = {}
-        for exps, coeff in self.terms.items():
+        acc = Accumulator()
+        for exps, n in self._num.items():
             term = one
             for i, e in enumerate(exps):
                 if e:
@@ -381,8 +412,8 @@ class LaurentPoly:
                     if pw is None:
                         pw = powers[(i, e)] = image_power(self.ctx, img, i, e)
                     term = term * pw
-            add_into(acc, term, coeff)
-        return from_terms(tgt, acc)
+            add_into(acc, term, n)
+        return from_terms(tgt, acc, self._den)
 
     # -- structure helpers -------------------------------------------------
 
@@ -390,86 +421,163 @@ class LaurentPoly:
         i = self.ctx.index[name]
         if self.is_zero():
             return 0
-        return min(e[i] for e in self.terms)
+        return min(e[i] for e in self._num)
 
     def max_exponent(self, name: str) -> int:
         i = self.ctx.index[name]
         if self.is_zero():
             return 0
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._num)
 
     def coefficients_in(self, name: str) -> dict[int, "LaurentPoly"]:
         """Split into coefficients of powers of one variable."""
         i = self.ctx.index[name]
-        buckets: dict[int, dict[Exponents, Rat]] = {}
-        for e, c in self.terms.items():
+        buckets: dict[int, dict[Exponents, int]] = {}
+        for e, n in self._num.items():
             ne = list(e)
             d = ne[i]
             ne[i] = 0
-            buckets.setdefault(d, {})[tuple(ne)] = c
-        return {d: LaurentPoly(self.ctx, t, _normalized=True)
-                for d, t in sorted(buckets.items())}
+            buckets.setdefault(d, {})[tuple(ne)] = n
+        return {d: _value(self.ctx, t, self._den) for d, t in sorted(buckets.items())}
 
 
 # -- the accumulator ---------------------------------------------------------
 
-def add_into(acc: dict[Exponents, Rat], p: LaurentPoly, scale: Rat = 1) -> None:
-    """Add ``scale * p`` into an accumulator of nonzero stored coefficients."""
-    for e, c in p.terms.items():
-        if scale != 1:
-            c = c * scale
-        s = acc.get(e)
+class Accumulator:
+    """A running sum of polynomials in the stored form: nonzero integer
+    numerators over one positive denominator, not yet in lowest terms.
+    :func:`add_into` and :func:`add_product` add to it, and
+    :func:`from_terms` makes its value, once; the value then owns the dict,
+    so the accumulator is not added to again.  ``Accumulator(p)`` starts
+    from a copy of ``p``."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, start: Optional[LaurentPoly] = None):
+        if start is None:
+            self._num: dict[Exponents, int] = {}
+            self._den = 1
+        else:
+            self._num, self._den = dict(start._num), start._den
+
+    def _join(self, den: int, scale: Rat) -> int:
+        """The integer by which numerators over ``den``, times ``scale``,
+        join this sum, after widening its denominator to the least common
+        multiple; with both denominators 1 that is ``scale`` itself."""
+        own = self._den
+        if den == own and scale.__class__ is int:
+            return scale
+        d = den * scale.denominator
+        if d == own:
+            return scale.numerator
+        g = gcd(own, d)
+        widen = d // g
+        if widen != 1:
+            num = self._num
+            for e in num:
+                num[e] *= widen
+            self._den = own * widen
+        return scale.numerator * (own // g)
+
+
+def add_into(acc: Accumulator, p: LaurentPoly, scale: Rat = 1) -> None:
+    """Add ``scale * p`` into an accumulator, keeping no zero numerator."""
+    k = acc._join(p._den, scale)
+    num = acc._num
+    for e, c in p._num.items():
+        if k != 1:
+            c = c * k
+        s = num.get(e)
         if s is None:
-            acc[e] = _co(c)
+            num[e] = c
         else:
             s = s + c
             if s:
-                acc[e] = _co(s)
+                num[e] = s
             else:
-                del acc[e]
+                del num[e]
 
 
-def add_product(acc: dict[Exponents, Rat], a: LaurentPoly, b: LaurentPoly,
+def add_product(acc: Accumulator, a: LaurentPoly, b: LaurentPoly,
                 scale: Rat = 1) -> None:
-    """Add ``scale * a * b`` into an accumulator of nonzero stored coefficients
+    """Add ``scale * a * b`` into an accumulator, keeping no zero numerator,
     term product by term product, the shorter operand outside."""
-    a, b = a.terms, b.terms
+    k = acc._join(a._den * b._den, scale)
+    num = acc._num
+    a, b = a._num, b._num
     if len(a) > len(b):
         a, b = b, a
     b_terms = b.items()
     for ea, ca in a.items():
-        if scale != 1:
-            ca = ca * scale
+        if k != 1:
+            ca = ca * k
         for eb, cb in b_terms:
             e = tuple(map(add, ea, eb))
             c = ca * cb
-            s = acc.get(e)
+            s = num.get(e)
             if s is None:
-                acc[e] = _co(c)
+                num[e] = c
             else:
                 s = s + c
                 if s:
-                    acc[e] = _co(s)
+                    num[e] = s
                 else:
-                    del acc[e]
+                    del num[e]
 
 
-def from_terms(ctx: VarContext, acc: dict[Exponents, Rat]) -> LaurentPoly:
-    """The value of an accumulator of nonzero stored coefficients: only an
-    extension context has exponents left to reduce."""
+def from_terms(ctx: VarContext, acc: Accumulator, divisor: int = 1) -> LaurentPoly:
+    """The value of an accumulator divided by the positive integer
+    ``divisor``."""
+    return _value(ctx, acc._num, acc._den * divisor)
+
+
+def _value(ctx: VarContext, num: dict[Exponents, int], den: int) -> LaurentPoly:
+    """The value ``num / den``, in lowest terms by one :func:`math.gcd`;
+    only an extension context has exponents left to reduce."""
     if ctx.ext_var is not None:
-        return LaurentPoly(ctx, acc)
-    return LaurentPoly(ctx, acc, _normalized=True)
+        return LaurentPoly(ctx, {e: Fraction(n, den) for e, n in num.items()})
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: n // g for e, n in num.items()}
+            den //= g
+    return LaurentPoly(ctx, num, _den=den)
 
 
-def _normalize(ctx: VarContext, terms: dict[Exponents, Rat]) -> dict[Exponents, Rat]:
+def stored_form(p: LaurentPoly) -> tuple[dict[Exponents, int], int]:
+    """The integer numerators and the denominator of ``p``, as stored: for
+    the one kernel outside this module that sums terms itself,
+    ``fractions.Substitution.poly``.  The dict is the value's own."""
+    return p._num, p._den
+
+
+def _normalize(ctx: VarContext, terms: Mapping[Exponents, Rat]
+               ) -> tuple[dict[Exponents, int], int]:
+    """The stored form of a dict of rational coefficients: zeros dropped,
+    extension exponents reduced, and the coefficients put over their least
+    common denominator, which leaves them in lowest terms."""
+    rats: dict[Exponents, Rat] = {}
+    for e, c in terms.items():
+        c = _rat(c)
+        if c:
+            rats[e] = c
+    if ctx.ext_var is not None:
+        rats = _reduce_extension(ctx, rats)
+    den = lcm(*[c.denominator for c in rats.values()])
+    if den == 1:
+        return rats, 1
+    return {e: c.numerator * (den // c.denominator) for e, c in rats.items()}, den
+
+
+def _reduce_extension(ctx: VarContext, terms: dict[Exponents, Rat]) -> dict[Exponents, Rat]:
+    """Exponents of the extension variable brought into ``[0, deg-1]``."""
     out: dict[Exponents, Rat] = {}
     ev = ctx.ext_var
-    pending = [(e, _rat(c)) for e, c in terms.items() if c]
+    pending = list(terms.items())
     d = ctx.ext_deg
     while pending:
         e, c = pending.pop()
-        if ev is not None and not (0 <= e[ev] < d):
+        if not (0 <= e[ev] < d):
             k = e[ev]
             if k >= d:
                 table, shift = ctx._ext_high, k - d
@@ -499,7 +607,11 @@ def exact_divide(p: LaurentPoly, f: LaurentPoly) -> Optional[LaurentPoly]:
     """Return ``p / f`` when exact, else ``None``.
 
     Works in the Laurent ring: both operands are shifted to ordinary
-    polynomials first, so division by a monomial always succeeds.
+    polynomials first, so division by a monomial always succeeds.  The
+    primitive parts of the integer numerators are divided in integers: by
+    Gauss's lemma a quotient of primitive polynomials over Q has integer
+    coefficients, so a step whose leading coefficient does not divide is a
+    miss.  The contents and denominators make the quotient's scale.
     """
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -508,31 +620,37 @@ def exact_divide(p: LaurentPoly, f: LaurentPoly) -> Optional[LaurentPoly]:
     if p.ctx != f.ctx:
         raise ContextError("context mismatch")
     n = p.ctx.nvars()
-    pmin = [min(e[i] for e in p.terms) for i in range(n)]
-    fmin = [min(e[i] for e in f.terms) for i in range(n)]
-    P = {tuple(x - m for x, m in zip(e, pmin)): c for e, c in p.terms.items()}
-    F = {tuple(x - m for x, m in zip(e, fmin)): c for e, c in f.terms.items()}
+    pnum, fnum = p._num, f._num
+    pmin = [min(e[i] for e in pnum) for i in range(n)]
+    fmin = [min(e[i] for e in fnum) for i in range(n)]
+    pc, fc = gcd(*pnum.values()), gcd(*fnum.values())
+    P = {tuple(x - m for x, m in zip(e, pmin)): c // pc for e, c in pnum.items()}
+    F = {tuple(x - m for x, m in zip(e, fmin)): c // fc for e, c in fnum.items()}
     lf = max(F)
-    cf = F[lf]
-    quot: dict[Exponents, Rat] = {}
+    lc = F[lf]
+    quot: dict[Exponents, int] = {}
     while P:
         lp = max(P)
         diff = tuple(a - b for a, b in zip(lp, lf))
         if any(d < 0 for d in diff):
             return None
+        c, r = divmod(P[lp], lc)
+        if r:
+            return None
         # the leading exponent falls at each step, so each diff comes once
-        c = _co(Fraction(P[lp]) / cf)
         quot[diff] = c
-        for e, fc in F.items():
+        for e, g in F.items():
             t = tuple(a + b for a, b in zip(diff, e))
-            s = P.get(t, 0) - c * fc
+            s = P.get(t, 0) - c * g
             if s:
                 P[t] = s
             else:
                 P.pop(t, None)
+    # p / f = (pc / p.den) / (fc / f.den) * quot
+    scale = Fraction(pc * f._den, fc * p._den)
     shift = tuple(a - b for a, b in zip(pmin, fmin))
-    return from_terms(p.ctx, {tuple(a + b for a, b in zip(e, shift)): c
-                              for e, c in quot.items()})
+    return _value(p.ctx, {tuple(a + b for a, b in zip(e, shift)): c * scale.numerator
+                          for e, c in quot.items()}, scale.denominator)
 
 
 # -- the substitution policy -------------------------------------------------
@@ -688,7 +806,7 @@ def _check_digits(term: str, limit: int) -> None:
 def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
     """Parse the polynomial grammar; variables must be declared in ``ctx``.
 
-    The terms are summed into one accumulator and normalized once.  A plain
+    The terms are summed into one dict and normalized once.  A plain
     integer literal is read with ``int``, any other coefficient with
     ``Fraction``.
     """
@@ -716,6 +834,7 @@ def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
     index = ctx.index
     limit = sys.get_int_max_str_digits()
     acc: dict[Exponents, Rat] = {}
+    integral = ctx.ext_var is None
     for sgn, term in terms:
         if not term:
             raise ValueError("malformed polynomial text")
@@ -743,6 +862,7 @@ def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
                 if fac.isidentifier():
                     raise ContextError(f"undeclared variable {fac!r}")
                 check_exponent(fac, f"term {term!r}")
+                integral = False
                 try:
                     coeff *= Fraction(fac)
                 except ZeroDivisionError:
@@ -753,7 +873,8 @@ def parse_poly(ctx: VarContext, text: str) -> LaurentPoly:
         e = tuple(exps)
         s = acc.get(e, 0) + coeff
         if s:
-            acc[e] = _co(s)
+            acc[e] = s
         else:
             acc.pop(e, None)
-    return from_terms(ctx, acc)
+    # integer coefficients outside an extension are the stored form already
+    return LaurentPoly(ctx, acc, _den=1) if integral else LaurentPoly(ctx, acc)

@@ -53,7 +53,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .ring import LaurentPoly, VarContext, add_into, add_product, from_terms
+from .ring import Accumulator, LaurentPoly, VarContext, add_into, add_product, from_terms
 from .sl2 import GroupWord
 
 TRACE_NAMES = ("t1", "t2", "t3", "t4", "t5", "r12", "r13", "r14", "r23", "r24",
@@ -291,7 +291,7 @@ def _quadratic(v: Sequence[LaurentPoly]) -> LaurentPoly:
     """``v3 v4 + v5 v6 - v1 v2 - v0`` for the values ``v`` of the seven
     roles, summed into one accumulator: the term products go straight into
     it, and no value is built for a product or a partial sum."""
-    acc: dict = {}
+    acc = Accumulator()
     add_product(acc, v[3], v[4])
     add_product(acc, v[5], v[6])
     add_product(acc, v[1], v[2], -1)

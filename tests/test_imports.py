@@ -95,35 +95,49 @@ def test_no_module_takes_a_private_name_from_another():
     assert private == {path.stem: [] for path in paths}
 
 
+# the slots of a value's stored form: integer numerators over one denominator
+STORED_FORM = ("_num", "_den")
+
+
 def test_only_ring_writes_the_stored_form():
-    """Only ``ring``, the owner of the stored form of a term dict, builds a
-    value from a dict it vouches for with ``_normalized=``; every other
-    module sums terms through its accumulator."""
+    """Only ``ring``, the owner of the stored form of a polynomial, builds a
+    value from numerators it vouches for with ``_den=``, or stores into a
+    slot of the form; every other module sums terms through its
+    accumulator."""
     paths = sorted(PACKAGE.glob("*.py"))
-    vouching = [path.name for path in paths
-                if any(isinstance(node, ast.keyword) and node.arg == "_normalized"
-                       for node in ast.walk(ast.parse(path.read_text(), str(path))))]
-    assert vouching == ["ring.py"]
+    vouching, writing = [], []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.keyword) and node.arg == "_den":
+                vouching.append(path.name)
+            if (isinstance(node, ast.Attribute) and node.attr in STORED_FORM
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                writing.append(path.name)
+    assert set(vouching) == set(writing) == {"ring.py"}
 
 
-def readers_of_terms(tree, scope=()):
+def readers_of(tree, names, scope=()):
     """The dotted name of each class or function, outermost first, that
-    reads an attribute ``terms`` in its own body, once per read."""
+    reads an attribute or a name in ``names`` in its own body, once per read."""
     out = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            out += readers_of_terms(node, scope + (node.name,))
+            out += readers_of(node, names, scope + (node.name,))
         else:
-            if isinstance(node, ast.Attribute) and node.attr == "terms":
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    or isinstance(node, ast.Name) and node.id in names):
                 out.append(".".join(scope) or "<module>")
-            out += readers_of_terms(node, scope)
+            out += readers_of(node, names, scope)
     return out
 
 
 def test_only_ring_reads_the_stored_form():
-    """Outside ``ring``, the owner of a term dict, only the fraction
-    substitution kernel reads ``.terms``: every other module asks the value."""
-    readers = {path.name: sorted(set(readers_of_terms(ast.parse(path.read_text()))))
+    """Outside ``ring``, the owner of the stored form, no module reads
+    ``.terms`` or a slot of the form, and only the fraction substitution
+    kernel reads the numerators and the denominator, through
+    ``ring.stored_form``: every other module asks the value."""
+    readers = {path.name: sorted(set(readers_of(ast.parse(path.read_text()),
+                                                ("terms", "stored_form") + STORED_FORM)))
                for path in sorted(PACKAGE.glob("*.py")) if path.name != "ring.py"}
     assert {name: found for name, found in readers.items() if found} == {
         "fractions.py": ["Substitution.poly"]}

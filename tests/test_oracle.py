@@ -8,6 +8,7 @@ results must agree exactly.  sympy is only a test oracle: the package itself sta
 standard-library only, and this module is skipped where sympy is missing.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,8 +20,15 @@ from quintic_garnier import connections  # noqa: E402
 from quintic_garnier.forms import RationalMap  # noqa: E402
 from quintic_garnier.fractions import (DenomBasis, FactoredFraction,  # noqa: E402
                                        Substitution, eval_poly, serialize_frac)
-from quintic_garnier.ring import (LaurentPoly, VarContext, exact_divide,  # noqa: E402
-                                  serialize_poly)
+from quintic_garnier.ring import (Accumulator, LaurentPoly, VarContext,  # noqa: E402
+                                  add_into, add_product, exact_divide, from_terms,
+                                  parse_poly, serialize_poly)
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property below is left out, the rest still runs
+    given = None
 
 UV = VarContext(["u", "v"])
 u, v = UV.var("u"), UV.var("v")
@@ -172,6 +180,59 @@ def test_equal_values_hash_equally():
         assert all(sym(w) == sym(forms[0]) for w in forms)
         assert all(w == forms[0] and hash(w) == hash(forms[0]) for w in forms)
         assert len(set(forms)) == 1
+
+
+def _stored(p):
+    """The stored form: integer numerators over a positive denominator, in
+    lowest terms, and a rational view that holds an int where integral."""
+    num, den = p._num, p._den
+    assert den > 0 and all(type(n) is int and n for n in num.values())
+    assert math.gcd(den, *num.values()) == 1
+    assert all(type(c) is (int if c.denominator == 1 else Fraction)
+               for c in p.terms.values())
+    return num, den
+
+
+if given is not None:
+    RATS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    UNITS = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 5]), st.integers(1, 6))
+    # no u^-1 term, so that every value has an antiderivative by u
+    TERMS = st.dictionaries(st.tuples(st.sampled_from([-3, -2, 0, 1, 2]),
+                                      st.integers(-2, 2)), RATS, max_size=4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(TERMS, TERMS, UNITS, st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    def test_equal_values_hash_equally_by_every_route(terms, other, unit, shift):
+        """One value built by every route that makes a value, the normalizing
+        constructor, a product, a sum, the accumulator, ``exact_divide``,
+        ``substitute``, ``derivative`` and the text grammar, has one stored
+        form, so the values compare and hash equal; the same terms over
+        another context never compare equal."""
+        p = LaurentPoly(UV, terms)
+        w = LaurentPoly(UV, other)
+        m = LaurentPoly(UV, {shift: unit})
+        halves = Accumulator()
+        add_into(halves, p, Fraction(1, 3))
+        add_product(halves, p, UV.const(unit), Fraction(2, 3) / unit)
+        antiderivative = LaurentPoly(UV, {(a + 1, b): c / (a + 1)
+                                          for (a, b), c in terms.items()})
+        routes = [
+            LaurentPoly(UV, dict(p.terms)),
+            (p * m) * m.inverse(),
+            (p + w) - w,
+            from_terms(UV, halves),
+            p.substitute({"u": unit * u, "v": v}).substitute({"u": u * (1 / unit)}),
+            antiderivative.derivative("u"),
+            parse_poly(UV, serialize_poly(p)),
+        ]
+        if w:
+            routes.append(exact_divide(p * w, w))
+        form = _stored(p)
+        for q in routes:
+            assert _stored(q) == form
+            assert q == p and hash(q) == hash(p) and q.key() == p.key()
+        for ctx in (VarContext(["s", "t"]), VarContext(["u", "v"], extension=("v", [1, 1]))):
+            assert LaurentPoly(ctx, terms) != p and p != LaurentPoly(ctx, terms)
 
 
 # maps of QQ(u, v) whose images, and the images of whose basis factors, are
